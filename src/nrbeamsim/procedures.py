@@ -579,7 +579,13 @@ def oracle_expected_rlf_sa(sc: Scenario) -> float:
 
 @dataclass(frozen=True)
 class TrackingPlan:
-    """CSI occasion pattern over one hyperperiod, collisions resolved."""
+    """CSI occasion pattern over one hyperperiod, collisions resolved.
+
+    ``occasion_keys`` flattens ``surviving`` into sorted int64 keys
+    ``direction * key_stride + occasion`` and ends in a sentinel past the
+    last direction, so one ``searchsorted`` finds every run's next
+    occasion. ``first_occasion`` is -1 for a direction with none.
+    """
 
     s: int
     period_sym: int
@@ -587,6 +593,9 @@ class TrackingPlan:
     symbol_ms: float
     surviving: tuple[tuple[float, ...], ...]
     dropped_count: int
+    key_stride: int
+    occasion_keys: np.ndarray
+    first_occasion: np.ndarray
 
     def directions(self) -> int:
         return self.s
@@ -605,7 +614,10 @@ def _tracking_plan_for(sc: Scenario) -> TrackingPlan:
     blocks_span = plan.blocks_per_burst * SS_BLOCK_SYMBOLS
     freq_overlap = sc.csi.delta_f_rb < SS_BLOCK_RB
 
+    # occasions lie in [0, hyper) because delta_t_symbols < period
+    stride = hyper + 1
     surviving: list[list[float]] = [[] for _ in range(s)]
+    keys = [s * stride]
     dropped = 0
     for m_idx in range(n_pat):
         t = sc.csi.delta_t_symbols + m_idx * period
@@ -617,6 +629,7 @@ def _tracking_plan_for(sc: Scenario) -> TrackingPlan:
             dropped += 1
             continue
         surviving[m_idx % s].append(float(t))
+        keys.append(m_idx % s * stride + t)
     return TrackingPlan(
         s=s,
         period_sym=period,
@@ -624,6 +637,11 @@ def _tracking_plan_for(sc: Scenario) -> TrackingPlan:
         symbol_ms=plan.symbol_ms,
         surviving=tuple(tuple(v) for v in surviving),
         dropped_count=dropped,
+        key_stride=stride,
+        occasion_keys=np.sort(np.array(keys, dtype=np.int64)),
+        first_occasion=np.array(
+            [occ[0] if occ else -1 for occ in surviving], dtype=np.int64
+        ),
     )
 
 
@@ -644,23 +662,16 @@ def simulate_tracking_batch(
     tp = _tracking_plan_for(sc)
     dirs = rng.integers(0, tp.s, size=n_runs)
     t0 = rng.uniform(0.0, tp.hyper_sym, size=n_runs)
-    waits = np.full(n_runs, np.nan)
-    censored = np.zeros(n_runs, dtype=bool)
-    for g in range(tp.s):
-        mask = dirs == g
-        if not mask.any():
-            continue
-        occ = np.asarray(tp.surviving[g])
-        if occ.size == 0:
-            censored[mask] = True
-            continue
-        t = t0[mask]
-        idx = np.searchsorted(occ, t, side="left")
-        wrapped = idx == occ.size
-        nxt = np.where(wrapped, occ[0] + tp.hyper_sym, occ[np.minimum(idx, occ.size - 1)])
-        waits[mask] = (nxt - t) * tp.symbol_ms
-    over = ~np.isnan(waits) & (waits > horizon_ms)
-    censored |= over
+    base = dirs * tp.key_stride
+    # occasions are integer symbols, so "at or after t0" is ">= ceil(t0)"
+    idx = np.searchsorted(
+        tp.occasion_keys, base + np.ceil(t0).astype(np.int64), side="left"
+    )
+    ahead = tp.occasion_keys[idx] - base
+    first = tp.first_occasion[dirs]
+    nxt = np.where(ahead < tp.key_stride, ahead, first + tp.hyper_sym)
+    waits = (nxt - t0) * tp.symbol_ms
+    censored = (first < 0) | (waits > horizon_ms)
     waits[censored] = np.nan
     return waits, censored
 
