@@ -187,7 +187,11 @@ def _run_anchors(args: argparse.Namespace) -> int:
 def _run_report(args: argparse.Namespace) -> int:
     reports: list[MetricsReport] = []
     for item in args.inputs:
-        reports.extend(reports_from_json(Path(item).read_text(encoding="utf-8")))
+        text = Path(item).read_text(encoding="utf-8")
+        try:
+            reports.extend(reports_from_json(text))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{item}: {exc}") from None
     if not reports:
         raise ConfigurationError("no reports found in the given files")
     tables = {

@@ -9,7 +9,7 @@ relative to the aligned gain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,12 @@ class ChannelParams:
     side_lobe_floor_db: float = -10.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"channel.{f.name}={value!r}: must be finite"
+                )
         if self.pl_exponent <= 0:
             raise ConfigurationError(
                 f"channel.pl_exponent={self.pl_exponent:g}: must be positive"

@@ -102,12 +102,23 @@ def reports_from_json(text: str) -> list[MetricsReport]:
         raise ConfigurationError(f"not valid report JSON: {exc}") from None
     if not isinstance(payload, dict) or "reports" not in payload:
         raise ConfigurationError("report JSON must be {'reports': [...]}")
+    if not isinstance(payload["reports"], list):
+        raise ConfigurationError("report JSON: 'reports' must be a list")
     out = []
-    for item in payload["reports"]:
-        kwargs = dict(item)
-        for stat_key in ("t_ia", "t_tr", "t_br", "t_rlf"):
-            kwargs[stat_key] = MetricStat(**kwargs[stat_key])
-        out.append(MetricsReport(**kwargs))
+    for i, item in enumerate(payload["reports"]):
+        try:
+            kwargs = dict(item)
+            for stat_key in ("t_ia", "t_tr", "t_br", "t_rlf"):
+                kwargs[stat_key] = MetricStat(**kwargs[stat_key])
+            out.append(MetricsReport(**kwargs))
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"report JSON: reports[{i}] lacks field {exc.args[0]!r}"
+            ) from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"report JSON: reports[{i}] is not a report: {exc}"
+            ) from None
     return out
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
@@ -109,6 +110,14 @@ _INT_KEYS = {
     ("campaign", "n_drops"),
 }
 
+_FLOAT_KEYS = {
+    (section, key)
+    for section, defaults in _SCHEMA.items()
+    if defaults
+    for key, value in defaults.items()
+    if isinstance(value, float)
+} | {("deployment", "lte_latency_ms"), ("deployment", "ue_distance_m")}
+
 
 @dataclass(frozen=True)
 class CampaignSettings:
@@ -181,6 +190,16 @@ def _coerce(source: str, section: str, key: str, value: Any) -> Any:
                 )
             value = int(value)
         return value
+    if (section, key) in _FLOAT_KEYS:
+        # YAML 1.1 reads 4.0e8 as a string; float() takes it, as it did before
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = None
+        if number is None or isinstance(value, bool):
+            raise _err(source, f"{section}.{key}", f"expected a number, got {value!r}")
+        if not math.isfinite(number):
+            raise _err(source, f"{section}.{key}", f"must be finite, got {value!r}")
     return value
 
 

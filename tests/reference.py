@@ -8,7 +8,79 @@ from __future__ import annotations
 import numpy as np
 
 from nrbeamsim.errors import DomainError
-from nrbeamsim.procedures import _tracking_plan_for
+from nrbeamsim.procedures import (
+    DeploymentMode,
+    IaBatch,
+    _covering_state_index,
+    _draw_distances,
+    _tracking_plan_for,
+    sweep_plan,
+)
+
+
+def matrix_sweep_winner(plan, cp, base_db, k_star, rng):
+    """Winning sweep slot and its SNR, measuring every block of the sweep.
+
+    Draws a (runs x S) matrix of per-block SNRs with iid shadowing and
+    takes each row's argmax, ties going to the lowest (gnb_beam,
+    ue_beam). ``draw_sweep_winner`` draws the same law's winner directly.
+    """
+    rows = np.arange(base_db.size)
+    snr = rng.normal(0.0, cp.shadowing_sigma_db, size=(base_db.size, plan.s))
+    snr += base_db[:, None] + cp.side_lobe_floor_db
+    snr[rows, k_star] -= cp.side_lobe_floor_db
+    perm = plan.tie_break_order
+    best = perm[np.argmax(snr[:, perm], axis=1)]
+    return best, snr[rows, best]
+
+
+def ia_batch_matrix(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
+    """Initial-access campaign with the winner from :func:`matrix_sweep_winner`."""
+    if n_runs < 1:
+        raise DomainError(f"n_runs={n_runs}: need at least one run")
+    plan = sweep_plan(sc)
+    cp = sc.channel
+    ig_of_dir = np.array(
+        [_covering_state_index(plan.states_g, g) for g in range(sc.gnb.elements)]
+    )
+    iu_of_dir = np.array(
+        [_covering_state_index(plan.states_u, u) for u in range(sc.ue.elements)]
+    )
+    r = _draw_distances(sc, rng, n_runs)
+    g_star = rng.integers(0, sc.gnb.elements, size=n_runs)
+    u_star = rng.integers(0, sc.ue.elements, size=n_runs)
+    k_star = iu_of_dir[u_star] * plan.f_g + ig_of_dir[g_star]
+    pl = cp.pl_intercept_db + 10.0 * cp.pl_exponent * np.log10(r)
+    best, top = matrix_sweep_winner(
+        plan, cp, plan.aligned_snr_level_db_offset - pl, k_star, rng
+    )
+
+    start_burst = rng.integers(0, plan.cycle_bursts, size=n_runs)
+    phase = rng.uniform(0.0, plan.t_ss_ms, size=n_runs)
+    t_sweep = (
+        (plan.t_ss_ms - phase)
+        + (plan.bursts_per_sweep - 1) * plan.t_ss_ms
+        + plan.det_offset_sym * plan.symbol_ms
+    )
+    if sc.mode is DeploymentMode.NSA:
+        t_br = np.full(n_runs, float(sc.lte_latency_ms))
+    elif plan.digital_gnb:
+        t_br = np.full(n_runs, plan.digital_tail_sym * plan.symbol_ms)
+    else:
+        det_pos = (start_burst + plan.bursts_per_sweep - 1) % plan.cycle_bursts
+        tails = (
+            plan.wait_end_sym[det_pos % plan.rach_cycle, plan.g_labels[best]]
+            - plan.det_offset_sym
+        )
+        t_br = tails * plan.symbol_ms
+    return IaBatch(
+        t_sweep_ms=t_sweep,
+        t_br_ms=t_br,
+        t_total_ms=t_sweep + t_br,
+        misdetected=top < cp.detection_threshold_db,
+        chosen_g=plan.g_labels[best],
+        chosen_u=plan.u_labels[best],
+    )
 
 
 def tracking_batch_loop(

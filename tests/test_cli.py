@@ -58,6 +58,9 @@ class TestExitCodes:
             "csi.n_symbols=3",
             "csi.bandwidth_rb=30",
             "numerology.n=5",
+            "channel.tx_power_dbm=.nan",
+            "channel.shadowing_sigma_db=.nan",
+            "channel.shadowing_sigma_db=.inf",
         ],
     )
     def test_invalid_configs_exit_one(self, quick_yaml, override, capsys):
@@ -167,6 +170,13 @@ class TestReportCommand:
         p = tmp_path / "junk.json"
         p.write_text("{]", encoding="utf-8")
         assert main(["report", str(p)]) == EXIT_CONFIG
+
+    def test_report_schema_error_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "odd.json"
+        p.write_text('{"reports":[{"x":1}]}', encoding="utf-8")
+        assert main(["report", str(p)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "odd.json" in err and "reports[0]" in err
 
     def test_missing_report_exits_three(self, tmp_path):
         assert main(["report", str(tmp_path / "none.json")]) == EXIT_IO

@@ -175,3 +175,9 @@ class TestChannelValidation:
     def test_bandwidth_positive(self):
         with pytest.raises(ConfigurationError):
             ChannelParams(bandwidth_hz=-4e8)
+
+    @pytest.mark.parametrize("field", ["shadowing_sigma_db", "tx_power_dbm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=rf"channel\.{field}=.*finite"):
+            ChannelParams(**{field: value})

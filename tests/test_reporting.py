@@ -76,6 +76,19 @@ class TestJsonRoundTrip:
         with pytest.raises(ConfigurationError, match="reports"):
             reports_from_json('{"rows": []}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"reports": [{"x": 1}]}',
+            '{"reports": [5]}',
+            '{"reports": 5}',
+            '{"reports": [{"t_ia": {"mean": 1.0}}]}',
+        ],
+    )
+    def test_schema_errors_are_config_errors(self, text):
+        with pytest.raises(ConfigurationError, match="report JSON"):
+            reports_from_json(text)
+
     def test_trailing_newline(self):
         assert reports_to_json([]).endswith("\n")
 

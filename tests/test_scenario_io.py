@@ -7,6 +7,7 @@ from nrbeamsim.errors import ConfigurationError
 from nrbeamsim.frame import CsiActivation
 from nrbeamsim.procedures import DeploymentMode
 from nrbeamsim.scenario_io import (
+    _FLOAT_KEYS,
     apply_overrides,
     parse_scenario,
     scenario_file_from_dict,
@@ -75,6 +76,30 @@ class TestValidationMessages:
     def test_int_keys_accept_whole_floats(self):
         sf = scenario_file_from_dict({"gnb": {"elements": 16.0}})
         assert sf.scenarios[0].gnb.elements == 16
+
+    @pytest.mark.parametrize("section,key", sorted(_FLOAT_KEYS))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_float_keys_reject_non_finite(self, section, key, value):
+        with pytest.raises(ConfigurationError, match=rf"{section}\.{key}: must be finite"):
+            scenario_file_from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("value", ["abc", True, [1.0]])
+    def test_float_keys_reject_non_numbers(self, value):
+        with pytest.raises(ConfigurationError, match=r"channel\.tx_power_dbm: expected a number"):
+            scenario_file_from_dict({"channel": {"tx_power_dbm": value}})
+
+    def test_float_keys_check_numeric_strings(self):
+        # PyYAML reads 4.0e8 (no exponent sign) as a string
+        sf = scenario_file_from_dict({"channel": {"bandwidth_hz": "4.0e8"}})
+        assert sf.scenarios[0].channel.bandwidth_hz == 4.0e8
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            scenario_file_from_dict({"channel": {"tx_power_dbm": "nan"}})
+
+    def test_swept_non_finite_value_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"channel\.shadowing_sigma_db"):
+            scenario_file_from_dict(
+                {"sweep": {"channel.shadowing_sigma_db": [8.7, float("nan")]}}
+            )
 
     def test_campaign_bounds(self):
         with pytest.raises(ConfigurationError, match=r"campaign\.n_runs"):
