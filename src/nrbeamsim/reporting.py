@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
@@ -95,6 +95,20 @@ def reports_to_json(reports: Sequence[MetricsReport]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+_JSON_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
+
+
+def _check_field_types(obj: Any, path: str) -> None:
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "MetricStat":
+            _check_field_types(value, f"{path}.{f.name}")
+        elif isinstance(value, bool) or not isinstance(value, _JSON_FIELD_TYPES[f.type]):
+            raise ConfigurationError(
+                f"report JSON: {path}.{f.name}: expected {f.type}, got {value!r}"
+            )
+
+
 def reports_from_json(text: str) -> list[MetricsReport]:
     try:
         payload = json.loads(text)
@@ -110,7 +124,7 @@ def reports_from_json(text: str) -> list[MetricsReport]:
             kwargs = dict(item)
             for stat_key in ("t_ia", "t_tr", "t_br", "t_rlf"):
                 kwargs[stat_key] = MetricStat(**kwargs[stat_key])
-            out.append(MetricsReport(**kwargs))
+            report = MetricsReport(**kwargs)
         except KeyError as exc:
             raise ConfigurationError(
                 f"report JSON: reports[{i}] lacks field {exc.args[0]!r}"
@@ -119,6 +133,8 @@ def reports_from_json(text: str) -> list[MetricsReport]:
             raise ConfigurationError(
                 f"report JSON: reports[{i}] is not a report: {exc}"
             ) from None
+        _check_field_types(report, f"reports[{i}]")
+        out.append(report)
     return out
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 
 import pytest
 
@@ -88,6 +89,22 @@ class TestJsonRoundTrip:
     def test_schema_errors_are_config_errors(self, text):
         with pytest.raises(ConfigurationError, match="report JSON"):
             reports_from_json(text)
+
+    @pytest.mark.parametrize(
+        "field,value,path",
+        [
+            ("m_gnb", None, r"reports\[0\]\.m_gnb: expected int"),
+            ("scenario_id", 7, r"reports\[0\]\.scenario_id: expected str"),
+            ("accuracy", True, r"reports\[0\]\.accuracy: expected float"),
+            ("t_ia", {"mean": "abc", "stderr": 0.1, "n_samples": 5},
+             r"reports\[0\]\.t_ia\.mean: expected float"),
+        ],
+    )
+    def test_field_types_are_checked(self, field, value, path):
+        payload = json.loads(reports_to_json([tiny_report()]))
+        payload["reports"][0][field] = value
+        with pytest.raises(ConfigurationError, match=path):
+            reports_from_json(json.dumps(payload))
 
     def test_trailing_newline(self):
         assert reports_to_json([]).endswith("\n")
