@@ -66,7 +66,9 @@ def _chi2_critical(df: int, alpha: float) -> float:
 def _se_apart(a: np.ndarray, b: np.ndarray) -> float:
     """Difference of two sample means in units of its standard error."""
     se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
-    return abs(a.mean() - b.mean()) / se if se > 0 else float(a.mean() != b.mean())
+    if se == 0.0:
+        return 0.0 if a.mean() == b.mean() else math.inf
+    return abs(a.mean() - b.mean()) / se
 
 
 class TestSweepWinnerAgainstMatrix:
