@@ -9,11 +9,8 @@ and transceiver power across antenna and frame configurations.
 from .codebook import (
     Architecture,
     ArrayConfig,
-    Codebook,
     PowerModel,
     beamforming_gain_db,
-    codebook_for,
-    default_sweep_order,
     power_consumption_w,
     sweep_length,
 )
@@ -28,40 +25,23 @@ from .evaluation import (
     merge_stats,
 )
 from .frame import (
-    CsiActivation,
     CsiRsConfig,
-    EventKind,
     Numerology,
     SsBurstConfig,
-    Timeline,
-    TimelineEvent,
-    build_csi_timeline,
-    build_rach_timeline,
-    build_ss_timeline,
     carrier_resource_blocks,
     make_numerology,
-    overhead,
 )
 from .link import (
     ChannelParams,
-    Measurement,
-    measure,
     misdetection_probability,
     noise_power_dbm,
     path_loss_db,
-    snr_db,
 )
 from .procedures import (
     DeploymentMode,
-    ProcedureKind,
-    ProcedureOutcome,
     Scenario,
-    beam_report_delay,
     oracle_expected_ia,
     oracle_expected_rlf_sa,
-    run_initial_access,
-    run_rlf_recovery,
-    run_tracking,
     simulate_ia_batch,
 )
 from .scenario_io import ScenarioFile, parse_scenario
@@ -72,54 +52,34 @@ __all__ = [
     "Architecture",
     "ArrayConfig",
     "ChannelParams",
-    "Codebook",
     "ConfigurationError",
-    "CsiActivation",
     "CsiRsConfig",
     "DeploymentMode",
     "DomainError",
-    "EventKind",
     "KiviatSet",
-    "Measurement",
     "MetricStat",
     "MetricsReport",
     "NotApplicableError",
     "Numerology",
     "PowerModel",
-    "ProcedureKind",
-    "ProcedureOutcome",
     "Scenario",
     "ScenarioFile",
     "SsBurstConfig",
-    "Timeline",
-    "TimelineEvent",
-    "beam_report_delay",
     "beamforming_gain_db",
-    "build_csi_timeline",
-    "build_rach_timeline",
-    "build_ss_timeline",
     "carrier_resource_blocks",
-    "codebook_for",
     "compare",
-    "default_sweep_order",
     "estimate_metrics",
     "kiviat_normalize",
     "make_numerology",
-    "measure",
     "merge_stats",
     "misdetection_probability",
     "noise_power_dbm",
     "oracle_expected_ia",
     "oracle_expected_rlf_sa",
-    "overhead",
     "parse_scenario",
     "path_loss_db",
     "power_consumption_w",
-    "run_initial_access",
-    "run_rlf_recovery",
-    "run_tracking",
     "simulate_ia_batch",
-    "snr_db",
     "sweep_length",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Antenna arrays, beam codebooks, sweep enumeration and power draw.
+"""Antenna arrays, sweep geometry, beamforming gain and power draw.
 
 The model ties codebook size to array size: an array of M elements steers
 M beams that tile a 120 degree sector. What differs between beamforming
@@ -24,8 +24,6 @@ from typing import Optional
 
 from .errors import ConfigurationError
 
-SECTOR_DEG = 120.0
-SIDE_LOBE_FLOOR_DB_DEFAULT = -10.0
 
 # Component draw calibrated against measured mmWave transceiver budgets
 # (3-bit ADCs): one full digital chain per element, or a shared front end
@@ -33,7 +31,6 @@ SIDE_LOBE_FLOOR_DB_DEFAULT = -10.0
 C_CHAIN_W_DEFAULT = 16.0896
 P0_W_DEFAULT = 16.0507
 C_PS_W_DEFAULT = 0.0585
-ADC_BITS_DEFAULT = 3
 
 
 class Architecture(str, Enum):
@@ -72,49 +69,36 @@ class ArrayConfig:
 
 
 @dataclass(frozen=True)
-class Codebook:
-    """Directions tiling a sector, one beam per array element."""
-
-    directions: int
-    beam_width_deg: float
-    sector_deg: float = SECTOR_DEG
-
-
-def codebook_for(array: ArrayConfig, sector_deg: float = SECTOR_DEG) -> Codebook:
-    if sector_deg <= 0:
-        raise ConfigurationError(f"sector_deg={sector_deg:g}: must be positive")
-    return Codebook(
-        directions=array.elements,
-        beam_width_deg=sector_deg / array.elements,
-        sector_deg=sector_deg,
-    )
-
-
-@dataclass(frozen=True)
 class PowerModel:
     """Per-component power coefficients in watts."""
 
     c_chain_w: float = C_CHAIN_W_DEFAULT
     p0_w: float = P0_W_DEFAULT
     c_ps_w: float = C_PS_W_DEFAULT
-    adc_bits: int = ADC_BITS_DEFAULT
 
     def __post_init__(self) -> None:
-        if self.adc_bits < 1:
-            raise ConfigurationError(f"adc_bits={self.adc_bits}: must be at least 1")
         for name in ("c_chain_w", "p0_w", "c_ps_w"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")
 
 
+def directions_per_step(array: ArrayConfig) -> int:
+    """Directions one steering step covers: 1 analog, k_bf hybrid, M digital.
+
+    Step ``i`` covers directions ``i*w .. (i+1)*w - 1`` for this width
+    ``w``, so direction ``d`` is swept in step ``d // w``.
+    """
+    if array.arch is Architecture.DIGITAL:
+        return array.elements
+    if array.arch is Architecture.ANALOG:
+        return 1
+    assert array.k_bf is not None
+    return array.k_bf
+
+
 def sweep_factor(array: ArrayConfig) -> int:
     """Number of sequential steering steps this end needs for a full scan."""
-    if array.arch is Architecture.DIGITAL:
-        return 1
-    if array.arch is Architecture.ANALOG:
-        return array.elements
-    assert array.k_bf is not None
-    return math.ceil(array.elements / array.k_bf)
+    return -(-array.elements // directions_per_step(array))
 
 
 def sweep_length(gnb: ArrayConfig, ue: ArrayConfig) -> int:
@@ -148,44 +132,3 @@ def power_consumption_w(array: ArrayConfig, pm: PowerModel = PowerModel()) -> fl
         return pm.p0_w + pm.c_ps_w * m
     assert array.k_bf is not None
     return pm.c_chain_w * array.k_bf + pm.c_ps_w * m
-
-
-@dataclass(frozen=True)
-class SteeringState:
-    """One sweep step of one end.
-
-    ``beam`` is the label stamped on timeline events (None for digital,
-    which needs no steering). ``covers`` lists the directions received or
-    illuminated in this step; None means all of them.
-    """
-
-    beam: Optional[int]
-    covers: Optional[tuple[int, ...]]
-
-    def covers_direction(self, direction: int) -> bool:
-        return self.covers is None or direction in self.covers
-
-
-def sweep_states(array: ArrayConfig) -> list[SteeringState]:
-    """Steering steps of a full scan, in sweep order."""
-    if array.arch is Architecture.DIGITAL:
-        return [SteeringState(beam=None, covers=None)]
-    if array.arch is Architecture.ANALOG:
-        return [SteeringState(beam=i, covers=(i,)) for i in range(array.elements)]
-    assert array.k_bf is not None
-    states = []
-    for i in range(math.ceil(array.elements / array.k_bf)):
-        group = tuple(range(i * array.k_bf, min((i + 1) * array.k_bf, array.elements)))
-        states.append(SteeringState(beam=i, covers=group))
-    return states
-
-
-def default_sweep_order(gnb: Codebook, ue: Codebook) -> list[tuple[int, int]]:
-    """Exhaustive (gnb_beam, ue_beam) scan order: UE outer, gNB inner.
-
-    The receiver holds its beam while the transmitter cycles through all
-    of its directions, then advances.
-    """
-    return [
-        (g, u) for u in range(ue.directions) for g in range(gnb.directions)
-    ]

@@ -21,13 +21,7 @@ import numpy as np
 
 from .codebook import power_consumption_w
 from .errors import ConfigurationError, DomainError
-from .frame import (
-    EventKind,
-    Timeline,
-    build_csi_timeline,
-    build_ss_timeline,
-    overhead,
-)
+from .frame import SS_BLOCK_RB, SS_BLOCK_SYMBOLS, SYMBOLS_PER_SLOT
 from .link import misdetection_probability
 from .procedures import (
     DeploymentMode,
@@ -140,9 +134,9 @@ class MetricsReport:
 
 
 def omega_ia_for(sc: Scenario) -> float:
-    """SS-block share of the grid over one burst period (configured view)."""
-    tl = build_ss_timeline(sc.ss, sc.numerology, horizon_ms=sc.ss.t_ss_ms)
-    return overhead(tl, (EventKind.SS_BLOCK,), sc.ss.t_ss_ms, sc.carrier_rb)
+    """SS-block share of the grid: all ``n_ss`` configured blocks per burst."""
+    ss_area = sc.ss.n_ss * SS_BLOCK_SYMBOLS * SS_BLOCK_RB
+    return ss_area / (sweep_plan(sc).t_ss_sym * sc.carrier_rb)
 
 
 def omega_tr_for(sc: Scenario) -> float:
@@ -151,18 +145,9 @@ def omega_tr_for(sc: Scenario) -> float:
     Collisions reallocate an occasion's grid area to the SS burst, they
     do not hand it back to data, so the reserved share is what counts.
     """
-    period_ms = sc.csi.t_csi_slots * sc.numerology.slot_ms
-    empty_ss = Timeline(
-        horizon_symbols=0, symbol_us=sc.numerology.symbol_us, events=()
-    )
-    tl = build_csi_timeline(
-        sc.csi,
-        empty_ss,
-        sc.numerology,
-        horizon_ms=3 * period_ms,
-        carrier_rb=sc.carrier_rb,
-    )
-    return overhead(tl, (EventKind.CSI_RS,), 2 * period_ms, sc.carrier_rb)
+    period_sym = sc.csi.t_csi_slots * SYMBOLS_PER_SLOT
+    csi_area = sc.csi.n_symbols * sc.csi.bandwidth_rb
+    return csi_area / (period_sym * sc.carrier_rb)
 
 
 def estimate_metrics(

@@ -1,9 +1,8 @@
 """NR frame structure at OFDM-symbol resolution.
 
-This module provides the timing substrate for everything else: flexible
-numerologies (3GPP TS 38.211), synchronization signal (SS) bursts, CSI-RS
-occasions and RACH opportunities, all placed on a discrete grid whose unit
-is one OFDM symbol in time and one resource block (RB) in frequency.
+Numerologies (3GPP TS 38.211) and the SS burst and CSI-RS
+configurations, on a discrete grid whose unit is one OFDM symbol in time
+and one resource block (RB) in frequency.
 
 Conventions
 -----------
@@ -13,20 +12,15 @@ Conventions
   configured subcarrier spacing.
 * An SS block spans 4 consecutive symbols and 240 subcarriers (20 RB).
   All blocks of a burst must fit the first 5 ms of the burst period.
-* Timelines are value objects: immutable, sorted, and rebuildable. A
-  doubled horizon yields a prefix-identical event list.
+* A RACH opportunity spans 2 symbols over the whole carrier.
 
-Overhead accounting intentionally uses the configured burst (all ``n_ss``
-blocks), while procedure timing elsewhere walks only the blocks a given
-beam sweep actually needs; see :func:`build_ss_timeline`'s ``sweep``
-parameter for the distinction.
+:mod:`procedures` places blocks, occasions and opportunities on this
+grid in closed form; ``tests/reference.py`` builds the same grid event
+by event as the oracle those closed forms are tested against.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
@@ -37,7 +31,6 @@ SS_BLOCK_RB = SS_BLOCK_SUBCARRIERS // 12
 SS_BURST_WINDOW_US = 5000.0
 RACH_SYMBOLS = 2
 MAX_SS_BLOCKS_PER_BURST = 64
-MAX_AGGREGATED_CARRIERS = 16
 DEFAULT_CARRIER_BANDWIDTH_HZ = 400e6
 SUBCARRIERS_PER_RB = 12
 MIN_MMWAVE_NUMEROLOGY = 2
@@ -115,34 +108,6 @@ def carrier_resource_blocks(
     return int(bandwidth_hz // (SUBCARRIERS_PER_RB * num.scs_khz * 1000.0))
 
 
-def symbols_in_ms(num: Numerology, duration_ms: float) -> int:
-    """Convert a duration to a whole number of OFDM symbols.
-
-    The configured periodicities are all exact multiples of the symbol
-    duration, so the conversion must land on an integer.
-    """
-    exact = duration_ms * num.symbols_per_ms
-    rounded = round(exact)
-    if abs(exact - rounded) > 1e-6:
-        raise ConfigurationError(
-            f"duration {duration_ms:g} ms is not a whole number of symbols "
-            f"at numerology n={num.n}"
-        )
-    return int(rounded)
-
-
-class EventKind(str, Enum):
-    SS_BLOCK = "ss_block"
-    CSI_RS = "csi_rs"
-    RACH = "rach"
-
-
-class CsiActivation(str, Enum):
-    PERIODIC = "periodic"
-    SEMI_PERSISTENT = "semi_persistent"
-    APERIODIC = "aperiodic"
-
-
 @dataclass(frozen=True)
 class SsBurstConfig:
     """SS burst configuration: ``n_ss`` blocks every ``t_ss_ms``."""
@@ -175,8 +140,7 @@ class CsiRsConfig:
     """CSI-RS resource configuration.
 
     ``delta_t_symbols``/``delta_f_rb`` place the occasion grid relative to
-    the SS burst start in time and the carrier edge in frequency. For
-    aperiodic activation occasions exist only at injected trigger slots.
+    the SS burst start in time and the carrier edge in frequency.
     """
 
     t_csi_slots: int = 5
@@ -184,7 +148,6 @@ class CsiRsConfig:
     bandwidth_rb: int = 50
     delta_t_symbols: int = 0
     delta_f_rb: int = 0
-    activation: CsiActivation = CsiActivation.PERIODIC
 
     def __post_init__(self) -> None:
         if self.t_csi_slots not in CSI_PERIODS_SLOTS:
@@ -210,313 +173,3 @@ class CsiRsConfig:
                 f"csi.delta_t_symbols={self.delta_t_symbols}: must be in "
                 f"0..{period_symbols - 1} for t_csi_slots={self.t_csi_slots}"
             )
-
-
-@dataclass(frozen=True)
-class TimelineEvent:
-    """One scheduled transmission on the symbol/RB grid.
-
-    ``gnb_beam``/``ue_beam`` are steering labels; ``None`` means the event
-    is not direction-selective on that side (wildcard).
-    """
-
-    start_symbol: int
-    duration_symbols: int
-    kind: EventKind
-    gnb_beam: Optional[int] = None
-    ue_beam: Optional[int] = None
-    rb_start: int = 0
-    rb_count: int = SS_BLOCK_RB
-
-    @property
-    def end_symbol(self) -> int:
-        return self.start_symbol + self.duration_symbols
-
-
-@dataclass(frozen=True)
-class Timeline:
-    """Immutable, time-sorted event list over a finite horizon."""
-
-    horizon_symbols: int
-    symbol_us: float
-    events: tuple[TimelineEvent, ...] = ()
-    burst_period_symbols: Optional[int] = None
-
-    def of_kind(self, kind: EventKind) -> tuple[TimelineEvent, ...]:
-        return tuple(e for e in self.events if e.kind is kind)
-
-
-def _spans_overlap(a0: int, a1: int, b0: int, b1: int) -> bool:
-    return a0 < b1 and b0 < a1
-
-
-def build_ss_timeline(
-    cfg: SsBurstConfig,
-    num: Numerology,
-    horizon_ms: float,
-    sweep: Optional[Sequence[tuple[Optional[int], Optional[int]]]] = None,
-) -> Timeline:
-    """Place SS blocks for every burst start inside the horizon.
-
-    Without ``sweep`` each burst carries the full configured ``n_ss``
-    blocks with wildcard direction labels; this is the network-side view
-    used for overhead accounting. With ``sweep`` (the ordered list of
-    (gnb_beam, ue_beam) labels of one full sweep) each burst carries
-    ``min(len(sweep), n_ss)`` blocks and block ``i`` of burst ``j`` is
-    stamped with sweep slot ``(j * blocks_per_burst + i) % len(sweep)``,
-    so a sweep longer than one burst wraps onto the next.
-
-    Args:
-        cfg: burst configuration.
-        num: numerology the carrier runs at.
-        horizon_ms: timeline length; must cover at least one burst period.
-        sweep: optional sweep slot labels, one per measurement.
-
-    Returns:
-        Timeline with one SS_BLOCK event per transmitted block and
-        ``burst_period_symbols`` set.
-    """
-    cfg.check_window(num)
-    t_ss_sym = symbols_in_ms(num, cfg.t_ss_ms)
-    horizon_sym = symbols_in_ms(num, horizon_ms)
-    if horizon_sym < t_ss_sym:
-        raise ConfigurationError(
-            f"horizon_ms={horizon_ms:g}: must cover at least one burst period "
-            f"({cfg.t_ss_ms:g} ms)"
-        )
-    if sweep is not None and len(sweep) == 0:
-        raise ConfigurationError("sweep must contain at least one slot")
-
-    blocks = cfg.n_ss if sweep is None else min(len(sweep), cfg.n_ss)
-    events: list[TimelineEvent] = []
-    for j in range(horizon_sym // t_ss_sym):
-        burst_start = j * t_ss_sym
-        for i in range(blocks):
-            if sweep is None:
-                g, u = None, None
-            else:
-                g, u = sweep[(j * blocks + i) % len(sweep)]
-            events.append(
-                TimelineEvent(
-                    start_symbol=burst_start + i * SS_BLOCK_SYMBOLS,
-                    duration_symbols=SS_BLOCK_SYMBOLS,
-                    kind=EventKind.SS_BLOCK,
-                    gnb_beam=g,
-                    ue_beam=u,
-                    rb_start=0,
-                    rb_count=SS_BLOCK_RB,
-                )
-            )
-    return Timeline(
-        horizon_symbols=horizon_sym,
-        symbol_us=num.symbol_us,
-        events=tuple(events),
-        burst_period_symbols=t_ss_sym,
-    )
-
-
-def build_csi_timeline(
-    cfg: CsiRsConfig,
-    ss: Timeline,
-    num: Numerology,
-    horizon_ms: float,
-    carrier_rb: Optional[int] = None,
-    trigger_slots: Optional[Iterable[int]] = None,
-    sweep: Optional[Sequence[tuple[Optional[int], Optional[int]]]] = None,
-) -> Timeline:
-    """Place CSI-RS occasions, dropping any that collide with SS blocks.
-
-    Periodic and semi-persistent activation put occasions on the grid
-    ``delta_t_symbols + k * t_csi_slots * 14``; aperiodic activation puts
-    one occasion at each distinct trigger slot's start. An occasion whose
-    symbols and resource blocks both overlap an SS block is dropped (SS
-    transmission wins the grid). Direction labels cycle over ``sweep`` by
-    nominal occasion index, so a dropped occasion skips its direction's
-    turn rather than shifting the pattern.
-
-    Args:
-        cfg: CSI-RS resource configuration.
-        ss: SS timeline to test collisions against (same numerology).
-        num: numerology.
-        horizon_ms: timeline length.
-        carrier_rb: carrier width in RB; defaults to a 400 MHz carrier.
-        trigger_slots: slot indices for aperiodic activation.
-        sweep: optional direction labels cycled round-robin.
-
-    Raises:
-        ConfigurationError: if the occasion does not fit the carrier.
-    """
-    if carrier_rb is None:
-        carrier_rb = carrier_resource_blocks(num)
-    if cfg.delta_f_rb + cfg.bandwidth_rb > carrier_rb:
-        raise ConfigurationError(
-            f"csi occupies RB {cfg.delta_f_rb}..{cfg.delta_f_rb + cfg.bandwidth_rb}"
-            f" but the carrier has only {carrier_rb} RB"
-        )
-    horizon_sym = symbols_in_ms(num, horizon_ms)
-
-    starts: list[int]
-    if cfg.activation is CsiActivation.APERIODIC:
-        if trigger_slots is None:
-            starts = []
-        else:
-            slots = sorted(set(int(s) for s in trigger_slots))
-            if slots and slots[0] < 0:
-                raise ConfigurationError(
-                    f"aperiodic trigger slot {slots[0]} is negative"
-                )
-            starts = [s * SYMBOLS_PER_SLOT for s in slots]
-    else:
-        period = cfg.t_csi_slots * SYMBOLS_PER_SLOT
-        starts = list(range(cfg.delta_t_symbols, horizon_sym, period))
-
-    ss_blocks = ss.of_kind(EventKind.SS_BLOCK)
-    events: list[TimelineEvent] = []
-    for idx, t in enumerate(starts):
-        if t + cfg.n_symbols > horizon_sym:
-            continue
-        collides = any(
-            _spans_overlap(t, t + cfg.n_symbols, b.start_symbol, b.end_symbol)
-            and _spans_overlap(
-                cfg.delta_f_rb,
-                cfg.delta_f_rb + cfg.bandwidth_rb,
-                b.rb_start,
-                b.rb_start + b.rb_count,
-            )
-            for b in ss_blocks
-        )
-        if collides:
-            continue
-        if sweep is None:
-            g, u = None, None
-        else:
-            g, u = sweep[idx % len(sweep)]
-        events.append(
-            TimelineEvent(
-                start_symbol=t,
-                duration_symbols=cfg.n_symbols,
-                kind=EventKind.CSI_RS,
-                gnb_beam=g,
-                ue_beam=u,
-                rb_start=cfg.delta_f_rb,
-                rb_count=cfg.bandwidth_rb,
-            )
-        )
-    return Timeline(
-        horizon_symbols=horizon_sym,
-        symbol_us=num.symbol_us,
-        events=tuple(events),
-        burst_period_symbols=ss.burst_period_symbols,
-    )
-
-
-def build_rach_timeline(
-    ss: Timeline,
-    gnb_is_directional: bool,
-    num: Numerology,
-    n_directions: int = 1,
-    carrier_rb: Optional[int] = None,
-) -> Timeline:
-    """Schedule RACH opportunities after each burst's last block.
-
-    A gNB receiving with digital beamforming listens in every direction
-    at once, so one wildcard opportunity per burst suffices. A gNB that
-    must steer (analog or hybrid) gets one opportunity per distinct
-    direction label its burst carried, packed back to back in order of
-    first appearance; blocks with wildcard labels fall back to the full
-    ``n_directions`` fan.
-
-    Args:
-        ss: SS timeline (must carry ``burst_period_symbols``).
-        gnb_is_directional: False for digital reception, True otherwise.
-        num: numerology.
-        n_directions: direction count used for the wildcard fallback.
-        carrier_rb: frequency span of each opportunity (defaults to the
-            whole carrier).
-    """
-    if ss.burst_period_symbols is None:
-        raise ConfigurationError(
-            "rach timeline needs an SS timeline with a burst period"
-        )
-    if carrier_rb is None:
-        carrier_rb = carrier_resource_blocks(num)
-    period = ss.burst_period_symbols
-    blocks = ss.of_kind(EventKind.SS_BLOCK)
-
-    by_burst: dict[int, list[TimelineEvent]] = {}
-    for b in blocks:
-        by_burst.setdefault(b.start_symbol // period, []).append(b)
-
-    events: list[TimelineEvent] = []
-    for j in sorted(by_burst):
-        burst_blocks = by_burst[j]
-        tail = max(b.end_symbol for b in burst_blocks)
-        if not gnb_is_directional:
-            dirs: list[Optional[int]] = [None]
-        else:
-            seen: list[Optional[int]] = []
-            wildcard = False
-            for b in sorted(burst_blocks, key=lambda e: e.start_symbol):
-                if b.gnb_beam is None:
-                    wildcard = True
-                elif b.gnb_beam not in seen:
-                    seen.append(b.gnb_beam)
-            dirs = list(range(n_directions)) if wildcard else seen
-        for m, d in enumerate(dirs):
-            start = tail + m * RACH_SYMBOLS
-            if start + RACH_SYMBOLS > ss.horizon_symbols:
-                break
-            events.append(
-                TimelineEvent(
-                    start_symbol=start,
-                    duration_symbols=RACH_SYMBOLS,
-                    kind=EventKind.RACH,
-                    gnb_beam=d,
-                    ue_beam=None,
-                    rb_start=0,
-                    rb_count=carrier_rb,
-                )
-            )
-    return Timeline(
-        horizon_symbols=ss.horizon_symbols,
-        symbol_us=num.symbol_us,
-        events=tuple(events),
-        burst_period_symbols=period,
-    )
-
-
-def overhead(
-    tl: Timeline,
-    kinds: Iterable[EventKind],
-    window_ms: float,
-    total_rb: int,
-) -> float:
-    """Fraction of the time-frequency grid spent on the selected kinds.
-
-    Counts symbol*RB area of every event of a kind in ``kinds`` whose
-    start falls inside the window, divided by the window's total area.
-    Windows are expected to be whole multiples of the relevant period so
-    no event straddles the edge.
-
-    Raises:
-        ConfigurationError: on an empty window or a carrier narrower than
-            the widest counted event.
-    """
-    if window_ms <= 0:
-        raise ConfigurationError(f"window_ms={window_ms:g}: must be positive")
-    window_sym = round(window_ms * 1000.0 / tl.symbol_us)
-    if window_sym < 1:
-        raise ConfigurationError(
-            f"window_ms={window_ms:g} is shorter than one symbol"
-        )
-    kindset = set(kinds)
-    area = 0
-    for e in tl.events:
-        if e.kind in kindset and e.start_symbol < window_sym:
-            if e.rb_count > total_rb:
-                raise ConfigurationError(
-                    f"total_rb={total_rb} is narrower than a counted event "
-                    f"({e.rb_count} RB)"
-                )
-            area += e.duration_symbols * e.rb_count
-    return area / (window_sym * total_rb)

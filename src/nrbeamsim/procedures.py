@@ -42,16 +42,14 @@ from .codebook import (
     Architecture,
     ArrayConfig,
     PowerModel,
-    SteeringState,
     beamforming_gain_db,
+    directions_per_step,
     per_beam_power_penalty_db,
     sweep_factor,
-    sweep_states,
 )
 from .errors import ConfigurationError, DomainError, NotApplicableError
 from .frame import (
     CsiRsConfig,
-    MAX_AGGREGATED_CARRIERS,
     Numerology,
     RACH_SYMBOLS,
     SS_BLOCK_RB,
@@ -61,7 +59,7 @@ from .frame import (
     carrier_resource_blocks,
     check_mmwave_numerology,
 )
-from .link import ChannelParams, noise_power_dbm
+from .link import ChannelParams, draw_disk_distances, mean_snr_db
 
 LTE_LATENCY_VALUES_MS = (0.8, 4.0, 10.0, 40.0)
 DEFAULT_OMEGA_BR_WINDOW_MS = 200.0
@@ -70,13 +68,6 @@ DEFAULT_OMEGA_BR_WINDOW_MS = 200.0
 class DeploymentMode(str, Enum):
     SA = "SA"
     NSA = "NSA"
-
-
-class ProcedureKind(str, Enum):
-    INITIAL_ACCESS = "initial_access"
-    TRACKING = "tracking"
-    BEAM_REPORT = "beam_report"
-    RLF_RECOVERY = "rlf_recovery"
 
 
 @dataclass(frozen=True)
@@ -93,7 +84,6 @@ class Scenario:
     mode: DeploymentMode = DeploymentMode.SA
     lte_latency_ms: Optional[float] = None
     carrier_ghz: float = 28.0
-    carriers: int = 1
     ue_distance_m: Optional[float] = None
     omega_br_window_ms: float = DEFAULT_OMEGA_BR_WINDOW_MS
     label: Optional[str] = None
@@ -101,11 +91,6 @@ class Scenario:
     def __post_init__(self) -> None:
         check_mmwave_numerology(self.numerology, self.carrier_ghz)
         self.ss.check_window(self.numerology)
-        if not 1 <= self.carriers <= MAX_AGGREGATED_CARRIERS:
-            raise ConfigurationError(
-                f"deployment.carriers={self.carriers}: must be in "
-                f"1..{MAX_AGGREGATED_CARRIERS}"
-            )
         if self.mode is DeploymentMode.NSA:
             if self.lte_latency_ms is None:
                 raise ConfigurationError(
@@ -155,31 +140,20 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class ProcedureOutcome:
-    """One simulated procedure run, all components in milliseconds.
+class SweepPlan:
+    """Precomputed sweep geometry for one scenario.
 
-    ``t_total_ms = t_sweep_ms + t_determination_ms + t_br_ms`` always
-    holds; ``t_sweep_ms`` includes the wait for the sweep to start.
-    ``chosen_pair`` labels are None on a wildcard (digital) side.
+    Sweep slot ``k`` steers the gNB to step ``k % f_g`` and the UE to step
+    ``k // f_g``; ``g_labels``/``u_labels`` hold those steps, -1 on a
+    digital side, which needs no steering. Direction ``d`` of an end is
+    swept in step ``d // width`` of that end. The gNB steps the bursts
+    sweep repeat every ``rach_cycle`` bursts.
     """
 
-    kind: ProcedureKind
-    t_sweep_ms: float
-    t_determination_ms: float
-    t_br_ms: float
-    t_total_ms: float
-    chosen_pair: tuple[Optional[int], Optional[int]] = (None, None)
-    misdetected: bool = False
-    censored: bool = False
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    """Precomputed sweep geometry and RACH wait tables for one scenario."""
-
-    states_g: tuple[SteeringState, ...]
-    states_u: tuple[SteeringState, ...]
     s: int
+    f_g: int
+    g_width: int
+    u_width: int
     blocks_per_burst: int
     bursts_per_sweep: int
     last_burst_blocks: int
@@ -192,136 +166,67 @@ class SweepPlan:
     g_labels: np.ndarray
     u_labels: np.ndarray
     tie_break_order: np.ndarray
-    aligned_snr_level_db_offset: float
+    sweep_gain_db: float
     det_offset_sym: int
     digital_tail_sym: int
-    wait_end_sym: Optional[np.ndarray]
 
-    @property
-    def f_g(self) -> int:
-        return len(self.states_g)
+    def rach_end_sym(self, det_pos, g_label):
+        """End of the report's RACH opportunity, in symbols from the start
+        of the burst at cycle position ``det_pos`` whose blocks end the
+        sweep, for an analog or hybrid gNB that chose step ``g_label``.
 
-    @property
-    def f_u(self) -> int:
-        return len(self.states_u)
-
-    def pairs(self) -> list[tuple[Optional[int], Optional[int]]]:
-        """Sweep slot labels in order, for stamping timelines."""
-        return [
-            (self.states_g[k % self.f_g].beam, self.states_u[k // self.f_g].beam)
-            for k in range(self.s)
-        ]
-
-    def aligned_slot(self, g_star: int, u_star: int) -> int:
-        ig = _covering_state_index(self.states_g, g_star)
-        iu = _covering_state_index(self.states_u, u_star)
-        return iu * self.f_g + ig
-
-    def tail_symbols(self, det_cycle_pos: int, chosen_g_label: int) -> float:
-        """Symbols from determination to the end of the matching RACH."""
-        if self.digital_gnb:
-            return float(self.digital_tail_sym)
-        assert self.wait_end_sym is not None
-        row = det_cycle_pos % self.rach_cycle
-        return float(self.wait_end_sym[row, chosen_g_label] - self.det_offset_sym)
-
-    def expected_tail_symbols(self) -> float:
-        """Mean of :meth:`tail_symbols` over uniform (position, direction)."""
-        if self.digital_gnb:
-            return float(self.digital_tail_sym)
-        assert self.wait_end_sym is not None
-        return float(self.wait_end_sym.mean() - self.det_offset_sym)
-
-
-def _covering_state_index(states: tuple[SteeringState, ...], direction: int) -> int:
-    if len(states) == 1 and states[0].covers is None:
-        return 0
-    for i, st in enumerate(states):
-        if st.covers_direction(direction):
-            return i
-    raise DomainError(f"direction {direction} not covered by any steering state")
+        Burst ``j`` sweeps steps ``j*B .. j*B + min(B, f_g) - 1`` (mod
+        f_g) and offers one opportunity per step after its blocks, in that
+        order. With ``d = (g_label - det_pos*B) mod f_g`` the first burst
+        to sweep the step comes ``d // B`` bursts later, at rank ``d % B``.
+        """
+        b = self.blocks_per_burst
+        d = (g_label - det_pos * b) % self.f_g
+        return (
+            (d // b) * self.t_ss_sym
+            + b * SS_BLOCK_SYMBOLS
+            + RACH_SYMBOLS * (d % b + 1)
+        )
 
 
 @lru_cache(maxsize=128)
 def _plan_for(sc: Scenario) -> SweepPlan:
-    states_g = tuple(sweep_states(sc.gnb))
-    states_u = tuple(sweep_states(sc.ue))
-    f_g, f_u = len(states_g), len(states_u)
+    f_g, f_u = sweep_factor(sc.gnb), sweep_factor(sc.ue)
     s = f_g * f_u
     b = min(s, sc.ss.n_ss)
     c = math.ceil(s / b)
     r = s - (c - 1) * b
-    p = s // math.gcd(b, s)
-    t_ss_sym = round(sc.ss.t_ss_ms * sc.numerology.symbols_per_ms)
     digital_gnb = sc.gnb.arch is Architecture.DIGITAL
-
-    g_labels = np.array(
-        [
-            states_g[k % f_g].beam if states_g[k % f_g].beam is not None else -1
-            for k in range(s)
-        ],
-        dtype=np.int64,
-    )
-    u_labels = np.array(
-        [
-            states_u[k // f_g].beam if states_u[k // f_g].beam is not None else -1
-            for k in range(s)
-        ],
-        dtype=np.int64,
-    )
-    tie_break = np.lexsort((u_labels, g_labels)).astype(np.int64)
-
-    det_offset = r * SS_BLOCK_SYMBOLS
-    digital_tail = (b - r) * SS_BLOCK_SYMBOLS + RACH_SYMBOLS
-
-    wait_end: Optional[np.ndarray] = None
-    rach_cycle = 1
-    if not digital_gnb:
-        rach_cycle = f_g // math.gcd(b, f_g)
-        covered = min(b, f_g)
-        wait_end = np.empty((rach_cycle, f_g), dtype=np.float64)
-        for j in range(rach_cycle):
-            for g in range(f_g):
-                for k in range(rach_cycle + 1):
-                    start = ((j + k) * b) % f_g
-                    pos = (g - start) % f_g
-                    if pos < covered:
-                        wait_end[j, g] = (
-                            k * t_ss_sym
-                            + b * SS_BLOCK_SYMBOLS
-                            + RACH_SYMBOLS * (pos + 1)
-                        )
-                        break
-                else:
-                    raise AssertionError("direction never swept; unreachable")
-
-    gain = (
-        beamforming_gain_db(sc.gnb)
-        + beamforming_gain_db(sc.ue)
-        - per_beam_power_penalty_db(sc.gnb)
-    )
-    level = sc.channel.tx_power_dbm + gain - noise_power_dbm(sc.channel)
-
+    k = np.arange(s, dtype=np.int64)
+    g_labels = np.full(s, -1, dtype=np.int64) if digital_gnb else k % f_g
+    if sc.ue.arch is Architecture.DIGITAL:
+        u_labels = np.full(s, -1, dtype=np.int64)
+    else:
+        u_labels = k // f_g
     return SweepPlan(
-        states_g=states_g,
-        states_u=states_u,
         s=s,
+        f_g=f_g,
+        g_width=directions_per_step(sc.gnb),
+        u_width=directions_per_step(sc.ue),
         blocks_per_burst=b,
         bursts_per_sweep=c,
         last_burst_blocks=r,
-        cycle_bursts=p,
-        rach_cycle=rach_cycle,
-        t_ss_sym=t_ss_sym,
+        cycle_bursts=s // math.gcd(b, s),
+        rach_cycle=1 if digital_gnb else f_g // math.gcd(b, f_g),
+        t_ss_sym=round(sc.ss.t_ss_ms * sc.numerology.symbols_per_ms),
         symbol_ms=sc.numerology.symbol_ms,
         t_ss_ms=sc.ss.t_ss_ms,
         digital_gnb=digital_gnb,
         g_labels=g_labels,
         u_labels=u_labels,
-        tie_break_order=tie_break,
-        aligned_snr_level_db_offset=level,
-        det_offset_sym=det_offset,
-        digital_tail_sym=digital_tail,
-        wait_end_sym=wait_end,
+        tie_break_order=np.lexsort((u_labels, g_labels)).astype(np.int64),
+        sweep_gain_db=(
+            beamforming_gain_db(sc.gnb)
+            + beamforming_gain_db(sc.ue)
+            - per_beam_power_penalty_db(sc.gnb)
+        ),
+        det_offset_sym=r * SS_BLOCK_SYMBOLS,
+        digital_tail_sym=(b - r) * SS_BLOCK_SYMBOLS + RACH_SYMBOLS,
     )
 
 
@@ -332,8 +237,7 @@ def sweep_plan(sc: Scenario) -> SweepPlan:
 def _draw_distances(sc: Scenario, rng: np.random.Generator, n: int) -> np.ndarray:
     if sc.ue_distance_m is not None:
         return np.full(n, float(sc.ue_distance_m))
-    r = sc.channel.cell_radius_m * np.sqrt(rng.uniform(0.0, 1.0, size=n))
-    return np.maximum(r, 0.1)
+    return draw_disk_distances(sc.channel, rng, n)
 
 
 @dataclass
@@ -458,22 +362,12 @@ def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> Ia
         raise DomainError(f"n_runs={n_runs}: need at least one run")
     plan = _plan_for(sc)
     cp = sc.channel
-    ig_of_dir = np.array(
-        [_covering_state_index(plan.states_g, g) for g in range(sc.gnb.elements)],
-        dtype=np.int64,
-    )
-    iu_of_dir = np.array(
-        [_covering_state_index(plan.states_u, u) for u in range(sc.ue.elements)],
-        dtype=np.int64,
-    )
-
     r = _draw_distances(sc, rng, n_runs)
     g_star = rng.integers(0, sc.gnb.elements, size=n_runs)
     u_star = rng.integers(0, sc.ue.elements, size=n_runs)
-    k_star = iu_of_dir[u_star] * plan.f_g + ig_of_dir[g_star]
-    pl = cp.pl_intercept_db + 10.0 * cp.pl_exponent * np.log10(r)
+    k_star = u_star // plan.u_width * plan.f_g + g_star // plan.g_width
     best, top = draw_sweep_winner(
-        plan, cp, plan.aligned_snr_level_db_offset - pl, k_star, rng
+        plan, cp, mean_snr_db(cp, plan.sweep_gain_db, r), k_star, rng
     )
 
     start_burst = rng.integers(0, plan.cycle_bursts, size=n_runs)
@@ -490,9 +384,7 @@ def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> Ia
         t_br = np.full(n_runs, plan.digital_tail_sym * plan.symbol_ms)
     else:
         det_pos = (start_burst + plan.bursts_per_sweep - 1) % plan.cycle_bursts
-        rows = det_pos % plan.rach_cycle
-        assert plan.wait_end_sym is not None
-        tails = plan.wait_end_sym[rows, chosen_g] - plan.det_offset_sym
+        tails = plan.rach_end_sym(det_pos, chosen_g) - plan.det_offset_sym
         t_br = tails * plan.symbol_ms
 
     return IaBatch(
@@ -505,51 +397,12 @@ def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> Ia
     )
 
 
-def run_initial_access(sc: Scenario, rng: np.random.Generator) -> ProcedureOutcome:
-    """One initial access: sweep, determine, report."""
-    batch = simulate_ia_batch(sc, 1, rng)
-    g = int(batch.chosen_g[0])
-    u = int(batch.chosen_u[0])
-    return ProcedureOutcome(
-        kind=ProcedureKind.INITIAL_ACCESS,
-        t_sweep_ms=float(batch.t_sweep_ms[0]),
-        t_determination_ms=0.0,
-        t_br_ms=float(batch.t_br_ms[0]),
-        t_total_ms=float(batch.t_sweep_ms[0] + batch.t_br_ms[0]),
-        chosen_pair=(g if g >= 0 else None, u if u >= 0 else None),
-        misdetected=bool(batch.misdetected[0]),
-    )
-
-
-def run_rlf_recovery(sc: Scenario, rng: np.random.Generator) -> ProcedureOutcome:
-    """Recover from a link failure at a uniform instant.
+def simulate_rlf_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> IaBatch:
+    """Vectorized link-recovery campaign from a failure at a uniform instant.
 
     SA re-runs the full initial-access sweep; NSA signals over the LTE
     leg and recovers in exactly the configured latency.
     """
-    if sc.mode is DeploymentMode.NSA:
-        assert sc.lte_latency_ms is not None
-        return ProcedureOutcome(
-            kind=ProcedureKind.RLF_RECOVERY,
-            t_sweep_ms=0.0,
-            t_determination_ms=0.0,
-            t_br_ms=sc.lte_latency_ms,
-            t_total_ms=sc.lte_latency_ms,
-        )
-    ia = run_initial_access(sc, rng)
-    return ProcedureOutcome(
-        kind=ProcedureKind.RLF_RECOVERY,
-        t_sweep_ms=ia.t_sweep_ms,
-        t_determination_ms=ia.t_determination_ms,
-        t_br_ms=ia.t_br_ms,
-        t_total_ms=ia.t_total_ms,
-        chosen_pair=ia.chosen_pair,
-        misdetected=ia.misdetected,
-    )
-
-
-def simulate_rlf_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> IaBatch:
-    """Vectorized link-recovery campaign; see :func:`run_rlf_recovery`."""
     if sc.mode is DeploymentMode.NSA:
         assert sc.lte_latency_ms is not None
         const = np.full(n_runs, float(sc.lte_latency_ms))
@@ -565,58 +418,19 @@ def simulate_rlf_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> I
     return simulate_ia_batch(sc, n_runs, rng)
 
 
-def beam_report_delay(
-    sc: Scenario,
-    determination_time_ms: float,
-    best_pair: tuple[int, int],
-) -> float:
-    """Delay from a determination instant to the end of its report.
-
-    ``determination_time_ms`` is absolute time on the burst grid (burst 0
-    starts at 0). SA waits for the first RACH opportunity at or after the
-    instant whose direction covers ``best_pair``'s gNB beam; NSA returns
-    the LTE leg latency exactly.
-    """
-    if sc.mode is DeploymentMode.NSA:
-        assert sc.lte_latency_ms is not None
-        return sc.lte_latency_ms
-    if determination_time_ms < 0:
-        raise DomainError(
-            f"determination_time_ms={determination_time_ms:g}: must be >= 0"
-        )
-    g, u = best_pair
-    if not 0 <= g < sc.gnb.elements or not 0 <= u < sc.ue.elements:
-        raise DomainError(f"best_pair={best_pair}: outside the codebooks")
-    plan = _plan_for(sc)
-    det_sym = determination_time_ms / plan.symbol_ms
-    j0 = int(det_sym // plan.t_ss_sym)
-    blocks_end = plan.blocks_per_burst * SS_BLOCK_SYMBOLS
-    if plan.digital_gnb:
-        for j in (j0, j0 + 1):
-            start = j * plan.t_ss_sym + blocks_end
-            if start >= det_sym:
-                return (start + RACH_SYMBOLS - det_sym) * plan.symbol_ms
-        raise AssertionError("unreachable: next burst always has an opportunity")
-    label = _covering_state_index(plan.states_g, g)
-    covered = min(plan.blocks_per_burst, plan.f_g)
-    for j in range(j0, j0 + plan.rach_cycle + 2):
-        pattern_start = (j * plan.blocks_per_burst) % plan.f_g
-        pos = (label - pattern_start) % plan.f_g
-        if pos >= covered:
-            continue
-        start = j * plan.t_ss_sym + blocks_end + RACH_SYMBOLS * pos
-        if start >= det_sym:
-            return (start + RACH_SYMBOLS - det_sym) * plan.symbol_ms
-    raise AssertionError("unreachable: direction is swept every rach_cycle bursts")
-
-
 def expected_beam_report_delay_ms(sc: Scenario) -> float:
     """Mean reporting delay after a sweep, uniform over cycle and beam."""
     if sc.mode is DeploymentMode.NSA:
         assert sc.lte_latency_ms is not None
         return sc.lte_latency_ms
     plan = _plan_for(sc)
-    return plan.expected_tail_symbols() * plan.symbol_ms
+    if plan.digital_gnb:
+        tail = float(plan.digital_tail_sym)
+    else:
+        # the chosen step is uniform, so d of rach_end_sym is too
+        ends = plan.rach_end_sym(0, np.arange(plan.f_g))
+        tail = float(ends.mean() - plan.det_offset_sym)
+    return tail * plan.symbol_ms
 
 
 def oracle_expected_ia(sc: Scenario) -> float:
@@ -629,16 +443,11 @@ def oracle_expected_ia(sc: Scenario) -> float:
     gNBs with equal beam groups; see the module docstring.
     """
     plan = _plan_for(sc)
-    if sc.mode is DeploymentMode.NSA:
-        assert sc.lte_latency_ms is not None
-        tail_ms = sc.lte_latency_ms
-    else:
-        tail_ms = plan.expected_tail_symbols() * plan.symbol_ms
     return (
         sc.ss.t_ss_ms / 2.0
         + (plan.bursts_per_sweep - 1) * sc.ss.t_ss_ms
         + plan.det_offset_sym * plan.symbol_ms
-        + tail_ms
+        + expected_beam_report_delay_ms(sc)
     )
 
 
@@ -656,24 +465,19 @@ def oracle_expected_rlf_sa(sc: Scenario) -> float:
 class TrackingPlan:
     """CSI occasion pattern over one hyperperiod, collisions resolved.
 
-    ``occasion_keys`` flattens ``surviving`` into sorted int64 keys
+    ``occasion_keys`` holds the surviving occasions as sorted int64 keys
     ``direction * key_stride + occasion`` and ends in a sentinel past the
     last direction, so one ``searchsorted`` finds every run's next
     occasion. ``first_occasion`` is -1 for a direction with none.
     """
 
     s: int
-    period_sym: int
     hyper_sym: int
     symbol_ms: float
-    surviving: tuple[tuple[float, ...], ...]
     dropped_count: int
     key_stride: int
     occasion_keys: np.ndarray
     first_occasion: np.ndarray
-
-    def directions(self) -> int:
-        return self.s
 
 
 @lru_cache(maxsize=128)
@@ -682,41 +486,33 @@ def _tracking_plan_for(sc: Scenario) -> TrackingPlan:
     period = sc.csi.t_csi_slots * SYMBOLS_PER_SLOT
     t_ss = plan.t_ss_sym
     s = plan.s
-    per_burst = math.lcm(period, t_ss) // period
-    n_pat = math.lcm(per_burst, s)
+    n_pat = math.lcm(math.lcm(period, t_ss) // period, s)
     hyper = n_pat * period
 
-    blocks_span = plan.blocks_per_burst * SS_BLOCK_SYMBOLS
-    freq_overlap = sc.csi.delta_f_rb < SS_BLOCK_RB
-
+    # nominal occasion m starts at symbol t and serves direction m % s; it
+    # is dropped when it shares symbols and RBs with the sweep's SS blocks
+    # of its own burst or of the next one
+    m = np.arange(n_pat, dtype=np.int64)
+    t = sc.csi.delta_t_symbols + m * period
+    a = t % t_ss
+    collides = (a < plan.blocks_per_burst * SS_BLOCK_SYMBOLS) | (
+        a + sc.csi.n_symbols > t_ss
+    )
+    collides &= sc.csi.delta_f_rb < SS_BLOCK_RB
     # occasions lie in [0, hyper) because delta_t_symbols < period
     stride = hyper + 1
-    surviving: list[list[float]] = [[] for _ in range(s)]
-    keys = [s * stride]
-    dropped = 0
-    for m_idx in range(n_pat):
-        t = sc.csi.delta_t_symbols + m_idx * period
-        a = t % t_ss
-        collides = freq_overlap and (
-            a < blocks_span or a + sc.csi.n_symbols > t_ss
-        )
-        if collides:
-            dropped += 1
-            continue
-        surviving[m_idx % s].append(float(t))
-        keys.append(m_idx % s * stride + t)
+    kept = ~collides
+    keys = np.sort(np.append(m[kept] % s * stride + t[kept], s * stride))
+    starts = np.arange(s, dtype=np.int64) * stride
+    first = keys[np.searchsorted(keys, starts)] - starts
     return TrackingPlan(
         s=s,
-        period_sym=period,
         hyper_sym=hyper,
         symbol_ms=plan.symbol_ms,
-        surviving=tuple(tuple(v) for v in surviving),
-        dropped_count=dropped,
+        dropped_count=int(np.count_nonzero(collides)),
         key_stride=stride,
-        occasion_keys=np.sort(np.array(keys, dtype=np.int64)),
-        first_occasion=np.array(
-            [occ[0] if occ else -1 for occ in surviving], dtype=np.int64
-        ),
+        occasion_keys=keys,
+        first_occasion=np.where(first < stride, first, -1),
     )
 
 
@@ -751,39 +547,6 @@ def simulate_tracking_batch(
     return waits, censored
 
 
-def run_tracking(
-    sc: Scenario,
-    target_direction: int,
-    rng: np.random.Generator,
-    horizon_ms: float = 500.0,
-) -> ProcedureOutcome:
-    """Wait for the next surviving CSI occasion of one sweep direction."""
-    tp = _tracking_plan_for(sc)
-    if not 0 <= target_direction < tp.s:
-        raise DomainError(
-            f"target_direction={target_direction}: sweep has {tp.s} directions"
-        )
-    t0 = rng.uniform(0.0, tp.hyper_sym)
-    occ = tp.surviving[target_direction]
-    wait_ms = math.nan
-    censored = True
-    if occ:
-        idx = np.searchsorted(np.asarray(occ), t0, side="left")
-        nxt = occ[0] + tp.hyper_sym if idx == len(occ) else occ[idx]
-        wait_ms = (nxt - t0) * tp.symbol_ms
-        censored = wait_ms > horizon_ms
-        if censored:
-            wait_ms = math.nan
-    return ProcedureOutcome(
-        kind=ProcedureKind.TRACKING,
-        t_sweep_ms=0.0,
-        t_determination_ms=0.0,
-        t_br_ms=0.0,
-        t_total_ms=wait_ms,
-        censored=censored,
-    )
-
-
 def expected_tracking_delay_ms(sc: Scenario) -> float:
     """Mean tracking delay over uniform (direction, arrival), censoring-free.
 
@@ -792,16 +555,18 @@ def expected_tracking_delay_ms(sc: Scenario) -> float:
     surviving occasion are excluded (they only ever censor).
     """
     tp = _tracking_plan_for(sc)
-    means = []
-    for occ in tp.surviving:
-        if not occ:
-            continue
-        arr = np.asarray(occ, dtype=np.float64)
-        gaps = np.diff(np.append(arr, arr[0] + tp.hyper_sym))
-        means.append(float((gaps**2).sum() / (2.0 * tp.hyper_sym)))
-    if not means:
+    keys = tp.occasion_keys[:-1]
+    if keys.size == 0:
         raise NotApplicableError("every direction's occasions collide away")
-    return float(np.mean(means)) * tp.symbol_ms
+    dirs, t = np.divmod(keys, tp.key_stride)
+    # gap from each occasion to the next of its direction; the last one
+    # wraps to the first occasion of the next hyperperiod
+    last = np.append(dirs[1:] != dirs[:-1], True)
+    nxt = np.where(last, tp.first_occasion[dirs] + tp.hyper_sym, np.append(t[1:], 0))
+    gaps = (nxt - t).astype(np.float64)
+    served = np.bincount(dirs, minlength=tp.s) > 0
+    sq_gaps = np.bincount(dirs, weights=gaps**2, minlength=tp.s)[served]
+    return float(np.mean(sq_gaps / (2.0 * tp.hyper_sym))) * tp.symbol_ms
 
 
 def omega_br(sc: Scenario) -> float:

@@ -17,7 +17,6 @@ from typing import Any, Iterable, Optional, Sequence
 
 from .errors import ConfigurationError
 from .evaluation import MetricStat, MetricsReport
-from .frame import Timeline
 
 CSV_COLUMNS = (
     "scenario_id",
@@ -159,27 +158,6 @@ def emit(
             raise ConfigurationError(f"unknown emit format {fmt!r} (csv, json)")
         written.append(path)
     return written
-
-
-def timeline_to_dict(tl: Timeline) -> dict[str, Any]:
-    """Timeline as a plain JSON-ready mapping."""
-    return {
-        "horizon_symbols": tl.horizon_symbols,
-        "symbol_us": tl.symbol_us,
-        "burst_period_symbols": tl.burst_period_symbols,
-        "events": [
-            {
-                "start_symbol": e.start_symbol,
-                "duration_symbols": e.duration_symbols,
-                "kind": e.kind.value,
-                "gnb_beam": e.gnb_beam,
-                "ue_beam": e.ue_beam,
-                "rb_start": e.rb_start,
-                "rb_count": e.rb_count,
-            }
-            for e in tl.events
-        ],
-    }
 
 
 def _cell(v: Optional[float]) -> str:

@@ -10,19 +10,17 @@ Sections and defaults::
     numerology: {n: 3}
     ss:         {n_ss: 64, t_ss_ms: 20}
     csi:        {t_csi_slots: 5, n_symbols: 1, bandwidth_rb: 50,
-                 delta_t_symbols: 0, delta_f_rb: 0, activation: periodic}
+                 delta_t_symbols: 0, delta_f_rb: 0}
     gnb:        {elements: 64, arch: analog, k_bf: null}
     ue:         {elements: 4, arch: analog, k_bf: null}
     channel:    {pl_intercept_db: 72, pl_exponent: 2.92,
                  shadowing_sigma_db: 8.7, tx_power_dbm: 30,
                  noise_figure_db: 5, bandwidth_hz: 4.0e8,
                  detection_threshold_db: -5, cell_radius_m: 150,
-                 rssi_offset_db: 3, side_lobe_floor_db: -10}
-    power:      {c_chain_w: 16.0896, p0_w: 16.0507, c_ps_w: 0.0585,
-                 adc_bits: 3}
+                 side_lobe_floor_db: -10}
+    power:      {c_chain_w: 16.0896, p0_w: 16.0507, c_ps_w: 0.0585}
     deployment: {mode: SA, lte_latency_ms: null, carrier_ghz: 28,
-                 carriers: 1, ue_distance_m: null,
-                 omega_br_window_ms: 200}
+                 ue_distance_m: null, omega_br_window_ms: 200}
     campaign:   {n_runs: 10000, seed: 42, horizon_ms: 500, n_drops: null}
     sweep:      {<dotted.key>: [values, ...], ...}
 
@@ -43,7 +41,7 @@ import yaml
 
 from .codebook import Architecture, ArrayConfig, PowerModel
 from .errors import ConfigurationError
-from .frame import CsiActivation, CsiRsConfig, SsBurstConfig, make_numerology
+from .frame import CsiRsConfig, SsBurstConfig, make_numerology
 from .link import ChannelParams
 from .procedures import DeploymentMode, Scenario
 
@@ -57,7 +55,6 @@ _SCHEMA: dict[str, Optional[dict[str, Any]]] = {
         "bandwidth_rb": 50,
         "delta_t_symbols": 0,
         "delta_f_rb": 0,
-        "activation": "periodic",
     },
     "gnb": {"elements": 64, "arch": "analog", "k_bf": None},
     "ue": {"elements": 4, "arch": "analog", "k_bf": None},
@@ -70,20 +67,17 @@ _SCHEMA: dict[str, Optional[dict[str, Any]]] = {
         "bandwidth_hz": 400e6,
         "detection_threshold_db": -5.0,
         "cell_radius_m": 150.0,
-        "rssi_offset_db": 3.0,
         "side_lobe_floor_db": -10.0,
     },
     "power": {
         "c_chain_w": 16.0896,
         "p0_w": 16.0507,
         "c_ps_w": 0.0585,
-        "adc_bits": 3,
     },
     "deployment": {
         "mode": "SA",
         "lte_latency_ms": None,
         "carrier_ghz": 28.0,
-        "carriers": 1,
         "ue_distance_m": None,
         "omega_br_window_ms": 200.0,
     },
@@ -103,8 +97,6 @@ _INT_KEYS = {
     ("gnb", "k_bf"),
     ("ue", "elements"),
     ("ue", "k_bf"),
-    ("power", "adc_bits"),
-    ("deployment", "carriers"),
     ("campaign", "n_runs"),
     ("campaign", "seed"),
     ("campaign", "n_drops"),
@@ -262,21 +254,7 @@ def _build_scenario(cfg: Mapping[str, Any], source: str) -> Scenario:
     try:
         num = make_numerology(num_cfg["n"])
         ss = SsBurstConfig(n_ss=ss_cfg["n_ss"], t_ss_ms=float(ss_cfg["t_ss_ms"]))
-        try:
-            activation = CsiActivation(csi_cfg["activation"])
-        except ValueError:
-            raise ConfigurationError(
-                f"csi.activation={csi_cfg['activation']!r}: must be one of "
-                f"{[a.value for a in CsiActivation]}"
-            )
-        csi = CsiRsConfig(
-            t_csi_slots=csi_cfg["t_csi_slots"],
-            n_symbols=csi_cfg["n_symbols"],
-            bandwidth_rb=csi_cfg["bandwidth_rb"],
-            delta_t_symbols=csi_cfg["delta_t_symbols"],
-            delta_f_rb=csi_cfg["delta_f_rb"],
-            activation=activation,
-        )
+        csi = CsiRsConfig(**csi_cfg)
 
         def array_of(sec: dict[str, Any], name: str) -> ArrayConfig:
             try:
@@ -291,12 +269,7 @@ def _build_scenario(cfg: Mapping[str, Any], source: str) -> Scenario:
         gnb = array_of(gnb_cfg, "gnb")
         ue = array_of(ue_cfg, "ue")
         channel = ChannelParams(**{k: float(v) for k, v in ch_cfg.items()})
-        power = PowerModel(
-            c_chain_w=float(pw_cfg["c_chain_w"]),
-            p0_w=float(pw_cfg["p0_w"]),
-            c_ps_w=float(pw_cfg["c_ps_w"]),
-            adc_bits=pw_cfg["adc_bits"],
-        )
+        power = PowerModel(**{k: float(v) for k, v in pw_cfg.items()})
         try:
             mode = DeploymentMode(dep_cfg["mode"])
         except ValueError:
@@ -316,7 +289,6 @@ def _build_scenario(cfg: Mapping[str, Any], source: str) -> Scenario:
             mode=mode,
             lte_latency_ms=float(lte) if lte is not None else None,
             carrier_ghz=float(dep_cfg["carrier_ghz"]),
-            carriers=dep_cfg["carriers"],
             ue_distance_m=(
                 float(dep_cfg["ue_distance_m"])
                 if dep_cfg["ue_distance_m"] is not None

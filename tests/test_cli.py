@@ -61,6 +61,11 @@ class TestExitCodes:
             "channel.tx_power_dbm=.nan",
             "channel.shadowing_sigma_db=.nan",
             "channel.shadowing_sigma_db=.inf",
+            # knobs that changed no result are no longer accepted
+            "csi.activation=periodic",
+            "channel.rssi_offset_db=3",
+            "power.adc_bits=3",
+            "deployment.carriers=1",
         ],
     )
     def test_invalid_configs_exit_one(self, quick_yaml, override, capsys):

@@ -2,20 +2,21 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import make_scenario
 from nrbeamsim.codebook import (
     Architecture,
     ArrayConfig,
     PowerModel,
     beamforming_gain_db,
-    codebook_for,
-    default_sweep_order,
+    directions_per_step,
     per_beam_power_penalty_db,
     power_consumption_w,
     sweep_factor,
     sweep_length,
-    sweep_states,
 )
 from nrbeamsim.errors import ConfigurationError
+from nrbeamsim.procedures import sweep_plan
+from reference import covering_step, step_groups
 
 
 def arr(m, arch, k=None):
@@ -63,31 +64,33 @@ class TestSweepGeometry:
         assert sweep_factor(arr(60, "hybrid", 8)) == 8  # ceil(60/8)
 
     def test_default_order_is_ue_outer_gnb_inner(self):
-        g = codebook_for(arr(2, "analog"))
-        u = codebook_for(arr(2, "analog"))
-        assert default_sweep_order(g, u) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        plan = sweep_plan(make_scenario(m_gnb=2, m_ue=2, n_ss=8))
+        assert plan.g_labels.tolist() == [0, 1, 0, 1]
+        assert plan.u_labels.tolist() == [0, 0, 1, 1]
 
     def test_analog_states_cover_each_direction_once(self):
-        states = sweep_states(arr(4, "analog"))
-        assert [s.beam for s in states] == [0, 1, 2, 3]
-        assert [s.covers for s in states] == [(0,), (1,), (2,), (3,)]
+        a = arr(4, "analog")
+        assert directions_per_step(a) == 1
+        assert [d // directions_per_step(a) for d in range(4)] == [0, 1, 2, 3]
 
     def test_hybrid_states_group_directions(self):
-        states = sweep_states(arr(6, "hybrid", 4))
-        assert [s.covers for s in states] == [(0, 1, 2, 3), (4, 5)]
-        assert states[0].covers_direction(2)
-        assert not states[0].covers_direction(5)
+        a = arr(6, "hybrid", 4)
+        assert step_groups(a) == [range(0, 4), range(4, 6)]
+        assert [d // directions_per_step(a) for d in range(6)] == [0, 0, 0, 0, 1, 1]
 
     def test_digital_state_is_wildcard(self):
-        (state,) = sweep_states(arr(8, "digital"))
-        assert state.beam is None
-        assert state.covers_direction(0)
-        assert state.covers_direction(7)
+        a = arr(8, "digital")
+        assert sweep_factor(a) == 1
+        assert {d // directions_per_step(a) for d in range(8)} == {0}
 
-    def test_codebook_beam_width(self):
-        cb = codebook_for(arr(8, "analog"))
-        assert cb.directions == 8
-        assert cb.beam_width_deg == pytest.approx(15.0)
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_step_of_direction_matches_the_step_groups(self, m):
+        arrays = [arr(m, "analog"), arr(m, "digital")]
+        arrays += [arr(m, "hybrid", k) for k in range(1, m + 1)]
+        for a in arrays:
+            w = directions_per_step(a)
+            assert len(step_groups(a)) == sweep_factor(a)
+            assert [d // w for d in range(m)] == [covering_step(a, d) for d in range(m)]
 
 
 class TestGainAndPower:
@@ -126,4 +129,4 @@ class TestGainAndPower:
         with pytest.raises(ConfigurationError):
             PowerModel(c_chain_w=-1.0)
         with pytest.raises(ConfigurationError):
-            PowerModel(adc_bits=0)
+            PowerModel(c_ps_w=-0.1)

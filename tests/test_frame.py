@@ -1,3 +1,4 @@
+"""The frame configurations, and the reference timelines built on them."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -6,17 +7,18 @@ import pytest
 
 from nrbeamsim.errors import ConfigurationError
 from nrbeamsim.frame import (
-    CsiActivation,
     CsiRsConfig,
-    EventKind,
     SsBurstConfig,
+    carrier_resource_blocks,
+    check_mmwave_numerology,
+    make_numerology,
+)
+from reference import (
+    EventKind,
     Timeline,
     build_csi_timeline,
     build_rach_timeline,
     build_ss_timeline,
-    carrier_resource_blocks,
-    check_mmwave_numerology,
-    make_numerology,
     overhead,
     symbols_in_ms,
 )
@@ -149,18 +151,6 @@ class TestCsiTimeline:
         cfg = CsiRsConfig(t_csi_slots=5, delta_f_rb=20)
         tl = build_csi_timeline(cfg, self.ss, self.num, 10.0)
         assert len(tl.events) == 16
-
-    def test_aperiodic_dedups_trigger_slots(self):
-        cfg = CsiRsConfig(activation=CsiActivation.APERIODIC, delta_f_rb=30)
-        tl = build_csi_timeline(
-            cfg, self.ss, self.num, 10.0, trigger_slots=[3, 3, 5]
-        )
-        assert [e.start_symbol for e in tl.events] == [3 * 14, 5 * 14]
-
-    def test_aperiodic_without_triggers_is_empty(self):
-        cfg = CsiRsConfig(activation=CsiActivation.APERIODIC)
-        tl = build_csi_timeline(cfg, self.ss, self.num, 10.0)
-        assert tl.events == ()
 
     def test_occasion_must_fit_carrier(self):
         cfg = CsiRsConfig(bandwidth_rb=270, delta_f_rb=20)

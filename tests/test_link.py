@@ -4,17 +4,19 @@ import math
 
 import pytest
 
-from nrbeamsim.codebook import Architecture, ArrayConfig, SteeringState
+import numpy as np
+
+from conftest import make_scenario
+from nrbeamsim.codebook import Architecture, ArrayConfig
 from nrbeamsim.errors import ConfigurationError, DomainError
 from nrbeamsim.link import (
     ChannelParams,
-    measure,
+    mean_snr_db,
     misdetection_probability,
     noise_power_dbm,
-    pair_gain_db,
     path_loss_db,
-    snr_db,
 )
+from nrbeamsim.procedures import sweep_plan
 
 
 def arr(m, arch="analog", k=None):
@@ -48,6 +50,13 @@ class TestPathLoss:
             path_loss_db(0.0, ChannelParams())
         with pytest.raises(DomainError):
             path_loss_db(-3.0, ChannelParams())
+        with pytest.raises(DomainError):
+            path_loss_db(np.array([10.0, 0.0]), ChannelParams())
+
+    def test_vectorized_matches_pointwise(self):
+        cp = ChannelParams()
+        d = np.array([1.0, 10.0, 50.0, 150.0])
+        assert path_loss_db(d, cp).tolist() == [path_loss_db(x, cp) for x in d]
 
 
 class TestNoiseAndSnr:
@@ -59,8 +68,7 @@ class TestNoiseAndSnr:
 
     def test_snr_aligned_closed_form(self):
         cp = ChannelParams()
-        g = pair_gain_db(arr(64), arr(4), aligned=True, cp=cp)
-        got = snr_db(g, 50.0, cp)
+        got = mean_snr_db(cp, 10 * math.log10(64) + 10 * math.log10(4), 50.0)
         expect = (
             30.0
             + 10 * math.log10(64)
@@ -70,63 +78,20 @@ class TestNoiseAndSnr:
         )
         assert got == pytest.approx(expect, abs=1e-9)
 
-    def test_misaligned_pair_sits_on_floor(self):
-        cp = ChannelParams()
-        hit = pair_gain_db(arr(64), arr(4), aligned=True, cp=cp)
-        miss = pair_gain_db(arr(64), arr(4), aligned=False, cp=cp)
-        assert hit - miss == pytest.approx(-cp.side_lobe_floor_db)
-
     def test_hybrid_sweep_penalty_only_while_sweeping(self):
-        cp = ChannelParams()
-        gnb, ue = arr(64, "hybrid", 8), arr(1)
-        swept = pair_gain_db(gnb, ue, aligned=True, cp=cp, sweeping=True)
-        settled = pair_gain_db(gnb, ue, aligned=True, cp=cp, sweeping=False)
-        assert settled - swept == pytest.approx(10 * math.log10(8))
+        # the sweep splits a hybrid gNB's power over k_bf beams; the
+        # misdetection draw evaluates the settled pair at full power
+        plan = sweep_plan(make_scenario(m_gnb=64, arch_gnb="hybrid", k_bf_gnb=8, m_ue=1))
+        settled = 10 * math.log10(64)
+        assert settled - plan.sweep_gain_db == pytest.approx(10 * math.log10(8))
 
     def test_analog_sweep_has_no_penalty(self):
-        cp = ChannelParams()
-        gnb, ue = arr(64), arr(1)
-        assert pair_gain_db(gnb, ue, True, cp, sweeping=True) == pair_gain_db(
-            gnb, ue, True, cp, sweeping=False
-        )
+        plan = sweep_plan(make_scenario(m_gnb=64, m_ue=1))
+        assert plan.sweep_gain_db == pytest.approx(10 * math.log10(64))
 
     def test_pair_gain_composition(self):
-        cp = ChannelParams()
-        g = pair_gain_db(arr(16), arr(4), aligned=True, cp=cp)
-        assert g == pytest.approx(10 * math.log10(16) + 10 * math.log10(4))
-
-
-class TestMeasure:
-    def test_report_fields_consistent(self):
-        cp = ChannelParams(shadowing_sigma_db=0.0)
-        gnb, ue = arr(16), arr(4)
-        state = (
-            SteeringState(beam=3, covers=(3,)),
-            SteeringState(beam=1, covers=(1,)),
-        )
-        m = measure(state, (3, 1), gnb, ue, 50.0, cp)
-        assert m.rssi_dbm - m.rsrp_dbm == pytest.approx(cp.rssi_offset_db)
-        assert m.rsrq_db == pytest.approx(-cp.rssi_offset_db)
-        assert m.sinr_db == pytest.approx(m.rsrp_dbm - noise_power_dbm(cp))
-
-    def test_alignment_raises_rsrp(self):
-        cp = ChannelParams(shadowing_sigma_db=0.0)
-        gnb, ue = arr(16), arr(4)
-        on = measure(
-            (SteeringState(2, (2,)), SteeringState(0, (0,))), (2, 0), gnb, ue, 50.0, cp
-        )
-        off = measure(
-            (SteeringState(2, (2,)), SteeringState(0, (0,))), (5, 0), gnb, ue, 50.0, cp
-        )
-        assert on.rsrp_dbm - off.rsrp_dbm == pytest.approx(-cp.side_lobe_floor_db)
-
-    def test_shadowing_reduces_rsrp(self):
-        cp = ChannelParams(shadowing_sigma_db=0.0)
-        gnb, ue = arr(16), arr(4)
-        state = (SteeringState(0, (0,)), SteeringState(0, (0,)))
-        base = measure(state, (0, 0), gnb, ue, 50.0, cp)
-        shifted = measure(state, (0, 0), gnb, ue, 50.0, cp, shadowing_db=4.0)
-        assert base.rsrp_dbm - shifted.rsrp_dbm == pytest.approx(4.0)
+        plan = sweep_plan(make_scenario(m_gnb=16, m_ue=4))
+        assert plan.sweep_gain_db == pytest.approx(10 * math.log10(16) + 10 * math.log10(4))
 
 
 class TestMisdetection:

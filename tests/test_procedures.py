@@ -11,23 +11,27 @@ from nrbeamsim.errors import (
     DomainError,
     NotApplicableError,
 )
-from nrbeamsim.frame import CsiRsConfig, build_rach_timeline, build_ss_timeline
+from nrbeamsim.frame import CsiRsConfig
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import (
     LTE_LATENCY_VALUES_MS,
-    beam_report_delay,
     expected_beam_report_delay_ms,
     expected_tracking_delay_ms,
     omega_br,
     oracle_expected_ia,
     oracle_expected_rlf_sa,
-    run_initial_access,
-    run_rlf_recovery,
-    run_tracking,
     simulate_ia_batch,
     simulate_rlf_batch,
     simulate_tracking_batch,
     sweep_plan,
+)
+from reference import (
+    build_rach_timeline,
+    build_ss_timeline,
+    covering_step,
+    first_rach_end,
+    rach_tails_walked,
+    sweep_labels,
 )
 
 SYM_MS = 0.125 / 14  # one OFDM symbol at 120 kHz, in ms
@@ -58,51 +62,34 @@ class TestSweepPlanGeometry:
         )
         assert got == expect
 
+    @staticmethod
+    def _labels(plan):
+        return [
+            (None if g < 0 else int(g), None if u < 0 else int(u))
+            for g, u in zip(plan.g_labels, plan.u_labels)
+        ]
+
     def test_pair_order_is_ue_outer(self):
-        plan = sweep_plan(make_scenario(m_gnb=2, m_ue=2, n_ss=8))
-        assert plan.pairs() == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        sc = make_scenario(m_gnb=2, m_ue=2, n_ss=8)
+        assert self._labels(sweep_plan(sc)) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        assert sweep_labels(sc) == self._labels(sweep_plan(sc))
 
     def test_digital_side_stamps_wildcards(self):
-        plan = sweep_plan(make_scenario(m_gnb=8, m_ue=2, arch_gnb="digital", n_ss=8))
-        assert plan.pairs() == [(None, 0), (None, 1)]
+        sc = make_scenario(m_gnb=8, m_ue=2, arch_gnb="digital", n_ss=8)
+        assert self._labels(sweep_plan(sc)) == [(None, 0), (None, 1)]
+        assert sweep_labels(sc) == self._labels(sweep_plan(sc))
 
     def test_aligned_slot_roundtrip(self):
-        plan = sweep_plan(make_scenario(m_gnb=4, m_ue=2, n_ss=8))
+        sc = make_scenario(m_gnb=4, m_ue=2, n_ss=8)
+        plan = sweep_plan(sc)
         for u in range(2):
             for g in range(4):
-                k = plan.aligned_slot(g, u)
-                assert plan.pairs()[k] == (g, u)
-
-
-def timeline_tail_symbols(sc, start_burst: int, g_label: int | None) -> float:
-    """Reporting tail read straight off built timelines, no wait tables.
-
-    Places the sweep at burst ``start_burst``, finds the determination
-    instant at the end of the last needed block, and walks the RACH
-    grid for the first matching opportunity.
-    """
-    plan = sweep_plan(sc)
-    horizon_ms = (start_burst + plan.bursts_per_sweep + plan.rach_cycle + 3) * plan.t_ss_ms
-    ss = build_ss_timeline(sc.ss, sc.numerology, horizon_ms, sweep=plan.pairs())
-    rach = build_rach_timeline(
-        ss,
-        gnb_is_directional=not plan.digital_gnb,
-        num=sc.numerology,
-        n_directions=plan.f_g,
-    )
-    det_sym = (
-        start_burst + plan.bursts_per_sweep - 1
-    ) * plan.t_ss_sym + plan.det_offset_sym
-    for ev in rach.events:
-        if ev.start_symbol < det_sym:
-            continue
-        if ev.gnb_beam is None or ev.gnb_beam == g_label:
-            return float(ev.end_symbol - det_sym)
-    raise AssertionError("no opportunity found within the horizon")
+                k = covering_step(sc.ue, u) * plan.f_g + covering_step(sc.gnb, g)
+                assert (plan.g_labels[k], plan.u_labels[k]) == (g, u)
 
 
 class TestReportTailAgainstTimelines:
-    """Wait-table tails cross-checked against literal timeline walks."""
+    """Closed-form report tails cross-checked against literal timeline walks."""
 
     @pytest.mark.parametrize(
         "kw",
@@ -112,24 +99,23 @@ class TestReportTailAgainstTimelines:
             dict(m_gnb=16, m_ue=4, n_ss=8),
             dict(m_gnb=8, m_ue=4, n_ss=12),
             dict(m_gnb=64, m_ue=4, arch_gnb="hybrid", k_bf_gnb=8, n_ss=8),
+            dict(m_gnb=127, m_ue=1, n_ss=8),
         ],
     )
     def test_directional_tails_match(self, kw):
         sc = make_scenario(**kw)
         plan = sweep_plan(sc)
+        walked = rach_tails_walked(sc)
         for c in range(plan.cycle_bursts):
             det_pos = (c + plan.bursts_per_sweep - 1) % plan.cycle_bursts
             for label in range(plan.f_g):
-                walked = timeline_tail_symbols(sc, c, label)
-                table = plan.tail_symbols(det_pos, label)
-                assert walked == table, (c, label)
+                closed = plan.rach_end_sym(det_pos, label) - plan.det_offset_sym
+                assert walked[c, label] == closed, (c, label)
 
     def test_digital_tail_matches(self):
         sc = make_scenario(m_gnb=64, m_ue=16, arch_gnb="digital", n_ss=8)
         plan = sweep_plan(sc)
-        for c in range(plan.cycle_bursts):
-            walked = timeline_tail_symbols(sc, c, None)
-            assert walked == plan.tail_symbols(c, 0) == plan.digital_tail_sym
+        assert (rach_tails_walked(sc) == plan.digital_tail_sym).all()
 
     @pytest.mark.parametrize(
         "kw",
@@ -144,15 +130,15 @@ class TestReportTailAgainstTimelines:
         """Uniform (arrival burst, true direction) average, walked end to end."""
         sc = make_scenario(**kw)
         plan = sweep_plan(sc)
+        walked = rach_tails_walked(sc)
         totals = []
         for c in range(plan.cycle_bursts):
             for g_star in range(sc.gnb.elements):
-                label = None if plan.digital_gnb else plan.aligned_slot(g_star, 0) % plan.f_g
-                tail = timeline_tail_symbols(sc, c, label)
+                label = 0 if plan.digital_gnb else covering_step(sc.gnb, g_star)
                 totals.append(
                     (plan.bursts_per_sweep - 1) * plan.t_ss_sym
                     + plan.det_offset_sym
-                    + tail
+                    + walked[c, label]
                 )
         walked_ms = sc.ss.t_ss_ms / 2.0 + np.mean(totals) * plan.symbol_ms
         assert walked_ms == pytest.approx(oracle_expected_ia(sc), rel=1e-12)
@@ -192,40 +178,36 @@ class TestFrozenReportDelays:
 
 
 class TestBeamReportDelayPointwise:
+    """Hand-counted waits on the reference RACH timeline the closed form is
+    checked against."""
+
+    @staticmethod
+    def _rach(sc, horizon_ms=60.0):
+        ss = build_ss_timeline(sc.ss, sc.numerology, horizon_ms, sweep_labels(sc))
+        plan = sweep_plan(sc)
+        return build_rach_timeline(ss, not plan.digital_gnb, sc.numerology, plan.f_g)
+
     def test_digital_next_opportunity(self):
         sc = make_scenario(m_gnb=64, m_ue=16, arch_gnb="digital", n_ss=8)
         # blocks end at symbol 32; determination at t=0 waits for 32+2
-        assert beam_report_delay(sc, 0.0, (0, 0)) == pytest.approx(34 * SYM_MS)
+        assert first_rach_end(self._rach(sc), 0, None) == 34
 
     def test_directional_offset_by_rank(self):
         sc = make_scenario(m_gnb=4, m_ue=1, n_ss=64)
-        det_ms = 16 * SYM_MS  # end of the 4-block sweep
+        rach = self._rach(sc)
         for g in range(4):
-            expect = (2 * (g + 1)) * SYM_MS
-            assert beam_report_delay(sc, det_ms, (g, 0)) == pytest.approx(expect)
+            # determination at the end of the 4-block sweep, symbol 16
+            assert first_rach_end(rach, 16, g) - 16 == 2 * (g + 1)
 
     def test_missed_burst_rolls_over(self):
         sc = make_scenario(m_gnb=4, m_ue=1, n_ss=64)
-        late_ms = 40 * SYM_MS  # past this burst's opportunities
-        got = beam_report_delay(sc, late_ms, (0, 0))
-        expect = (2240 + 16 + 2 - 40) * SYM_MS
-        assert got == pytest.approx(expect)
-
-    def test_rejects_out_of_codebook_pair(self):
-        sc = make_scenario(m_gnb=4, m_ue=1, n_ss=64)
-        with pytest.raises(DomainError):
-            beam_report_delay(sc, 0.0, (4, 0))
-        with pytest.raises(DomainError):
-            beam_report_delay(sc, 0.0, (0, 1))
-
-    def test_rejects_negative_instant(self):
-        sc = make_scenario(m_gnb=4, m_ue=1, n_ss=64)
-        with pytest.raises(DomainError):
-            beam_report_delay(sc, -0.1, (0, 0))
+        # past this burst's opportunities: wait for the next burst's
+        assert first_rach_end(self._rach(sc), 40, 0) == 2240 + 16 + 2
 
     def test_nsa_constant(self):
         sc = make_scenario(mode="NSA", lte_latency_ms=0.8)
-        assert beam_report_delay(sc, 123.4, (0, 0)) == 0.8
+        batch = simulate_ia_batch(sc, 200, np.random.default_rng(0))
+        assert (batch.t_br_ms == 0.8).all()
 
 
 class TestSimulationAgainstOracle:
@@ -301,26 +283,23 @@ class TestOutcomeInvariants:
             dict(arch_gnb="digital"),
             dict(mode="NSA", lte_latency_ms=10.0),
         ):
-            out = run_initial_access(make_scenario(**kw), rng)
-            assert out.t_total_ms == pytest.approx(
-                out.t_sweep_ms + out.t_determination_ms + out.t_br_ms
-            )
+            out = simulate_ia_batch(make_scenario(**kw), 100, rng)
+            assert (out.t_total_ms == out.t_sweep_ms + out.t_br_ms).all()
 
     def test_digital_pair_labels_are_none_sided(self):
-        out = run_initial_access(
+        out = simulate_ia_batch(
             make_scenario(m_gnb=8, arch_gnb="digital", m_ue=4),
+            100,
             np.random.default_rng(4),
         )
-        assert out.chosen_pair[0] is None
-        assert out.chosen_pair[1] in range(4)
+        assert (out.chosen_g == -1).all()
+        assert set(out.chosen_u.tolist()) <= set(range(4))
 
 
 class TestRlfRecovery:
     @pytest.mark.parametrize("lte", LTE_LATENCY_VALUES_MS)
     def test_nsa_recovers_in_exactly_the_lte_latency(self, lte):
         sc = make_scenario(mode="NSA", lte_latency_ms=lte)
-        out = run_rlf_recovery(sc, np.random.default_rng(0))
-        assert out.t_total_ms == lte
         batch = simulate_rlf_batch(sc, 1000, np.random.default_rng(0))
         assert np.all(batch.t_total_ms == lte)
         assert np.ptp(batch.t_total_ms) == 0.0
@@ -391,17 +370,6 @@ class TestTracking:
         )
         assert censored.all()
 
-    def test_run_tracking_validates_direction(self):
-        sc = make_scenario(m_gnb=4, m_ue=1)
-        with pytest.raises(DomainError):
-            run_tracking(sc, 99, np.random.default_rng(0))
-
-    def test_run_tracking_outcome_shape(self):
-        sc = make_scenario(m_gnb=4, m_ue=1, csi=CsiRsConfig(t_csi_slots=5, delta_f_rb=20))
-        out = run_tracking(sc, 2, np.random.default_rng(6))
-        assert not out.censored
-        assert out.t_total_ms > 0
-
 
 class TestOmegaBr:
     def test_directional_scales_with_direction_groups(self):
@@ -437,13 +405,6 @@ class TestScenarioValidation:
     def test_mmwave_needs_wide_subcarriers(self):
         with pytest.raises(ConfigurationError, match="numerology"):
             make_scenario(n=1)
-
-    def test_carrier_count_bounds(self):
-        make_scenario(carriers=16)
-        with pytest.raises(ConfigurationError, match="carriers"):
-            make_scenario(carriers=17)
-        with pytest.raises(ConfigurationError, match="carriers"):
-            make_scenario(carriers=0)
 
     def test_csi_band_must_fit_carrier(self):
         with pytest.raises(ConfigurationError, match="carrier"):

@@ -9,7 +9,6 @@ import pytest
 from conftest import make_scenario
 from nrbeamsim.errors import ConfigurationError
 from nrbeamsim.evaluation import MetricStat, MetricsReport, estimate_metrics
-from nrbeamsim.frame import SsBurstConfig, build_ss_timeline, make_numerology
 from nrbeamsim.reporting import (
     CSV_COLUMNS,
     emit,
@@ -19,7 +18,6 @@ from nrbeamsim.reporting import (
     reports_from_json,
     reports_to_csv,
     reports_to_json,
-    timeline_to_dict,
 )
 
 
@@ -131,27 +129,6 @@ class TestEmit:
         b = emit([tiny_report()], tmp_path / "b")
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
-
-
-class TestTimelineDict:
-    def test_schema(self):
-        num = make_numerology(3)
-        tl = build_ss_timeline(SsBurstConfig(n_ss=4, t_ss_ms=20), num, 20.0)
-        d = timeline_to_dict(tl)
-        assert d["horizon_symbols"] == tl.horizon_symbols
-        assert d["burst_period_symbols"] == 2240
-        assert len(d["events"]) == 4
-        ev = d["events"][0]
-        assert set(ev) == {
-            "start_symbol",
-            "duration_symbols",
-            "kind",
-            "gnb_beam",
-            "ue_beam",
-            "rb_start",
-            "rb_count",
-        }
-        assert ev["kind"] == "ss_block"
 
 
 class TestSummaryTables:

@@ -4,7 +4,6 @@ import pytest
 
 from nrbeamsim.codebook import Architecture
 from nrbeamsim.errors import ConfigurationError
-from nrbeamsim.frame import CsiActivation
 from nrbeamsim.procedures import DeploymentMode
 from nrbeamsim.scenario_io import (
     _FLOAT_KEYS,
@@ -114,8 +113,20 @@ class TestValidationMessages:
             scenario_file_from_dict({"gnb": {"arch": "quantum"}})
 
     def test_bad_activation_name(self):
-        with pytest.raises(ConfigurationError):
-            scenario_file_from_dict({"csi": {"activation": "sometimes"}})
+        # CSI-RS runs on the periodic grid only; the knob is gone
+        for value in ("sometimes", "periodic"):
+            with pytest.raises(ConfigurationError, match=r"csi\.activation: unknown key"):
+                scenario_file_from_dict({"csi": {"activation": value}})
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [("channel", "rssi_offset_db"), ("power", "adc_bits"), ("deployment", "carriers")],
+    )
+    def test_inert_knobs_are_unknown_keys(self, section, key):
+        with pytest.raises(ConfigurationError, match=rf"{section}\.{key}: unknown key"):
+            scenario_file_from_dict({section: {key: 1}})
+        with pytest.raises(ConfigurationError, match=rf"{section}\.{key}: unknown key"):
+            scenario_file_from_dict({}, overrides=[f"{section}.{key}=1"])
 
 
 class TestOverrides:
