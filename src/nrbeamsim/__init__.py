@@ -22,7 +22,6 @@ from .evaluation import (
     compare,
     estimate_metrics,
     kiviat_normalize,
-    merge_stats,
 )
 from .frame import (
     CsiRsConfig,
@@ -71,7 +70,6 @@ __all__ = [
     "estimate_metrics",
     "kiviat_normalize",
     "make_numerology",
-    "merge_stats",
     "misdetection_probability",
     "noise_power_dbm",
     "oracle_expected_ia",

@@ -8,8 +8,7 @@ which drives both the sweep length and the transceiver power draw:
 * digital: one RF chain per element, all beams at once (sweep factor 1);
 * analog: one RF chain behind phase shifters, one beam at a time
   (sweep factor M);
-* hybrid: k_bf chains, k_bf beams per step (sweep factor ceil(M / k_bf)),
-  with per-beam transmit power split across the simultaneous beams.
+* hybrid: k_bf chains, k_bf beams per step (sweep factor ceil(M / k_bf)).
 
 Power figures are first-order component sums: a digital chain costs
 ``c_chain_w`` per element; an analog front end costs a fixed ``p0_w``
@@ -31,6 +30,13 @@ from .errors import ConfigurationError
 C_CHAIN_W_DEFAULT = 16.0896
 P0_W_DEFAULT = 16.0507
 C_PS_W_DEFAULT = 0.0585
+
+# Longest exhaustive sweep a scenario may ask for. The tracking plan
+# holds one int64 entry per nominal CSI-RS occasion of its hyperperiod,
+# at most 512*S of them (n=4, t_ss 160 ms, t_csi 5 slots): about 2.1M
+# occasions, 16 MB per array, at this cap, against 33M occasions, about
+# 254 MB per array, for a 255x255 analog pair.
+MAX_SWEEP_LENGTH = 4096
 
 
 class Architecture(str, Enum):
@@ -109,18 +115,6 @@ def sweep_length(gnb: ArrayConfig, ue: ArrayConfig) -> int:
 def beamforming_gain_db(array: ArrayConfig) -> float:
     """Array gain toward the steered direction, 10 log10(M)."""
     return 10.0 * math.log10(array.elements)
-
-
-def per_beam_power_penalty_db(array: ArrayConfig) -> float:
-    """Transmit power split when several beams are formed at once.
-
-    Applies while a hybrid transmitter sweeps k_bf beams simultaneously;
-    a single served beam gets full power again.
-    """
-    if array.arch is Architecture.HYBRID:
-        assert array.k_bf is not None
-        return 10.0 * math.log10(array.k_bf)
-    return 0.0
 
 
 def power_consumption_w(array: ArrayConfig, pm: PowerModel = PowerModel()) -> float:

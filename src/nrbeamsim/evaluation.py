@@ -2,14 +2,13 @@
 
 ``estimate_metrics`` runs the Monte Carlo campaigns for one scenario and
 collects the deterministic quantities (overheads, power, detection
-accuracy at fixed seed) into a single report. Metrics that are
-analytically constant (the LTE leg latency in NSA, the digital gNB's
-reporting tail) are written down directly rather than averaged, so they
-carry zero error and zero spread by construction.
+accuracy at fixed seed) into a single report. Every delay is read off
+its batch; a delay whose samples are all equal (the LTE leg latency in
+NSA, the digital gNB's reporting tail) is reported as that value with
+zero error rather than as a float average of copies of it.
 
 Seeding: one root seed spawns independent substreams per campaign in a
-fixed order, so reports are reproducible bit for bit and merging partial
-campaigns is order-independent.
+fixed order, so reports are reproducible bit for bit.
 """
 from __future__ import annotations
 
@@ -24,7 +23,6 @@ from .errors import ConfigurationError, DomainError
 from .frame import SS_BLOCK_RB, SS_BLOCK_SYMBOLS, SYMBOLS_PER_SLOT
 from .link import misdetection_probability
 from .procedures import (
-    DeploymentMode,
     Scenario,
     omega_br,
     simulate_ia_batch,
@@ -49,34 +47,20 @@ class MetricStat:
 
 
 def stat_from_samples(x: np.ndarray) -> MetricStat:
+    """Mean and standard error of the non-NaN samples; exact when all are equal."""
     x = np.asarray(x, dtype=np.float64)
     x = x[~np.isnan(x)]
     n = int(x.size)
     if n == 0:
         return MetricStat(mean=math.nan, stderr=math.nan, n_samples=0)
-    if n == 1:
-        return MetricStat(mean=float(x[0]), stderr=0.0, n_samples=1)
+    lo = x.min()
+    if lo == x.max():
+        return MetricStat(mean=float(lo), stderr=0.0, n_samples=n)
     return MetricStat(
         mean=float(x.mean()),
         stderr=float(x.std(ddof=1) / math.sqrt(n)),
         n_samples=n,
     )
-
-
-def merge_stats(parts: Sequence[MetricStat]) -> MetricStat:
-    """Count-weighted merge of partial campaign stats.
-
-    Means combine exactly; the merged stderr treats parts as independent
-    (squared errors weighted by squared counts), which is what splitting
-    one campaign across workers produces.
-    """
-    parts = [p for p in parts if p.n_samples > 0]
-    if not parts:
-        return MetricStat(mean=math.nan, stderr=math.nan, n_samples=0)
-    n = sum(p.n_samples for p in parts)
-    mean = sum(p.mean * p.n_samples for p in parts) / n
-    var = sum((p.stderr * p.n_samples) ** 2 for p in parts) / n**2
-    return MetricStat(mean=mean, stderr=math.sqrt(var), n_samples=n)
 
 
 DELAY_METRICS = ("t_ia_ms", "t_tr_ms", "t_br_ms", "t_rlf_ms")
@@ -164,29 +148,10 @@ def estimate_metrics(
     ia_ss, tr_ss, rlf_ss, md_ss = root.spawn(4)
 
     ia = simulate_ia_batch(sc, n_runs, np.random.default_rng(ia_ss))
-    t_ia = stat_from_samples(ia.t_total_ms)
-
     waits, censored = simulate_tracking_batch(
         sc, n_runs, np.random.default_rng(tr_ss), horizon_ms=horizon_ms
     )
-    t_tr = stat_from_samples(waits)
-
-    plan = sweep_plan(sc)
-    if sc.mode is DeploymentMode.NSA:
-        assert sc.lte_latency_ms is not None
-        t_br = MetricStat(mean=sc.lte_latency_ms, stderr=0.0, n_samples=n_runs)
-        t_rlf = MetricStat(mean=sc.lte_latency_ms, stderr=0.0, n_samples=n_runs)
-    else:
-        if plan.digital_gnb:
-            t_br = MetricStat(
-                mean=plan.digital_tail_sym * plan.symbol_ms,
-                stderr=0.0,
-                n_samples=n_runs,
-            )
-        else:
-            t_br = stat_from_samples(ia.t_br_ms)
-        rlf = simulate_rlf_batch(sc, n_runs, np.random.default_rng(rlf_ss))
-        t_rlf = stat_from_samples(rlf.t_total_ms)
+    rlf = simulate_rlf_batch(sc, n_runs, np.random.default_rng(rlf_ss))
 
     acc_drops = n_drops if n_drops is not None else n_runs
     p_md = misdetection_probability(sc.gnb, sc.ue, sc.channel, acc_drops, md_ss)
@@ -202,10 +167,10 @@ def estimate_metrics(
         n_ss=sc.ss.n_ss,
         t_ss_ms=sc.ss.t_ss_ms,
         t_csi_slots=sc.csi.t_csi_slots,
-        t_ia=t_ia,
-        t_tr=t_tr,
-        t_br=t_br,
-        t_rlf=t_rlf,
+        t_ia=stat_from_samples(ia.t_total_ms),
+        t_tr=stat_from_samples(waits),
+        t_br=stat_from_samples(ia.t_br_ms),
+        t_rlf=stat_from_samples(rlf.t_total_ms),
         omega_ia=omega_ia_for(sc),
         omega_tr=omega_tr_for(sc),
         omega_br=omega_br(sc),

@@ -4,7 +4,9 @@ Path loss follows the floating-intercept urban model
 ``PL(d) = alpha + 10 * beta * log10(d) + X`` with lognormal shadowing X.
 A block measured through an aligned beam pair collects both endpoint
 array gains; any misaligned pair is lumped into a flat side-lobe floor
-relative to the aligned gain.
+relative to the aligned gain, which only the sweep's choice of winner
+sees. ``misdetection_probability`` is the model's one misdetection
+definition: a report's detection accuracy is one minus it.
 """
 from __future__ import annotations
 

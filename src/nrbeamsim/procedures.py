@@ -12,13 +12,17 @@ instant of the sweep cycle: a uniform phase within one burst period plus
 a uniform burst index within the cycle of P = S / gcd(B, S) bursts.
 
 Determination is the argmax of per-block RSRP and takes no extra time;
-ties break toward the lowest (gnb_beam, ue_beam). Reporting then waits
-for the first matching RACH opportunity: a digital gNB listens in all
-directions at once right after the burst's blocks, while an analog or
-hybrid gNB offers one opportunity per direction its burst just swept, so
-a report may have to wait for the burst that revisits the chosen
-direction. In NSA the report (and the whole link recovery) instead rides
-the LTE control plane at a fixed latency.
+ties break toward the lowest (gnb_beam, ue_beam). Every block of one
+sweep shares the run's mean SNR, so the winner depends only on the
+per-block shadowing and the side-lobe floor: the batches draw timing
+alone, and detection accuracy is ``link.misdetection_probability``.
+
+Reporting then waits for the first matching RACH opportunity: a digital
+gNB listens in all directions at once right after the burst's blocks,
+while an analog or hybrid gNB offers one opportunity per direction its
+burst just swept, so a report may have to wait for the burst that
+revisits the chosen direction. In NSA the report (and the whole link
+recovery) instead rides the LTE control plane at a fixed latency.
 
 Expected-delay helpers are closed forms over the same quantities, exact
 whenever the chosen gNB direction is uniformly distributed, which holds
@@ -39,13 +43,13 @@ from typing import Optional
 import numpy as np
 
 from .codebook import (
+    MAX_SWEEP_LENGTH,
     Architecture,
     ArrayConfig,
     PowerModel,
-    beamforming_gain_db,
     directions_per_step,
-    per_beam_power_penalty_db,
     sweep_factor,
+    sweep_length,
 )
 from .errors import ConfigurationError, DomainError, NotApplicableError
 from .frame import (
@@ -59,7 +63,7 @@ from .frame import (
     carrier_resource_blocks,
     check_mmwave_numerology,
 )
-from .link import ChannelParams, draw_disk_distances, mean_snr_db
+from .link import ChannelParams
 
 LTE_LATENCY_VALUES_MS = (0.8, 4.0, 10.0, 40.0)
 DEFAULT_OMEGA_BR_WINDOW_MS = 200.0
@@ -84,7 +88,6 @@ class Scenario:
     mode: DeploymentMode = DeploymentMode.SA
     lte_latency_ms: Optional[float] = None
     carrier_ghz: float = 28.0
-    ue_distance_m: Optional[float] = None
     omega_br_window_ms: float = DEFAULT_OMEGA_BR_WINDOW_MS
     label: Optional[str] = None
 
@@ -101,9 +104,12 @@ class Scenario:
                 f"deployment.lte_latency_ms={self.lte_latency_ms:g}: must be one of "
                 f"{set(LTE_LATENCY_VALUES_MS)}"
             )
-        if self.ue_distance_m is not None and self.ue_distance_m <= 0:
+        s = sweep_length(self.gnb, self.ue)
+        if s > MAX_SWEEP_LENGTH:
             raise ConfigurationError(
-                f"deployment.ue_distance_m={self.ue_distance_m:g}: must be positive"
+                f"gnb.elements={self.gnb.elements} and ue.elements="
+                f"{self.ue.elements} need a sweep of S={s} slots; at most "
+                f"{MAX_SWEEP_LENGTH} are supported"
             )
         if self.omega_br_window_ms <= 0:
             raise ConfigurationError(
@@ -166,7 +172,6 @@ class SweepPlan:
     g_labels: np.ndarray
     u_labels: np.ndarray
     tie_break_order: np.ndarray
-    sweep_gain_db: float
     det_offset_sym: int
     digital_tail_sym: int
 
@@ -220,11 +225,6 @@ def _plan_for(sc: Scenario) -> SweepPlan:
         g_labels=g_labels,
         u_labels=u_labels,
         tie_break_order=np.lexsort((u_labels, g_labels)).astype(np.int64),
-        sweep_gain_db=(
-            beamforming_gain_db(sc.gnb)
-            + beamforming_gain_db(sc.ue)
-            - per_beam_power_penalty_db(sc.gnb)
-        ),
         det_offset_sym=r * SS_BLOCK_SYMBOLS,
         digital_tail_sym=(b - r) * SS_BLOCK_SYMBOLS + RACH_SYMBOLS,
     )
@@ -234,12 +234,6 @@ def sweep_plan(sc: Scenario) -> SweepPlan:
     return _plan_for(sc)
 
 
-def _draw_distances(sc: Scenario, rng: np.random.Generator, n: int) -> np.ndarray:
-    if sc.ue_distance_m is not None:
-        return np.full(n, float(sc.ue_distance_m))
-    return draw_disk_distances(sc.channel, rng, n)
-
-
 @dataclass
 class IaBatch:
     """Vectorized outcomes of one initial-access or recovery campaign."""
@@ -247,9 +241,7 @@ class IaBatch:
     t_sweep_ms: np.ndarray
     t_br_ms: np.ndarray
     t_total_ms: np.ndarray
-    misdetected: np.ndarray
     chosen_g: np.ndarray
-    chosen_u: np.ndarray
 
 
 # Wichura (1988), Algorithm AS241 (PPND16), the method of
@@ -312,63 +304,55 @@ def normal_inv_cdf(p: np.ndarray) -> np.ndarray:
 def draw_sweep_winner(
     plan: SweepPlan,
     cp: ChannelParams,
-    base_db: np.ndarray,
     k_star: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Winning sweep slot and its SNR in dB for each run of a sweep.
+) -> np.ndarray:
+    """Winning sweep slot for each run of a sweep whose aligned slot is ``k_star``.
 
-    ``base_db`` is each run's mean SNR through the aligned pair, whose
-    sweep slot is ``k_star``; the other S-1 slots sit ``side_lobe_floor_db``
-    lower, and every block carries iid shadowing. The winner is drawn in
-    O(1) per run rather than by measuring all S blocks: the aligned SNR
-    X_a, then the best misaligned one by inverse-CDF sampling of the
-    maximum of S-1 iid normals, whose CDF is Phi^(S-1). The aligned slot
-    wins when X_a is the larger; otherwise the winner is uniform over the
-    other slots, which are exchangeable. Without shadowing the aligned
-    slot wins below a 0 dB floor, and at 0 dB every slot ties and the
-    lowest (gnb_beam, ue_beam) wins.
+    Each block measures the run's mean SNR plus iid shadowing, the other
+    S-1 slots ``side_lobe_floor_db`` below the aligned one. The mean is
+    common to every block, so only the offsets from it are drawn, in
+    O(1) per run rather than by measuring all S blocks: the aligned
+    offset X_a ~ N(0, sigma), then the best misaligned one by
+    inverse-CDF sampling of the maximum of S-1 iid normals, whose CDF is
+    Phi^(S-1). The aligned slot wins when X_a is the larger; otherwise
+    the winner is uniform over the other slots, which are exchangeable.
+    Without shadowing the aligned slot wins below a 0 dB floor, and at
+    0 dB every slot ties and the lowest (gnb_beam, ue_beam) wins.
     """
-    n = base_db.size
+    n = k_star.size
     s = plan.s
-    sigma = cp.shadowing_sigma_db
-    x_aligned = base_db + rng.normal(0.0, sigma, size=n)
     if s == 1:
-        return k_star, x_aligned
+        return k_star
+    sigma = cp.shadowing_sigma_db
+    if sigma == 0.0 and cp.side_lobe_floor_db == 0.0:
+        return np.full(n, plan.tie_break_order[0])
+    x_aligned = rng.normal(0.0, sigma, size=n)
     # Phi(z)^(S-1) = 1 - q with q = -expm1(-E/(S-1)), E ~ Exp(1);
     # Phi^-1(1 - q) = -Phi^-1(q) keeps the upper tail accurate
     q = -np.expm1(-rng.standard_exponential(n) / (s - 1))
     q = np.clip(q, _Q_MIN, _Q_MAX)
-    x_other = base_db + cp.side_lobe_floor_db - sigma * normal_inv_cdf(q)
+    x_other = cp.side_lobe_floor_db - sigma * normal_inv_cdf(q)
     j = rng.integers(0, s - 1, size=n)
-    if sigma == 0.0 and cp.side_lobe_floor_db == 0.0:
-        best = np.full(n, plan.tie_break_order[0])
-    else:
-        best = np.where(x_aligned > x_other, k_star, j + (j >= k_star))
-    return best, np.maximum(x_aligned, x_other)
+    return np.where(x_aligned > x_other, k_star, j + (j >= k_star))
 
 
 def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> IaBatch:
     """Run ``n_runs`` independent initial accesses, vectorized.
 
-    Per run draws: UE distance (fixed or uniform over the disk), the true
-    best pair (uniform per side, sectors being symmetric), the sweep's
-    winning block and its SNR, and the arrival instant (uniform cycle
-    position and phase). The winner comes from an order-statistics draw
-    in O(1) per run, exact in distribution for iid shadowing on every
-    measured block; see :func:`draw_sweep_winner`.
+    Per run draws: the true best pair (uniform per side, sectors being
+    symmetric), the sweep's winning block, and the arrival instant
+    (uniform cycle position and phase). The winner comes from an
+    order-statistics draw in O(1) per run, exact in distribution for iid
+    shadowing on every measured block; see :func:`draw_sweep_winner`.
     """
     if n_runs < 1:
         raise DomainError(f"n_runs={n_runs}: need at least one run")
     plan = _plan_for(sc)
-    cp = sc.channel
-    r = _draw_distances(sc, rng, n_runs)
     g_star = rng.integers(0, sc.gnb.elements, size=n_runs)
     u_star = rng.integers(0, sc.ue.elements, size=n_runs)
     k_star = u_star // plan.u_width * plan.f_g + g_star // plan.g_width
-    best, top = draw_sweep_winner(
-        plan, cp, mean_snr_db(cp, plan.sweep_gain_db, r), k_star, rng
-    )
+    best = draw_sweep_winner(plan, sc.channel, k_star, rng)
 
     start_burst = rng.integers(0, plan.cycle_bursts, size=n_runs)
     phase = rng.uniform(0.0, plan.t_ss_ms, size=n_runs)
@@ -391,9 +375,7 @@ def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> Ia
         t_sweep_ms=t_sweep,
         t_br_ms=t_br,
         t_total_ms=t_sweep + t_br,
-        misdetected=top < cp.detection_threshold_db,
         chosen_g=chosen_g,
-        chosen_u=plan.u_labels[best],
     )
 
 
@@ -411,9 +393,7 @@ def simulate_rlf_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> I
             t_sweep_ms=zero,
             t_br_ms=const,
             t_total_ms=const.copy(),
-            misdetected=np.zeros(n_runs, dtype=bool),
             chosen_g=np.full(n_runs, -1, dtype=np.int64),
-            chosen_u=np.full(n_runs, -1, dtype=np.int64),
         )
     return simulate_ia_batch(sc, n_runs, rng)
 

@@ -2,7 +2,8 @@
 
 A scenario file is a nested mapping with the sections below; every key
 is optional and falls back to its default. Unknown keys are rejected
-with their dotted path so typos do not silently become defaults.
+with their dotted path so typos do not silently become defaults, and so
+is ``null`` for a key whose default is not ``null``.
 
 Sections and defaults::
 
@@ -20,7 +21,7 @@ Sections and defaults::
                  side_lobe_floor_db: -10}
     power:      {c_chain_w: 16.0896, p0_w: 16.0507, c_ps_w: 0.0585}
     deployment: {mode: SA, lte_latency_ms: null, carrier_ghz: 28,
-                 ue_distance_m: null, omega_br_window_ms: 200}
+                 omega_br_window_ms: 200}
     campaign:   {n_runs: 10000, seed: 42, horizon_ms: 500, n_drops: null}
     sweep:      {<dotted.key>: [values, ...], ...}
 
@@ -78,7 +79,6 @@ _SCHEMA: dict[str, Optional[dict[str, Any]]] = {
         "mode": "SA",
         "lte_latency_ms": None,
         "carrier_ghz": 28.0,
-        "ue_distance_m": None,
         "omega_br_window_ms": 200.0,
     },
     "campaign": {"n_runs": 10_000, "seed": 42, "horizon_ms": 500.0, "n_drops": None},
@@ -108,7 +108,7 @@ _FLOAT_KEYS = {
     if defaults
     for key, value in defaults.items()
     if isinstance(value, float)
-} | {("deployment", "lte_latency_ms"), ("deployment", "ue_distance_m")}
+} | {("deployment", "lte_latency_ms")}
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,8 @@ def _merged(data: Mapping[str, Any]) -> dict[str, Any]:
 
 def _coerce(source: str, section: str, key: str, value: Any) -> Any:
     if value is None:
+        if _SCHEMA[section][key] is not None:
+            raise _err(source, f"{section}.{key}", "must not be null")
         return None
     if (section, key) in _INT_KEYS:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -289,11 +291,6 @@ def _build_scenario(cfg: Mapping[str, Any], source: str) -> Scenario:
             mode=mode,
             lte_latency_ms=float(lte) if lte is not None else None,
             carrier_ghz=float(dep_cfg["carrier_ghz"]),
-            ue_distance_m=(
-                float(dep_cfg["ue_distance_m"])
-                if dep_cfg["ue_distance_m"] is not None
-                else None
-            ),
             omega_br_window_ms=float(dep_cfg["omega_br_window_ms"]),
             label=cfg.get("scenario_id"),
         )

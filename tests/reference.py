@@ -32,11 +32,9 @@ from nrbeamsim.frame import (
     SsBurstConfig,
     carrier_resource_blocks,
 )
-from nrbeamsim.link import mean_snr_db
 from nrbeamsim.procedures import (
     DeploymentMode,
     IaBatch,
-    _draw_distances,
     _tracking_plan_for,
     sweep_plan,
 )
@@ -393,37 +391,41 @@ def omega_tr_walked(sc) -> float:
 
 
 def matrix_sweep_winner(plan, cp, base_db, k_star, rng):
-    """Winning sweep slot and its SNR, measuring every block of the sweep.
+    """Winning sweep slot, measuring every block of the sweep.
 
-    Draws a (runs x S) matrix of per-block SNRs with iid shadowing and
-    takes each row's argmax, ties going to the lowest (gnb_beam,
-    ue_beam). ``draw_sweep_winner`` draws the same law's winner directly.
+    ``base_db`` is each run's mean SNR through the aligned pair, whose
+    slot is ``k_star``; the other slots sit ``side_lobe_floor_db`` lower.
+    Draws a (runs x S) matrix of absolute per-block SNRs with iid
+    shadowing and takes each row's argmax, ties going to the lowest
+    (gnb_beam, ue_beam). ``draw_sweep_winner`` draws the same law's
+    winner directly, without the mean.
     """
     rows = np.arange(base_db.size)
     snr = rng.normal(0.0, cp.shadowing_sigma_db, size=(base_db.size, plan.s))
     snr += base_db[:, None] + cp.side_lobe_floor_db
     snr[rows, k_star] -= cp.side_lobe_floor_db
     perm = plan.tie_break_order
-    best = perm[np.argmax(snr[:, perm], axis=1)]
-    return best, snr[rows, best]
+    return perm[np.argmax(snr[:, perm], axis=1)]
 
 
 def ia_batch_matrix(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
     """Initial-access campaign with the winner from :func:`matrix_sweep_winner`
-    and the report tail from :func:`rach_tails_walked`."""
+    and the report tail from :func:`rach_tails_walked`.
+
+    The true pairs come first in the stream, as in ``simulate_ia_batch``;
+    each run's mean SNR is then drawn at random over a wide range, which
+    must not change the winner's law.
+    """
     if n_runs < 1:
         raise DomainError(f"n_runs={n_runs}: need at least one run")
     plan = sweep_plan(sc)
-    cp = sc.channel
     ig_of_dir = np.array([covering_step(sc.gnb, g) for g in range(sc.gnb.elements)])
     iu_of_dir = np.array([covering_step(sc.ue, u) for u in range(sc.ue.elements)])
-    r = _draw_distances(sc, rng, n_runs)
     g_star = rng.integers(0, sc.gnb.elements, size=n_runs)
     u_star = rng.integers(0, sc.ue.elements, size=n_runs)
     k_star = iu_of_dir[u_star] * plan.f_g + ig_of_dir[g_star]
-    best, top = matrix_sweep_winner(
-        plan, cp, mean_snr_db(cp, plan.sweep_gain_db, r), k_star, rng
-    )
+    base_db = rng.uniform(-40.0, 40.0, size=n_runs)
+    best = matrix_sweep_winner(plan, sc.channel, base_db, k_star, rng)
 
     start_burst = rng.integers(0, plan.cycle_bursts, size=n_runs)
     phase = rng.uniform(0.0, plan.t_ss_ms, size=n_runs)
@@ -442,9 +444,7 @@ def ia_batch_matrix(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
         t_sweep_ms=t_sweep,
         t_br_ms=t_br,
         t_total_ms=t_sweep + t_br,
-        misdetected=top < cp.detection_threshold_db,
         chosen_g=chosen_g,
-        chosen_u=plan.u_labels[best],
     )
 
 

@@ -1,0 +1,40 @@
+"""The benchmark's per-layer tracer still finds every name it times.
+
+``nrbench/worker.py trace`` binds timed wrappers in place of names that
+``nrbeamsim.cli`` and ``nrbeamsim.evaluation`` call into other layers,
+and exits non-zero when one is missing or a wrapped span is not timed
+once per scenario. Renaming or no longer calling such a name breaks
+``nrbench/run.py --trace 1``; this test makes it fail here too.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_worker_trace_times_every_wrapped_name(tmp_path):
+    pythonpath = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "nrbench" / "worker.py"),
+            "trace",
+            str(ROOT / "nrbench" / "workloads" / "wide_arrays.yaml"),
+            "42",
+            str(tmp_path),
+            "50",
+        ],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["rc"] == 0

@@ -12,6 +12,8 @@ from nrbeamsim.cli import (
     SEED_ENV_VAR,
     main,
 )
+from nrbeamsim.codebook import MAX_SWEEP_LENGTH
+from nrbeamsim.procedures import _plan_for
 
 
 @pytest.fixture
@@ -66,6 +68,12 @@ class TestExitCodes:
             "channel.rssi_offset_db=3",
             "power.adc_bits=3",
             "deployment.carriers=1",
+            "deployment.ue_distance_m=50",
+            # null where the default is a number
+            "power.c_chain_w=null",
+            "channel.tx_power_dbm=null",
+            "ss.t_ss_ms=null",
+            "deployment.carrier_ghz=null",
         ],
     )
     def test_invalid_configs_exit_one(self, quick_yaml, override, capsys):
@@ -76,6 +84,20 @@ class TestExitCodes:
     def test_unknown_key_exits_one(self, quick_yaml, capsys):
         code = main(["validate", str(quick_yaml), "--set", "ss.bogus=1"])
         assert code == EXIT_CONFIG
+
+    def test_sweep_length_is_capped(self, quick_yaml, capsys):
+        built = _plan_for.cache_info().misses
+        code = main(["ia", str(quick_yaml), "--set", "gnb.elements=4097"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "gnb.elements=4097" in err and "ue.elements=1" in err
+        assert f"S=4097 slots; at most {MAX_SWEEP_LENGTH}" in err
+        assert _plan_for.cache_info().misses == built
+        for sizes in (["gnb.elements=4096"], ["gnb.elements=64", "ue.elements=64"]):
+            argv = ["validate", str(quick_yaml)]
+            for item in sizes:
+                argv += ["--set", item]
+            assert main(argv) == EXIT_OK
 
     def test_missing_file_exits_three(self, tmp_path, capsys):
         code = main(["validate", str(tmp_path / "nope.yaml")])

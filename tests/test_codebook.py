@@ -9,7 +9,6 @@ from nrbeamsim.codebook import (
     PowerModel,
     beamforming_gain_db,
     directions_per_step,
-    per_beam_power_penalty_db,
     power_consumption_w,
     sweep_factor,
     sweep_length,
@@ -97,13 +96,6 @@ class TestGainAndPower:
     def test_array_gain_values(self):
         assert beamforming_gain_db(arr(64, "analog")) == pytest.approx(18.0617997, abs=1e-6)
         assert beamforming_gain_db(arr(1, "analog")) == 0.0
-
-    def test_hybrid_split_penalty(self):
-        assert per_beam_power_penalty_db(arr(64, "hybrid", 8)) == pytest.approx(
-            9.0308998, abs=1e-6
-        )
-        assert per_beam_power_penalty_db(arr(64, "analog")) == 0.0
-        assert per_beam_power_penalty_db(arr(64, "digital")) == 0.0
 
     def test_digital_power_scales_with_elements(self):
         pm = PowerModel()

@@ -13,11 +13,13 @@ from nrbeamsim.evaluation import (
     compare,
     estimate_metrics,
     kiviat_normalize,
-    merge_stats,
     omega_ia_for,
     omega_tr_for,
     stat_from_samples,
 )
+from nrbeamsim.procedures import LTE_LATENCY_VALUES_MS, sweep_plan
+
+DIGITAL_16X4 = dict(m_gnb=16, arch_gnb="digital", m_ue=4, n_ss=8)
 
 
 class TestMetricStat:
@@ -39,37 +41,22 @@ class TestMetricStat:
         one = stat_from_samples(np.array([7.0]))
         assert (one.mean, one.stderr, one.n_samples) == (7.0, 0.0, 1)
 
+    @pytest.mark.parametrize("which", ["lte_0.8", "digital_tail"])
+    def test_constant_samples_are_exact(self, which):
+        if which == "lte_0.8":
+            value = 0.8
+        else:
+            plan = sweep_plan(make_scenario(**DIGITAL_16X4))
+            value = plan.digital_tail_sym * plan.symbol_ms
+        x = np.full(10_000, value)
+        assert x.mean() != value  # a float average misses the last digit
+        x[5] = np.nan
+        assert stat_from_samples(x) == MetricStat(value, 0.0, 9_999)
+
     def test_ci95_symmetric(self):
         st = MetricStat(mean=10.0, stderr=1.0, n_samples=100)
         lo, hi = st.ci95()
         assert (lo, hi) == (10.0 - 1.96, 10.0 + 1.96)
-
-
-class TestMergeStats:
-    def test_matches_pooled_mean(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(5.0, 2.0, size=1000)
-        whole = stat_from_samples(x)
-        parts = [stat_from_samples(x[:300]), stat_from_samples(x[300:])]
-        merged = merge_stats(parts)
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert merged.n_samples == 1000
-        # stderr combines on the same scale, not exactly equal (per-part means)
-        assert merged.stderr == pytest.approx(whole.stderr, rel=0.1)
-
-    def test_order_independent(self):
-        a = MetricStat(1.0, 0.2, 50)
-        b = MetricStat(3.0, 0.1, 150)
-        ab = merge_stats([a, b])
-        ba = merge_stats([b, a])
-        assert ab == ba
-        assert ab.mean == pytest.approx(2.5)
-
-    def test_empty_parts_are_skipped(self):
-        empty = MetricStat(math.nan, math.nan, 0)
-        real = MetricStat(4.0, 0.5, 10)
-        assert merge_stats([empty, real]) == real
-        assert merge_stats([empty]).n_samples == 0
 
 
 class TestEstimateMetrics:
@@ -86,15 +73,18 @@ class TestEstimateMetrics:
         assert a.t_ia.mean != b.t_ia.mean
 
     def test_nsa_deterministic_legs_have_zero_error(self):
-        sc = make_scenario(mode="NSA", lte_latency_ms=10.0)
-        rep = estimate_metrics(sc, n_runs=200, seed=1, n_drops=200)
-        assert rep.t_br == MetricStat(10.0, 0.0, 200)
-        assert rep.t_rlf == MetricStat(10.0, 0.0, 200)
+        # read off 10,000-run batches, which a float average would miss
+        for lte in LTE_LATENCY_VALUES_MS:
+            sc = make_scenario(mode="NSA", lte_latency_ms=lte, n_ss=8)
+            rep = estimate_metrics(sc, n_runs=10_000, seed=1, n_drops=200)
+            assert rep.t_br == MetricStat(lte, 0.0, 10_000)
+            assert rep.t_rlf == MetricStat(lte, 0.0, 10_000)
 
     def test_digital_reporting_leg_is_constant(self):
-        sc = make_scenario(m_gnb=16, arch_gnb="digital", m_ue=4, n_ss=8)
-        rep = estimate_metrics(sc, n_runs=200, seed=1, n_drops=200)
-        assert rep.t_br.stderr == 0.0
+        sc = make_scenario(**DIGITAL_16X4)
+        rep = estimate_metrics(sc, n_runs=10_000, seed=1, n_drops=200)
+        plan = sweep_plan(sc)
+        assert rep.t_br == MetricStat(plan.digital_tail_sym * plan.symbol_ms, 0.0, 10_000)
         # all blocks sent in one burst: wait (8-8)*4+2 symbols
         assert rep.t_br.mean == pytest.approx(2 * 0.125 / 14)
 

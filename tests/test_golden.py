@@ -16,8 +16,8 @@ from nrbeamsim.cli import EXIT_OK, main
 WORKLOADS = Path(__file__).resolve().parents[1] / "nrbench" / "workloads"
 
 DIGESTS = {
-    "dense_grid": "f9f0454fcc651ef4ae485c192b3c06347acbd3bd87de9de72801b950ae1bc615",
-    "wide_arrays": "a0a26992be6428acffcdb3358ee1cdaf14cf9a6d92675fa1bda8712ff1e0a285",
+    "dense_grid": "0d1a53e66a9ae2ce4dcba634f2c0ebc363284a0bec7e4c0663d34fe77ef4493c",
+    "wide_arrays": "8f9b77327f2364bd3afccf2c6421f2df998189453eb687f8091a433abc4c0feb",
 }
 
 

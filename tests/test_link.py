@@ -6,7 +6,6 @@ import pytest
 
 import numpy as np
 
-from conftest import make_scenario
 from nrbeamsim.codebook import Architecture, ArrayConfig
 from nrbeamsim.errors import ConfigurationError, DomainError
 from nrbeamsim.link import (
@@ -16,7 +15,6 @@ from nrbeamsim.link import (
     noise_power_dbm,
     path_loss_db,
 )
-from nrbeamsim.procedures import sweep_plan
 
 
 def arr(m, arch="analog", k=None):
@@ -77,21 +75,6 @@ class TestNoiseAndSnr:
             - (-82.97940008672037)
         )
         assert got == pytest.approx(expect, abs=1e-9)
-
-    def test_hybrid_sweep_penalty_only_while_sweeping(self):
-        # the sweep splits a hybrid gNB's power over k_bf beams; the
-        # misdetection draw evaluates the settled pair at full power
-        plan = sweep_plan(make_scenario(m_gnb=64, arch_gnb="hybrid", k_bf_gnb=8, m_ue=1))
-        settled = 10 * math.log10(64)
-        assert settled - plan.sweep_gain_db == pytest.approx(10 * math.log10(8))
-
-    def test_analog_sweep_has_no_penalty(self):
-        plan = sweep_plan(make_scenario(m_gnb=64, m_ue=1))
-        assert plan.sweep_gain_db == pytest.approx(10 * math.log10(64))
-
-    def test_pair_gain_composition(self):
-        plan = sweep_plan(make_scenario(m_gnb=16, m_ue=4))
-        assert plan.sweep_gain_db == pytest.approx(10 * math.log10(16) + 10 * math.log10(4))
 
 
 class TestMisdetection:

@@ -239,29 +239,15 @@ class TestSimulationAgainstOracle:
         assert np.all(batch.t_sweep_ms > lo)
         assert np.all(batch.t_sweep_ms <= hi)
 
-    def test_threshold_extremes_pin_misdetection(self):
-        lo = make_scenario(
-            channel=ChannelParams(detection_threshold_db=-500.0), ue_distance_m=50.0
-        )
-        hi = make_scenario(
-            channel=ChannelParams(detection_threshold_db=500.0), ue_distance_m=50.0
-        )
-        rng = np.random.default_rng(3)
-        assert not simulate_ia_batch(lo, 200, rng).misdetected.any()
-        assert simulate_ia_batch(hi, 200, rng).misdetected.all()
-
     def test_quiet_channel_picks_valid_labels(self):
         sc = make_scenario(
             m_gnb=8,
             m_ue=4,
             n_ss=8,
             channel=ChannelParams(shadowing_sigma_db=0.0),
-            ue_distance_m=50.0,
         )
         batch = simulate_ia_batch(sc, 300, np.random.default_rng(5))
-        assert not batch.misdetected.any()
         assert set(np.unique(batch.chosen_g)) <= set(range(8))
-        assert set(np.unique(batch.chosen_u)) <= set(range(4))
 
     def test_batch_rejects_empty(self):
         with pytest.raises(DomainError):
@@ -293,7 +279,6 @@ class TestOutcomeInvariants:
             np.random.default_rng(4),
         )
         assert (out.chosen_g == -1).all()
-        assert set(out.chosen_u.tolist()) <= set(range(4))
 
 
 class TestRlfRecovery:

@@ -7,6 +7,7 @@ from nrbeamsim.errors import ConfigurationError
 from nrbeamsim.procedures import DeploymentMode
 from nrbeamsim.scenario_io import (
     _FLOAT_KEYS,
+    _SCHEMA,
     apply_overrides,
     parse_scenario,
     scenario_file_from_dict,
@@ -120,13 +121,45 @@ class TestValidationMessages:
 
     @pytest.mark.parametrize(
         "section,key",
-        [("channel", "rssi_offset_db"), ("power", "adc_bits"), ("deployment", "carriers")],
+        [
+            ("channel", "rssi_offset_db"),
+            ("power", "adc_bits"),
+            ("deployment", "carriers"),
+            ("deployment", "ue_distance_m"),
+        ],
     )
     def test_inert_knobs_are_unknown_keys(self, section, key):
         with pytest.raises(ConfigurationError, match=rf"{section}\.{key}: unknown key"):
             scenario_file_from_dict({section: {key: 1}})
         with pytest.raises(ConfigurationError, match=rf"{section}\.{key}: unknown key"):
             scenario_file_from_dict({}, overrides=[f"{section}.{key}=1"])
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            (section, key)
+            for section, defaults in _SCHEMA.items()
+            if defaults
+            for key, value in defaults.items()
+            if value is not None
+        ],
+    )
+    def test_null_rejected_where_the_default_is_not_null(self, section, key):
+        with pytest.raises(ConfigurationError, match=rf"{section}\.{key}: must not be null"):
+            scenario_file_from_dict({section: {key: None}})
+
+    def test_null_accepted_where_the_default_is_null(self):
+        sf = scenario_file_from_dict(
+            {
+                "scenario_id": None,
+                "gnb": {"k_bf": None},
+                "ue": {"k_bf": None},
+                "deployment": {"lte_latency_ms": None},
+                "campaign": {"n_drops": None},
+            }
+        )
+        assert sf.campaign.n_drops is None
+        assert sf.scenarios[0].lte_latency_ms is None
 
 
 class TestOverrides:
