@@ -37,6 +37,12 @@ EXIT_CONFIG = 1
 EXIT_ANCHOR = 2
 EXIT_IO = 3
 
+# libyaml's C emitter renders the effective configuration several times
+# faster than PyYAML's Python emitter, to the same text except where a long
+# double-quoted scalar wraps; a PyYAML built without libyaml has only the
+# Python one.
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -85,15 +91,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolved_seed(arg_seed: Optional[int], file_seed: int) -> int:
     if arg_seed is not None:
+        if arg_seed < 0:
+            raise ConfigurationError(f"--seed {arg_seed}: must be non-negative")
         return arg_seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigurationError(
                 f"{SEED_ENV_VAR}={env!r}: must be an integer"
             ) from None
+        if seed < 0:
+            raise ConfigurationError(f"{SEED_ENV_VAR}={env!r}: must be non-negative")
+        return seed
     return file_seed
 
 
@@ -106,7 +117,8 @@ def _print_effective(sf: ScenarioFile, seed: int, n_runs: int) -> None:
         "scenarios": list(sf.effective),
     }
     print("# effective configuration")
-    print(yaml.safe_dump(doc, sort_keys=True, default_flow_style=False).rstrip())
+    text = yaml.dump(doc, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
+    print(text.rstrip())
     print("# results")
 
 

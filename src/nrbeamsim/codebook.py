@@ -47,7 +47,11 @@ class Architecture(str, Enum):
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """One end's antenna array and beamforming architecture."""
+    """One end's antenna array and beamforming architecture.
+
+    Errors name the bare key (``elements``, ``k_bf``); a scenario file
+    prefixes the section (``gnb.`` or ``ue.``).
+    """
 
     elements: int
     arch: Architecture = Architecture.ANALOG
@@ -56,21 +60,22 @@ class ArrayConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.elements, int) or isinstance(self.elements, bool):
             raise ConfigurationError(
-                f"array elements={self.elements!r}: must be an integer"
+                f"elements={self.elements!r}: must be an integer"
             )
         if self.elements < 1:
             raise ConfigurationError(
-                f"array elements={self.elements}: must be at least 1"
+                f"elements={self.elements}: must be at least 1"
             )
         if self.arch is Architecture.HYBRID:
             if self.k_bf is None or not 1 <= self.k_bf <= self.elements:
                 raise ConfigurationError(
-                    f"hybrid array needs k_bf in 1..{self.elements}, got {self.k_bf!r}"
+                    f"k_bf={self.k_bf!r}: a hybrid array needs k_bf in "
+                    f"1..{self.elements}"
                 )
         elif self.k_bf is not None:
             raise ConfigurationError(
-                f"k_bf is only meaningful for hybrid arrays, got k_bf={self.k_bf} "
-                f"with arch={self.arch.value}"
+                f"k_bf={self.k_bf}: only meaningful for hybrid arrays, got "
+                f"arch={self.arch.value}"
             )
 
 
@@ -84,8 +89,11 @@ class PowerModel:
 
     def __post_init__(self) -> None:
         for name in ("c_chain_w", "p0_w", "c_ps_w"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigurationError(
+                    f"power.{name}={value:g}: must be non-negative"
+                )
 
 
 def directions_per_step(array: ArrayConfig) -> int:

@@ -78,7 +78,7 @@ def make_numerology(n: int) -> Numerology:
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= 4:
         raise ConfigurationError(
-            f"numerology n={n!r}: must be an integer in 0..4"
+            f"numerology.n={n!r}: must be an integer in 0..4"
         )
     scs_khz = 15 * (1 << n)
     slot_ms = 1.0 / (1 << n)
@@ -94,8 +94,8 @@ def check_mmwave_numerology(num: Numerology, carrier_ghz: float) -> None:
     """
     if carrier_ghz > MMWAVE_CARRIER_GHZ and num.n < MIN_MMWAVE_NUMEROLOGY:
         raise ConfigurationError(
-            f"numerology n={num.n} is not allowed above {MMWAVE_CARRIER_GHZ:g} GHz: "
-            f"carrier {carrier_ghz:g} GHz needs n >= {MIN_MMWAVE_NUMEROLOGY}"
+            f"numerology.n={num.n} is not allowed above {MMWAVE_CARRIER_GHZ:g} GHz: "
+            f"deployment.carrier_ghz={carrier_ghz:g} needs n >= {MIN_MMWAVE_NUMEROLOGY}"
         )
 
 
@@ -130,7 +130,7 @@ class SsBurstConfig:
         span_us = self.n_ss * SS_BLOCK_SYMBOLS * num.symbol_us
         if span_us > SS_BURST_WINDOW_US:
             raise ConfigurationError(
-                f"ss.n_ss={self.n_ss} at numerology n={num.n} spans "
+                f"ss.n_ss={self.n_ss} at numerology.n={num.n} spans "
                 f"{span_us:g} us, exceeding the {SS_BURST_WINDOW_US:g} us burst window"
             )
 

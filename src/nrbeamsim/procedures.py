@@ -92,6 +92,10 @@ class Scenario:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if not self.carrier_ghz > 0:
+            raise ConfigurationError(
+                f"deployment.carrier_ghz={self.carrier_ghz:g}: must be positive"
+            )
         check_mmwave_numerology(self.numerology, self.carrier_ghz)
         self.ss.check_window(self.numerology)
         if self.mode is DeploymentMode.NSA:
@@ -119,7 +123,8 @@ class Scenario:
         rb = self.carrier_rb
         if self.csi.delta_f_rb + self.csi.bandwidth_rb > rb:
             raise ConfigurationError(
-                f"csi occupies RB {self.csi.delta_f_rb}.."
+                f"csi.delta_f_rb={self.csi.delta_f_rb} and csi.bandwidth_rb="
+                f"{self.csi.bandwidth_rb} occupy RB {self.csi.delta_f_rb}.."
                 f"{self.csi.delta_f_rb + self.csi.bandwidth_rb} but the carrier "
                 f"has only {rb} RB"
             )

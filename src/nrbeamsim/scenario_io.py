@@ -204,8 +204,13 @@ def _parse_scalar(text: str) -> Any:
 def apply_overrides(
     data: dict[str, Any], overrides: Sequence[str], source: str = "<override>"
 ) -> dict[str, Any]:
-    """Apply ``section.key=value`` overrides onto raw scenario data."""
+    """Apply ``section.key=value`` overrides onto raw scenario data.
+
+    An override of a key the sweep also sets would be replaced by every
+    variant's swept value, so it is rejected.
+    """
     out = {k: (dict(v) if isinstance(v, Mapping) else v) for k, v in data.items()}
+    set_paths = []
     for item in overrides:
         if "=" not in item:
             raise _err(source, item, "override must look like section.key=value")
@@ -234,6 +239,17 @@ def apply_overrides(
         if out[section] is None:
             out[section] = {}
         out[section][key] = value
+        set_paths.append(f"{section}.{key}")
+    swept = out.get("sweep")
+    if isinstance(swept, Mapping):
+        for path in set_paths:
+            if path in swept:
+                raise _err(
+                    source,
+                    path,
+                    f"set by --set but swept by sweep.{path}, whose values "
+                    f"replace it; use --set sweep.{path}=[...] instead",
+                )
     return out
 
 
@@ -266,7 +282,12 @@ def _build_scenario(cfg: Mapping[str, Any], source: str) -> Scenario:
                     f"{name}.arch={sec['arch']!r}: must be one of "
                     f"{[a.value for a in Architecture]}"
                 )
-            return ArrayConfig(elements=sec["elements"], arch=arch, k_bf=sec["k_bf"])
+            try:
+                return ArrayConfig(
+                    elements=sec["elements"], arch=arch, k_bf=sec["k_bf"]
+                )
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{name}.{exc}") from None
 
         gnb = array_of(gnb_cfg, "gnb")
         ue = array_of(ue_cfg, "ue")
@@ -352,6 +373,8 @@ def scenario_file_from_dict(
         raise _err(source, "campaign.n_runs", "must be at least 1")
     if camp["n_drops"] is not None and camp["n_drops"] < 1:
         raise _err(source, "campaign.n_drops", "must be at least 1 when given")
+    if camp["seed"] < 0:
+        raise _err(source, "campaign.seed", "must be non-negative")
     if camp["horizon_ms"] <= 0:
         raise _err(source, "campaign.horizon_ms", "must be positive")
     campaign = CampaignSettings(

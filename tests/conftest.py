@@ -1,9 +1,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from nrbeamsim.codebook import Architecture, ArrayConfig
-from nrbeamsim.frame import CsiRsConfig, SsBurstConfig, make_numerology
+from nrbeamsim.frame import (
+    CSI_PERIODS_SLOTS,
+    CSI_SYMBOL_COUNTS,
+    SS_PERIODS_MS,
+    SYMBOLS_PER_SLOT,
+    CsiRsConfig,
+    SsBurstConfig,
+    carrier_resource_blocks,
+    make_numerology,
+)
 from nrbeamsim.procedures import DeploymentMode, Scenario
 
 
@@ -31,6 +42,51 @@ def make_scenario(
         mode=DeploymentMode(mode),
         lte_latency_ms=lte_latency_ms,
         **kwargs,
+    )
+
+
+@st.composite
+def scenarios(draw, equal_gnb_groups: bool = False):
+    """Random valid SA scenarios with small arrays.
+
+    ``equal_gnb_groups`` keeps a hybrid gNB's k_bf a divisor of its
+    elements, where the closed-form delay oracles are exact.
+    """
+
+    def array(max_elements, equal_groups=False):
+        arch = draw(st.sampled_from(["analog", "hybrid", "digital"]))
+        m = draw(st.integers(1, max_elements))
+        k = None
+        if arch == "hybrid" and equal_groups:
+            k = draw(st.sampled_from([k for k in range(1, m + 1) if m % k == 0]))
+        elif arch == "hybrid":
+            k = draw(st.integers(1, m))
+        return arch, m, k
+
+    arch_g, m_g, k_g = array(12, equal_gnb_groups)
+    arch_u, m_u, k_u = array(3)
+    n = draw(st.sampled_from([2, 3, 4]))
+    t_csi = draw(st.sampled_from(CSI_PERIODS_SLOTS))
+    delta_f = draw(st.sampled_from([0, 10, 19, 20, 60]))
+    bandwidth = draw(st.integers(50, 80))
+    assume(delta_f + bandwidth <= carrier_resource_blocks(make_numerology(n)))
+    return make_scenario(
+        m_gnb=m_g,
+        arch_gnb=arch_g,
+        k_bf_gnb=k_g,
+        m_ue=m_u,
+        arch_ue=arch_u,
+        k_bf_ue=k_u,
+        n=n,
+        n_ss=draw(st.integers(1, 64)),
+        t_ss_ms=float(draw(st.sampled_from(SS_PERIODS_MS))),
+        csi=CsiRsConfig(
+            t_csi_slots=t_csi,
+            n_symbols=draw(st.sampled_from(CSI_SYMBOL_COUNTS)),
+            bandwidth_rb=bandwidth,
+            delta_t_symbols=draw(st.integers(0, t_csi * SYMBOLS_PER_SLOT - 1)),
+            delta_f_rb=delta_f,
+        ),
     )
 
 

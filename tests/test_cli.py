@@ -74,12 +74,57 @@ class TestExitCodes:
             "channel.tx_power_dbm=null",
             "ss.t_ss_ms=null",
             "deployment.carrier_ghz=null",
+            "deployment.carrier_ghz=-1",
+            "deployment.carrier_ghz=0",
+            "campaign.seed=-1",
+            "gnb.elements=0",
+            "ue.elements=0",
+            "gnb.k_bf=4",
+            "ue.k_bf=1",
+            "power.p0_w=-1",
+            "power.c_ps_w=-0.5",
         ],
     )
     def test_invalid_configs_exit_one(self, quick_yaml, override, capsys):
         code = main(["validate", str(quick_yaml), "--set", override])
         assert code == EXIT_CONFIG
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert override.partition("=")[0] in err
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (["gnb.arch=hybrid"], "gnb.k_bf=None"),
+            (["gnb.arch=hybrid", "gnb.k_bf=17"], "gnb.k_bf=17"),
+            (["ue.arch=hybrid", "ue.k_bf=2"], "ue.k_bf=2"),
+        ],
+    )
+    def test_hybrid_k_bf_errors_name_the_key(self, quick_yaml, overrides, key, capsys):
+        argv = ["validate", str(quick_yaml)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    def test_set_of_a_swept_key_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "grid.yaml"
+        p.write_text(
+            "ss: {n_ss: 8}\n"
+            "gnb: {elements: 16}\n"
+            "ue: {elements: 1}\n"
+            "sweep: {gnb.elements: [8, 16]}\n",
+            encoding="utf-8",
+        )
+        # a file may fix a value it also sweeps: the sweep wins, as before
+        assert main(["validate", str(p)]) == EXIT_OK
+        assert "ok: 2 scenario(s) valid" in capsys.readouterr().out
+        code = main(["validate", str(p), "--set", "gnb.elements=0"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "gnb.elements" in err and "sweep.gnb.elements" in err
+        assert "--set sweep.gnb.elements=[...]" in err
+        assert main(["validate", str(p), "--set", "sweep.gnb.elements=[4]"]) == EXIT_OK
 
     def test_unknown_key_exits_one(self, quick_yaml, capsys):
         code = main(["validate", str(quick_yaml), "--set", "ss.bogus=1"])
@@ -162,6 +207,24 @@ class TestSeedPrecedence:
     def test_env_must_be_integer(self, quick_yaml, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "lots")
         assert main(["validate", str(quick_yaml)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "command", ["validate", "ia", "tracking", "rlf", "sweep", "anchors"]
+    )
+    def test_negative_seed_exits_one(self, quick_yaml, command, capsys, monkeypatch):
+        argv = [command] if command == "anchors" else [command, str(quick_yaml)]
+        assert main(argv + ["--seed", "-1"]) == EXIT_CONFIG
+        assert "--seed -1: must be non-negative" in capsys.readouterr().err
+        monkeypatch.setenv(SEED_ENV_VAR, "-2")
+        assert main(argv) == EXIT_CONFIG
+        assert f"{SEED_ENV_VAR}='-2': must be non-negative" in capsys.readouterr().err
+
+    def test_negative_file_seed_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "neg.yaml"
+        p.write_text("campaign: {seed: -1}\n", encoding="utf-8")
+        for command in ("validate", "ia"):
+            assert main([command, str(p)]) == EXIT_CONFIG
+            assert "campaign.seed: must be non-negative" in capsys.readouterr().err
 
     def test_seed_changes_outputs(self, quick_yaml, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

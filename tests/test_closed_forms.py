@@ -9,20 +9,11 @@ agrees to 1e-12.
 from __future__ import annotations
 
 import pytest
-from hypothesis import assume, example, given, settings
-from hypothesis import strategies as st
+from hypothesis import example, given, settings
 
-from conftest import make_scenario
+from conftest import make_scenario, scenarios
 from nrbeamsim.evaluation import omega_ia_for, omega_tr_for
-from nrbeamsim.frame import (
-    CSI_PERIODS_SLOTS,
-    CSI_SYMBOL_COUNTS,
-    SS_PERIODS_MS,
-    SYMBOLS_PER_SLOT,
-    CsiRsConfig,
-    carrier_resource_blocks,
-    make_numerology,
-)
+from nrbeamsim.frame import CsiRsConfig
 from nrbeamsim.procedures import (
     _tracking_plan_for,
     expected_beam_report_delay_ms,
@@ -35,42 +26,6 @@ from reference import (
     rach_tails_walked,
     surviving_csi_occasions,
 )
-
-
-@st.composite
-def scenarios(draw):
-    def array(max_elements):
-        arch = draw(st.sampled_from(["analog", "hybrid", "digital"]))
-        m = draw(st.integers(1, max_elements))
-        k = draw(st.integers(1, m)) if arch == "hybrid" else None
-        return arch, m, k
-
-    arch_g, m_g, k_g = array(12)
-    arch_u, m_u, k_u = array(3)
-    n = draw(st.sampled_from([2, 3, 4]))
-    t_csi = draw(st.sampled_from(CSI_PERIODS_SLOTS))
-    delta_f = draw(st.sampled_from([0, 10, 19, 20, 60]))
-    bandwidth = draw(st.integers(50, 80))
-    assume(delta_f + bandwidth <= carrier_resource_blocks(make_numerology(n)))
-    return make_scenario(
-        m_gnb=m_g,
-        arch_gnb=arch_g,
-        k_bf_gnb=k_g,
-        m_ue=m_u,
-        arch_ue=arch_u,
-        k_bf_ue=k_u,
-        n=n,
-        n_ss=draw(st.integers(1, 64)),
-        t_ss_ms=float(draw(st.sampled_from(SS_PERIODS_MS))),
-        csi=CsiRsConfig(
-            t_csi_slots=t_csi,
-            n_symbols=draw(st.sampled_from(CSI_SYMBOL_COUNTS)),
-            bandwidth_rb=bandwidth,
-            delta_t_symbols=draw(st.integers(0, t_csi * SYMBOLS_PER_SLOT - 1)),
-            delta_f_rb=delta_f,
-        ),
-    )
-
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 

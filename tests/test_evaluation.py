@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_scenario
+from conftest import make_scenario, scenarios
 from nrbeamsim.errors import ConfigurationError, DomainError
 from nrbeamsim.evaluation import (
     KIVIAT_SCALE,
@@ -17,7 +18,13 @@ from nrbeamsim.evaluation import (
     omega_tr_for,
     stat_from_samples,
 )
-from nrbeamsim.procedures import LTE_LATENCY_VALUES_MS, sweep_plan
+from nrbeamsim.procedures import (
+    LTE_LATENCY_VALUES_MS,
+    expected_tracking_delay_ms,
+    oracle_expected_ia,
+    oracle_expected_rlf_sa,
+    sweep_plan,
+)
 
 DIGITAL_16X4 = dict(m_gnb=16, arch_gnb="digital", m_ue=4, n_ss=8)
 
@@ -216,3 +223,21 @@ class TestKiviat:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             kiviat_normalize([])
+
+
+def _within_5_stderr(stat: MetricStat, expected: float) -> None:
+    if stat.stderr == 0.0:
+        assert stat.mean == pytest.approx(expected, rel=1e-9)
+    else:
+        assert abs(stat.mean - expected) <= 5.0 * stat.stderr, (stat, expected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scenarios(equal_gnb_groups=True))
+def test_simulated_means_sit_near_the_oracles(sc):
+    # at 5 stderr a correct model misses about once in 2 million checks
+    report = estimate_metrics(sc, n_runs=2000, seed=42, n_drops=10)
+    _within_5_stderr(report.t_ia, oracle_expected_ia(sc))
+    _within_5_stderr(report.t_rlf, oracle_expected_rlf_sa(sc))
+    if report.censored_tracking == 0:
+        _within_5_stderr(report.t_tr, expected_tracking_delay_ms(sc))

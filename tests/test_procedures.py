@@ -391,6 +391,11 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError, match="numerology"):
             make_scenario(n=1)
 
+    @pytest.mark.parametrize("ghz", [0.0, -28.0, math.nan])
+    def test_carrier_must_be_positive(self, ghz):
+        with pytest.raises(ConfigurationError, match=r"deployment\.carrier_ghz"):
+            make_scenario(carrier_ghz=ghz)
+
     def test_csi_band_must_fit_carrier(self):
         with pytest.raises(ConfigurationError, match="carrier"):
             make_scenario(csi=CsiRsConfig(delta_f_rb=240, bandwidth_rb=50))

@@ -108,6 +108,9 @@ class TestValidationMessages:
             scenario_file_from_dict({"campaign": {"horizon_ms": -5}})
         with pytest.raises(ConfigurationError, match=r"campaign\.n_drops"):
             scenario_file_from_dict({"campaign": {"n_drops": 0}})
+        with pytest.raises(ConfigurationError, match=r"campaign\.seed"):
+            scenario_file_from_dict({"campaign": {"seed": -1}})
+        assert scenario_file_from_dict({"campaign": {"seed": 0}}).campaign.seed == 0
 
     def test_bad_architecture_name(self):
         with pytest.raises(ConfigurationError):
@@ -190,6 +193,14 @@ class TestOverrides:
         sf = scenario_file_from_dict({}, overrides=["sweep.ss.n_ss=[8, 64]"])
         assert len(sf.scenarios) == 2
         assert {sc.ss.n_ss for sc in sf.scenarios} == {8, 64}
+
+    def test_override_of_a_swept_key_rejected(self):
+        data = {"ss": {"n_ss": 16}, "sweep": {"ss.n_ss": [8, 64]}}
+        with pytest.raises(ConfigurationError, match=r"ss\.n_ss: .*sweep\.ss\.n_ss"):
+            apply_overrides(data, ["ss.n_ss=32"])
+        with pytest.raises(ConfigurationError, match=r"sweep\.ss\.n_ss"):
+            apply_overrides({}, ["sweep.ss.n_ss=[8]", "ss.n_ss=32"])
+        assert apply_overrides(data, ["ss.t_ss_ms=40"])["ss"] == {"n_ss": 16, "t_ss_ms": 40}
 
     def test_deep_path_outside_sweep_rejected(self):
         with pytest.raises(ConfigurationError, match="section.key"):
