@@ -108,6 +108,14 @@ def _resolved_seed(arg_seed: Optional[int], file_seed: int) -> int:
     return file_seed
 
 
+def _seed_and_runs(args: argparse.Namespace, sf: ScenarioFile) -> tuple[int, int]:
+    seed = _resolved_seed(args.seed, sf.campaign.seed)
+    n_runs = args.runs if args.runs is not None else sf.campaign.n_runs
+    if n_runs < 1:
+        raise ConfigurationError(f"--runs {n_runs}: must be at least 1")
+    return seed, n_runs
+
+
 def _print_effective(sf: ScenarioFile, seed: int, n_runs: int) -> None:
     doc = {
         "source": sf.source,
@@ -143,19 +151,10 @@ def _metric_lines(r: MetricsReport, focus: Optional[str]) -> list[str]:
 
 def _run_campaign(args: argparse.Namespace, focus: Optional[str]) -> int:
     sf = parse_scenario(args.scenario, overrides=args.overrides)
-    seed = _resolved_seed(args.seed, sf.campaign.seed)
-    n_runs = args.runs if args.runs is not None else sf.campaign.n_runs
-    if n_runs < 1:
-        raise ConfigurationError(f"--runs {n_runs}: must be at least 1")
+    seed, n_runs = _seed_and_runs(args, sf)
     _print_effective(sf, seed, n_runs)
     reports = [
-        estimate_metrics(
-            sc,
-            n_runs=n_runs,
-            seed=seed,
-            n_drops=sf.campaign.n_drops,
-            horizon_ms=sf.campaign.horizon_ms,
-        )
+        estimate_metrics(sc, n_runs=n_runs, seed=seed, horizon_ms=sf.campaign.horizon_ms)
         for sc in sf.scenarios
     ]
     for r in reports:
@@ -171,8 +170,7 @@ def _run_campaign(args: argparse.Namespace, focus: Optional[str]) -> int:
 
 def _run_validate(args: argparse.Namespace) -> int:
     sf = parse_scenario(args.scenario, overrides=args.overrides)
-    seed = _resolved_seed(args.seed, sf.campaign.seed)
-    n_runs = args.runs if args.runs is not None else sf.campaign.n_runs
+    seed, n_runs = _seed_and_runs(args, sf)
     _print_effective(sf, seed, n_runs)
     print(f"ok: {len(sf.scenarios)} scenario(s) valid")
     return EXIT_OK

@@ -2,10 +2,10 @@
 
 ``estimate_metrics`` runs the Monte Carlo campaigns for one scenario and
 collects the deterministic quantities (overheads, power, detection
-accuracy at fixed seed) into a single report. Every delay is read off
-its batch; a delay whose samples are all equal (the LTE leg latency in
-NSA, the digital gNB's reporting tail) is reported as that value with
-zero error rather than as a float average of copies of it.
+accuracy) into a single report. Every delay is read off its batch; a
+delay whose samples are all equal (the LTE leg latency in NSA, the
+digital gNB's reporting tail) is reported as that value with zero error
+rather than as a float average of copies of it.
 
 Seeding: one root seed spawns independent substreams per campaign in a
 fixed order, so reports are reproducible bit for bit.
@@ -138,23 +138,20 @@ def estimate_metrics(
     sc: Scenario,
     n_runs: int = 10_000,
     seed: int = 0,
-    n_drops: Optional[int] = None,
     horizon_ms: float = 500.0,
 ) -> MetricsReport:
     """Run all campaigns for one scenario and assemble the report."""
     if n_runs < 1:
         raise DomainError(f"n_runs={n_runs}: need at least one run")
     root = np.random.SeedSequence(seed)
-    ia_ss, tr_ss, rlf_ss, md_ss = root.spawn(4)
+    ia_ss, tr_ss, rlf_ss = root.spawn(3)
 
     ia = simulate_ia_batch(sc, n_runs, np.random.default_rng(ia_ss))
     waits, censored = simulate_tracking_batch(
         sc, n_runs, np.random.default_rng(tr_ss), horizon_ms=horizon_ms
     )
     rlf = simulate_rlf_batch(sc, n_runs, np.random.default_rng(rlf_ss))
-
-    acc_drops = n_drops if n_drops is not None else n_runs
-    p_md = misdetection_probability(sc.gnb, sc.ue, sc.channel, acc_drops, md_ss)
+    p_md = misdetection_probability(sc.gnb, sc.ue, sc.channel)
 
     return MetricsReport(
         scenario_id=sc.scenario_id,

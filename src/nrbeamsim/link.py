@@ -1,4 +1,4 @@
-"""mmWave link budget: path loss, SNR, UE drops, misdetection.
+"""mmWave link budget: path loss, SNR, misdetection, normal tails.
 
 Path loss follows the floating-intercept urban model
 ``PL(d) = alpha + 10 * beta * log10(d) + X`` with lognormal shadowing X.
@@ -6,7 +6,8 @@ A block measured through an aligned beam pair collects both endpoint
 array gains; any misaligned pair is lumped into a flat side-lobe floor
 relative to the aligned gain, which only the sweep's choice of winner
 sees. ``misdetection_probability`` is the model's one misdetection
-definition: a report's detection accuracy is one minus it.
+definition, in closed form over a UE dropped uniformly on the cell
+disk: a report's detection accuracy is one minus it.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .codebook import ArrayConfig, beamforming_gain_db
 from .errors import ConfigurationError, DomainError
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
-MIN_DISTANCE_M = 0.1
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -92,30 +93,71 @@ def mean_snr_db(cp: ChannelParams, gain_db: float, d_m):
     return cp.tx_power_dbm + gain_db - noise_power_dbm(cp) - path_loss_db(d_m, cp)
 
 
-def draw_disk_distances(cp: ChannelParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Distances of ``n`` UEs dropped uniformly over the cell disk."""
-    r = cp.cell_radius_m * np.sqrt(rng.uniform(0.0, 1.0, size=n))
-    return np.maximum(r, MIN_DISTANCE_M)
+def _log_erfcx(x: float) -> float:
+    """log(exp(x^2) erfc(x)) for x >= 0, also where erfc(x) underflows."""
+    if x < 26.0:
+        return x * x + math.log(math.erfc(x))
+    # asymptotic series; its first omitted term is below 2e-15 at x >= 26
+    t = 0.5 / (x * x)
+    series = 1.0 - t * (
+        1.0 - 3.0 * t * (1.0 - 5.0 * t * (1.0 - 7.0 * t * (1.0 - 9.0 * t)))
+    )
+    return math.log(series) - math.log(x * math.sqrt(math.pi))
+
+
+def log_normal_cdf(x: float) -> float:
+    """log Phi(x) of the standard normal, accurate in both tails."""
+    if x >= 0.0:
+        return math.log1p(-0.5 * math.erfc(x / _SQRT2))
+    y = -x / _SQRT2
+    return _log_erfcx(y) - y * y - math.log(2.0)
 
 
 def misdetection_probability(
-    gnb: ArrayConfig,
-    ue: ArrayConfig,
-    cp: ChannelParams,
-    n_drops: int = 10_000,
-    seed: int | np.random.SeedSequence | np.random.Generator = 0,
+    gnb: ArrayConfig, ue: ArrayConfig, cp: ChannelParams
 ) -> float:
     """Probability that the best beam pair still falls below threshold.
 
-    UEs are dropped uniformly over the cell disk; each drop evaluates the
-    fully aligned pair (both endpoint gains, full transmit power) against
-    the detection threshold, under independent lognormal shadowing.
+    A UE dropped uniformly over the cell disk measures its fully aligned
+    pair (both endpoint gains, full transmit power) under lognormal
+    shadowing. The share of the disk where that SNR clears the threshold
+    is Reudink's fraction of useful service area (Jakes, *Microwave
+    Mobile Communications*, 1974; Rappaport, *Wireless Communications*,
+    2nd ed., section 4.9.1)::
+
+        U = 1/2 [erfc(a) + exp((1 - 2ab) / b^2) erfc((1 - ab) / b)]
+        a = (gamma - SNR(R)) / (sigma sqrt 2),  b = 10 beta log10(e) / (sigma sqrt 2)
+
+    with SNR(R) the mean SNR at the cell edge; this returns 1 - U. The
+    exp-erfc product overflows when the edge SNR is far above the
+    threshold. With c = (1 - ab) / b it equals exp(c^2 - a^2) erfc(c),
+    which is evaluated in log space with exp(c^2) erfc(c) taken whole, so
+    no factor overflows. Without shadowing the UE is detected exactly
+    within the radius r where the mean SNR meets the threshold, so
+    1 - U = 1 - min(1, (r / R)^2).
     """
-    if n_drops < 1:
-        raise DomainError(f"n_drops={n_drops}: need at least one drop")
-    rng = np.random.default_rng(seed)
-    r = draw_disk_distances(cp, rng, n_drops)
-    shadow = rng.normal(0.0, cp.shadowing_sigma_db, size=n_drops)
     gain = beamforming_gain_db(gnb) + beamforming_gain_db(ue)
-    snr = mean_snr_db(cp, gain, r) - shadow
-    return float(np.mean(snr < cp.detection_threshold_db))
+    margin = float(mean_snr_db(cp, gain, cp.cell_radius_m)) - cp.detection_threshold_db
+    if not math.isfinite(margin):
+        raise DomainError(
+            f"channel.pl_exponent={cp.pl_exponent:g}: the path loss at the cell "
+            "edge overflows"
+        )
+    sigma = cp.shadowing_sigma_db
+    db_per_neper = 10.0 * cp.pl_exponent * math.log10(math.e)
+    # 1/b is the shadowing spread in nepers of distance. Below 1e-150 it
+    # moves no digit and the unshadowed form holds; above 1e300 the
+    # distance term is nil, and the cap keeps c from being inf - inf.
+    inv_b = min(sigma * _SQRT2 / db_per_neper, 1e300)
+    if inv_b < 1e-150:
+        # (r / R)^2 = exp(2 margin / db_per_neper)
+        return 0.0 if margin >= 0.0 else -math.expm1(2.0 * (margin / db_per_neper))
+    a = -margin / (sigma * _SQRT2)
+    c = inv_b - a
+    if c >= 0.0:
+        log_product = _log_erfcx(c) - a * a
+    else:
+        # here c^2 - a^2 = (1 - 2ab) / b^2 < 0
+        log_product = inv_b * (c - a) + math.log(math.erfc(c))
+    # 1 - U, using 2 - erfc(a) = erfc(-a)
+    return min(1.0, max(0.0, 0.5 * (math.erfc(-a) - math.exp(log_product))))

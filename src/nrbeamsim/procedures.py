@@ -14,8 +14,10 @@ a uniform burst index within the cycle of P = S / gcd(B, S) bursts.
 Determination is the argmax of per-block RSRP and takes no extra time;
 ties break toward the lowest (gnb_beam, ue_beam). Every block of one
 sweep shares the run's mean SNR, so the winner depends only on the
-per-block shadowing and the side-lobe floor: the batches draw timing
-alone, and detection accuracy is ``link.misdetection_probability``.
+per-block shadowing and the side-lobe floor: the sweep picks the aligned
+slot with the closed-form probability ``p_correct_beam`` and otherwise a
+uniform other slot. The batches draw timing alone, and detection
+accuracy is ``link.misdetection_probability``.
 
 Reporting then waits for the first matching RACH opportunity: a digital
 gNB listens in all directions at once right after the burst's blocks,
@@ -25,9 +27,9 @@ revisits the chosen direction. In NSA the report (and the whole link
 recovery) instead rides the LTE control plane at a fixed latency.
 
 Expected-delay helpers are closed forms over the same quantities, exact
-whenever the chosen gNB direction is uniformly distributed, which holds
-for analog and digital gNBs and for hybrid gNBs with equal beam groups
-(k_bf dividing M). Tracking rides the CSI-RS grid: occasions cycle
+for every architecture: the reporting tail weighs each gNB step by how
+often the sweep chooses it, which for a hybrid gNB with unequal beam
+groups depends on p. Tracking rides the CSI-RS grid: occasions cycle
 directions round-robin on the nominal grid, occasions colliding with SS
 blocks are dropped, and the delay is the wait for the next surviving
 occasion of the wanted direction.
@@ -63,7 +65,7 @@ from .frame import (
     carrier_resource_blocks,
     check_mmwave_numerology,
 )
-from .link import ChannelParams
+from .link import ChannelParams, log_normal_cdf
 
 LTE_LATENCY_VALUES_MS = (0.8, 4.0, 10.0, 40.0)
 DEFAULT_OMEGA_BR_WINDOW_MS = 200.0
@@ -249,61 +251,39 @@ class IaBatch:
     chosen_g: np.ndarray
 
 
-# Wichura (1988), Algorithm AS241 (PPND16), the method of
-# statistics.NormalDist.inv_cdf; numerator and denominator coefficients
-# of each rational approximation, highest power first.
-_AS241_CENTRAL = (
-    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-     1.3314166789178437745e2, 3.3871328727963666080e0),
-    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-     4.2313330701600911252e1, 1.0),
-)
-_AS241_NEAR = (
-    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-     1.2704582524523683826e0, 3.6478483247632046050e0, 5.7694972214606914055e0,
-     4.6303378461565452959e0, 1.4234371107496835773e0),
-    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
-     2.0531916266377588219e0, 1.0),
-)
-_AS241_FAR = (
-    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
-     5.4637849111641143699e0, 6.6579046435011037772e0),
-    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
-     5.9983220655588793769e-1, 1.0),
-)
-# The order-statistics draw keeps its probability inside these bounds so
-# its quantile stays finite; the clipped mass is below 1e-15.
-_Q_MIN = float(np.finfo(np.float64).tiny)
-_Q_MAX = float(np.nextafter(1.0, 0.0))
+@lru_cache(maxsize=16)
+def _normal_grid(shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log trapezoid weights of phi(z) dz at nodes z on [-40, 40], and
+    log Phi(z + shift) there. Built on first use, not at import; the
+    nodes depend on (sigma, floor) only through the shift, so sweeps of
+    several lengths share them."""
+    z = np.linspace(-40.0, 40.0, 4001)
+    log_w = -0.5 * z * z - 0.5 * math.log(2.0 * math.pi) + math.log(z[1] - z[0])
+    log_w[[0, -1]] += math.log(0.5)
+    return log_w, np.array([log_normal_cdf(x) for x in (z + shift).tolist()])
 
 
-def normal_inv_cdf(p: np.ndarray) -> np.ndarray:
-    """Standard normal quantile Phi^-1(p) for p in (0, 1), elementwise."""
-    p = np.asarray(p, dtype=np.float64)
-    q = p - 0.5
-    x = np.empty_like(p)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    r = 0.180625 - qc * qc
-    num, den = _AS241_CENTRAL
-    x[central] = np.polyval(num, r) * qc / np.polyval(den, r)
-    tail = ~central
-    r = np.sqrt(-np.log(np.minimum(p[tail], 1.0 - p[tail])))
-    near = r <= 5.0
-    xt = np.empty_like(r)
-    for sel, shift, (num, den) in (
-        (near, 1.6, _AS241_NEAR),
-        (~near, 5.0, _AS241_FAR),
-    ):
-        rs = r[sel] - shift
-        xt[sel] = np.polyval(num, rs) / np.polyval(den, rs)
-    x[tail] = np.where(q[tail] < 0.0, -xt, xt)
-    return x
+@lru_cache(maxsize=128)
+def p_correct_beam(s: int, sigma_db: float, floor_db: float) -> float:
+    """Probability that a sweep of ``s`` slots picks its aligned slot.
+
+    The aligned block's shadowing offset X_a ~ N(0, sigma) must beat the
+    S-1 others, each N(floor, sigma), so with z = X_a / sigma
+
+        p = integral of phi(z) Phi(z - floor / sigma)^(S-1) dz,
+
+    whatever the aligned slot. The integral runs on a fixed trapezoid
+    grid with (S-1) log Phi summed in log space, accurate up to S = 4096.
+    Without shadowing the aligned slot always wins below a 0 dB floor; at
+    0 dB every slot is alike and p = 1/S, except that without shadowing
+    the slots tie and the sweep takes the lowest, which is no draw.
+    """
+    if s == 1 or (sigma_db == 0.0 and floor_db < 0.0):
+        return 1.0
+    if floor_db == 0.0:
+        return 1.0 / s
+    log_w, log_cdf = _normal_grid(-floor_db / sigma_db)
+    return float(np.exp(log_w + (s - 1) * log_cdf).sum())
 
 
 def draw_sweep_winner(
@@ -315,31 +295,22 @@ def draw_sweep_winner(
     """Winning sweep slot for each run of a sweep whose aligned slot is ``k_star``.
 
     Each block measures the run's mean SNR plus iid shadowing, the other
-    S-1 slots ``side_lobe_floor_db`` below the aligned one. The mean is
-    common to every block, so only the offsets from it are drawn, in
-    O(1) per run rather than by measuring all S blocks: the aligned
-    offset X_a ~ N(0, sigma), then the best misaligned one by
-    inverse-CDF sampling of the maximum of S-1 iid normals, whose CDF is
-    Phi^(S-1). The aligned slot wins when X_a is the larger; otherwise
-    the winner is uniform over the other slots, which are exchangeable.
-    Without shadowing the aligned slot wins below a 0 dB floor, and at
-    0 dB every slot ties and the lowest (gnb_beam, ue_beam) wins.
+    S-1 slots ``side_lobe_floor_db`` below the aligned one. The aligned
+    slot wins with probability :func:`p_correct_beam`; otherwise the
+    winner is uniform over the other slots, which are exchangeable. This
+    is exact in distribution, in O(1) per run. Without shadowing at a
+    0 dB floor every slot ties and the lowest (gnb_beam, ue_beam) wins.
     """
     n = k_star.size
     s = plan.s
     if s == 1:
         return k_star
-    sigma = cp.shadowing_sigma_db
-    if sigma == 0.0 and cp.side_lobe_floor_db == 0.0:
+    sigma, floor = cp.shadowing_sigma_db, cp.side_lobe_floor_db
+    if sigma == 0.0 and floor == 0.0:
         return np.full(n, plan.tie_break_order[0])
-    x_aligned = rng.normal(0.0, sigma, size=n)
-    # Phi(z)^(S-1) = 1 - q with q = -expm1(-E/(S-1)), E ~ Exp(1);
-    # Phi^-1(1 - q) = -Phi^-1(q) keeps the upper tail accurate
-    q = -np.expm1(-rng.standard_exponential(n) / (s - 1))
-    q = np.clip(q, _Q_MIN, _Q_MAX)
-    x_other = cp.side_lobe_floor_db - sigma * normal_inv_cdf(q)
+    aligned = rng.random(n) < p_correct_beam(s, sigma, floor)
     j = rng.integers(0, s - 1, size=n)
-    return np.where(x_aligned > x_other, k_star, j + (j >= k_star))
+    return np.where(aligned, k_star, j + (j >= k_star))
 
 
 def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> IaBatch:
@@ -347,9 +318,9 @@ def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> Ia
 
     Per run draws: the true best pair (uniform per side, sectors being
     symmetric), the sweep's winning block, and the arrival instant
-    (uniform cycle position and phase). The winner comes from an
-    order-statistics draw in O(1) per run, exact in distribution for iid
-    shadowing on every measured block; see :func:`draw_sweep_winner`.
+    (uniform cycle position and phase). The winner is drawn in O(1) per
+    run, exact in distribution for iid shadowing on every measured
+    block; see :func:`draw_sweep_winner`.
     """
     if n_runs < 1:
         raise DomainError(f"n_runs={n_runs}: need at least one run")
@@ -404,18 +375,36 @@ def simulate_rlf_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> I
 
 
 def expected_beam_report_delay_ms(sc: Scenario) -> float:
-    """Mean reporting delay after a sweep, uniform over cycle and beam."""
+    """Mean reporting delay after a sweep, over the cycle position and the
+    chosen gNB step.
+
+    The aligned step is that of a uniform gNB direction, so each step
+    weighs the share of directions its beam group holds. The sweep picks
+    it with probability p and otherwise one of the other S-1 slots
+    uniformly; each step holds S / f_g slots, one fewer when it is the
+    aligned one. Over the uniform cycle position, the ``d`` of
+    :meth:`SweepPlan.rach_end_sym` takes every value congruent to the
+    chosen step modulo gcd(B, f_g) equally often.
+    """
     if sc.mode is DeploymentMode.NSA:
         assert sc.lte_latency_ms is not None
         return sc.lte_latency_ms
     plan = _plan_for(sc)
     if plan.digital_gnb:
-        tail = float(plan.digital_tail_sym)
+        return plan.digital_tail_sym * plan.symbol_ms
+    s, f_g, cp = plan.s, plan.f_g, sc.channel
+    steps = np.arange(f_g)
+    aligned = np.bincount(np.arange(sc.gnb.elements) // plan.g_width) / sc.gnb.elements
+    if cp.shadowing_sigma_db == 0.0 and cp.side_lobe_floor_db == 0.0:
+        chosen = (steps == plan.g_labels[plan.tie_break_order[0]]).astype(np.float64)
     else:
-        # the chosen step is uniform, so d of rach_end_sym is too
-        ends = plan.rach_end_sym(0, np.arange(plan.f_g))
-        tail = float(ends.mean() - plan.det_offset_sym)
-    return tail * plan.symbol_ms
+        p = p_correct_beam(s, cp.shadowing_sigma_db, cp.side_lobe_floor_db)
+        # at S = 1 there is no other slot, and p = 1
+        chosen = p * aligned + (1.0 - p) * (s // f_g - aligned) / max(s - 1, 1)
+    residue = steps % (f_g // plan.rach_cycle)
+    share_of_d = np.bincount(residue, weights=chosen)[residue] / plan.rach_cycle
+    ends = plan.rach_end_sym(0, steps)
+    return float(ends @ share_of_d - plan.det_offset_sym) * plan.symbol_ms
 
 
 def oracle_expected_ia(sc: Scenario) -> float:
@@ -424,8 +413,7 @@ def oracle_expected_ia(sc: Scenario) -> float:
     Sum of the mean wait for the next burst over the uniform arrival
     (half a cycle-averaged burst period, which is T_SS/2), the full
     bursts the sweep spans, the blocks into the last burst, and the mean
-    reporting tail. Exact for analog and digital gNBs and for hybrid
-    gNBs with equal beam groups; see the module docstring.
+    reporting tail of :func:`expected_beam_report_delay_ms`.
     """
     plan = _plan_for(sc)
     return (

@@ -22,12 +22,13 @@ Sections and defaults::
     power:      {c_chain_w: 16.0896, p0_w: 16.0507, c_ps_w: 0.0585}
     deployment: {mode: SA, lte_latency_ms: null, carrier_ghz: 28,
                  omega_br_window_ms: 200}
-    campaign:   {n_runs: 10000, seed: 42, horizon_ms: 500, n_drops: null}
+    campaign:   {n_runs: 10000, seed: 42, horizon_ms: 500}
     sweep:      {<dotted.key>: [values, ...], ...}
 
 The ``sweep`` section maps dotted keys to value lists and expands to the
 Cartesian product of scenarios; each variant's id gets a deterministic
-suffix. ``--set key=value`` overrides use the same dotted paths.
+suffix. The campaign block applies to the whole file, so its keys
+cannot be swept. ``--set key=value`` overrides use the same dotted paths.
 """
 from __future__ import annotations
 
@@ -81,7 +82,7 @@ _SCHEMA: dict[str, Optional[dict[str, Any]]] = {
         "carrier_ghz": 28.0,
         "omega_br_window_ms": 200.0,
     },
-    "campaign": {"n_runs": 10_000, "seed": 42, "horizon_ms": 500.0, "n_drops": None},
+    "campaign": {"n_runs": 10_000, "seed": 42, "horizon_ms": 500.0},
     "sweep": {},
 }
 
@@ -99,7 +100,6 @@ _INT_KEYS = {
     ("ue", "k_bf"),
     ("campaign", "n_runs"),
     ("campaign", "seed"),
-    ("campaign", "n_drops"),
 }
 
 _FLOAT_KEYS = {
@@ -116,7 +116,6 @@ class CampaignSettings:
     n_runs: int
     seed: int
     horizon_ms: float
-    n_drops: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -333,7 +332,7 @@ def _expand_sweep(
             raise _err(source, f"sweep.{k}", "sweep keys must be section.key")
         section, key = parts
         known = _SCHEMA.get(section)
-        if section in ("scenario_id", "sweep") or known is None:
+        if section in ("scenario_id", "sweep", "campaign") or known is None:
             raise _err(source, f"sweep.{k}", "cannot sweep this section")
         if key not in known:
             raise _err(source, f"sweep.{k}", f"unknown key (known: {sorted(known)})")
@@ -371,8 +370,6 @@ def scenario_file_from_dict(
     }
     if camp["n_runs"] < 1:
         raise _err(source, "campaign.n_runs", "must be at least 1")
-    if camp["n_drops"] is not None and camp["n_drops"] < 1:
-        raise _err(source, "campaign.n_drops", "must be at least 1 when given")
     if camp["seed"] < 0:
         raise _err(source, "campaign.seed", "must be non-negative")
     if camp["horizon_ms"] <= 0:
@@ -381,7 +378,6 @@ def scenario_file_from_dict(
         n_runs=camp["n_runs"],
         seed=camp["seed"],
         horizon_ms=float(camp["horizon_ms"]),
-        n_drops=camp["n_drops"],
     )
 
     scenarios = []

@@ -46,24 +46,16 @@ def make_scenario(
 
 
 @st.composite
-def scenarios(draw, equal_gnb_groups: bool = False):
-    """Random valid SA scenarios with small arrays.
+def scenarios(draw):
+    """Random valid SA scenarios with small arrays."""
 
-    ``equal_gnb_groups`` keeps a hybrid gNB's k_bf a divisor of its
-    elements, where the closed-form delay oracles are exact.
-    """
-
-    def array(max_elements, equal_groups=False):
+    def array(max_elements):
         arch = draw(st.sampled_from(["analog", "hybrid", "digital"]))
         m = draw(st.integers(1, max_elements))
-        k = None
-        if arch == "hybrid" and equal_groups:
-            k = draw(st.sampled_from([k for k in range(1, m + 1) if m % k == 0]))
-        elif arch == "hybrid":
-            k = draw(st.integers(1, m))
+        k = draw(st.integers(1, m)) if arch == "hybrid" else None
         return arch, m, k
 
-    arch_g, m_g, k_g = array(12, equal_gnb_groups)
+    arch_g, m_g, k_g = array(12)
     arch_u, m_u, k_u = array(3)
     n = draw(st.sampled_from([2, 3, 4]))
     t_csi = draw(st.sampled_from(CSI_PERIODS_SLOTS))

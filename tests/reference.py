@@ -8,7 +8,9 @@ that each line can be checked against the model by eye.
   read report waits, surviving CSI occasions and grid overheads straight
   off them, for the closed forms in the package to be checked against.
 * The samplers measure every block of a sweep, or scan the runs once per
-  direction, where the package draws or searches in one vectorized step.
+  direction, where the package draws or searches in one vectorized step;
+  the drop sampler estimates the misdetection probability the package
+  gives in closed form.
 """
 from __future__ import annotations
 
@@ -20,7 +22,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from nrbeamsim.codebook import Architecture, ArrayConfig, sweep_factor
+from nrbeamsim.codebook import (
+    Architecture,
+    ArrayConfig,
+    beamforming_gain_db,
+    sweep_factor,
+)
 from nrbeamsim.errors import ConfigurationError, DomainError
 from nrbeamsim.frame import (
     RACH_SYMBOLS,
@@ -32,6 +39,7 @@ from nrbeamsim.frame import (
     SsBurstConfig,
     carrier_resource_blocks,
 )
+from nrbeamsim.link import ChannelParams, mean_snr_db
 from nrbeamsim.procedures import (
     DeploymentMode,
     IaBatch,
@@ -485,3 +493,18 @@ def tracking_batch_loop(
     censored |= over
     waits[censored] = np.nan
     return waits, censored
+
+
+def misdetection_drops(
+    gnb: ArrayConfig, ue: ArrayConfig, cp: ChannelParams, n_drops: int, rng
+) -> float:
+    """Share of ``n_drops`` UEs, dropped uniformly over the cell disk, whose
+    fully aligned pair (both endpoint gains, full transmit power) falls
+    below the detection threshold under independent lognormal shadowing.
+    A UE closer than 0.1 m is put at 0.1 m, where the path loss is finite.
+    """
+    r = np.maximum(cp.cell_radius_m * np.sqrt(rng.uniform(0.0, 1.0, size=n_drops)), 0.1)
+    shadow = rng.normal(0.0, cp.shadowing_sigma_db, size=n_drops)
+    gain = beamforming_gain_db(gnb) + beamforming_gain_db(ue)
+    snr = mean_snr_db(cp, gain, r) - shadow
+    return float(np.mean(snr < cp.detection_threshold_db))

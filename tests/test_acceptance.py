@@ -77,7 +77,7 @@ class TestAcceptance:
         for lte in LTE_LATENCY_VALUES_MS:
             sc = make_scenario(mode="NSA", lte_latency_ms=lte)
             batch = simulate_rlf_batch(sc, 1000, np.random.default_rng(SEED))
-            rep = estimate_metrics(sc, n_runs=500, seed=SEED, n_drops=100)
+            rep = estimate_metrics(sc, n_runs=500, seed=SEED)
             ok = ok and bool(np.all(batch.t_total_ms == lte))
             ok = ok and expected_beam_report_delay_ms(sc) == lte
             ok = ok and rep.t_br.mean == lte and rep.t_br.stderr == 0.0
@@ -195,8 +195,6 @@ class TestAcceptance:
                 ArrayConfig(m_g, Architecture.ANALOG),
                 ArrayConfig(m_u, Architecture.ANALOG),
                 cp,
-                n_drops=10_000,
-                seed=SEED,
             )
         ok = acc[(64, 16)] > acc[(64, 1)] > acc[(4, 4)]
         verdict(
@@ -280,7 +278,7 @@ class TestAcceptance:
             "ss: {n_ss: 8}\n"
             "gnb: {elements: 16}\n"
             "ue: {elements: 1}\n"
-            "campaign: {n_runs: 2000, seed: 42, n_drops: 2000}\n"
+            "campaign: {n_runs: 2000, seed: 42}\n"
             "sweep: {deployment.mode: [SA, NSA], deployment.lte_latency_ms: [10]}\n",
             encoding="utf-8",
         )
@@ -310,7 +308,7 @@ class TestAcceptance:
         files_ok = blobs[0] == blobs[1]
 
         reports = [
-            estimate_metrics(make_scenario(n_ss=8), n_runs=500, seed=SEED, n_drops=500)
+            estimate_metrics(make_scenario(n_ss=8), n_runs=500, seed=SEED)
             for _ in range(2)
         ]
         lib_ok = reports_to_csv(reports[:1]) == reports_to_csv(reports[1:])

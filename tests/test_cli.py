@@ -23,7 +23,7 @@ def quick_yaml(tmp_path):
         "ss: {n_ss: 8}\n"
         "gnb: {elements: 16}\n"
         "ue: {elements: 1}\n"
-        "campaign: {n_runs: 200, seed: 11, n_drops: 200}\n",
+        "campaign: {n_runs: 200, seed: 11}\n",
         encoding="utf-8",
     )
     return p
@@ -36,7 +36,7 @@ def sweep_yaml(tmp_path):
         "ss: {n_ss: 8}\n"
         "gnb: {elements: 16}\n"
         "ue: {elements: 1}\n"
-        "campaign: {n_runs: 150, seed: 11, n_drops: 150}\n"
+        "campaign: {n_runs: 150, seed: 11}\n"
         "sweep:\n"
         "  deployment.mode: [SA, NSA]\n"
         "  deployment.lte_latency_ms: [10]\n",
@@ -83,6 +83,10 @@ class TestExitCodes:
             "ue.k_bf=1",
             "power.p0_w=-1",
             "power.c_ps_w=-0.5",
+            "campaign.n_drops=100",
+            # the campaign block applies to the whole file
+            "sweep.campaign.n_runs=[10, 20]",
+            "sweep.campaign.seed=[1, 2]",
         ],
     )
     def test_invalid_configs_exit_one(self, quick_yaml, override, capsys):
@@ -191,6 +195,13 @@ class TestCampaignCommands:
 
     def test_zero_runs_rejected(self, quick_yaml, capsys):
         assert main(["ia", str(quick_yaml), "--runs", "0"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_zero_runs_rejected_like_ia(self, quick_yaml, command, capsys):
+        assert main([command, str(quick_yaml), "--runs", "0"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "--runs 0: must be at least 1" in captured.err
+        assert "ok:" not in captured.out
 
 
 class TestSeedPrecedence:

@@ -69,27 +69,27 @@ class TestMetricStat:
 class TestEstimateMetrics:
     def test_same_seed_reproduces_exactly(self):
         sc = make_scenario(m_gnb=16, m_ue=4, n_ss=8)
-        a = estimate_metrics(sc, n_runs=300, seed=5, n_drops=500)
-        b = estimate_metrics(sc, n_runs=300, seed=5, n_drops=500)
+        a = estimate_metrics(sc, n_runs=300, seed=5)
+        b = estimate_metrics(sc, n_runs=300, seed=5)
         assert a == b
 
     def test_seed_matters(self):
         sc = make_scenario(m_gnb=16, m_ue=4, n_ss=8)
-        a = estimate_metrics(sc, n_runs=300, seed=5, n_drops=500)
-        b = estimate_metrics(sc, n_runs=300, seed=6, n_drops=500)
+        a = estimate_metrics(sc, n_runs=300, seed=5)
+        b = estimate_metrics(sc, n_runs=300, seed=6)
         assert a.t_ia.mean != b.t_ia.mean
 
     def test_nsa_deterministic_legs_have_zero_error(self):
         # read off 10,000-run batches, which a float average would miss
         for lte in LTE_LATENCY_VALUES_MS:
             sc = make_scenario(mode="NSA", lte_latency_ms=lte, n_ss=8)
-            rep = estimate_metrics(sc, n_runs=10_000, seed=1, n_drops=200)
+            rep = estimate_metrics(sc, n_runs=10_000, seed=1)
             assert rep.t_br == MetricStat(lte, 0.0, 10_000)
             assert rep.t_rlf == MetricStat(lte, 0.0, 10_000)
 
     def test_digital_reporting_leg_is_constant(self):
         sc = make_scenario(**DIGITAL_16X4)
-        rep = estimate_metrics(sc, n_runs=10_000, seed=1, n_drops=200)
+        rep = estimate_metrics(sc, n_runs=10_000, seed=1)
         plan = sweep_plan(sc)
         assert rep.t_br == MetricStat(plan.digital_tail_sym * plan.symbol_ms, 0.0, 10_000)
         # all blocks sent in one burst: wait (8-8)*4+2 symbols
@@ -97,7 +97,7 @@ class TestEstimateMetrics:
 
     def test_report_identity_fields(self):
         sc = make_scenario(m_gnb=8, m_ue=4, n_ss=8, t_ss_ms=40.0)
-        rep = estimate_metrics(sc, n_runs=50, seed=2, n_drops=100)
+        rep = estimate_metrics(sc, n_runs=50, seed=2)
         assert rep.scenario_id == sc.scenario_id
         assert (rep.m_gnb, rep.m_ue) == (8, 4)
         assert (rep.mode, rep.arch_gnb, rep.arch_ue) == ("SA", "analog", "analog")
@@ -105,7 +105,7 @@ class TestEstimateMetrics:
         assert (rep.seed, rep.n_runs) == (2, 50)
 
     def test_accuracy_is_a_probability(self):
-        rep = estimate_metrics(make_scenario(), n_runs=50, seed=3, n_drops=2000)
+        rep = estimate_metrics(make_scenario(), n_runs=50, seed=3)
         assert 0.0 <= rep.accuracy <= 1.0
 
     def test_rejects_empty_campaign(self):
@@ -151,12 +151,11 @@ class TestOverheadViews:
 
 class TestCompare:
     def _two_reports(self):
-        sa = estimate_metrics(make_scenario(n_ss=8), n_runs=400, seed=7, n_drops=400)
+        sa = estimate_metrics(make_scenario(n_ss=8), n_runs=400, seed=7)
         nsa = estimate_metrics(
             make_scenario(mode="NSA", lte_latency_ms=0.8, n_ss=8),
             n_runs=400,
             seed=7,
-            n_drops=400,
         )
         return sa, nsa
 
@@ -185,10 +184,10 @@ class TestCompare:
 class TestKiviat:
     def _reports(self):
         quick = estimate_metrics(
-            make_scenario(m_gnb=4, m_ue=1, n_ss=8), n_runs=200, seed=9, n_drops=200
+            make_scenario(m_gnb=4, m_ue=1, n_ss=8), n_runs=200, seed=9
         )
         slow = estimate_metrics(
-            make_scenario(m_gnb=64, m_ue=1, n_ss=8), n_runs=200, seed=9, n_drops=200
+            make_scenario(m_gnb=64, m_ue=1, n_ss=8), n_runs=200, seed=9
         )
         return quick, slow
 
@@ -233,10 +232,10 @@ def _within_5_stderr(stat: MetricStat, expected: float) -> None:
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(scenarios(equal_gnb_groups=True))
+@given(scenarios())
 def test_simulated_means_sit_near_the_oracles(sc):
     # at 5 stderr a correct model misses about once in 2 million checks
-    report = estimate_metrics(sc, n_runs=2000, seed=42, n_drops=10)
+    report = estimate_metrics(sc, n_runs=2000, seed=42)
     _within_5_stderr(report.t_ia, oracle_expected_ia(sc))
     _within_5_stderr(report.t_rlf, oracle_expected_rlf_sa(sc))
     if report.censored_tracking == 0:

@@ -16,8 +16,8 @@ from nrbeamsim.cli import EXIT_OK, main
 WORKLOADS = Path(__file__).resolve().parents[1] / "nrbench" / "workloads"
 
 DIGESTS = {
-    "dense_grid": "0d1a53e66a9ae2ce4dcba634f2c0ebc363284a0bec7e4c0663d34fe77ef4493c",
-    "wide_arrays": "8f9b77327f2364bd3afccf2c6421f2df998189453eb687f8091a433abc4c0feb",
+    "dense_grid": "1a5d367801413185d366c18ad6245b62a35b47925a2649a1163c15d597ad9ab9",
+    "wide_arrays": "b58e4804395e8e73114406d1487cbd75c95e140424cb141377f436aa6aa0cf59",
 }
 
 

@@ -21,7 +21,7 @@ from nrbeamsim.frame import (
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import (
     draw_sweep_winner,
-    normal_inv_cdf,
+    p_correct_beam,
     simulate_ia_batch,
     simulate_tracking_batch,
     sweep_plan,
@@ -132,51 +132,54 @@ class TestSweepWinnerAgainstMatrix:
             matrix_sweep_winner(plan, sc.channel, base_db, k_star, rng),
         )
 
-    def test_extreme_draws_stay_finite(self):
-        class EdgeRng:
-            """Exponential draws at 0 and far in the tail, zero shadowing."""
 
-            def normal(self, loc, scale, size):
-                return np.zeros(size)
+def _p_quadrature(s, sigma, floor):
+    """p_correct_beam by adaptive quadrature, split where the integrand peaks."""
+    from scipy import integrate, special
 
-            def standard_exponential(self, size):
-                return np.resize([0.0, 1e-300, 50.0, 1e300], size)
+    def f(z):
+        return math.exp(-0.5 * z * z + (s - 1) * special.log_ndtr(z - floor / sigma))
 
-            def integers(self, low, high, size):
-                return np.zeros(size, dtype=np.int64)
+    cuts = (-40.0, -5.0, 0.0, 2.0, 4.0, 6.0, 10.0, 40.0)
+    total = sum(
+        integrate.quad(f, a, b, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(cuts, cuts[1:])
+    )
+    return total / math.sqrt(2.0 * math.pi)
 
-        sc = make_scenario(
-            m_gnb=2, m_ue=1, channel=ChannelParams(shadowing_sigma_db=8.7)
-        )
+
+class TestCorrectBeamProbability:
+    @pytest.mark.parametrize("s", [2, 4, 64, 256, 1024])
+    @pytest.mark.parametrize("floor", [-10.0, -3.0, 0.0])
+    def test_matches_the_matrix_sampler(self, s, floor):
+        cp = ChannelParams(side_lobe_floor_db=floor)
+        sc = make_scenario(m_gnb=s, m_ue=1, channel=cp)
         plan = sweep_plan(sc)
-        with np.errstate(all="raise"):
-            best = draw_sweep_winner(
-                plan, sc.channel, np.zeros(4, dtype=np.int64), EdgeRng()
-            )
-        # E = 0 puts the best other slot at +inf, E = inf at -inf
-        assert best.tolist() == [1, 1, 0, 0]
+        n = min(20_000, 2_000_000 // s)
+        rng = np.random.default_rng(s)
+        k_star = rng.integers(0, s, size=n)
+        base_db = rng.uniform(-40.0, 40.0, size=n)
+        wins = matrix_sweep_winner(plan, sc.channel, base_db, k_star, rng) == k_star
+        p = p_correct_beam(s, sc.channel.shadowing_sigma_db, floor)
+        assert abs(wins.mean() - p) <= 4.5 * math.sqrt(p * (1.0 - p) / n)
 
-
-class TestNormalInvCdf:
-    def test_matches_statistics_normal_dist(self):
-        rng = np.random.default_rng(3)
-        p = np.concatenate(
-            [
-                rng.random(2000),
-                10.0 ** -rng.uniform(0.0, 300.0, 2000),
-                1.0 - 10.0 ** -rng.uniform(0.0, 15.0, 2000),
-                [0.075, 0.5, 0.925, 1e-300, 1.0 - 1e-15],
-            ]
+    @pytest.mark.parametrize("s", [2, 4, 64, 256, 1024, 4096])
+    @pytest.mark.parametrize("floor", [-10.0, -3.0, 0.0])
+    @pytest.mark.parametrize("sigma", [0.5, 8.7, 40.0])
+    def test_matches_adaptive_quadrature(self, s, floor, sigma):
+        pytest.importorskip("scipy")
+        assert p_correct_beam(s, sigma, floor) == pytest.approx(
+            _p_quadrature(s, sigma, floor), rel=1e-9, abs=1e-12
         )
-        p = p[(p > 0.0) & (p < 1.0)]
-        ref = np.array([statistics.NormalDist().inv_cdf(float(v)) for v in p])
-        np.testing.assert_allclose(normal_inv_cdf(p), ref, rtol=0.0, atol=1e-12)
 
-    def test_finite_at_the_ends_of_the_interval(self):
-        ends = np.array([np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0)])
-        x = normal_inv_cdf(ends)
-        assert np.isfinite(x).all()
-        assert x[0] < -37.0 and x[1] > 8.0
+    @pytest.mark.parametrize("s", [2, 3, 64, 4096])
+    def test_exact_cases(self, s):
+        # the winners these imply are pinned by test_deterministic_winner_is_exact
+        assert p_correct_beam(1, 8.7, -10.0) == 1.0
+        assert p_correct_beam(s, 0.0, -10.0) == 1.0
+        assert p_correct_beam(s, 0.0, -1e-9) == 1.0
+        assert p_correct_beam(s, 8.7, 0.0) == 1.0 / s
+        assert p_correct_beam(s, 1e-6, 0.0) == 1.0 / s
 
 
 @st.composite

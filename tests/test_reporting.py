@@ -23,7 +23,7 @@ from nrbeamsim.reporting import (
 
 def tiny_report(**kw) -> MetricsReport:
     sc = make_scenario(**kw)
-    return estimate_metrics(sc, n_runs=60, seed=3, n_drops=100)
+    return estimate_metrics(sc, n_runs=60, seed=3)
 
 
 class TestCsv:

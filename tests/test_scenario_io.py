@@ -31,12 +31,7 @@ class TestDefaults:
 
     def test_default_campaign(self):
         camp = scenario_file_from_dict({}).campaign
-        assert (camp.n_runs, camp.seed, camp.horizon_ms, camp.n_drops) == (
-            10_000,
-            42,
-            500.0,
-            None,
-        )
+        assert (camp.n_runs, camp.seed, camp.horizon_ms) == (10_000, 42, 500.0)
 
     def test_none_section_means_defaults(self):
         sf = scenario_file_from_dict({"ss": None})
@@ -106,8 +101,6 @@ class TestValidationMessages:
             scenario_file_from_dict({"campaign": {"n_runs": 0}})
         with pytest.raises(ConfigurationError, match=r"campaign\.horizon_ms"):
             scenario_file_from_dict({"campaign": {"horizon_ms": -5}})
-        with pytest.raises(ConfigurationError, match=r"campaign\.n_drops"):
-            scenario_file_from_dict({"campaign": {"n_drops": 0}})
         with pytest.raises(ConfigurationError, match=r"campaign\.seed"):
             scenario_file_from_dict({"campaign": {"seed": -1}})
         assert scenario_file_from_dict({"campaign": {"seed": 0}}).campaign.seed == 0
@@ -129,6 +122,7 @@ class TestValidationMessages:
             ("power", "adc_bits"),
             ("deployment", "carriers"),
             ("deployment", "ue_distance_m"),
+            ("campaign", "n_drops"),
         ],
     )
     def test_inert_knobs_are_unknown_keys(self, section, key):
@@ -158,10 +152,8 @@ class TestValidationMessages:
                 "gnb": {"k_bf": None},
                 "ue": {"k_bf": None},
                 "deployment": {"lte_latency_ms": None},
-                "campaign": {"n_drops": None},
             }
         )
-        assert sf.campaign.n_drops is None
         assert sf.scenarios[0].lte_latency_ms is None
 
 
