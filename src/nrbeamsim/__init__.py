@@ -19,7 +19,6 @@ from .evaluation import (
     KiviatSet,
     MetricStat,
     MetricsReport,
-    compare,
     estimate_metrics,
     kiviat_normalize,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "SsBurstConfig",
     "beamforming_gain_db",
     "carrier_resource_blocks",
-    "compare",
     "estimate_metrics",
     "kiviat_normalize",
     "make_numerology",

@@ -1,4 +1,4 @@
-"""Campaign evaluation: metric estimation, comparison, kiviat scaling.
+"""Campaign evaluation: metric estimation and kiviat scaling.
 
 ``estimate_metrics`` runs the Monte Carlo campaigns for one scenario and
 collects the deterministic quantities (overheads, power, detection
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,9 +63,7 @@ def stat_from_samples(x: np.ndarray) -> MetricStat:
     )
 
 
-DELAY_METRICS = ("t_ia_ms", "t_tr_ms", "t_br_ms", "t_rlf_ms")
 SCALAR_METRICS = ("omega_ia", "omega_tr", "omega_br", "accuracy", "p_c_w")
-ALL_METRICS = DELAY_METRICS + SCALAR_METRICS
 
 
 @dataclass(frozen=True)
@@ -107,14 +105,6 @@ class MetricsReport:
         if key in SCALAR_METRICS:
             return getattr(self, key)
         raise DomainError(f"unknown metric {key!r}")
-
-    def metric_stat(self, key: str) -> Optional[MetricStat]:
-        return {
-            "t_ia_ms": self.t_ia,
-            "t_tr_ms": self.t_tr,
-            "t_br_ms": self.t_br,
-            "t_rlf_ms": self.t_rlf,
-        }.get(key)
 
 
 def omega_ia_for(sc: Scenario) -> float:
@@ -177,59 +167,6 @@ def estimate_metrics(
         n_runs=n_runs,
         censored_tracking=int(np.count_nonzero(censored)),
     )
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One metric's ranking across scenarios.
-
-    ``scenario_ids`` are sorted best-first (smallest delay/overhead/power,
-    highest accuracy). ``significant[i]`` says whether ranks i and i+1
-    have non-overlapping 95 percent confidence intervals; deterministic
-    metrics are significant whenever the values differ.
-    """
-
-    metric: str
-    scenario_ids: tuple[str, ...]
-    values: tuple[float, ...]
-    significant: tuple[bool, ...]
-
-
-def compare(reports: Sequence[MetricsReport]) -> list[ComparisonRow]:
-    """Rank scenarios per metric with a significance flag per adjacent pair."""
-    if len(reports) < 2:
-        raise DomainError("compare needs at least two reports")
-    rows = []
-    for key in ALL_METRICS:
-        reverse = key == "accuracy"
-
-        def rank_key(r: MetricsReport, key: str = key, reverse: bool = reverse):
-            v = r.metric_value(key)
-            if math.isnan(v):
-                v = math.inf if not reverse else -math.inf
-            return (-v if reverse else v, r.scenario_id)
-
-        ordered = sorted(reports, key=rank_key)
-        sig = []
-        for a, b in zip(ordered, ordered[1:]):
-            sa, sb = a.metric_stat(key), b.metric_stat(key)
-            va, vb = a.metric_value(key), b.metric_value(key)
-            if sa is None or sb is None:
-                sig.append(bool(va != vb and not (math.isnan(va) or math.isnan(vb))))
-            else:
-                lo_a, hi_a = sa.ci95()
-                lo_b, hi_b = sb.ci95()
-                disjoint = hi_a < lo_b or hi_b < lo_a
-                sig.append(bool(disjoint))
-        rows.append(
-            ComparisonRow(
-                metric=key,
-                scenario_ids=tuple(r.scenario_id for r in ordered),
-                values=tuple(r.metric_value(key) for r in ordered),
-                significant=tuple(sig),
-            )
-        )
-    return rows
 
 
 KIVIAT_SCALE = 10.0

@@ -113,6 +113,19 @@ def log_normal_cdf(x: float) -> float:
     return _log_erfcx(y) - y * y - math.log(2.0)
 
 
+def edge_margin_db(gnb: ArrayConfig, ue: ArrayConfig, cp: ChannelParams) -> float:
+    """Mean SNR of the fully aligned pair at the cell edge, in dB above the
+    detection threshold. A scenario is refused where it is not finite."""
+    gain = beamforming_gain_db(gnb) + beamforming_gain_db(ue)
+    margin = float(mean_snr_db(cp, gain, cp.cell_radius_m)) - cp.detection_threshold_db
+    if not math.isfinite(margin):
+        raise DomainError(
+            f"channel.pl_exponent={cp.pl_exponent:g}: the path loss at the cell "
+            "edge overflows"
+        )
+    return margin
+
+
 def misdetection_probability(
     gnb: ArrayConfig, ue: ArrayConfig, cp: ChannelParams
 ) -> float:
@@ -128,21 +141,15 @@ def misdetection_probability(
         U = 1/2 [erfc(a) + exp((1 - 2ab) / b^2) erfc((1 - ab) / b)]
         a = (gamma - SNR(R)) / (sigma sqrt 2),  b = 10 beta log10(e) / (sigma sqrt 2)
 
-    with SNR(R) the mean SNR at the cell edge; this returns 1 - U. The
-    exp-erfc product overflows when the edge SNR is far above the
-    threshold. With c = (1 - ab) / b it equals exp(c^2 - a^2) erfc(c),
+    with SNR(R) the mean SNR at the cell edge (:func:`edge_margin_db`
+    gives SNR(R) - gamma); this returns 1 - U. The exp-erfc product
+    overflows when the edge SNR is far above the threshold. With c = (1 - ab) / b it equals exp(c^2 - a^2) erfc(c),
     which is evaluated in log space with exp(c^2) erfc(c) taken whole, so
     no factor overflows. Without shadowing the UE is detected exactly
     within the radius r where the mean SNR meets the threshold, so
     1 - U = 1 - min(1, (r / R)^2).
     """
-    gain = beamforming_gain_db(gnb) + beamforming_gain_db(ue)
-    margin = float(mean_snr_db(cp, gain, cp.cell_radius_m)) - cp.detection_threshold_db
-    if not math.isfinite(margin):
-        raise DomainError(
-            f"channel.pl_exponent={cp.pl_exponent:g}: the path loss at the cell "
-            "edge overflows"
-        )
+    margin = edge_margin_db(gnb, ue, cp)
     sigma = cp.shadowing_sigma_db
     db_per_neper = 10.0 * cp.pl_exponent * math.log10(math.e)
     # 1/b is the shadowing spread in nepers of distance. Below 1e-150 it

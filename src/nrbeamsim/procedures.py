@@ -23,8 +23,11 @@ Reporting then waits for the first matching RACH opportunity: a digital
 gNB listens in all directions at once right after the burst's blocks,
 while an analog or hybrid gNB offers one opportunity per direction its
 burst just swept, so a report may have to wait for the burst that
-revisits the chosen direction. In NSA the report (and the whole link
-recovery) instead rides the LTE control plane at a fixed latency.
+revisits the chosen direction. The wait depends only on how many steps
+past the last burst's first one the chosen step lies, so the sweep plan
+tabulates it per offset and a batch reads each run's tail by one gather.
+In NSA the report (and the whole link recovery) instead rides the LTE
+control plane at a fixed latency.
 
 Expected-delay helpers are closed forms over the same quantities, exact
 for every architecture: the reporting tail weighs each gNB step by how
@@ -32,14 +35,16 @@ often the sweep chooses it, which for a hybrid gNB with unequal beam
 groups depends on p. Tracking rides the CSI-RS grid: occasions cycle
 directions round-robin on the nominal grid, occasions colliding with SS
 blocks are dropped, and the delay is the wait for the next surviving
-occasion of the wanted direction.
+occasion of the wanted direction. The tracking plan tabulates that next
+occasion for each direction and round of the nominal grid, so a run's
+round is a ceiling division and its wait one gather.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -65,7 +70,7 @@ from .frame import (
     carrier_resource_blocks,
     check_mmwave_numerology,
 )
-from .link import ChannelParams, log_normal_cdf
+from .link import ChannelParams, edge_margin_db, log_normal_cdf
 
 LTE_LATENCY_VALUES_MS = (0.8, 4.0, 10.0, 40.0)
 DEFAULT_OMEGA_BR_WINDOW_MS = 200.0
@@ -117,6 +122,7 @@ class Scenario:
                 f"{self.ue.elements} need a sweep of S={s} slots; at most "
                 f"{MAX_SWEEP_LENGTH} are supported"
             )
+        edge_margin_db(self.gnb, self.ue, self.channel)
         if self.omega_br_window_ms <= 0:
             raise ConfigurationError(
                 f"deployment.omega_br_window_ms={self.omega_br_window_ms:g}: "
@@ -181,6 +187,15 @@ class SweepPlan:
     tie_break_order: np.ndarray
     det_offset_sym: int
     digital_tail_sym: int
+
+    @cached_property
+    def report_tail_sym(self) -> np.ndarray:
+        """Report tail, from determination to the end of the RACH
+        opportunity, when the chosen step lies ``d`` steps past the first
+        one the sweep's last burst swept; that is the tail after a last
+        burst at cycle position 0. Built on first use, as NSA and a
+        digital gNB never read it."""
+        return self.rach_end_sym(0, np.arange(self.f_g)) - self.det_offset_sym
 
     def rach_end_sym(self, det_pos, g_label):
         """End of the report's RACH opportunity, in symbols from the start
@@ -343,9 +358,10 @@ def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> Ia
     elif plan.digital_gnb:
         t_br = np.full(n_runs, plan.digital_tail_sym * plan.symbol_ms)
     else:
-        det_pos = (start_burst + plan.bursts_per_sweep - 1) % plan.cycle_bursts
-        tails = plan.rach_end_sym(det_pos, chosen_g) - plan.det_offset_sym
-        t_br = tails * plan.symbol_ms
+        # cycle_bursts * B = lcm(B, S) is a multiple of f_g, so the start
+        # burst needs no reduction modulo the cycle
+        last_first = (start_burst + plan.bursts_per_sweep - 1) * plan.blocks_per_burst
+        t_br = plan.report_tail_sym[(chosen_g - last_first) % plan.f_g] * plan.symbol_ms
 
     return IaBatch(
         t_sweep_ms=t_sweep,
@@ -382,9 +398,9 @@ def expected_beam_report_delay_ms(sc: Scenario) -> float:
     weighs the share of directions its beam group holds. The sweep picks
     it with probability p and otherwise one of the other S-1 slots
     uniformly; each step holds S / f_g slots, one fewer when it is the
-    aligned one. Over the uniform cycle position, the ``d`` of
-    :meth:`SweepPlan.rach_end_sym` takes every value congruent to the
-    chosen step modulo gcd(B, f_g) equally often.
+    aligned one. Over the uniform cycle position, the offset ``d`` that
+    indexes ``SweepPlan.report_tail_sym`` takes every value congruent to
+    the chosen step modulo gcd(B, f_g) equally often.
     """
     if sc.mode is DeploymentMode.NSA:
         assert sc.lte_latency_ms is not None
@@ -403,8 +419,7 @@ def expected_beam_report_delay_ms(sc: Scenario) -> float:
         chosen = p * aligned + (1.0 - p) * (s // f_g - aligned) / max(s - 1, 1)
     residue = steps % (f_g // plan.rach_cycle)
     share_of_d = np.bincount(residue, weights=chosen)[residue] / plan.rach_cycle
-    ends = plan.rach_end_sym(0, steps)
-    return float(ends @ share_of_d - plan.det_offset_sym) * plan.symbol_ms
+    return float(plan.report_tail_sym @ share_of_d) * plan.symbol_ms
 
 
 def oracle_expected_ia(sc: Scenario) -> float:
@@ -434,23 +449,30 @@ def oracle_expected_rlf_sa(sc: Scenario) -> float:
     return oracle_expected_ia(sc)
 
 
+NO_OCCASION = np.iinfo(np.int64).max
+
+
 @dataclass(frozen=True)
 class TrackingPlan:
     """CSI occasion pattern over one hyperperiod, collisions resolved.
 
-    ``occasion_keys`` holds the surviving occasions as sorted int64 keys
-    ``direction * key_stride + occasion`` and ends in a sentinel past the
-    last direction, so one ``searchsorted`` finds every run's next
-    occasion. ``first_occasion`` is -1 for a direction with none.
+    Nominal occasion ``m = j*s + d`` serves direction ``d`` in round ``j``
+    of the round-robin and starts at symbol ``delta_t + m*period``; a
+    hyperperiod holds J rounds. ``next_occasion[d, j]`` is the start of
+    the first surviving occasion of ``d`` in round ``j`` or later, for
+    ``j`` in [0, J); column J holds the direction's first surviving
+    occasion one hyperperiod on, so a lookup past the last occasion
+    wraps. A direction whose occasions all collide holds ``NO_OCCASION``
+    throughout.
     """
 
     s: int
+    period_sym: int
+    delta_t_sym: int
     hyper_sym: int
     symbol_ms: float
     dropped_count: int
-    key_stride: int
-    occasion_keys: np.ndarray
-    first_occasion: np.ndarray
+    next_occasion: np.ndarray
 
 
 @lru_cache(maxsize=128)
@@ -465,27 +487,27 @@ def _tracking_plan_for(sc: Scenario) -> TrackingPlan:
     # nominal occasion m starts at symbol t and serves direction m % s; it
     # is dropped when it shares symbols and RBs with the sweep's SS blocks
     # of its own burst or of the next one
-    m = np.arange(n_pat, dtype=np.int64)
-    t = sc.csi.delta_t_symbols + m * period
+    t = sc.csi.delta_t_symbols + np.arange(n_pat, dtype=np.int64) * period
     a = t % t_ss
     collides = (a < plan.blocks_per_burst * SS_BLOCK_SYMBOLS) | (
         a + sc.csi.n_symbols > t_ss
     )
     collides &= sc.csi.delta_f_rb < SS_BLOCK_RB
-    # occasions lie in [0, hyper) because delta_t_symbols < period
-    stride = hyper + 1
-    kept = ~collides
-    keys = np.sort(np.append(m[kept] % s * stride + t[kept], s * stride))
-    starts = np.arange(s, dtype=np.int64) * stride
-    first = keys[np.searchsorted(keys, starts)] - starts
+    # row d lists direction d's occasions in time order; occasions lie in
+    # [0, hyper) because delta_t_symbols < period
+    table = np.empty((s, n_pat // s + 1), dtype=np.int64)
+    table[:, :-1] = np.where(collides, NO_OCCASION, t).reshape(-1, s).T
+    first = table[:, :-1].min(axis=1)
+    table[:, -1] = np.where(first < NO_OCCASION, first + hyper, NO_OCCASION)
+    np.minimum.accumulate(table[:, ::-1], axis=1, out=table[:, ::-1])
     return TrackingPlan(
         s=s,
+        period_sym=period,
+        delta_t_sym=sc.csi.delta_t_symbols,
         hyper_sym=hyper,
         symbol_ms=plan.symbol_ms,
         dropped_count=int(np.count_nonzero(collides)),
-        key_stride=stride,
-        occasion_keys=keys,
-        first_occasion=np.where(first < stride, first, -1),
+        next_occasion=table,
     )
 
 
@@ -506,16 +528,16 @@ def simulate_tracking_batch(
     tp = _tracking_plan_for(sc)
     dirs = rng.integers(0, tp.s, size=n_runs)
     t0 = rng.uniform(0.0, tp.hyper_sym, size=n_runs)
-    base = dirs * tp.key_stride
-    # occasions are integer symbols, so "at or after t0" is ">= ceil(t0)"
-    idx = np.searchsorted(
-        tp.occasion_keys, base + np.ceil(t0).astype(np.int64), side="left"
-    )
-    ahead = tp.occasion_keys[idx] - base
-    first = tp.first_occasion[dirs]
-    nxt = np.where(ahead < tp.key_stride, ahead, first + tp.hyper_sym)
+    # occasions are integer symbols, so "at or after t0" is ">= ceil(t0)",
+    # and the direction's first round j there is a ceiling division of its
+    # lag behind round 0. That lag exceeds -round, since delta_t < period,
+    # so j needs no clamp at 0; t0 < hyper keeps it at most J.
+    round_sym = tp.s * tp.period_sym
+    lag = np.ceil(t0).astype(np.int64) - dirs * tp.period_sym
+    j = (lag + (round_sym - 1 - tp.delta_t_sym)) // round_sym
+    nxt = tp.next_occasion.ravel()[dirs * tp.next_occasion.shape[1] + j]
     waits = (nxt - t0) * tp.symbol_ms
-    censored = (first < 0) | (waits > horizon_ms)
+    censored = (nxt == NO_OCCASION) | (waits > horizon_ms)
     waits[censored] = np.nan
     return waits, censored
 
@@ -528,17 +550,18 @@ def expected_tracking_delay_ms(sc: Scenario) -> float:
     surviving occasion are excluded (they only ever censor).
     """
     tp = _tracking_plan_for(sc)
-    keys = tp.occasion_keys[:-1]
-    if keys.size == 0:
+    j = np.arange(tp.next_occasion.shape[1] - 1, dtype=np.int64)
+    d = np.arange(tp.s, dtype=np.int64)[:, None]
+    nominal = tp.delta_t_sym + (j * tp.s + d) * tp.period_sym
+    kept = tp.next_occasion[:, :-1] == nominal
+    served = kept.any(axis=1)
+    if not served.any():
         raise NotApplicableError("every direction's occasions collide away")
-    dirs, t = np.divmod(keys, tp.key_stride)
-    # gap from each occasion to the next of its direction; the last one
-    # wraps to the first occasion of the next hyperperiod
-    last = np.append(dirs[1:] != dirs[:-1], True)
-    nxt = np.where(last, tp.first_occasion[dirs] + tp.hyper_sym, np.append(t[1:], 0))
-    gaps = (nxt - t).astype(np.float64)
-    served = np.bincount(dirs, minlength=tp.s) > 0
-    sq_gaps = np.bincount(dirs, weights=gaps**2, minlength=tp.s)[served]
+    # a surviving occasion's gap runs to the next one of its direction,
+    # the last one's to the first of the next hyperperiod; the int64 sum of
+    # squares is exact, as a hyperperiod stays below 2^28 symbols
+    gaps = np.where(kept, tp.next_occasion[:, 1:] - nominal, 0)
+    sq_gaps = (gaps * gaps).sum(axis=1)[served].astype(np.float64)
     return float(np.mean(sq_gaps / (2.0 * tp.hyper_sym))) * tp.symbol_ms
 
 

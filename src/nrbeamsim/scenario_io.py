@@ -42,7 +42,7 @@ from typing import Any, Mapping, Optional, Sequence
 import yaml
 
 from .codebook import Architecture, ArrayConfig, PowerModel
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .frame import CsiRsConfig, SsBurstConfig, make_numerology
 from .link import ChannelParams
 from .procedures import DeploymentMode, Scenario
@@ -314,7 +314,7 @@ def _build_scenario(cfg: Mapping[str, Any], source: str) -> Scenario:
             omega_br_window_ms=float(dep_cfg["omega_br_window_ms"]),
             label=cfg.get("scenario_id"),
         )
-    except ConfigurationError as exc:
+    except (ConfigurationError, DomainError) as exc:
         raise ConfigurationError(f"{source}: {exc}") from None
 
 

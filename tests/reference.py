@@ -8,9 +8,9 @@ that each line can be checked against the model by eye.
   read report waits, surviving CSI occasions and grid overheads straight
   off them, for the closed forms in the package to be checked against.
 * The samplers measure every block of a sweep, or scan the runs once per
-  direction, where the package draws or searches in one vectorized step;
-  the drop sampler estimates the misdetection probability the package
-  gives in closed form.
+  direction over the walked CSI occasions, where the package draws or
+  looks up in one vectorized step; the drop sampler estimates the
+  misdetection probability the package gives in closed form.
 """
 from __future__ import annotations
 
@@ -43,7 +43,6 @@ from nrbeamsim.link import ChannelParams, mean_snr_db
 from nrbeamsim.procedures import (
     DeploymentMode,
     IaBatch,
-    _tracking_plan_for,
     sweep_plan,
 )
 
@@ -356,13 +355,14 @@ def rach_tails_walked(sc) -> np.ndarray:
     return tails
 
 
-def surviving_csi_occasions(sc) -> tuple[int, int, list[tuple[int, int]]]:
+def surviving_csi_occasions(sc) -> tuple[int, int, dict[int, list[int]]]:
     """CSI occasions that survive the SS collisions over one hyperperiod.
 
     The pattern repeats once the burst grid and the round-robin of
     directions realign, after ``lcm(t_ss, s * t_csi)`` symbols. Returns
     that hyperperiod, the number of nominal occasions dropped in it, and
-    the surviving (direction, start symbol) pairs in time order.
+    each direction's surviving start symbols in time order; a direction
+    with none is absent.
     """
     plan = sweep_plan(sc)
     period = sc.csi.t_csi_slots * SYMBOLS_PER_SLOT
@@ -378,8 +378,13 @@ def surviving_csi_occasions(sc) -> tuple[int, int, list[tuple[int, int]]]:
         carrier_rb=sc.carrier_rb,
         sweep=[(d, None) for d in range(plan.s)],
     )
-    kept = [(e.gnb_beam, e.start_symbol) for e in csi.events if e.start_symbol < hyper]
-    return hyper, hyper // period - len(kept), kept
+    occasions: dict[int, list[int]] = {}
+    kept = 0
+    for e in csi.events:
+        if e.start_symbol < hyper:
+            occasions.setdefault(e.gnb_beam, []).append(e.start_symbol)
+            kept += 1
+    return hyper, hyper // period - kept, occasions
 
 
 def omega_ia_walked(sc) -> float:
@@ -462,33 +467,33 @@ def tracking_batch_loop(
     rng: np.random.Generator,
     horizon_ms: float = 500.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tracking campaign that scans the runs once per sweep direction.
+    """Tracking campaign that scans the runs once per sweep direction,
+    over the surviving occasions :func:`surviving_csi_occasions` walks.
 
     Draws the same random numbers in the same order as
     ``simulate_tracking_batch``, so the two agree bit for bit.
     """
     if n_runs < 1:
         raise DomainError(f"n_runs={n_runs}: need at least one run")
-    tp = _tracking_plan_for(sc)
-    dirs = rng.integers(0, tp.s, size=n_runs)
-    t0 = rng.uniform(0.0, tp.hyper_sym, size=n_runs)
+    s = sweep_plan(sc).s
+    hyper, _, occasions = surviving_csi_occasions(sc)
+    dirs = rng.integers(0, s, size=n_runs)
+    t0 = rng.uniform(0.0, hyper, size=n_runs)
     waits = np.full(n_runs, np.nan)
     censored = np.zeros(n_runs, dtype=bool)
-    keys = tp.occasion_keys
-    for g in range(tp.s):
+    for g in range(s):
         mask = dirs == g
         if not mask.any():
             continue
-        lo = g * tp.key_stride
-        occ = keys[(keys >= lo) & (keys < lo + tp.key_stride)] - lo
-        if occ.size == 0:
+        if g not in occasions:
             censored[mask] = True
             continue
+        occ = np.array(occasions[g], dtype=np.int64)
         t = t0[mask]
         idx = np.searchsorted(occ, t, side="left")
         wrapped = idx == occ.size
-        nxt = np.where(wrapped, occ[0] + tp.hyper_sym, occ[np.minimum(idx, occ.size - 1)])
-        waits[mask] = (nxt - t) * tp.symbol_ms
+        nxt = np.where(wrapped, occ[0] + hyper, occ[np.minimum(idx, occ.size - 1)])
+        waits[mask] = (nxt - t) * sc.numerology.symbol_ms
     over = ~np.isnan(waits) & (waits > horizon_ms)
     censored |= over
     waits[censored] = np.nan

@@ -14,10 +14,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_worker_trace_times_every_wrapped_name(tmp_path):
+@pytest.mark.parametrize("workload", ["dense_grid", "wide_arrays"])
+def test_worker_trace_times_every_wrapped_name(tmp_path, workload):
     pythonpath = os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
     )
@@ -26,7 +29,7 @@ def test_worker_trace_times_every_wrapped_name(tmp_path):
             sys.executable,
             str(ROOT / "nrbench" / "worker.py"),
             "trace",
-            str(ROOT / "nrbench" / "workloads" / "wide_arrays.yaml"),
+            str(ROOT / "nrbench" / "workloads" / f"{workload}.yaml"),
             "42",
             str(tmp_path),
             "50",

@@ -87,6 +87,8 @@ class TestExitCodes:
             # the campaign block applies to the whole file
             "sweep.campaign.n_runs=[10, 20]",
             "sweep.campaign.seed=[1, 2]",
+            # finite, but the path loss at the cell edge is not
+            "channel.pl_exponent=1e308",
         ],
     )
     def test_invalid_configs_exit_one(self, quick_yaml, override, capsys):

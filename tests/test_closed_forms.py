@@ -1,12 +1,14 @@
 """The package's closed forms against the reference timelines.
 
 Over random valid scenarios: the report wait of every (burst position,
-gNB direction), the surviving CSI-RS occasions of one hyperperiod and
-both grid overheads must equal what the event-by-event timelines in
-``reference.py`` give, exactly; the mean report delay, a float average,
-agrees to 1e-12.
+gNB direction) and the report-tail table, every cell of the tracking
+plan's next-occasion table and both grid overheads must equal what the
+event-by-event timelines in ``reference.py`` give, exactly; the mean
+report and tracking delays, float averages, agree to 1e-12.
 """
 from __future__ import annotations
+
+import bisect
 
 import numpy as np
 import pytest
@@ -14,11 +16,14 @@ from hypothesis import example, given, settings
 
 from conftest import make_scenario, scenarios
 from nrbeamsim.evaluation import omega_ia_for, omega_tr_for
-from nrbeamsim.frame import CsiRsConfig
+from nrbeamsim.errors import NotApplicableError
+from nrbeamsim.frame import SYMBOLS_PER_SLOT, CsiRsConfig
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import (
+    NO_OCCASION,
     _tracking_plan_for,
     expected_beam_report_delay_ms,
+    expected_tracking_delay_ms,
     p_correct_beam,
     sweep_plan,
 )
@@ -56,6 +61,14 @@ def test_rach_wait_equals_the_timeline_walk(sc):
                 continue
             closed = plan.rach_end_sym(det_pos, d // plan.g_width) - plan.det_offset_sym
             assert walked[c, covering_step(sc.gnb, d)] == closed, (c, d)
+        if plan.digital_gnb:
+            continue
+        # the batch's lookup: offset from the last burst's first block,
+        # with the start burst not reduced modulo the cycle
+        last_first = (c + plan.bursts_per_sweep - 1) * plan.blocks_per_burst
+        for g in range(plan.f_g):
+            closed = plan.rach_end_sym(det_pos, g) - plan.det_offset_sym
+            assert plan.report_tail_sym[(g - last_first) % plan.f_g] == closed, (c, g)
     cp = sc.channel
     if plan.digital_gnb:
         expected = walked.mean()
@@ -85,20 +98,67 @@ def test_overheads_equal_the_timeline_count(sc):
     assert omega_tr_for(sc) == omega_tr_walked(sc)
 
 
-@PROPERTY
-@given(scenarios())
 # an occasion right after the sweep's 4 blocks, and one that ends where
 # the next burst starts: both touch SS blocks without sharing a symbol
-@example(make_scenario(m_gnb=4, m_ue=1, csi=CsiRsConfig(delta_t_symbols=16)))
-@example(make_scenario(m_gnb=4, m_ue=1, csi=CsiRsConfig(delta_t_symbols=69)))
-def test_occasion_keys_are_the_surviving_csi_occasions(sc):
+TOUCHING_OCCASIONS = [
+    make_scenario(m_gnb=4, m_ue=1, csi=CsiRsConfig(delta_t_symbols=16)),
+    make_scenario(m_gnb=4, m_ue=1, csi=CsiRsConfig(delta_t_symbols=69)),
+]
+# at n = 3 a 5 ms burst period is 560 symbols. A 20-slot CSI grid at
+# delta_t = 0 puts every other occasion, direction 0's, on the first SS
+# block, and a 40-slot grid puts every occasion there.
+ONE_DIRECTION_COLLIDES = make_scenario(
+    m_gnb=2, m_ue=1, n=3, t_ss_ms=5.0, csi=CsiRsConfig(t_csi_slots=20)
+)
+ALL_COLLIDE = make_scenario(
+    m_gnb=1, m_ue=1, n=3, t_ss_ms=5.0, csi=CsiRsConfig(t_csi_slots=40)
+)
+
+
+@PROPERTY
+@given(scenarios())
+@example(TOUCHING_OCCASIONS[0])
+@example(TOUCHING_OCCASIONS[1])
+@example(ONE_DIRECTION_COLLIDES)
+@example(ALL_COLLIDE)
+def test_next_occasion_table_is_the_timeline_walk(sc):
     tp = _tracking_plan_for(sc)
-    hyper, dropped, kept = surviving_csi_occasions(sc)
+    hyper, dropped, occasions = surviving_csi_occasions(sc)
     assert tp.hyper_sym == hyper
     assert tp.dropped_count == dropped
-    keys = sorted(d * tp.key_stride + t for d, t in kept)
-    assert tp.occasion_keys.tolist() == keys + [tp.s * tp.key_stride]
-    first = {}
-    for d, t in kept:
-        first.setdefault(d, t)
-    assert tp.first_occasion.tolist() == [first.get(d, -1) for d in range(tp.s)]
+    period = sc.csi.t_csi_slots * SYMBOLS_PER_SLOT
+    n_cols = hyper // (tp.s * period)
+    assert tp.next_occasion.shape == (tp.s, n_cols + 1)
+    for d in range(tp.s):
+        row = tp.next_occasion[d].tolist()
+        if d not in occasions:
+            assert row == [NO_OCCASION] * (n_cols + 1), d
+            continue
+        occ = occasions[d]
+        # cell j: the first occasion at or after nominal occasion j*s + d
+        for j in range(n_cols):
+            nominal = sc.csi.delta_t_symbols + (j * tp.s + d) * period
+            i = bisect.bisect_left(occ, nominal)
+            assert row[j] == (occ[i] if i < len(occ) else occ[0] + hyper), (d, j)
+        assert row[n_cols] == occ[0] + hyper, d
+
+
+@PROPERTY
+@given(scenarios())
+@example(TOUCHING_OCCASIONS[0])
+@example(ONE_DIRECTION_COLLIDES)
+@example(ALL_COLLIDE)
+def test_mean_tracking_delay_is_the_renewal_mean_of_the_walk(sc):
+    hyper, _, occasions = surviving_csi_occasions(sc)
+    if not occasions:
+        with pytest.raises(NotApplicableError):
+            expected_tracking_delay_ms(sc)
+        return
+    # an arrival uniform over the hyperperiod waits half of each gap,
+    # weighted by that gap: sum of squared gaps over twice the hyperperiod
+    per_direction = []
+    for occ in occasions.values():
+        gaps = np.diff(occ + [occ[0] + hyper])
+        per_direction.append(float(np.sum(gaps * gaps)) / (2.0 * hyper))
+    expected = np.mean(per_direction) * sc.numerology.symbol_ms
+    assert expected_tracking_delay_ms(sc) == pytest.approx(expected, rel=1e-12)

@@ -11,7 +11,6 @@ from nrbeamsim.errors import ConfigurationError, DomainError
 from nrbeamsim.evaluation import (
     KIVIAT_SCALE,
     MetricStat,
-    compare,
     estimate_metrics,
     kiviat_normalize,
     omega_ia_for,
@@ -147,38 +146,6 @@ class TestOverheadViews:
         # 1 symbol x 50 RB every 5 slots on a 277-RB carrier
         expect = 50 / (5 * 14 * 277)
         assert omega_tr_for(make_scenario()) == pytest.approx(expect, rel=1e-12)
-
-
-class TestCompare:
-    def _two_reports(self):
-        sa = estimate_metrics(make_scenario(n_ss=8), n_runs=400, seed=7)
-        nsa = estimate_metrics(
-            make_scenario(mode="NSA", lte_latency_ms=0.8, n_ss=8),
-            n_runs=400,
-            seed=7,
-        )
-        return sa, nsa
-
-    def test_ranks_best_first(self):
-        sa, nsa = self._two_reports()
-        rows = {r.metric: r for r in compare([sa, nsa])}
-        br = rows["t_br_ms"]
-        assert br.scenario_ids[0] == nsa.scenario_id
-        assert br.values[0] <= br.values[1]
-        acc = rows["accuracy"]
-        assert acc.values[0] >= acc.values[1]
-
-    def test_significance_for_deterministic_metric(self):
-        sa, nsa = self._two_reports()
-        rows = {r.metric: r for r in compare([sa, nsa])}
-        assert rows["omega_br"].significant == (True,)
-        # identical omega_ia on both: never significant
-        assert rows["omega_ia"].significant == (False,)
-
-    def test_needs_two_reports(self):
-        sa, _ = self._two_reports()
-        with pytest.raises(DomainError):
-            compare([sa])
 
 
 class TestKiviat:

@@ -6,7 +6,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_scenario
@@ -206,6 +206,40 @@ def tracking_cases(draw):
     return kw, csi
 
 
+class ScriptedDraws:
+    """Stands in for a Generator in a tracking campaign: the campaign's
+    two draws return these directions and arrival instants."""
+
+    def __init__(self, dirs, t0):
+        self.dirs = np.array(dirs, dtype=np.int64)
+        self.t0 = np.array(t0, dtype=np.float64)
+
+    def integers(self, low, high, size):
+        assert size == self.dirs.size and self.dirs.max() < high
+        return self.dirs.copy()
+
+    def uniform(self, low, high, size):
+        assert size == self.t0.size and self.t0.max() < high
+        return self.t0.copy()
+
+
+# n = 3, 5 ms bursts of 560 symbols and a 20-slot (280-symbol) CSI grid
+# at delta_t = 0: direction 0's occasions all sit on the first SS block,
+# and direction 1 has one occasion per burst, at symbol 280
+ONE_DIRECTION_COLLIDES = (
+    dict(m_gnb=2, m_ue=1, n=3, t_ss_ms=5.0),
+    dict(t_csi_slots=20),
+)
+# arrivals on direction 1's occasion, just before and after it, after it
+# to the end of the hyperperiod (wrapping to the next one), and on the
+# censored direction 0
+ON_AND_AROUND_OCCASIONS = ScriptedDraws(
+    dirs=[1, 1, 1, 1, 1, 0, 0],
+    t0=[280.0, 279.5, 280.5, 559.75, 0.0, 280.0, 0.25],
+)
+SCRIPTED = dict(case=ONE_DIRECTION_COLLIDES, n_runs=7, seed=ON_AND_AROUND_OCCASIONS)
+
+
 class TestTrackingBatchAgainstLoop:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -214,17 +248,29 @@ class TestTrackingBatchAgainstLoop:
         seed=st.integers(0, 2**32 - 1),
         horizon_ms=st.sampled_from([0.05, 5.0, 500.0]),
     )
+    @example(**SCRIPTED, horizon_ms=500.0)
+    @example(**SCRIPTED, horizon_ms=0.05)
+    # without a horizon only the missing occasions censor
+    @example(**SCRIPTED, horizon_ms=math.inf)
+    @example(case=ONE_DIRECTION_COLLIDES, n_runs=400, seed=3, horizon_ms=0.05)
     def test_bit_for_bit(self, case, n_runs, seed, horizon_ms):
         kw, csi = case
         try:
             sc = make_scenario(csi=CsiRsConfig(**csi), **kw)
         except ConfigurationError:
             assume(False)
-        got_w, got_c = simulate_tracking_batch(
-            sc, n_runs, np.random.default_rng(seed), horizon_ms=horizon_ms
-        )
-        ref_w, ref_c = tracking_batch_loop(
-            sc, n_runs, np.random.default_rng(seed), horizon_ms=horizon_ms
-        )
+
+        def rng():
+            if isinstance(seed, ScriptedDraws):
+                return seed
+            return np.random.default_rng(seed)
+
+        got_w, got_c = simulate_tracking_batch(sc, n_runs, rng(), horizon_ms=horizon_ms)
+        ref_w, ref_c = tracking_batch_loop(sc, n_runs, rng(), horizon_ms=horizon_ms)
         assert got_w.tobytes() == ref_w.tobytes()
         assert np.array_equal(got_c, ref_c)
+        if seed is ON_AND_AROUND_OCCASIONS and horizon_ms > 5.0:
+            # in symbols: 0, 0.5, 559.5, 280.25 (wrapped), 280; censored twice
+            waits_sym = got_w / sc.numerology.symbol_ms
+            assert waits_sym[:5] == pytest.approx([0.0, 0.5, 559.5, 280.25, 280.0])
+            assert got_c.tolist() == [False] * 5 + [True] * 2
