@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,18 +48,33 @@ class MetricStat:
 
 
 def stat_from_samples(x: np.ndarray) -> MetricStat:
-    """Mean and standard error of the non-NaN samples; exact when all are equal."""
-    x = np.asarray(x, dtype=np.float64)
-    x = x[~np.isnan(x)]
+    """Mean and standard error of the non-NaN samples; exact when all are equal.
+
+    One sum gives the mean, which the ddof=1 variance reuses: the same
+    reductions, in the same order, as ``x.mean()`` and ``x.std(ddof=1)``,
+    so the same bits. A NaN shows in that sum, and only then are the
+    samples copied without it.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    total = np.add.reduce(x)
+    if math.isnan(total):
+        x = x[~np.isnan(x)]
+        total = np.add.reduce(x)
     n = int(x.size)
     if n == 0:
         return MetricStat(mean=math.nan, stderr=math.nan, n_samples=0)
-    lo = x.min()
-    if lo == x.max():
-        return MetricStat(mean=float(lo), stderr=0.0, n_samples=n)
+    # unequal end samples already rule out a constant sample
+    if x[0] == x[-1]:
+        lo = x.min()
+        if lo == x.max():
+            return MetricStat(mean=float(lo), stderr=0.0, n_samples=n)
+    mean = total / n
+    dev = x - mean
+    np.square(dev, out=dev)
+    var = np.add.reduce(dev) / (n - 1)
     return MetricStat(
-        mean=float(x.mean()),
-        stderr=float(x.std(ddof=1) / math.sqrt(n)),
+        mean=float(mean),
+        stderr=math.sqrt(var) / math.sqrt(n),
         n_samples=n,
     )
 
@@ -124,6 +140,13 @@ def omega_tr_for(sc: Scenario) -> float:
     return csi_area / (period_sym * sc.carrier_rb)
 
 
+@lru_cache(maxsize=16)
+def _substreams(seed: int) -> tuple[np.random.SeedSequence, ...]:
+    """The IA, tracking and RLF seed sequences of a campaign seed, spawned
+    once per seed; a sweep's scenarios all share them."""
+    return tuple(np.random.SeedSequence(seed).spawn(3))
+
+
 def estimate_metrics(
     sc: Scenario,
     n_runs: int = 10_000,
@@ -133,8 +156,7 @@ def estimate_metrics(
     """Run all campaigns for one scenario and assemble the report."""
     if n_runs < 1:
         raise DomainError(f"n_runs={n_runs}: need at least one run")
-    root = np.random.SeedSequence(seed)
-    ia_ss, tr_ss, rlf_ss = root.spawn(3)
+    ia_ss, tr_ss, rlf_ss = _substreams(seed)
 
     ia = simulate_ia_batch(sc, n_runs, np.random.default_rng(ia_ss))
     waits, censored = simulate_tracking_batch(

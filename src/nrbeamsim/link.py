@@ -12,6 +12,7 @@ disk: a report's detection accuracy is one minus it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -115,15 +116,36 @@ def log_normal_cdf(x: float) -> float:
 
 def edge_margin_db(gnb: ArrayConfig, ue: ArrayConfig, cp: ChannelParams) -> float:
     """Mean SNR of the fully aligned pair at the cell edge, in dB above the
-    detection threshold. A scenario is refused where it is not finite."""
+    detection threshold. A scenario is refused where it is not finite.
+
+    The refusal names the keys of every term of the sum that is not
+    finite, or large enough that the sum can overflow through it; numpy
+    warns of nothing, as the overflow is the refusal's subject.
+    """
     gain = beamforming_gain_db(gnb) + beamforming_gain_db(ue)
-    margin = float(mean_snr_db(cp, gain, cp.cell_radius_m)) - cp.detection_threshold_db
-    if not math.isfinite(margin):
-        raise DomainError(
-            f"channel.pl_exponent={cp.pl_exponent:g}: the path loss at the cell "
-            "edge overflows"
-        )
-    return margin
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = float(mean_snr_db(cp, gain, cp.cell_radius_m)) - cp.detection_threshold_db
+    if math.isfinite(margin):
+        return margin
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance_db = float(path_loss_db(cp.cell_radius_m, cp)) - cp.pl_intercept_db
+    terms = {
+        ("tx_power_dbm",): cp.tx_power_dbm,
+        ("noise_figure_db",): noise_power_dbm(cp),
+        ("pl_intercept_db",): cp.pl_intercept_db,
+        ("pl_exponent", "cell_radius_m"): distance_db,
+        ("detection_threshold_db",): cp.detection_threshold_db,
+    }
+    # the array gains stay below 80 dB; a sum of six terms, each below a
+    # sixth of the largest float in magnitude, cannot overflow
+    limit = sys.float_info.max / 6.0
+    keys = [
+        f"channel.{key}={getattr(cp, key):g}"
+        for names, value in terms.items()
+        if not abs(value) < limit
+        for key in names
+    ]
+    raise DomainError(f"{', '.join(keys)}: the mean SNR at the cell edge overflows")
 
 
 def misdetection_probability(

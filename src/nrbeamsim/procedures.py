@@ -24,8 +24,10 @@ gNB listens in all directions at once right after the burst's blocks,
 while an analog or hybrid gNB offers one opportunity per direction its
 burst just swept, so a report may have to wait for the burst that
 revisits the chosen direction. The wait depends only on how many steps
-past the last burst's first one the chosen step lies, so the sweep plan
-tabulates it per offset and a batch reads each run's tail by one gather.
+past the last burst's first one the chosen step lies. The sweep plan
+tabulates that offset's complement per start burst, and the tail in ms
+per offset over two cycles of f_g steps, so a batch reads each run's
+tail by two gathers with no per-run modulo.
 In NSA the report (and the whole link recovery) instead rides the LTE
 control plane at a fixed latency.
 
@@ -166,7 +168,10 @@ class SweepPlan:
     ``k // f_g``; ``g_labels``/``u_labels`` hold those steps, -1 on a
     digital side, which needs no steering. Direction ``d`` of an end is
     swept in step ``d // width`` of that end. The gNB steps the bursts
-    sweep repeat every ``rach_cycle`` bursts.
+    sweep repeat every ``rach_cycle`` bursts. A run that starts at cycle
+    burst ``b`` and chooses gNB step ``g`` waits
+    ``tail_ms_twice[g + tail_shift[b]]`` from determination to the end
+    of its report.
     """
 
     s: int
@@ -196,6 +201,22 @@ class SweepPlan:
         burst at cycle position 0. Built on first use, as NSA and a
         digital gNB never read it."""
         return self.rach_end_sym(0, np.arange(self.f_g)) - self.det_offset_sym
+
+    @cached_property
+    def tail_shift(self) -> np.ndarray:
+        """Per start burst ``b`` of the cycle, f_g minus the first step the
+        sweep's last burst sweeps (mod f_g), in [1, f_g]: the chosen step
+        plus this is its offset into ``tail_ms_twice``."""
+        b = np.arange(self.cycle_bursts, dtype=np.int64)
+        last_first = (b + self.bursts_per_sweep - 1) * self.blocks_per_burst
+        return self.f_g - last_first % self.f_g
+
+    @cached_property
+    def tail_ms_twice(self) -> np.ndarray:
+        """``report_tail_sym`` in ms, repeated once, so an offset in
+        [0, 2 f_g) reads the tail of that offset mod f_g."""
+        tail_ms = self.report_tail_sym * self.symbol_ms
+        return np.concatenate((tail_ms, tail_ms))
 
     def rach_end_sym(self, det_pos, g_label):
         """End of the report's RACH opportunity, in symbols from the start
@@ -325,7 +346,8 @@ def draw_sweep_winner(
         return np.full(n, plan.tie_break_order[0])
     aligned = rng.random(n) < p_correct_beam(s, sigma, floor)
     j = rng.integers(0, s - 1, size=n)
-    return np.where(aligned, k_star, j + (j >= k_star))
+    j += j >= k_star
+    return np.where(aligned, k_star, j)
 
 
 def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> IaBatch:
@@ -342,26 +364,28 @@ def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> Ia
     plan = _plan_for(sc)
     g_star = rng.integers(0, sc.gnb.elements, size=n_runs)
     u_star = rng.integers(0, sc.ue.elements, size=n_runs)
-    k_star = u_star // plan.u_width * plan.f_g + g_star // plan.g_width
+    # the aligned slot: UE step * f_g + gNB step, a step being the
+    # direction over the beam-group width
+    k_star = u_star if plan.u_width == 1 else u_star // plan.u_width
+    k_star *= plan.f_g
+    k_star += g_star if plan.g_width == 1 else g_star // plan.g_width
     best = draw_sweep_winner(plan, sc.channel, k_star, rng)
 
     start_burst = rng.integers(0, plan.cycle_bursts, size=n_runs)
-    phase = rng.uniform(0.0, plan.t_ss_ms, size=n_runs)
-    t_sweep = (
-        (plan.t_ss_ms - phase)
-        + (plan.bursts_per_sweep - 1) * plan.t_ss_ms
-        + plan.det_offset_sym * plan.symbol_ms
-    )
+    # (T_SS - phase) + (C - 1) T_SS + the blocks into the last burst
+    t_sweep = rng.uniform(0.0, plan.t_ss_ms, size=n_runs)
+    np.subtract(plan.t_ss_ms, t_sweep, out=t_sweep)
+    t_sweep += (plan.bursts_per_sweep - 1) * plan.t_ss_ms
+    t_sweep += plan.det_offset_sym * plan.symbol_ms
     chosen_g = plan.g_labels[best]
     if sc.mode is DeploymentMode.NSA:
         t_br = np.full(n_runs, float(sc.lte_latency_ms))
     elif plan.digital_gnb:
         t_br = np.full(n_runs, plan.digital_tail_sym * plan.symbol_ms)
     else:
-        # cycle_bursts * B = lcm(B, S) is a multiple of f_g, so the start
-        # burst needs no reduction modulo the cycle
-        last_first = (start_burst + plan.bursts_per_sweep - 1) * plan.blocks_per_burst
-        t_br = plan.report_tail_sym[(chosen_g - last_first) % plan.f_g] * plan.symbol_ms
+        offset = plan.tail_shift[start_burst]
+        offset += chosen_g
+        t_br = plan.tail_ms_twice[offset]
 
     return IaBatch(
         t_sweep_ms=t_sweep,
@@ -533,12 +557,20 @@ def simulate_tracking_batch(
     # lag behind round 0. That lag exceeds -round, since delta_t < period,
     # so j needs no clamp at 0; t0 < hyper keeps it at most J.
     round_sym = tp.s * tp.period_sym
-    lag = np.ceil(t0).astype(np.int64) - dirs * tp.period_sym
-    j = (lag + (round_sym - 1 - tp.delta_t_sym)) // round_sym
-    nxt = tp.next_occasion.ravel()[dirs * tp.next_occasion.shape[1] + j]
-    waits = (nxt - t0) * tp.symbol_ms
-    censored = (nxt == NO_OCCASION) | (waits > horizon_ms)
-    waits[censored] = np.nan
+    cell = np.empty(n_runs, dtype=np.int64)
+    np.ceil(t0, out=cell, casting="unsafe")
+    cell -= dirs * tp.period_sym
+    cell += round_sym - 1 - tp.delta_t_sym
+    cell //= round_sym
+    # row-major cell (dirs, j) of the table
+    dirs *= tp.next_occasion.shape[1]
+    cell += dirs
+    nxt = tp.next_occasion.ravel()[cell]
+    waits = nxt - t0
+    waits *= tp.symbol_ms
+    censored = nxt == NO_OCCASION
+    censored |= waits > horizon_ms
+    np.copyto(waits, np.nan, where=censored)
     return waits, censored
 
 

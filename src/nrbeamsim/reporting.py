@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
@@ -89,8 +89,17 @@ def reports_to_csv(reports: Sequence[MetricsReport]) -> str:
     return buf.getvalue()
 
 
+def _report_dict(r: MetricsReport) -> dict[str, Any]:
+    """``dataclasses.asdict(r)`` without its deep copies: the fields are
+    immutable, and each ``MetricStat`` becomes a dict of its own."""
+    return {
+        name: vars(value) if isinstance(value, MetricStat) else value
+        for name, value in vars(r).items()
+    }
+
+
 def reports_to_json(reports: Sequence[MetricsReport]) -> str:
-    payload = {"reports": [asdict(r) for r in reports]}
+    payload = {"reports": [_report_dict(r) for r in reports]}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -11,6 +11,9 @@ that each line can be checked against the model by eye.
   direction over the walked CSI occasions, where the package draws or
   looks up in one vectorized step; the drop sampler estimates the
   misdetection probability the package gives in closed form.
+* The formula batches are the IA and recovery batches as first written,
+  one plain expression per quantity, which the package's in-place
+  rewrites must reproduce bit for bit.
 """
 from __future__ import annotations
 
@@ -43,6 +46,7 @@ from nrbeamsim.link import ChannelParams, mean_snr_db
 from nrbeamsim.procedures import (
     DeploymentMode,
     IaBatch,
+    p_correct_beam,
     sweep_plan,
 )
 
@@ -459,6 +463,69 @@ def ia_batch_matrix(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
         t_total_ms=t_sweep + t_br,
         chosen_g=chosen_g,
     )
+
+
+def sweep_winner_formula(plan, cp, k_star, rng):
+    """``draw_sweep_winner`` as first written: the same draws, merged by
+    one ``np.where`` over freshly allocated arrays."""
+    n = k_star.size
+    s = plan.s
+    if s == 1:
+        return k_star
+    sigma, floor = cp.shadowing_sigma_db, cp.side_lobe_floor_db
+    if sigma == 0.0 and floor == 0.0:
+        return np.full(n, plan.tie_break_order[0])
+    aligned = rng.random(n) < p_correct_beam(s, sigma, floor)
+    j = rng.integers(0, s - 1, size=n)
+    return np.where(aligned, k_star, j + (j >= k_star))
+
+
+def ia_batch_formula(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
+    """``simulate_ia_batch`` as first written: each quantity one expression,
+    the report tail read at ``(g - first step of the last burst) mod f_g``
+    and scaled to ms per run. The package's batch must equal it bit for
+    bit."""
+    plan = sweep_plan(sc)
+    g_star = rng.integers(0, sc.gnb.elements, size=n_runs)
+    u_star = rng.integers(0, sc.ue.elements, size=n_runs)
+    k_star = u_star // plan.u_width * plan.f_g + g_star // plan.g_width
+    best = sweep_winner_formula(plan, sc.channel, k_star, rng)
+
+    start_burst = rng.integers(0, plan.cycle_bursts, size=n_runs)
+    phase = rng.uniform(0.0, plan.t_ss_ms, size=n_runs)
+    t_sweep = (
+        (plan.t_ss_ms - phase)
+        + (plan.bursts_per_sweep - 1) * plan.t_ss_ms
+        + plan.det_offset_sym * plan.symbol_ms
+    )
+    chosen_g = plan.g_labels[best]
+    if sc.mode is DeploymentMode.NSA:
+        t_br = np.full(n_runs, float(sc.lte_latency_ms))
+    elif plan.digital_gnb:
+        t_br = np.full(n_runs, plan.digital_tail_sym * plan.symbol_ms)
+    else:
+        last_first = (start_burst + plan.bursts_per_sweep - 1) * plan.blocks_per_burst
+        t_br = plan.report_tail_sym[(chosen_g - last_first) % plan.f_g] * plan.symbol_ms
+    return IaBatch(
+        t_sweep_ms=t_sweep,
+        t_br_ms=t_br,
+        t_total_ms=t_sweep + t_br,
+        chosen_g=chosen_g,
+    )
+
+
+def rlf_batch_formula(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
+    """``simulate_rlf_batch`` as first written: NSA recovers in the LTE
+    latency exactly, SA re-runs :func:`ia_batch_formula`."""
+    if sc.mode is DeploymentMode.NSA:
+        const = np.full(n_runs, float(sc.lte_latency_ms))
+        return IaBatch(
+            t_sweep_ms=np.zeros(n_runs),
+            t_br_ms=const,
+            t_total_ms=const.copy(),
+            chosen_g=np.full(n_runs, -1, dtype=np.int64),
+        )
+    return ia_batch_formula(sc, n_runs, rng)
 
 
 def tracking_batch_loop(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -89,14 +90,25 @@ class TestExitCodes:
             "sweep.campaign.seed=[1, 2]",
             # finite, but the path loss at the cell edge is not
             "channel.pl_exponent=1e308",
+            # finite terms whose sum, the mean SNR at the cell edge, is not
+            ("channel.pl_intercept_db=1e308", "channel.tx_power_dbm=-1e308"),
         ],
     )
     def test_invalid_configs_exit_one(self, quick_yaml, override, capsys):
-        code = main(["validate", str(quick_yaml), "--set", override])
+        overrides = (override,) if isinstance(override, str) else override
+        argv = ["validate", str(quick_yaml)]
+        for item in overrides:
+            argv += ["--set", item]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "error:" in err
-        assert override.partition("=")[0] in err
+        for item in overrides:
+            assert item.partition("=")[0] in err
+        assert "Warning" not in err
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize(
         "overrides, key",

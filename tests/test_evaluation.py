@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_scenario, scenarios
 from nrbeamsim.errors import ConfigurationError, DomainError
@@ -25,6 +27,7 @@ from nrbeamsim.procedures import (
     sweep_plan,
 )
 
+FINITE = st.floats(-1e6, 1e6)
 DIGITAL_16X4 = dict(m_gnb=16, arch_gnb="digital", m_ue=4, n_ss=8)
 
 
@@ -58,6 +61,41 @@ class TestMetricStat:
         assert x.mean() != value  # a float average misses the last digit
         x[5] = np.nan
         assert stat_from_samples(x) == MetricStat(value, 0.0, 9_999)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        x=st.one_of(
+            # random samples, lengths 1 and 2 among them
+            arrays(np.float64, st.integers(1, 400), elements=FINITE),
+            arrays(np.float64, st.integers(1, 2), elements=FINITE),
+            # NaN-bearing samples, all-NaN ones among them
+            arrays(np.float64, st.integers(1, 400), elements=FINITE | st.just(math.nan)),
+            # constant samples, with or without NaNs
+            st.builds(
+                lambda value, n, nan_at: np.where(np.arange(n) == nan_at, math.nan, value),
+                FINITE,
+                st.integers(1, 400),
+                st.integers(-1, 5),
+            ),
+        )
+    )
+    @example(x=np.array([0.0, -0.0]))
+    @example(x=np.array([math.nan, math.nan]))
+    @example(x=np.full(10_000, 0.8))
+    def test_matches_numpy_mean_and_std_bit_for_bit(self, x):
+        kept = x[~np.isnan(x)]
+        before = x.tobytes()
+        got = stat_from_samples(x)
+        assert x.tobytes() == before  # the samples are not written to
+        assert got.n_samples == kept.size
+        if kept.size == 0:
+            assert math.isnan(got.mean) and math.isnan(got.stderr)
+        elif kept.min() == kept.max():
+            assert got.mean.hex() == float(kept.min()).hex() and got.stderr == 0.0
+        else:
+            want_stderr = float(kept.std(ddof=1) / math.sqrt(kept.size))
+            assert got.mean.hex() == float(kept.mean()).hex()
+            assert got.stderr.hex() == want_stderr.hex()
 
     def test_ci95_symmetric(self):
         st = MetricStat(mean=10.0, stderr=1.0, n_samples=100)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario
+from conftest import make_scenario, scenarios
 from nrbeamsim.errors import ConfigurationError
 from nrbeamsim.frame import (
     CSI_PERIODS_SLOTS,
@@ -23,10 +23,17 @@ from nrbeamsim.procedures import (
     draw_sweep_winner,
     p_correct_beam,
     simulate_ia_batch,
+    simulate_rlf_batch,
     simulate_tracking_batch,
     sweep_plan,
 )
-from reference import ia_batch_matrix, matrix_sweep_winner, tracking_batch_loop
+from reference import (
+    ia_batch_formula,
+    ia_batch_matrix,
+    matrix_sweep_winner,
+    rlf_batch_formula,
+    tracking_batch_loop,
+)
 
 N_WINNERS = 20_000
 
@@ -274,3 +281,48 @@ class TestTrackingBatchAgainstLoop:
             waits_sym = got_w / sc.numerology.symbol_ms
             assert waits_sym[:5] == pytest.approx([0.0, 0.5, 559.5, 280.25, 280.0])
             assert got_c.tolist() == [False] * 5 + [True] * 2
+
+
+# beyond the small random SA scenarios: NSA, a digital gNB, a hybrid gNB
+# whose last beam group is short, odd arrays co-prime to n_ss, and the
+# shadowless tie at a 0 dB floor
+FORMULA_EXAMPLES = {
+    "nsa16x4": make_scenario(m_gnb=16, m_ue=4, n_ss=8, mode="NSA", lte_latency_ms=10.0),
+    "digital64x16": make_scenario(m_gnb=64, m_ue=16, arch_gnb="digital", n_ss=8),
+    "hybrid64x4": make_scenario(m_gnb=64, m_ue=4, arch_gnb="hybrid", k_bf_gnb=6, n_ss=8),
+    "odd127x1": make_scenario(m_gnb=127, m_ue=1, n_ss=8),
+    "odd255x1": make_scenario(m_gnb=255, m_ue=1, n_ss=64),
+    "tie16x4": make_scenario(
+        m_gnb=16,
+        m_ue=4,
+        n_ss=8,
+        channel=ChannelParams(shadowing_sigma_db=0.0, side_lobe_floor_db=0.0),
+    ),
+}
+BATCH_FIELDS = ("t_sweep_ms", "t_br_ms", "t_total_ms", "chosen_g")
+
+
+class TestBatchesAgainstFormula:
+    """The in-place IA and recovery batches against their first,
+    one-expression-per-quantity form: the same draws must give the same
+    bits."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(sc=scenarios(), n_runs=st.integers(1, 500), seed=st.integers(0, 2**32 - 1))
+    @example(sc=FORMULA_EXAMPLES["nsa16x4"], n_runs=2_000, seed=1)
+    @example(sc=FORMULA_EXAMPLES["digital64x16"], n_runs=2_000, seed=2)
+    @example(sc=FORMULA_EXAMPLES["hybrid64x4"], n_runs=2_000, seed=3)
+    @example(sc=FORMULA_EXAMPLES["odd127x1"], n_runs=2_000, seed=4)
+    @example(sc=FORMULA_EXAMPLES["odd255x1"], n_runs=2_000, seed=5)
+    @example(sc=FORMULA_EXAMPLES["tie16x4"], n_runs=2_000, seed=6)
+    def test_ia_and_rlf_batches_bit_for_bit(self, sc, n_runs, seed):
+        for batch, formula in (
+            (simulate_ia_batch, ia_batch_formula),
+            (simulate_rlf_batch, rlf_batch_formula),
+        ):
+            got = batch(sc, n_runs, np.random.default_rng(seed))
+            want = formula(sc, n_runs, np.random.default_rng(seed))
+            for field in BATCH_FIELDS:
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype, (batch.__name__, field)
+                assert np.array_equal(a, b), (batch.__name__, field)
