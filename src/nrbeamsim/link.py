@@ -119,16 +119,16 @@ def edge_margin_db(gnb: ArrayConfig, ue: ArrayConfig, cp: ChannelParams) -> floa
     detection threshold. A scenario is refused where it is not finite.
 
     The refusal names the keys of every term of the sum that is not
-    finite, or large enough that the sum can overflow through it; numpy
-    warns of nothing, as the overflow is the refusal's subject.
+    finite, or large enough that the sum can overflow through it, and is
+    the only report of the overflow: numpy prints no warning.
     """
     gain = beamforming_gain_db(gnb) + beamforming_gain_db(ue)
     with np.errstate(over="ignore", invalid="ignore"):
         margin = float(mean_snr_db(cp, gain, cp.cell_radius_m)) - cp.detection_threshold_db
     if math.isfinite(margin):
         return margin
-    with np.errstate(over="ignore", invalid="ignore"):
-        distance_db = float(path_loss_db(cp.cell_radius_m, cp)) - cp.pl_intercept_db
+    # Python floats overflow to inf without a warning
+    distance_db = 10.0 * cp.pl_exponent * math.log10(cp.cell_radius_m)
     terms = {
         ("tx_power_dbm",): cp.tx_power_dbm,
         ("noise_figure_db",): noise_power_dbm(cp),

@@ -91,7 +91,10 @@ class TestExitCodes:
             # finite, but the path loss at the cell edge is not
             "channel.pl_exponent=1e308",
             # finite terms whose sum, the mean SNR at the cell edge, is not
-            ("channel.pl_intercept_db=1e308", "channel.tx_power_dbm=-1e308"),
+            pytest.param(
+                ("channel.pl_intercept_db=1e308", "channel.tx_power_dbm=-1e308"),
+                id="channel.pl_intercept_db=1e308,channel.tx_power_dbm=-1e308",
+            ),
         ],
     )
     def test_invalid_configs_exit_one(self, quick_yaml, override, capsys):
