@@ -44,25 +44,6 @@ EXIT_IO = 3
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
-class _EffectiveDumper(_DUMPER):
-    """The dumper above, with the resolver's tag memoized per scalar value
-    for the length of one dump: a sweep's scenarios repeat most values,
-    and each scalar is resolved twice."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._tags: dict = {}
-
-    def resolve(self, kind, value, implicit):
-        if kind is not yaml.ScalarNode:
-            return super().resolve(kind, value, implicit)
-        key = (value, implicit)
-        tag = self._tags.get(key)
-        if tag is None:
-            tag = self._tags[key] = super().resolve(kind, value, implicit)
-        return tag
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beamsim",
@@ -144,9 +125,7 @@ def _print_effective(sf: ScenarioFile, seed: int, n_runs: int) -> None:
         "scenarios": list(sf.effective),
     }
     print("# effective configuration")
-    text = yaml.dump(
-        doc, Dumper=_EffectiveDumper, sort_keys=True, default_flow_style=False
-    )
+    text = yaml.dump(doc, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
     print(text.rstrip())
     print("# results")
 

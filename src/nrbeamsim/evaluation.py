@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -140,13 +139,6 @@ def omega_tr_for(sc: Scenario) -> float:
     return csi_area / (period_sym * sc.carrier_rb)
 
 
-@lru_cache(maxsize=16)
-def _substreams(seed: int) -> tuple[np.random.SeedSequence, ...]:
-    """The IA, tracking and RLF seed sequences of a campaign seed, spawned
-    once per seed; a sweep's scenarios all share them."""
-    return tuple(np.random.SeedSequence(seed).spawn(3))
-
-
 def estimate_metrics(
     sc: Scenario,
     n_runs: int = 10_000,
@@ -156,7 +148,8 @@ def estimate_metrics(
     """Run all campaigns for one scenario and assemble the report."""
     if n_runs < 1:
         raise DomainError(f"n_runs={n_runs}: need at least one run")
-    ia_ss, tr_ss, rlf_ss = _substreams(seed)
+    root = np.random.SeedSequence(seed)
+    ia_ss, tr_ss, rlf_ss = root.spawn(3)
 
     ia = simulate_ia_batch(sc, n_runs, np.random.default_rng(ia_ss))
     waits, censored = simulate_tracking_batch(

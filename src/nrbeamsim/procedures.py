@@ -366,9 +366,9 @@ def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> Ia
     u_star = rng.integers(0, sc.ue.elements, size=n_runs)
     # the aligned slot: UE step * f_g + gNB step, a step being the
     # direction over the beam-group width
-    k_star = u_star if plan.u_width == 1 else u_star // plan.u_width
+    k_star = u_star // plan.u_width
     k_star *= plan.f_g
-    k_star += g_star if plan.g_width == 1 else g_star // plan.g_width
+    k_star += g_star // plan.g_width
     best = draw_sweep_winner(plan, sc.channel, k_star, rng)
 
     start_burst = rng.integers(0, plan.cycle_bursts, size=n_runs)
@@ -557,20 +557,12 @@ def simulate_tracking_batch(
     # lag behind round 0. That lag exceeds -round, since delta_t < period,
     # so j needs no clamp at 0; t0 < hyper keeps it at most J.
     round_sym = tp.s * tp.period_sym
-    cell = np.empty(n_runs, dtype=np.int64)
-    np.ceil(t0, out=cell, casting="unsafe")
-    cell -= dirs * tp.period_sym
-    cell += round_sym - 1 - tp.delta_t_sym
-    cell //= round_sym
-    # row-major cell (dirs, j) of the table
-    dirs *= tp.next_occasion.shape[1]
-    cell += dirs
-    nxt = tp.next_occasion.ravel()[cell]
-    waits = nxt - t0
-    waits *= tp.symbol_ms
-    censored = nxt == NO_OCCASION
-    censored |= waits > horizon_ms
-    np.copyto(waits, np.nan, where=censored)
+    lag = np.ceil(t0).astype(np.int64) - dirs * tp.period_sym
+    j = (lag + (round_sym - 1 - tp.delta_t_sym)) // round_sym
+    nxt = tp.next_occasion.ravel()[dirs * tp.next_occasion.shape[1] + j]
+    waits = (nxt - t0) * tp.symbol_ms
+    censored = (nxt == NO_OCCASION) | (waits > horizon_ms)
+    waits[censored] = np.nan
     return waits, censored
 
 
