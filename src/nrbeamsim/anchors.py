@@ -20,6 +20,7 @@ from .evaluation import omega_ia_for, omega_tr_for, stat_from_samples
 from .frame import CsiRsConfig, SsBurstConfig, make_numerology
 from .link import ChannelParams, misdetection_probability
 from .procedures import (
+    LTE_LATENCY_VALUES_MS,
     DeploymentMode,
     Scenario,
     expected_beam_report_delay_ms,
@@ -30,7 +31,6 @@ from .procedures import (
 
 RLF_ANCHORS_MS = ((40.0, 20.0535), (80.0, 40.0535))
 RLF_ANCHOR_TOL_MS = 0.002
-NSA_LATENCIES_MS = (0.8, 4.0, 10.0, 40.0)
 OMEGA_GRID = ((8, 20.0), (8, 80.0), (64, 20.0), (64, 80.0))
 OMEGA_NORMALIZED = {(64, 20.0): 10.0, (64, 80.0): 2.5, (8, 20.0): 1.25, (8, 80.0): 0.3125}
 DIGITAL_POWER_POINTS_W = {4: 64.359, 16: 257.433, 64: 1030.74}
@@ -102,7 +102,7 @@ def _check_rlf_anchors(rng_seed: int, n_runs: int) -> list[AnchorResult]:
 
 def _check_nsa_constants() -> list[AnchorResult]:
     out = []
-    for lte in NSA_LATENCIES_MS:
+    for lte in LTE_LATENCY_VALUES_MS:
         sc = _scenario(mode=DeploymentMode.NSA, lte_latency_ms=lte)
         rlf = simulate_rlf_batch(sc, 16, np.random.default_rng(0))
         t_rlf = float(rlf.t_total_ms[0])

@@ -165,10 +165,10 @@ class SweepPlan:
     """Precomputed sweep geometry for one scenario.
 
     Sweep slot ``k`` steers the gNB to step ``k % f_g`` and the UE to step
-    ``k // f_g``; ``g_labels``/``u_labels`` hold those steps, -1 on a
-    digital side, which needs no steering. Direction ``d`` of an end is
-    swept in step ``d // width`` of that end. The gNB steps the bursts
-    sweep repeat every ``rach_cycle`` bursts. A run that starts at cycle
+    ``k // f_g``; ``g_labels`` holds the gNB steps, -1 on a digital gNB,
+    which needs no steering. Direction ``d`` of an end is swept in step
+    ``d // width`` of that end. The gNB steps the bursts sweep repeat
+    every ``rach_cycle`` bursts. A run that starts at cycle
     burst ``b`` and chooses gNB step ``g`` waits
     ``tail_ms_twice[g + tail_shift[b]]`` from determination to the end
     of its report.
@@ -180,7 +180,6 @@ class SweepPlan:
     u_width: int
     blocks_per_burst: int
     bursts_per_sweep: int
-    last_burst_blocks: int
     cycle_bursts: int
     rach_cycle: int
     t_ss_sym: int
@@ -188,8 +187,6 @@ class SweepPlan:
     t_ss_ms: float
     digital_gnb: bool
     g_labels: np.ndarray
-    u_labels: np.ndarray
-    tie_break_order: np.ndarray
     det_offset_sym: int
     digital_tail_sym: int
 
@@ -245,12 +242,10 @@ def _plan_for(sc: Scenario) -> SweepPlan:
     c = math.ceil(s / b)
     r = s - (c - 1) * b
     digital_gnb = sc.gnb.arch is Architecture.DIGITAL
-    k = np.arange(s, dtype=np.int64)
-    g_labels = np.full(s, -1, dtype=np.int64) if digital_gnb else k % f_g
-    if sc.ue.arch is Architecture.DIGITAL:
-        u_labels = np.full(s, -1, dtype=np.int64)
+    if digital_gnb:
+        g_labels = np.full(s, -1, dtype=np.int64)
     else:
-        u_labels = k // f_g
+        g_labels = np.arange(s, dtype=np.int64) % f_g
     return SweepPlan(
         s=s,
         f_g=f_g,
@@ -258,7 +253,6 @@ def _plan_for(sc: Scenario) -> SweepPlan:
         u_width=directions_per_step(sc.ue),
         blocks_per_burst=b,
         bursts_per_sweep=c,
-        last_burst_blocks=r,
         cycle_bursts=s // math.gcd(b, s),
         rach_cycle=1 if digital_gnb else f_g // math.gcd(b, f_g),
         t_ss_sym=round(sc.ss.t_ss_ms * sc.numerology.symbols_per_ms),
@@ -266,8 +260,6 @@ def _plan_for(sc: Scenario) -> SweepPlan:
         t_ss_ms=sc.ss.t_ss_ms,
         digital_gnb=digital_gnb,
         g_labels=g_labels,
-        u_labels=u_labels,
-        tie_break_order=np.lexsort((u_labels, g_labels)).astype(np.int64),
         det_offset_sym=r * SS_BLOCK_SYMBOLS,
         digital_tail_sym=(b - r) * SS_BLOCK_SYMBOLS + RACH_SYMBOLS,
     )
@@ -335,7 +327,8 @@ def draw_sweep_winner(
     slot wins with probability :func:`p_correct_beam`; otherwise the
     winner is uniform over the other slots, which are exchangeable. This
     is exact in distribution, in O(1) per run. Without shadowing at a
-    0 dB floor every slot ties and the lowest (gnb_beam, ue_beam) wins.
+    0 dB floor every slot ties and the lowest (gnb_beam, ue_beam) wins:
+    slot 0, which sweeps step 0 at both ends.
     """
     n = k_star.size
     s = plan.s
@@ -343,7 +336,7 @@ def draw_sweep_winner(
         return k_star
     sigma, floor = cp.shadowing_sigma_db, cp.side_lobe_floor_db
     if sigma == 0.0 and floor == 0.0:
-        return np.full(n, plan.tie_break_order[0])
+        return np.zeros(n, dtype=np.int64)
     aligned = rng.random(n) < p_correct_beam(s, sigma, floor)
     j = rng.integers(0, s - 1, size=n)
     j += j >= k_star
@@ -436,7 +429,8 @@ def expected_beam_report_delay_ms(sc: Scenario) -> float:
     steps = np.arange(f_g)
     aligned = np.bincount(np.arange(sc.gnb.elements) // plan.g_width) / sc.gnb.elements
     if cp.shadowing_sigma_db == 0.0 and cp.side_lobe_floor_db == 0.0:
-        chosen = (steps == plan.g_labels[plan.tie_break_order[0]]).astype(np.float64)
+        # every slot ties and slot 0, gNB step 0, wins
+        chosen = (steps == 0).astype(np.float64)
     else:
         p = p_correct_beam(s, cp.shadowing_sigma_db, cp.side_lobe_floor_db)
         # at S = 1 there is no other slot, and p = 1

@@ -1,34 +1,17 @@
 """Scenario files: YAML schema, defaults, overrides and sweep expansion.
 
-A scenario file is a nested mapping with the sections below; every key
-is optional and falls back to its default. Unknown keys are rejected
-with their dotted path so typos do not silently become defaults, and so
-is ``null`` for a key whose default is not ``null``.
-
-Sections and defaults::
-
-    scenario_id: <derived>
-    numerology: {n: 3}
-    ss:         {n_ss: 64, t_ss_ms: 20}
-    csi:        {t_csi_slots: 5, n_symbols: 1, bandwidth_rb: 50,
-                 delta_t_symbols: 0, delta_f_rb: 0}
-    gnb:        {elements: 64, arch: analog, k_bf: null}
-    ue:         {elements: 4, arch: analog, k_bf: null}
-    channel:    {pl_intercept_db: 72, pl_exponent: 2.92,
-                 shadowing_sigma_db: 8.7, tx_power_dbm: 30,
-                 noise_figure_db: 5, bandwidth_hz: 4.0e8,
-                 detection_threshold_db: -5, cell_radius_m: 150,
-                 side_lobe_floor_db: -10}
-    power:      {c_chain_w: 16.0896, p0_w: 16.0507, c_ps_w: 0.0585}
-    deployment: {mode: SA, lte_latency_ms: null, carrier_ghz: 28,
-                 omega_br_window_ms: 200}
-    campaign:   {n_runs: 10000, seed: 42, horizon_ms: 500}
-    sweep:      {<dotted.key>: [values, ...], ...}
+A scenario file is a nested mapping of the sections in ``_SCHEMA``,
+which holds every key's default (the README lists them); every key is
+optional. File keys, ``--set section.key=value`` overrides and the keys
+of the ``sweep`` section all name one flat table of dotted keys and pass
+one check: an unknown key is rejected with its dotted path, and so is a
+value of the wrong type, including ``null`` for a key whose default is
+not ``null``.
 
 The ``sweep`` section maps dotted keys to value lists and expands to the
 Cartesian product of scenarios; each variant's id gets a deterministic
 suffix. The campaign block applies to the whole file, so its keys
-cannot be swept. ``--set key=value`` overrides use the same dotted paths.
+cannot be swept.
 """
 from __future__ import annotations
 
@@ -86,29 +69,9 @@ _SCHEMA: dict[str, Optional[dict[str, Any]]] = {
     "sweep": {},
 }
 
-_INT_KEYS = {
-    ("numerology", "n"),
-    ("ss", "n_ss"),
-    ("csi", "t_csi_slots"),
-    ("csi", "n_symbols"),
-    ("csi", "bandwidth_rb"),
-    ("csi", "delta_t_symbols"),
-    ("csi", "delta_f_rb"),
-    ("gnb", "elements"),
-    ("gnb", "k_bf"),
-    ("ue", "elements"),
-    ("ue", "k_bf"),
-    ("campaign", "n_runs"),
-    ("campaign", "seed"),
-}
-
-_FLOAT_KEYS = {
-    (section, key)
-    for section, defaults in _SCHEMA.items()
-    if defaults
-    for key, value in defaults.items()
-    if isinstance(value, float)
-} | {("deployment", "lte_latency_ms")}
+# keys a sweep cannot vary: the id, and the campaign block, which applies
+# to the whole file
+_UNSWEPT = ("scenario_id", "campaign")
 
 
 @dataclass(frozen=True)
@@ -132,227 +95,140 @@ def _err(source: str, path: str, msg: str) -> ConfigurationError:
     return ConfigurationError(f"{source}: {path}: {msg}")
 
 
-def _check_keys(data: Mapping[str, Any], source: str) -> None:
-    for section, value in data.items():
-        if section not in _SCHEMA:
-            raise _err(source, section, f"unknown section (known: {sorted(_SCHEMA)})")
-        if section in ("scenario_id", "sweep"):
-            continue
-        if value is None:
-            continue
-        if not isinstance(value, Mapping):
-            raise _err(source, section, "must be a mapping")
-        known = _SCHEMA[section]
-        assert known is not None
-        for key in value:
-            if key not in known:
-                raise _err(
-                    source, f"{section}.{key}", f"unknown key (known: {sorted(known)})"
-                )
+def _flatten(data: Mapping[Any, Any], source: str) -> dict[str, Any]:
+    """Dotted ``section.key`` paths of a nested mapping; a ``null`` section
+    adds none."""
+    flat: dict[str, Any] = {}
+    for name, value in data.items():
+        name = str(name)
+        if name not in _SCHEMA:
+            raise _err(source, name, f"unknown section (known: {sorted(_SCHEMA)})")
+        if _SCHEMA[name] is None:
+            flat[name] = value
+        elif isinstance(value, Mapping):
+            flat.update((f"{name}.{key}", v) for key, v in value.items())
+        elif value is not None:
+            raise _err(source, name, "must be a mapping")
+    return flat
 
 
-def _merged(data: Mapping[str, Any]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for section, defaults in _SCHEMA.items():
-        if section == "scenario_id":
-            out[section] = data.get(section)
-            continue
-        if section == "sweep":
-            out[section] = dict(data.get(section) or {})
-            continue
-        assert defaults is not None
-        merged = dict(defaults)
-        given = data.get(section) or {}
-        merged.update(given)
-        out[section] = merged
-    return out
+# the flat key table: every dotted key with its default and type; the
+# type is the default's, except for the keys that default to null
+_DEFAULTS: dict[str, Any] = _flatten(_SCHEMA, "<schema>")
+_TYPES: dict[str, type] = {
+    path: type(value) for path, value in _DEFAULTS.items() if value is not None
+} | {
+    "scenario_id": str,
+    "gnb.k_bf": int,
+    "ue.k_bf": int,
+    "deployment.lte_latency_ms": float,
+}
 
 
-def _coerce(source: str, section: str, key: str, value: Any) -> Any:
+def _check_path(source: str, path: str, shown: str) -> None:
+    """Reject a dotted path that is not in the key table; ``shown`` is the
+    name the error gives it."""
+    if path not in _DEFAULTS:
+        known = _SCHEMA.get(path.partition(".")[0]) or _DEFAULTS
+        raise _err(source, shown, f"unknown key (known: {sorted(known)})")
+
+
+def _coerce(source: str, path: str, shown: str, value: Any) -> Any:
+    """``value`` as the type of key ``path``, or an error naming ``shown``."""
     if value is None:
-        if _SCHEMA[section][key] is not None:
-            raise _err(source, f"{section}.{key}", "must not be null")
+        if _DEFAULTS[path] is not None:
+            raise _err(source, shown, "must not be null")
         return None
-    if (section, key) in _INT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _err(source, f"{section}.{key}", f"expected an integer, got {value!r}")
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise _err(
-                    source, f"{section}.{key}", f"expected an integer, got {value!r}"
-                )
-            value = int(value)
-        return value
-    if (section, key) in _FLOAT_KEYS:
-        # YAML 1.1 reads 4.0e8 as a string; float() takes it, as it did before
+    kind = _TYPES[path]
+    if kind is int:
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())
+        ):
+            raise _err(source, shown, f"expected an integer, got {value!r}")
+        return int(value)
+    if kind is float:
+        # YAML 1.1 reads 4.0e8 as a string; float() takes it
         try:
-            number = float(value)
+            number = None if isinstance(value, bool) else float(value)
         except (TypeError, ValueError):
             number = None
-        if number is None or isinstance(value, bool):
-            raise _err(source, f"{section}.{key}", f"expected a number, got {value!r}")
+        except OverflowError:
+            number = math.inf
+        if number is None:
+            raise _err(source, shown, f"expected a number, got {value!r}")
         if not math.isfinite(number):
-            raise _err(source, f"{section}.{key}", f"must be finite, got {value!r}")
+            raise _err(source, shown, f"must be finite, got {value!r}")
+        return number
+    if not isinstance(value, str):
+        raise _err(source, shown, f"expected a string, got {value!r}")
     return value
 
 
-def _parse_scalar(text: str) -> Any:
-    return yaml.safe_load(text)
-
-
-def apply_overrides(
-    data: dict[str, Any], overrides: Sequence[str], source: str = "<override>"
-) -> dict[str, Any]:
-    """Apply ``section.key=value`` overrides onto raw scenario data.
-
-    An override of a key the sweep also sets would be replaced by every
-    variant's swept value, so it is rejected.
-    """
-    out = {k: (dict(v) if isinstance(v, Mapping) else v) for k, v in data.items()}
-    set_paths = []
+def _overrides(overrides: Sequence[str], source: str) -> dict[str, Any]:
+    """Values of ``section.key=value`` items by dotted path, each value read
+    as YAML."""
+    flat: dict[str, Any] = {}
     for item in overrides:
-        if "=" not in item:
+        path, eq, raw = item.partition("=")
+        if not eq:
             raise _err(source, item, "override must look like section.key=value")
-        path, _, raw = item.partition("=")
-        parts = path.strip().split(".", 1)
-        value = _parse_scalar(raw.strip())
-        if len(parts) == 1 and parts[0] == "scenario_id":
-            out["scenario_id"] = value
-            continue
-        if len(parts) != 2:
-            raise _err(source, path, "override path must be section.key")
-        section, key = parts
-        if section not in _SCHEMA or section in ("scenario_id",):
-            raise _err(source, path, f"unknown section (known: {sorted(_SCHEMA)})")
-        if section == "sweep":
-            # sweep keys are themselves dotted (sweep.ss.n_ss=[8, 64])
-            out.setdefault("sweep", {})[key] = value
-            continue
-        if "." in key:
-            raise _err(source, path, "override path must be section.key")
-        known = _SCHEMA[section]
-        assert known is not None
-        if key not in known:
-            raise _err(source, path, f"unknown key (known: {sorted(known)})")
-        out.setdefault(section, {})
-        if out[section] is None:
-            out[section] = {}
-        out[section][key] = value
-        set_paths.append(f"{section}.{key}")
-    swept = out.get("sweep")
-    if isinstance(swept, Mapping):
-        for path in set_paths:
-            if path in swept:
-                raise _err(
-                    source,
-                    path,
-                    f"set by --set but swept by sweep.{path}, whose values "
-                    f"replace it; use --set sweep.{path}=[...] instead",
-                )
+        path = path.strip()
+        try:
+            flat[path] = yaml.safe_load(raw.strip())
+        except yaml.YAMLError:
+            raise _err(source, path, f"not a valid YAML value: {raw.strip()!r}") from None
+    return flat
+
+
+def _nested(flat: Mapping[str, Any]) -> dict[str, Any]:
+    out: dict[str, Any] = {}
+    for path, value in flat.items():
+        section, _, key = path.partition(".")
+        if key:
+            out.setdefault(section, {})[key] = value
+        else:
+            out[section] = value
     return out
 
 
-def _build_scenario(cfg: Mapping[str, Any], source: str) -> Scenario:
-    def section(name: str) -> dict[str, Any]:
-        sec = dict(cfg[name])
-        return {
-            k: _coerce(source, name, k, v) for k, v in sec.items()
-        }
-
-    num_cfg = section("numerology")
-    ss_cfg = section("ss")
-    csi_cfg = section("csi")
-    gnb_cfg = section("gnb")
-    ue_cfg = section("ue")
-    ch_cfg = section("channel")
-    pw_cfg = section("power")
-    dep_cfg = section("deployment")
-
+def _member(enum: Any, value: str, path: str) -> Any:
     try:
-        num = make_numerology(num_cfg["n"])
-        ss = SsBurstConfig(n_ss=ss_cfg["n_ss"], t_ss_ms=float(ss_cfg["t_ss_ms"]))
-        csi = CsiRsConfig(**csi_cfg)
+        return enum(value)
+    except ValueError:
+        raise ConfigurationError(
+            f"{path}={value!r}: must be one of {[m.value for m in enum]}"
+        ) from None
 
-        def array_of(sec: dict[str, Any], name: str) -> ArrayConfig:
-            try:
-                arch = Architecture(sec["arch"])
-            except ValueError:
-                raise ConfigurationError(
-                    f"{name}.arch={sec['arch']!r}: must be one of "
-                    f"{[a.value for a in Architecture]}"
-                )
-            try:
-                return ArrayConfig(
-                    elements=sec["elements"], arch=arch, k_bf=sec["k_bf"]
-                )
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"{name}.{exc}") from None
 
-        gnb = array_of(gnb_cfg, "gnb")
-        ue = array_of(ue_cfg, "ue")
-        channel = ChannelParams(**{k: float(v) for k, v in ch_cfg.items()})
-        power = PowerModel(**{k: float(v) for k, v in pw_cfg.items()})
+def _build_scenario(cfg: Mapping[str, Any], label: Optional[str], source: str) -> Scenario:
+    def array_of(name: str) -> ArrayConfig:
+        sec = cfg[name]
+        arch = _member(Architecture, sec["arch"], f"{name}.arch")
         try:
-            mode = DeploymentMode(dep_cfg["mode"])
-        except ValueError:
-            raise ConfigurationError(
-                f"deployment.mode={dep_cfg['mode']!r}: must be one of "
-                f"{[m.value for m in DeploymentMode]}"
-            )
-        lte = dep_cfg["lte_latency_ms"]
+            return ArrayConfig(elements=sec["elements"], arch=arch, k_bf=sec["k_bf"])
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{name}.{exc}") from None
+
+    dep = cfg["deployment"]
+    try:
         return Scenario(
-            gnb=gnb,
-            ue=ue,
-            numerology=num,
-            ss=ss,
-            csi=csi,
-            channel=channel,
-            power=power,
-            mode=mode,
-            lte_latency_ms=float(lte) if lte is not None else None,
-            carrier_ghz=float(dep_cfg["carrier_ghz"]),
-            omega_br_window_ms=float(dep_cfg["omega_br_window_ms"]),
-            label=cfg.get("scenario_id"),
+            numerology=make_numerology(cfg["numerology"]["n"]),
+            ss=SsBurstConfig(**cfg["ss"]),
+            csi=CsiRsConfig(**cfg["csi"]),
+            gnb=array_of("gnb"),
+            ue=array_of("ue"),
+            channel=ChannelParams(**cfg["channel"]),
+            power=PowerModel(**cfg["power"]),
+            mode=_member(DeploymentMode, dep["mode"], "deployment.mode"),
+            lte_latency_ms=dep["lte_latency_ms"],
+            carrier_ghz=dep["carrier_ghz"],
+            omega_br_window_ms=dep["omega_br_window_ms"],
+            label=label,
         )
     except (ConfigurationError, DomainError) as exc:
         raise ConfigurationError(f"{source}: {exc}") from None
-
-
-def _expand_sweep(
-    merged: dict[str, Any], source: str
-) -> list[tuple[dict[str, Any], str]]:
-    sweep: Mapping[str, Any] = merged.get("sweep") or {}
-    if not sweep:
-        return [(merged, "")]
-    keys = sorted(sweep)
-    value_lists = []
-    for k in keys:
-        parts = k.split(".")
-        if len(parts) != 2:
-            raise _err(source, f"sweep.{k}", "sweep keys must be section.key")
-        section, key = parts
-        known = _SCHEMA.get(section)
-        if section in ("scenario_id", "sweep", "campaign") or known is None:
-            raise _err(source, f"sweep.{k}", "cannot sweep this section")
-        if key not in known:
-            raise _err(source, f"sweep.{k}", f"unknown key (known: {sorted(known)})")
-        values = sweep[k]
-        if not isinstance(values, (list, tuple)) or not values:
-            raise _err(source, f"sweep.{k}", "must map to a non-empty list")
-        value_lists.append(list(values))
-
-    variants = []
-    for combo in itertools.product(*value_lists):
-        cfg = {
-            k: (dict(v) if isinstance(v, Mapping) else v) for k, v in merged.items()
-        }
-        suffix_parts = []
-        for (dotted, value) in zip(keys, combo):
-            section, key = dotted.split(".")
-            cfg[section][key] = value
-            suffix_parts.append(f"{key}={value}")
-        variants.append((cfg, "__".join(suffix_parts)))
-    return variants
 
 
 def scenario_file_from_dict(
@@ -360,36 +236,72 @@ def scenario_file_from_dict(
     source: str = "<dict>",
     overrides: Sequence[str] = (),
 ) -> ScenarioFile:
-    data = dict(data or {})
-    data = apply_overrides(data, overrides, source)
-    _check_keys(data, source)
-    merged = _merged(data)
+    """Scenarios and campaign settings of one scenario file's data.
 
-    camp = {
-        k: _coerce(source, "campaign", k, v) for k, v in merged["campaign"].items()
-    }
-    if camp["n_runs"] < 1:
+    ``overrides`` are ``section.key=value`` items that win over the file.
+    One that sets a key the sweep also sets would be replaced by every
+    variant's swept value, so it is rejected.
+    """
+    forced = _overrides(overrides, source)
+    raw = dict(_DEFAULTS)
+    swept: dict[str, Any] = {}
+    for path, value in {**_flatten(data or {}, source), **forced}.items():
+        section, _, key = path.partition(".")
+        if section == "sweep":
+            swept[key] = value
+        else:
+            _check_path(source, path, path)
+            raw[path] = value
+    for path in forced:
+        if path in swept:
+            raise _err(
+                source,
+                path,
+                f"set by --set but swept by sweep.{path}, whose values "
+                f"replace it; use --set sweep.{path}=[...] instead",
+            )
+
+    # each axis lists (key, value as given, value as its type)
+    axes = []
+    for key in sorted(swept):
+        shown = f"sweep.{key}"
+        if key.partition(".")[0] in _UNSWEPT:
+            raise _err(source, shown, "cannot sweep this section")
+        _check_path(source, key, shown)
+        values = swept[key]
+        if not isinstance(values, (list, tuple)) or not values:
+            raise _err(source, shown, "must map to a non-empty list")
+        axis = [(key, v, _coerce(source, key, shown, v)) for v in values]
+        if len({t for _, _, t in axis}) < len(axis):
+            raise _err(source, shown, f"repeats a value in {values!r}")
+        axes.append(axis)
+
+    typed = {p: _coerce(source, p, p, v) for p, v in raw.items() if p not in swept}
+    if typed["campaign.n_runs"] < 1:
         raise _err(source, "campaign.n_runs", "must be at least 1")
-    if camp["seed"] < 0:
+    if typed["campaign.seed"] < 0:
         raise _err(source, "campaign.seed", "must be non-negative")
-    if camp["horizon_ms"] <= 0:
+    if typed["campaign.horizon_ms"] <= 0:
         raise _err(source, "campaign.horizon_ms", "must be positive")
     campaign = CampaignSettings(
-        n_runs=camp["n_runs"],
-        seed=camp["seed"],
-        horizon_ms=float(camp["horizon_ms"]),
+        n_runs=typed["campaign.n_runs"],
+        seed=typed["campaign.seed"],
+        horizon_ms=typed["campaign.horizon_ms"],
     )
 
+    given_id = typed["scenario_id"]
     scenarios = []
     effectives = []
-    for cfg, suffix in _expand_sweep(merged, source):
-        if suffix and cfg.get("scenario_id"):
-            cfg["scenario_id"] = f"{cfg['scenario_id']}__{suffix}"
-        sc = _build_scenario(cfg, source)
-        if suffix and not cfg.get("scenario_id"):
+    for combo in itertools.product(*axes):
+        suffix = "__".join(f"{key.partition('.')[2]}={v}" for key, v, _ in combo)
+        label = f"{given_id}__{suffix}" if suffix and given_id else given_id
+        sc = _build_scenario(
+            _nested({**typed, **{key: t for key, _, t in combo}}), label, source
+        )
+        if suffix and not given_id:
             sc = dataclasses.replace(sc, label=f"{sc.scenario_id}__{suffix}")
         scenarios.append(sc)
-        eff = {k: v for k, v in cfg.items() if k != "sweep"}
+        eff = _nested({**raw, **{key: v for key, v, _ in combo}})
         eff["scenario_id"] = sc.scenario_id
         effectives.append(eff)
     return ScenarioFile(

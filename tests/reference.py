@@ -407,6 +407,13 @@ def omega_tr_walked(sc) -> float:
     return overhead(tl, (EventKind.CSI_RS,), 2 * period_ms, sc.carrier_rb)
 
 
+def tie_break_order(plan) -> np.ndarray:
+    """Sweep slots by (gnb_beam, ue_beam): slot ``k`` sweeps gNB step
+    ``k % f_g`` and UE step ``k // f_g``."""
+    k = np.arange(plan.s)
+    return np.lexsort((k // plan.f_g, k % plan.f_g))
+
+
 def matrix_sweep_winner(plan, cp, base_db, k_star, rng):
     """Winning sweep slot, measuring every block of the sweep.
 
@@ -421,7 +428,7 @@ def matrix_sweep_winner(plan, cp, base_db, k_star, rng):
     snr = rng.normal(0.0, cp.shadowing_sigma_db, size=(base_db.size, plan.s))
     snr += base_db[:, None] + cp.side_lobe_floor_db
     snr[rows, k_star] -= cp.side_lobe_floor_db
-    perm = plan.tie_break_order
+    perm = tie_break_order(plan)
     return perm[np.argmax(snr[:, perm], axis=1)]
 
 
@@ -474,7 +481,7 @@ def sweep_winner_formula(plan, cp, k_star, rng):
         return k_star
     sigma, floor = cp.shadowing_sigma_db, cp.side_lobe_floor_db
     if sigma == 0.0 and floor == 0.0:
-        return np.full(n, plan.tie_break_order[0])
+        return np.full(n, tie_break_order(plan)[0])
     aligned = rng.random(n) < p_correct_beam(s, sigma, floor)
     j = rng.integers(0, s - 1, size=n)
     return np.where(aligned, k_star, j + (j >= k_star))

@@ -4,6 +4,7 @@ import json
 import warnings
 
 import pytest
+import yaml
 
 from nrbeamsim.cli import (
     EXIT_ANCHOR,
@@ -95,13 +96,42 @@ class TestExitCodes:
                 ("channel.pl_intercept_db=1e308", "channel.tx_power_dbm=-1e308"),
                 id="channel.pl_intercept_db=1e308,channel.tx_power_dbm=-1e308",
             ),
+            # too large for a float
+            pytest.param("channel.tx_power_dbm=1" + "0" * 400, id="tx_power_dbm=1e400"),
+            # the sweep section is a mapping of dotted keys to lists
+            "sweep=5",
+            "sweep=[1, 2]",
+            "sweep=abc",
+            "sweep={1: [2]}",
+            # the same scenario twice, under one id or two
+            "sweep.ss.n_ss=[8, 8]",
+            "sweep.ss.n_ss=[8, 8.0]",
+            # an id is a string
+            "scenario_id=[a, b]",
+            "scenario_id={a: 1}",
+            "scenario_id=123",
         ],
     )
-    def test_invalid_configs_exit_one(self, quick_yaml, override, capsys):
+    @pytest.mark.parametrize("form", ["set", "file"])
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_invalid_configs_exit_one(self, quick_yaml, override, form, command, capsys):
         overrides = (override,) if isinstance(override, str) else override
-        argv = ["validate", str(quick_yaml)]
-        for item in overrides:
-            argv += ["--set", item]
+        argv = [command, str(quick_yaml)]
+        if form == "set":
+            for item in overrides:
+                argv += ["--set", item]
+        else:
+            # the same values written into the file
+            data = yaml.safe_load(quick_yaml.read_text(encoding="utf-8"))
+            for item in overrides:
+                path, _, raw = item.partition("=")
+                section, dot, key = path.partition(".")
+                value = yaml.safe_load(raw)
+                if dot:
+                    data.setdefault(section, {})[key] = value
+                else:
+                    data[section] = value
+            quick_yaml.write_text(yaml.safe_dump(data), encoding="utf-8")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(argv)

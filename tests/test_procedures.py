@@ -11,7 +11,7 @@ from nrbeamsim.errors import (
     DomainError,
     NotApplicableError,
 )
-from nrbeamsim.frame import CsiRsConfig
+from nrbeamsim.frame import SS_BLOCK_SYMBOLS, CsiRsConfig
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import (
     LTE_LATENCY_VALUES_MS,
@@ -56,7 +56,7 @@ class TestSweepPlanGeometry:
             plan.s,
             plan.blocks_per_burst,
             plan.bursts_per_sweep,
-            plan.last_burst_blocks,
+            plan.det_offset_sym // SS_BLOCK_SYMBOLS,
             plan.cycle_bursts,
             plan.rach_cycle,
         )
@@ -64,9 +64,10 @@ class TestSweepPlanGeometry:
 
     @staticmethod
     def _labels(plan):
+        # the UE side is analog in these cases: slot k sweeps UE step k // f_g
         return [
-            (None if g < 0 else int(g), None if u < 0 else int(u))
-            for g, u in zip(plan.g_labels, plan.u_labels)
+            (None if g < 0 else int(g), k // plan.f_g)
+            for k, g in enumerate(plan.g_labels)
         ]
 
     def test_pair_order_is_ue_outer(self):
@@ -85,7 +86,7 @@ class TestSweepPlanGeometry:
         for u in range(2):
             for g in range(4):
                 k = covering_step(sc.ue, u) * plan.f_g + covering_step(sc.gnb, g)
-                assert (plan.g_labels[k], plan.u_labels[k]) == (g, u)
+                assert (plan.g_labels[k], k // plan.f_g) == (g, u)
 
 
 class TestReportTailAgainstTimelines:

@@ -1,14 +1,25 @@
-"""The README's library example runs as written."""
+"""The README's defaults and library example hold as written."""
 from __future__ import annotations
 
 import re
 from pathlib import Path
+
+import yaml
+
+from nrbeamsim.scenario_io import scenario_file_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _blocks(lang: str) -> list[str]:
     return re.findall(rf"```{lang}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+def test_defaults_block_builds_what_an_empty_file_builds():
+    listed = scenario_file_from_dict(yaml.safe_load(_blocks("yaml")[0]))
+    empty = scenario_file_from_dict({})
+    assert listed.scenarios == empty.scenarios
+    assert listed.campaign == empty.campaign
 
 
 def test_python_blocks_run_against_the_default_scenario(tmp_path, monkeypatch):

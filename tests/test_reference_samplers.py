@@ -87,8 +87,7 @@ class TestSweepWinnerAgainstMatrix:
     @pytest.mark.parametrize("name", sorted(set(WINNER_CASES) - {"s1"}))
     def test_chosen_labels_chi_square(self, name):
         sc = make_scenario(n_ss=8, **WINNER_CASES[name])
-        plan = sweep_plan(sc)
-        keys = [plan.g_labels[b] * 1000 + plan.u_labels[b] for b in _winners(sc, 11)]
+        keys = _winners(sc, 11)
         cats = np.unique(np.concatenate(keys))
         counts = np.array([[np.count_nonzero(k == c) for c in cats] for k in keys])
         expected = counts.sum(axis=0) * counts.sum(axis=1)[:, None] / counts.sum()
@@ -120,8 +119,20 @@ class TestSweepWinnerAgainstMatrix:
                 k_bf_gnb=8,
                 channel=ChannelParams(shadowing_sigma_db=0.0, side_lobe_floor_db=0.0),
             ),
+            dict(
+                m_gnb=64,
+                m_ue=4,
+                arch_gnb="digital",
+                channel=ChannelParams(shadowing_sigma_db=0.0, side_lobe_floor_db=0.0),
+            ),
         ],
-        ids=["s1", "sigma0", "sigma0_floor0", "sigma0_floor0_hybrid"],
+        ids=[
+            "s1",
+            "sigma0",
+            "sigma0_floor0",
+            "sigma0_floor0_hybrid",
+            "sigma0_floor0_digital",
+        ],
     )
     def test_deterministic_winner_is_exact(self, kw):
         # true pairs come first in both streams, so the runs line up one

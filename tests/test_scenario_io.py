@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from nrbeamsim.codebook import Architecture
+from nrbeamsim.codebook import Architecture, PowerModel
 from nrbeamsim.errors import ConfigurationError
-from nrbeamsim.procedures import DeploymentMode
-from nrbeamsim.scenario_io import (
-    _FLOAT_KEYS,
-    _SCHEMA,
-    apply_overrides,
-    parse_scenario,
-    scenario_file_from_dict,
-)
+from nrbeamsim.frame import CsiRsConfig, SsBurstConfig
+from nrbeamsim.link import ChannelParams
+from nrbeamsim.procedures import DeploymentMode, Scenario
+from nrbeamsim.scenario_io import _SCHEMA, parse_scenario, scenario_file_from_dict
+
+FLOAT_KEYS = {
+    (section, key)
+    for section, defaults in _SCHEMA.items()
+    if defaults
+    for key, value in defaults.items()
+    if isinstance(value, float)
+} | {("deployment", "lte_latency_ms")}
 
 
 class TestDefaults:
@@ -28,6 +34,16 @@ class TestDefaults:
         assert sc.csi.t_csi_slots == 5
         assert sc.mode is DeploymentMode.SA
         assert sc.lte_latency_ms is None
+
+    def test_file_defaults_are_the_model_defaults(self):
+        sc = scenario_file_from_dict({}).scenarios[0]
+        assert sc.channel == ChannelParams()
+        assert sc.power == PowerModel()
+        assert sc.csi == CsiRsConfig()
+        assert sc.ss == SsBurstConfig()
+        defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
+        for name in ("mode", "carrier_ghz", "omega_br_window_ms"):
+            assert getattr(sc, name) == defaults[name]
 
     def test_default_campaign(self):
         camp = scenario_file_from_dict({}).campaign
@@ -72,7 +88,7 @@ class TestValidationMessages:
         sf = scenario_file_from_dict({"gnb": {"elements": 16.0}})
         assert sf.scenarios[0].gnb.elements == 16
 
-    @pytest.mark.parametrize("section,key", sorted(_FLOAT_KEYS))
+    @pytest.mark.parametrize("section,key", sorted(FLOAT_KEYS))
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_float_keys_reject_non_finite(self, section, key, value):
         with pytest.raises(ConfigurationError, match=rf"{section}\.{key}: must be finite"):
@@ -159,27 +175,37 @@ class TestValidationMessages:
 
 class TestOverrides:
     def test_override_wins_over_file_value(self):
-        data = apply_overrides({"ss": {"n_ss": 8}}, ["ss.n_ss=32"])
-        assert data["ss"]["n_ss"] == 32
+        sf = scenario_file_from_dict({"ss": {"n_ss": 8}}, overrides=["ss.n_ss=32"])
+        assert sf.scenarios[0].ss.n_ss == 32
 
     def test_override_parses_yaml_scalars(self):
-        data = apply_overrides({}, ["deployment.lte_latency_ms=0.8", "gnb.k_bf=null"])
-        assert data["deployment"]["lte_latency_ms"] == 0.8
-        assert data["gnb"]["k_bf"] is None
+        # the file's k_bf is invalid for an analog array; the null wins
+        sf = scenario_file_from_dict(
+            {"gnb": {"k_bf": 4}},
+            overrides=["deployment.lte_latency_ms=0.8", "gnb.k_bf=null"],
+        )
+        assert sf.scenarios[0].lte_latency_ms == 0.8
+        assert sf.scenarios[0].gnb.k_bf is None
+        assert sf.effective[0]["deployment"]["lte_latency_ms"] == 0.8
+        assert sf.effective[0]["gnb"]["k_bf"] is None
 
     def test_scenario_id_override(self):
         sf = scenario_file_from_dict({}, overrides=["scenario_id=mycase"])
         assert sf.scenarios[0].scenario_id == "mycase"
 
     def test_override_path_must_be_dotted(self):
-        with pytest.raises(ConfigurationError, match="section.key"):
-            apply_overrides({}, ["n_ss=8"])
+        with pytest.raises(ConfigurationError, match="n_ss: unknown key"):
+            scenario_file_from_dict({}, overrides=["n_ss=8"])
         with pytest.raises(ConfigurationError, match="override"):
-            apply_overrides({}, ["just-words"])
+            scenario_file_from_dict({}, overrides=["just-words"])
+
+    def test_override_value_must_be_yaml(self):
+        with pytest.raises(ConfigurationError, match=r"ss\.n_ss: not a valid YAML value"):
+            scenario_file_from_dict({}, overrides=["ss.n_ss=[8"])
 
     def test_override_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown key"):
-            apply_overrides({}, ["ss.burst=4"])
+            scenario_file_from_dict({}, overrides=["ss.burst=4"])
 
     def test_sweep_override_expands(self):
         sf = scenario_file_from_dict({}, overrides=["sweep.ss.n_ss=[8, 64]"])
@@ -189,14 +215,18 @@ class TestOverrides:
     def test_override_of_a_swept_key_rejected(self):
         data = {"ss": {"n_ss": 16}, "sweep": {"ss.n_ss": [8, 64]}}
         with pytest.raises(ConfigurationError, match=r"ss\.n_ss: .*sweep\.ss\.n_ss"):
-            apply_overrides(data, ["ss.n_ss=32"])
+            scenario_file_from_dict(data, overrides=["ss.n_ss=32"])
         with pytest.raises(ConfigurationError, match=r"sweep\.ss\.n_ss"):
-            apply_overrides({}, ["sweep.ss.n_ss=[8]", "ss.n_ss=32"])
-        assert apply_overrides(data, ["ss.t_ss_ms=40"])["ss"] == {"n_ss": 16, "t_ss_ms": 40}
+            scenario_file_from_dict({}, overrides=["sweep.ss.n_ss=[8]", "ss.n_ss=32"])
+        sf = scenario_file_from_dict(data, overrides=["ss.t_ss_ms=40"])
+        assert [eff["ss"] for eff in sf.effective] == [
+            {"n_ss": 8, "t_ss_ms": 40},
+            {"n_ss": 64, "t_ss_ms": 40},
+        ]
 
     def test_deep_path_outside_sweep_rejected(self):
-        with pytest.raises(ConfigurationError, match="section.key"):
-            apply_overrides({}, ["ss.n_ss.extra=8"])
+        with pytest.raises(ConfigurationError, match=r"ss\.n_ss\.extra: unknown key"):
+            scenario_file_from_dict({}, overrides=["ss.n_ss.extra=8"])
 
 
 class TestSweepExpansion:
