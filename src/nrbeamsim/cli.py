@@ -21,12 +21,14 @@ from .anchors import anchors_csv, run_anchors
 from .errors import ConfigurationError, DomainError, NotApplicableError
 from .evaluation import MetricsReport, estimate_metrics, kiviat_normalize
 from .reporting import (
+    METRIC_COLUMNS,
     emit,
     power_overhead_table,
     recovery_delay_table,
     reporting_delay_table,
     reports_from_json,
     reports_to_json,
+    stat_field,
 )
 from .scenario_io import ScenarioFile, parse_scenario
 
@@ -42,6 +44,10 @@ EXIT_IO = 3
 # double-quoted scalar wraps; a PyYAML built without libyaml has only the
 # Python one.
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+# the metric each campaign command prints, None for all of them; every one
+# runs every campaign of every scenario and --out writes every metric
+_FOCUS = {"ia": "t_ia_ms", "tracking": "t_tr_ms", "rlf": "t_rlf_ms", "sweep": None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,13 +75,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--runs", type=int, default=None, help="runs per campaign")
         p.add_argument("--out", type=Path, default=None, help="directory for CSV/JSON")
 
-    for name, desc in (
-        ("validate", "parse and validate a scenario file"),
-        ("ia", "initial-access campaign"),
-        ("tracking", "beam-tracking campaign"),
-        ("rlf", "link-recovery campaign"),
-        ("sweep", "full campaign over the scenario sweep grid"),
-    ):
+    add_file_args(sub.add_parser("validate", help="parse and validate a scenario file"))
+    for name, focus in _FOCUS.items():
+        desc = (
+            "run every campaign of every scenario; print "
+            f"{focus or 'every metric'}, --out writes every metric"
+        )
         add_file_args(sub.add_parser(name, help=desc))
 
     p_anchor = sub.add_parser("anchors", help="run the built-in regression anchors")
@@ -131,25 +136,20 @@ def _print_effective(sf: ScenarioFile, seed: int, n_runs: int) -> None:
 
 
 def _metric_lines(r: MetricsReport, focus: Optional[str]) -> list[str]:
-    rows = {
-        "t_ia_ms": f"{r.t_ia.mean:.6g} +/- {r.t_ia.stderr:.3g}",
-        "t_tr_ms": f"{r.t_tr.mean:.6g} +/- {r.t_tr.stderr:.3g}",
-        "t_br_ms": f"{r.t_br.mean:.6g} +/- {r.t_br.stderr:.3g}",
-        "t_rlf_ms": f"{r.t_rlf.mean:.6g} +/- {r.t_rlf.stderr:.3g}",
-        "omega_ia": f"{r.omega_ia:.6g}",
-        "omega_tr": f"{r.omega_tr:.6g}",
-        "omega_br": f"{r.omega_br:.6g}",
-        "accuracy": f"{r.accuracy:.6g}",
-        "p_c_w": f"{r.p_c_w:.6g}",
-    }
-    if focus:
-        keys = [focus]
-    else:
-        keys = list(rows)
-    return [f"{r.scenario_id}: {k} = {rows[k]}" for k in keys]
+    lines = []
+    for column in (focus,) if focus else METRIC_COLUMNS:
+        field = stat_field(column)
+        if field is None:
+            text = f"{getattr(r, column):.6g}"
+        else:
+            stat = getattr(r, field)
+            text = f"{stat.mean:.6g} +/- {stat.stderr:.3g}"
+        lines.append(f"{r.scenario_id}: {column} = {text}")
+    return lines
 
 
-def _run_campaign(args: argparse.Namespace, focus: Optional[str]) -> int:
+def _run_campaign(args: argparse.Namespace) -> int:
+    focus = _FOCUS[args.command]
     sf = parse_scenario(args.scenario, overrides=args.overrides)
     seed, n_runs = _seed_and_runs(args, sf)
     _print_effective(sf, seed, n_runs)
@@ -162,7 +162,7 @@ def _run_campaign(args: argparse.Namespace, focus: Optional[str]) -> int:
             print(line)
     if args.out is not None:
         basename = args.command if args.command != "sweep" else "reports"
-        written = emit(reports, args.out, ("csv", "json"), basename=basename)
+        written = emit(reports, args.out, basename=basename)
         for path in written:
             print(f"wrote {path}")
     return EXIT_OK
@@ -209,15 +209,8 @@ def _run_report(args: argparse.Namespace) -> int:
         "power_overhead.csv": power_overhead_table(reports),
         "t_rlf_table.csv": recovery_delay_table(reports),
     }
-    for name, text in tables.items():
-        print(f"# {name}")
-        print(text.rstrip())
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, text in tables.items():
-            (out / name).write_text(text, encoding="utf-8")
-            print(f"wrote {out / name}")
+        # kiviat may refuse the reports: find out before writing any file
         kiviat = kiviat_normalize(reports)
         payload = {
             "axes": list(kiviat.axes),
@@ -225,12 +218,20 @@ def _run_report(args: argparse.Namespace) -> int:
             "raw": [list(v) for v in kiviat.raw],
             "values": [list(v) for v in kiviat.values],
         }
-        (out / "kiviat.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {out / 'kiviat.json'}")
-        (out / "reports.json").write_text(reports_to_json(reports), encoding="utf-8")
-        print(f"wrote {out / 'reports.json'}")
+        files = {
+            **tables,
+            "kiviat.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            "reports.json": reports_to_json(reports),
+        }
+    for name, text in tables.items():
+        print(f"# {name}")
+        print(text.rstrip())
+    if args.out is not None:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8")
+            print(f"wrote {out / name}")
     return EXIT_OK
 
 
@@ -240,14 +241,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "validate":
             return _run_validate(args)
-        if args.command == "ia":
-            return _run_campaign(args, "t_ia_ms")
-        if args.command == "tracking":
-            return _run_campaign(args, "t_tr_ms")
-        if args.command == "rlf":
-            return _run_campaign(args, "t_rlf_ms")
-        if args.command == "sweep":
-            return _run_campaign(args, None)
+        if args.command in _FOCUS:
+            return _run_campaign(args)
         if args.command == "anchors":
             return _run_anchors(args)
         if args.command == "report":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -78,9 +78,6 @@ def stat_from_samples(x: np.ndarray) -> MetricStat:
     )
 
 
-SCALAR_METRICS = ("omega_ia", "omega_tr", "omega_br", "accuracy", "p_c_w")
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """Everything measured for one scenario, plus identifying config."""
@@ -107,19 +104,6 @@ class MetricsReport:
     seed: int
     n_runs: int
     censored_tracking: int = 0
-
-    def metric_value(self, key: str) -> float:
-        if key == "t_ia_ms":
-            return self.t_ia.mean
-        if key == "t_tr_ms":
-            return self.t_tr.mean
-        if key == "t_br_ms":
-            return self.t_br.mean
-        if key == "t_rlf_ms":
-            return self.t_rlf.mean
-        if key in SCALAR_METRICS:
-            return getattr(self, key)
-        raise DomainError(f"unknown metric {key!r}")
 
 
 def omega_ia_for(sc: Scenario) -> float:
@@ -186,12 +170,7 @@ def estimate_metrics(
 
 KIVIAT_SCALE = 10.0
 
-REACTIVENESS_AXES = {
-    "t_ia_ms": "ia_reactiveness",
-    "t_tr_ms": "tracking_reactiveness",
-    "t_br_ms": "reporting_reactiveness",
-    "t_rlf_ms": "recovery_reactiveness",
-}
+KIVIAT_AXES = ("ia_reactiveness", "tracking_reactiveness", "omega_ia", "omega_tr")
 
 
 @dataclass(frozen=True)
@@ -208,49 +187,42 @@ class KiviatSet:
     values: tuple[tuple[float, ...], ...]
 
 
-def kiviat_normalize(
-    reports: Sequence[MetricsReport],
-    axes: Iterable[str] = ("t_ia_ms", "t_tr_ms", "omega_ia", "omega_tr"),
-) -> KiviatSet:
-    """Scale each axis to [0, 10] with the per-axis maximum at 10."""
+def _reactiveness(reports: Sequence[MetricsReport], delay: str) -> list[float]:
+    """1/mean of each report's ``MetricStat`` field ``delay``."""
+    col = []
+    for r in reports:
+        mean = getattr(r, delay).mean
+        if not mean > 0 or math.isnan(mean):
+            raise ConfigurationError(
+                f"kiviat axis {delay}_ms: scenario {r.scenario_id} has "
+                f"non-positive mean delay {mean!r}"
+            )
+        col.append(1.0 / mean)
+    return col
+
+
+def kiviat_normalize(reports: Sequence[MetricsReport]) -> KiviatSet:
+    """Scale each of ``KIVIAT_AXES`` to [0, 10] with its maximum at 10:
+    the reactiveness of initial access and of tracking, and the SS and
+    CSI-RS overheads."""
     reports = list(reports)
     if not reports:
         raise DomainError("kiviat_normalize needs at least one report")
-    axes = tuple(axes)
-    axis_names = []
-    raw_cols = []
-    for key in axes:
-        if key in REACTIVENESS_AXES:
-            col = []
-            for r in reports:
-                mean = r.metric_value(key)
-                if not mean > 0 or math.isnan(mean):
-                    raise ConfigurationError(
-                        f"kiviat axis {key}: scenario {r.scenario_id} has "
-                        f"non-positive mean delay {mean!r}"
-                    )
-                col.append(1.0 / mean)
-            axis_names.append(REACTIVENESS_AXES[key])
-        elif key in SCALAR_METRICS:
-            col = [r.metric_value(key) for r in reports]
-            axis_names.append(key)
-        else:
-            raise DomainError(f"unknown kiviat axis {key!r}")
-        raw_cols.append(col)
-
+    raw_cols = [
+        _reactiveness(reports, "t_ia"),
+        _reactiveness(reports, "t_tr"),
+        [r.omega_ia for r in reports],
+        [r.omega_tr for r in reports],
+    ]
     value_cols = []
-    for name, col in zip(axis_names, raw_cols):
+    for name, col in zip(KIVIAT_AXES, raw_cols):
         top = max(col)
         if not top > 0:
             raise ConfigurationError(f"kiviat axis {name}: all values are zero")
         value_cols.append([KIVIAT_SCALE * v / top for v in col])
-
-    n = len(reports)
     return KiviatSet(
-        axes=tuple(axis_names),
+        axes=KIVIAT_AXES,
         scenario_ids=tuple(r.scenario_id for r in reports),
-        raw=tuple(tuple(raw_cols[a][i] for a in range(len(axes))) for i in range(n)),
-        values=tuple(
-            tuple(value_cols[a][i] for a in range(len(axes))) for i in range(n)
-        ),
+        raw=tuple(zip(*raw_cols)),
+        values=tuple(zip(*value_cols)),
     )

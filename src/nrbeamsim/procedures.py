@@ -235,13 +235,15 @@ class SweepPlan:
 
 
 @lru_cache(maxsize=128)
-def _plan_for(sc: Scenario) -> SweepPlan:
-    f_g, f_u = sweep_factor(sc.gnb), sweep_factor(sc.ue)
+def _plan_for(
+    gnb: ArrayConfig, ue: ArrayConfig, ss: SsBurstConfig, numerology: Numerology
+) -> SweepPlan:
+    f_g, f_u = sweep_factor(gnb), sweep_factor(ue)
     s = f_g * f_u
-    b = min(s, sc.ss.n_ss)
+    b = min(s, ss.n_ss)
     c = math.ceil(s / b)
     r = s - (c - 1) * b
-    digital_gnb = sc.gnb.arch is Architecture.DIGITAL
+    digital_gnb = gnb.arch is Architecture.DIGITAL
     if digital_gnb:
         g_labels = np.full(s, -1, dtype=np.int64)
     else:
@@ -249,15 +251,15 @@ def _plan_for(sc: Scenario) -> SweepPlan:
     return SweepPlan(
         s=s,
         f_g=f_g,
-        g_width=directions_per_step(sc.gnb),
-        u_width=directions_per_step(sc.ue),
+        g_width=directions_per_step(gnb),
+        u_width=directions_per_step(ue),
         blocks_per_burst=b,
         bursts_per_sweep=c,
         cycle_bursts=s // math.gcd(b, s),
         rach_cycle=1 if digital_gnb else f_g // math.gcd(b, f_g),
-        t_ss_sym=round(sc.ss.t_ss_ms * sc.numerology.symbols_per_ms),
-        symbol_ms=sc.numerology.symbol_ms,
-        t_ss_ms=sc.ss.t_ss_ms,
+        t_ss_sym=round(ss.t_ss_ms * numerology.symbols_per_ms),
+        symbol_ms=numerology.symbol_ms,
+        t_ss_ms=ss.t_ss_ms,
         digital_gnb=digital_gnb,
         g_labels=g_labels,
         det_offset_sym=r * SS_BLOCK_SYMBOLS,
@@ -266,7 +268,9 @@ def _plan_for(sc: Scenario) -> SweepPlan:
 
 
 def sweep_plan(sc: Scenario) -> SweepPlan:
-    return _plan_for(sc)
+    """The scenario's sweep plan, cached on what it reads, so SA and NSA
+    twins share one."""
+    return _plan_for(sc.gnb, sc.ue, sc.ss, sc.numerology)
 
 
 @dataclass
@@ -354,7 +358,7 @@ def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> Ia
     """
     if n_runs < 1:
         raise DomainError(f"n_runs={n_runs}: need at least one run")
-    plan = _plan_for(sc)
+    plan = sweep_plan(sc)
     g_star = rng.integers(0, sc.gnb.elements, size=n_runs)
     u_star = rng.integers(0, sc.ue.elements, size=n_runs)
     # the aligned slot: UE step * f_g + gNB step, a step being the
@@ -422,7 +426,7 @@ def expected_beam_report_delay_ms(sc: Scenario) -> float:
     if sc.mode is DeploymentMode.NSA:
         assert sc.lte_latency_ms is not None
         return sc.lte_latency_ms
-    plan = _plan_for(sc)
+    plan = sweep_plan(sc)
     if plan.digital_gnb:
         return plan.digital_tail_sym * plan.symbol_ms
     s, f_g, cp = plan.s, plan.f_g, sc.channel
@@ -448,7 +452,7 @@ def oracle_expected_ia(sc: Scenario) -> float:
     bursts the sweep spans, the blocks into the last burst, and the mean
     reporting tail of :func:`expected_beam_report_delay_ms`.
     """
-    plan = _plan_for(sc)
+    plan = sweep_plan(sc)
     return (
         sc.ss.t_ss_ms / 2.0
         + (plan.bursts_per_sweep - 1) * sc.ss.t_ss_ms
@@ -494,9 +498,15 @@ class TrackingPlan:
 
 
 @lru_cache(maxsize=128)
-def _tracking_plan_for(sc: Scenario) -> TrackingPlan:
-    plan = _plan_for(sc)
-    period = sc.csi.t_csi_slots * SYMBOLS_PER_SLOT
+def _tracking_plan_for(
+    gnb: ArrayConfig,
+    ue: ArrayConfig,
+    ss: SsBurstConfig,
+    numerology: Numerology,
+    csi: CsiRsConfig,
+) -> TrackingPlan:
+    plan = _plan_for(gnb, ue, ss, numerology)
+    period = csi.t_csi_slots * SYMBOLS_PER_SLOT
     t_ss = plan.t_ss_sym
     s = plan.s
     n_pat = math.lcm(math.lcm(period, t_ss) // period, s)
@@ -505,12 +515,12 @@ def _tracking_plan_for(sc: Scenario) -> TrackingPlan:
     # nominal occasion m starts at symbol t and serves direction m % s; it
     # is dropped when it shares symbols and RBs with the sweep's SS blocks
     # of its own burst or of the next one
-    t = sc.csi.delta_t_symbols + np.arange(n_pat, dtype=np.int64) * period
+    t = csi.delta_t_symbols + np.arange(n_pat, dtype=np.int64) * period
     a = t % t_ss
     collides = (a < plan.blocks_per_burst * SS_BLOCK_SYMBOLS) | (
-        a + sc.csi.n_symbols > t_ss
+        a + csi.n_symbols > t_ss
     )
-    collides &= sc.csi.delta_f_rb < SS_BLOCK_RB
+    collides &= csi.delta_f_rb < SS_BLOCK_RB
     # row d lists direction d's occasions in time order; occasions lie in
     # [0, hyper) because delta_t_symbols < period
     table = np.empty((s, n_pat // s + 1), dtype=np.int64)
@@ -521,12 +531,17 @@ def _tracking_plan_for(sc: Scenario) -> TrackingPlan:
     return TrackingPlan(
         s=s,
         period_sym=period,
-        delta_t_sym=sc.csi.delta_t_symbols,
+        delta_t_sym=csi.delta_t_symbols,
         hyper_sym=hyper,
         symbol_ms=plan.symbol_ms,
         dropped_count=int(np.count_nonzero(collides)),
         next_occasion=table,
     )
+
+
+def tracking_plan(sc: Scenario) -> TrackingPlan:
+    """The scenario's tracking plan, cached on what it reads."""
+    return _tracking_plan_for(sc.gnb, sc.ue, sc.ss, sc.numerology, sc.csi)
 
 
 def simulate_tracking_batch(
@@ -543,7 +558,7 @@ def simulate_tracking_batch(
     """
     if n_runs < 1:
         raise DomainError(f"n_runs={n_runs}: need at least one run")
-    tp = _tracking_plan_for(sc)
+    tp = tracking_plan(sc)
     dirs = rng.integers(0, tp.s, size=n_runs)
     t0 = rng.uniform(0.0, tp.hyper_sym, size=n_runs)
     # occasions are integer symbols, so "at or after t0" is ">= ceil(t0)",
@@ -567,7 +582,7 @@ def expected_tracking_delay_ms(sc: Scenario) -> float:
     surviving occasions over twice the hyperperiod. Directions with no
     surviving occasion are excluded (they only ever censor).
     """
-    tp = _tracking_plan_for(sc)
+    tp = tracking_plan(sc)
     j = np.arange(tp.next_occasion.shape[1] - 1, dtype=np.int64)
     d = np.arange(tp.s, dtype=np.int64)[:, None]
     nominal = tp.delta_t_sym + (j * tp.s + d) * tp.period_sym

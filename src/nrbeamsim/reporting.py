@@ -18,6 +18,19 @@ from typing import Any, Iterable, Optional, Sequence
 from .errors import ConfigurationError
 from .evaluation import MetricStat, MetricsReport
 
+# the report's metrics in report order; every consumer reads this table
+METRIC_COLUMNS = (
+    "t_ia_ms",
+    "t_tr_ms",
+    "t_br_ms",
+    "t_rlf_ms",
+    "omega_ia",
+    "omega_tr",
+    "omega_br",
+    "accuracy",
+    "p_c_w",
+)
+
 CSV_COLUMNS = (
     "scenario_id",
     "mode",
@@ -29,18 +42,24 @@ CSV_COLUMNS = (
     "n_ss",
     "t_ss_ms",
     "t_csi_slots",
-    "t_ia_ms",
-    "t_tr_ms",
-    "t_br_ms",
-    "t_rlf_ms",
-    "omega_ia",
-    "omega_tr",
-    "omega_br",
-    "accuracy",
-    "p_c_w",
+    *METRIC_COLUMNS,
     "seed",
     "n_runs",
 )
+
+
+def stat_field(column: str) -> Optional[str]:
+    """``t_x`` for a delay metric column ``t_x_ms``, which holds the mean
+    of the report's ``MetricStat`` field ``t_x``; None for any other
+    column, which holds the report field of its own name."""
+    if column in METRIC_COLUMNS and column.endswith("_ms"):
+        return column[: -len("_ms")]
+    return None
+
+
+def _column_value(r: MetricsReport, column: str) -> Any:
+    field = stat_field(column)
+    return getattr(r, column) if field is None else getattr(r, field).mean
 
 
 def _fmt(value: Any) -> str:
@@ -54,39 +73,19 @@ def _fmt(value: Any) -> str:
 
 
 def report_csv_row(r: MetricsReport) -> list[str]:
-    values: dict[str, Any] = {
-        "scenario_id": r.scenario_id,
-        "mode": r.mode,
-        "m_gnb": r.m_gnb,
-        "m_ue": r.m_ue,
-        "arch_gnb": r.arch_gnb,
-        "arch_ue": r.arch_ue,
-        "n": r.n,
-        "n_ss": r.n_ss,
-        "t_ss_ms": r.t_ss_ms,
-        "t_csi_slots": r.t_csi_slots,
-        "t_ia_ms": r.t_ia.mean,
-        "t_tr_ms": r.t_tr.mean,
-        "t_br_ms": r.t_br.mean,
-        "t_rlf_ms": r.t_rlf.mean,
-        "omega_ia": r.omega_ia,
-        "omega_tr": r.omega_tr,
-        "omega_br": r.omega_br,
-        "accuracy": r.accuracy,
-        "p_c_w": r.p_c_w,
-        "seed": r.seed,
-        "n_runs": r.n_runs,
-    }
-    return [_fmt(values[c]) for c in CSV_COLUMNS]
+    return [_fmt(_column_value(r, c)) for c in CSV_COLUMNS]
+
+
+def _to_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def reports_to_csv(reports: Sequence[MetricsReport]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
-    for r in reports:
-        w.writerow(report_csv_row(r))
-    return buf.getvalue()
+    return _to_csv(CSV_COLUMNS, map(report_csv_row, reports))
 
 
 def _report_dict(r: MetricsReport) -> dict[str, Any]:
@@ -130,8 +129,8 @@ def reports_from_json(text: str) -> list[MetricsReport]:
     for i, item in enumerate(payload["reports"]):
         try:
             kwargs = dict(item)
-            for stat_key in ("t_ia", "t_tr", "t_br", "t_rlf"):
-                kwargs[stat_key] = MetricStat(**kwargs[stat_key])
+            for field in filter(None, map(stat_field, METRIC_COLUMNS)):
+                kwargs[field] = MetricStat(**kwargs[field])
             report = MetricsReport(**kwargs)
         except KeyError as exc:
             raise ConfigurationError(
@@ -149,106 +148,65 @@ def reports_from_json(text: str) -> list[MetricsReport]:
 def emit(
     reports: Sequence[MetricsReport],
     out_dir: str | Path,
-    formats: Iterable[str] = ("csv", "json"),
     basename: str = "reports",
 ) -> list[Path]:
-    """Write the reports in the requested formats; returns written paths."""
+    """Write ``basename.csv`` and ``basename.json``; returns their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for fmt in formats:
-        if fmt == "csv":
-            path = out / f"{basename}.csv"
-            path.write_text(reports_to_csv(reports), encoding="utf-8")
-        elif fmt == "json":
-            path = out / f"{basename}.json"
-            path.write_text(reports_to_json(reports), encoding="utf-8")
-        else:
-            raise ConfigurationError(f"unknown emit format {fmt!r} (csv, json)")
-        written.append(path)
-    return written
+    csv_path, json_path = out / f"{basename}.csv", out / f"{basename}.json"
+    csv_path.write_text(reports_to_csv(reports), encoding="utf-8")
+    json_path.write_text(reports_to_json(reports), encoding="utf-8")
+    return [csv_path, json_path]
 
 
-def _cell(v: Optional[float]) -> str:
-    return "" if v is None else _fmt(v)
+def _pivot(
+    reports: Sequence[MetricsReport],
+    rows: Sequence[str],
+    groups: Sequence[str],
+    metrics: Sequence[str],
+    label: str,
+) -> str:
+    """A CSV table of ``metrics`` with one row per distinct value of the
+    report fields ``rows`` and one column per metric and distinct value of
+    the fields ``groups``, headed ``metric[label]`` with the group's
+    values formatted into ``label``. Rows and groups are sorted; the first
+    matching report in input order fills a cell, and a cell that no
+    report matches stays empty."""
+    first: dict[tuple, MetricsReport] = {}
+    for r in reports:
+        key = tuple(getattr(r, f) for f in rows), tuple(getattr(r, f) for f in groups)
+        first.setdefault(key, r)
+    row_keys = sorted({row for row, _ in first})
+    group_keys = sorted({group for _, group in first})
+    header = [*rows] + [f"{m}[{label.format(*g)}]" for g in group_keys for m in metrics]
+    body = []
+    for row in row_keys:
+        cells = [str(v) for v in row]
+        for g in group_keys:
+            r = first.get((row, g))
+            cells += ["" if r is None else _fmt(_column_value(r, m)) for m in metrics]
+        body.append(cells)
+    return _to_csv(header, body)
 
 
 def reporting_delay_table(reports: Sequence[MetricsReport]) -> str:
-    """Mean reporting delay by gNB array size, SA bars vs NSA lines.
-
-    Columns: one per (mode, n_ss) present; rows sorted by m_gnb.
-    """
-    combos = sorted({(r.mode, r.n_ss) for r in reports})
-    sizes = sorted({r.m_gnb for r in reports})
-    header = ["m_gnb"] + [f"t_br_ms[{mode} n_ss={n}]" for mode, n in combos]
-    rows = []
-    for m in sizes:
-        row: list[str] = [str(m)]
-        for combo in combos:
-            match = [
-                r for r in reports if r.m_gnb == m and (r.mode, r.n_ss) == combo
-            ]
-            row.append(_cell(match[0].t_br.mean if match else None))
-        rows.append(row)
-    return _to_csv(header, rows)
+    """Mean reporting delay by gNB array size, SA bars vs NSA lines."""
+    return _pivot(reports, ("m_gnb",), ("mode", "n_ss"), ("t_br_ms",), "{} n_ss={}")
 
 
 def power_overhead_table(reports: Sequence[MetricsReport]) -> str:
     """Reporting overhead and power draw by gNB size and architecture."""
-    archs = sorted({(r.mode, r.arch_gnb) for r in reports})
-    sizes = sorted({r.m_gnb for r in reports})
-    header = ["m_gnb"]
-    for mode, arch in archs:
-        header.append(f"omega_br[{mode} {arch}]")
-        header.append(f"p_c_w[{mode} {arch}]")
-    rows = []
-    for m in sizes:
-        row = [str(m)]
-        for mode, arch in archs:
-            match = [
-                r
-                for r in reports
-                if r.m_gnb == m and r.mode == mode and r.arch_gnb == arch
-            ]
-            row.append(_cell(match[0].omega_br if match else None))
-            row.append(_cell(match[0].p_c_w if match else None))
-        rows.append(row)
-    return _to_csv(header, rows)
+    return _pivot(
+        reports, ("m_gnb",), ("mode", "arch_gnb"), ("omega_br", "p_c_w"), "{} {}"
+    )
 
 
 def recovery_delay_table(reports: Sequence[MetricsReport]) -> str:
     """Mean link-recovery delay by array pair and burst configuration."""
-    combos = sorted(
-        {
-            (r.mode, r.n_ss, r.t_ss_ms, r.arch_gnb, r.arch_ue)
-            for r in reports
-        }
+    return _pivot(
+        reports,
+        ("m_gnb", "m_ue"),
+        ("mode", "n_ss", "t_ss_ms", "arch_gnb", "arch_ue"),
+        ("t_rlf_ms",),
+        "{} n_ss={} t_ss={:g} {}/{}",
     )
-    pairs = sorted({(r.m_gnb, r.m_ue) for r in reports})
-    header = ["m_gnb", "m_ue"] + [
-        f"t_rlf_ms[{mode} n_ss={n} t_ss={t:g} {ag}/{au}]"
-        for mode, n, t, ag, au in combos
-    ]
-    rows = []
-    for m_g, m_u in pairs:
-        row = [str(m_g), str(m_u)]
-        for mode, n, t, ag, au in combos:
-            match = [
-                r
-                for r in reports
-                if (r.m_gnb, r.m_ue) == (m_g, m_u)
-                and (r.mode, r.n_ss, r.t_ss_ms, r.arch_gnb, r.arch_ue)
-                == (mode, n, t, ag, au)
-            ]
-            row.append(_cell(match[0].t_rlf.mean if match else None))
-        rows.append(row)
-    return _to_csv(header, rows)
-
-
-def _to_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
-    return buf.getvalue()

@@ -295,15 +295,13 @@ def scenario_file_from_dict(
     for combo in itertools.product(*axes):
         suffix = "__".join(f"{key.partition('.')[2]}={v}" for key, v, _ in combo)
         label = f"{given_id}__{suffix}" if suffix and given_id else given_id
-        sc = _build_scenario(
-            _nested({**typed, **{key: t for key, _, t in combo}}), label, source
-        )
+        cfg = _nested({**typed, **{key: t for key, _, t in combo}})
+        sc = _build_scenario(cfg, label, source)
         if suffix and not given_id:
             sc = dataclasses.replace(sc, label=f"{sc.scenario_id}__{suffix}")
         scenarios.append(sc)
-        eff = _nested({**raw, **{key: v for key, v, _ in combo}})
-        eff["scenario_id"] = sc.scenario_id
-        effectives.append(eff)
+        cfg["scenario_id"] = sc.scenario_id
+        effectives.append(cfg)
     return ScenarioFile(
         scenarios=tuple(scenarios),
         campaign=campaign,

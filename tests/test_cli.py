@@ -314,6 +314,29 @@ class TestReportCommand:
         kiviat = json.loads((out_dir / "kiviat.json").read_text())
         assert set(kiviat) == {"axes", "scenario_ids", "raw", "values"}
 
+    def test_kiviat_refusal_writes_nothing(self, tmp_path, capsys):
+        # a 160-slot CSI period puts every occasion on a 20 ms SS burst, so
+        # no tracking run finds one and t_tr is NaN, which kiviat refuses
+        p = tmp_path / "collide.yaml"
+        p.write_text(
+            "ss: {n_ss: 8}\n"
+            "gnb: {elements: 16}\n"
+            "ue: {elements: 1}\n"
+            "csi: {t_csi_slots: 160}\n"
+            "campaign: {n_runs: 50}\n",
+            encoding="utf-8",
+        )
+        camp = tmp_path / "camp"
+        assert main(["sweep", str(p), "--out", str(camp)]) == EXIT_OK
+        assert "t_tr_ms = nan" in capsys.readouterr().out
+        out_dir = tmp_path / "tables"
+        code = main(["report", str(camp / "reports.json"), "--out", str(out_dir)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "kiviat axis t_tr_ms" in captured.err
+        assert "wrote" not in captured.out
+        assert not out_dir.exists()
+
     def test_bad_report_json_exits_one(self, tmp_path, capsys):
         p = tmp_path / "junk.json"
         p.write_text("{]", encoding="utf-8")

@@ -21,11 +21,11 @@ from nrbeamsim.frame import SYMBOLS_PER_SLOT, CsiRsConfig
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import (
     NO_OCCASION,
-    _tracking_plan_for,
     expected_beam_report_delay_ms,
     expected_tracking_delay_ms,
     p_correct_beam,
     sweep_plan,
+    tracking_plan,
 )
 from reference import (
     covering_step,
@@ -122,7 +122,7 @@ ALL_COLLIDE = make_scenario(
 @example(ONE_DIRECTION_COLLIDES)
 @example(ALL_COLLIDE)
 def test_next_occasion_table_is_the_timeline_walk(sc):
-    tp = _tracking_plan_for(sc)
+    tp = tracking_plan(sc)
     hyper, dropped, occasions = surviving_csi_occasions(sc)
     assert tp.hyper_sym == hyper
     assert tp.dropped_count == dropped

@@ -73,3 +73,30 @@ def test_printed_block_loads_back_to_the_effective_documents(sid, source):
         "horizon_ms": sf.campaign.horizon_ms,
         "scenarios": list(sf.effective),
     }
+
+
+def test_printed_values_are_the_values_the_model_reads(tmp_path, capsys):
+    # YAML 1.1 reads 4.0e8 as a string and 16.0 as a float; the scenario
+    # uses a float and an int, and the printed block must say so
+    p = tmp_path / "typed.yaml"
+    p.write_text(
+        "gnb: {elements: 16.0}\n"
+        "deployment: {lte_latency_ms: 10}\n"
+        "sweep: {deployment.mode: [SA, NSA], ss.t_ss_ms: [20]}\n",
+        encoding="utf-8",
+    )
+    argv = ["validate", str(p), "--set", "channel.bandwidth_hz=4.0e8"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    doc = yaml.safe_load(out[len(HEAD) : out.index(TAIL)])
+    for scenario in doc["scenarios"]:
+        assert scenario["channel"]["bandwidth_hz"] == 4.0e8
+        assert isinstance(scenario["channel"]["bandwidth_hz"], float)
+        assert isinstance(scenario["gnb"]["elements"], int)
+        assert isinstance(scenario["deployment"]["lte_latency_ms"], float)
+        assert isinstance(scenario["ss"]["t_ss_ms"], float)
+    # the id suffixes keep the values as written
+    assert [s["scenario_id"] for s in doc["scenarios"]] == [
+        "sa_a16xa4_n3_nss64_tss20__mode=SA__t_ss_ms=20",
+        "nsa_a16xa4_n3_nss64_tss20_lte10__mode=NSA__t_ss_ms=20",
+    ]

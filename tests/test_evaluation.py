@@ -206,11 +206,15 @@ class TestKiviat:
 
     def test_delays_invert_to_reactiveness(self):
         quick, slow = self._reports()
-        ks = kiviat_normalize([quick, slow], axes=("t_ia_ms",))
-        assert ks.axes == ("ia_reactiveness",)
+        ks = kiviat_normalize([quick, slow])
+        assert ks.axes == (
+            "ia_reactiveness", "tracking_reactiveness", "omega_ia", "omega_tr"
+        )
         # the faster scenario scores higher
         assert ks.values[0][0] > ks.values[1][0]
-        assert ks.raw[0][0] == pytest.approx(1.0 / quick.t_ia.mean)
+        assert ks.raw[0][0] == 1.0 / quick.t_ia.mean
+        assert ks.raw[1][1] == 1.0 / slow.t_tr.mean
+        assert ks.raw[0][2:] == (quick.omega_ia, quick.omega_tr)
 
     def test_scale_invariance(self):
         quick, slow = self._reports()
@@ -218,11 +222,6 @@ class TestKiviat:
         b = kiviat_normalize([slow, quick]).values
         assert a[0] == b[1]
         assert a[1] == b[0]
-
-    def test_unknown_axis_rejected(self):
-        quick, slow = self._reports()
-        with pytest.raises(DomainError):
-            kiviat_normalize([quick, slow], axes=("nonsense",))
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from nrbeamsim.errors import (
     DomainError,
     NotApplicableError,
 )
+from nrbeamsim.evaluation import estimate_metrics
 from nrbeamsim.frame import SS_BLOCK_SYMBOLS, CsiRsConfig
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import (
     LTE_LATENCY_VALUES_MS,
+    _plan_for,
+    _tracking_plan_for,
     expected_beam_report_delay_ms,
     expected_tracking_delay_ms,
     omega_br,
@@ -25,6 +29,7 @@ from nrbeamsim.procedures import (
     simulate_tracking_batch,
     sweep_plan,
 )
+from nrbeamsim.scenario_io import parse_scenario
 from reference import (
     build_rach_timeline,
     build_ss_timeline,
@@ -35,6 +40,7 @@ from reference import (
 )
 
 SYM_MS = 0.125 / 14  # one OFDM symbol at 120 kHz, in ms
+WORKLOADS = Path(__file__).resolve().parents[1] / "nrbench" / "workloads"
 
 
 class TestSweepPlanGeometry:
@@ -409,3 +415,20 @@ class TestScenarioValidation:
 
     def test_label_overrides_id(self):
         assert make_scenario(label="case7").scenario_id == "case7"
+
+
+class TestPlanCaches:
+    @pytest.mark.parametrize(
+        "workload, geometries", [("dense_grid", 18), ("wide_arrays", 9)]
+    )
+    def test_sa_and_nsa_twins_share_their_plans(self, workload, geometries):
+        # each workload sweeps mode over SA and NSA on every geometry; the
+        # plans read only the arrays, bursts, numerology and CSI-RS grid
+        scenarios = parse_scenario(WORKLOADS / f"{workload}.yaml").scenarios
+        assert len(scenarios) == 2 * geometries
+        _plan_for.cache_clear()
+        _tracking_plan_for.cache_clear()
+        for sc in scenarios:
+            estimate_metrics(sc, n_runs=20, seed=1)
+        assert _plan_for.cache_info().misses == geometries
+        assert _tracking_plan_for.cache_info().misses == geometries

@@ -117,12 +117,8 @@ class TestEmit:
             assert p.read_text(encoding="utf-8")
 
     def test_custom_basename(self, tmp_path):
-        paths = emit([tiny_report()], tmp_path, formats=("json",), basename="ia")
-        assert [p.name for p in paths] == ["ia.json"]
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="format"):
-            emit([tiny_report()], tmp_path, formats=("xml",))
+        paths = emit([tiny_report()], tmp_path, basename="ia")
+        assert [p.name for p in paths] == ["ia.csv", "ia.json"]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a = emit([tiny_report()], tmp_path / "a")
