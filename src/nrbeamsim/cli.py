@@ -1,7 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 anchor
-failure, 3 I/O error. Every run prints the effective configuration
+Exit codes: 0 success, 1 usage, configuration or validation error,
+2 anchor failure, 3 I/O error. Every run prints the effective configuration
 (after defaults, overrides and sweep expansion) before any results, and
 all file output is byte-stable for a fixed seed.
 """
@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import yaml
 
@@ -50,7 +50,56 @@ _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 _FOCUS = {"ia": "t_ia_ms", "tracking": "t_tr_ms", "rlf": "t_rlf_ms", "sweep": None}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_file_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("scenario", help="scenario YAML file")
+    p.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override a scenario value by dotted key (repeatable)",
+    )
+    p.add_argument("--seed", type=int, default=None, help="campaign seed")
+    p.add_argument("--runs", type=int, default=None, help="runs per campaign")
+
+
+def _add_campaign_args(p: argparse.ArgumentParser) -> None:
+    _add_file_args(p)
+    p.add_argument("--out", type=Path, default=None, help="directory for CSV/JSON")
+
+
+def _add_anchor_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--runs", type=int, default=100_000)
+    p.add_argument("--out", type=Path, default=None)
+
+
+def _add_report_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("inputs", nargs="+", help="report JSON files")
+    p.add_argument("--out", type=Path, default=None)
+
+
+# every command: its help line and what adds its arguments
+_COMMANDS = {
+    "validate": ("parse and validate a scenario file", _add_file_args),
+    **{
+        name: (
+            "run every campaign of every scenario; print "
+            f"{focus or 'every metric'}, --out writes every metric",
+            _add_campaign_args,
+        )
+        for name, focus in _FOCUS.items()
+    },
+    "anchors": ("run the built-in regression anchors", _add_anchor_args),
+    "report": ("render stored reports into tables", _add_report_args),
+}
+
+
+def _build_parser(commands: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser with every command and its help line, but the arguments
+    of ``commands`` only: a run parses one command, so the others' are not
+    built."""
     parser = argparse.ArgumentParser(
         prog="beamsim",
         description=(
@@ -60,37 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_file_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("scenario", help="scenario YAML file")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a scenario value by dotted key (repeatable)",
-        )
-        p.add_argument("--seed", type=int, default=None, help="campaign seed")
-        p.add_argument("--runs", type=int, default=None, help="runs per campaign")
-        p.add_argument("--out", type=Path, default=None, help="directory for CSV/JSON")
-
-    add_file_args(sub.add_parser("validate", help="parse and validate a scenario file"))
-    for name, focus in _FOCUS.items():
-        desc = (
-            "run every campaign of every scenario; print "
-            f"{focus or 'every metric'}, --out writes every metric"
-        )
-        add_file_args(sub.add_parser(name, help=desc))
-
-    p_anchor = sub.add_parser("anchors", help="run the built-in regression anchors")
-    p_anchor.add_argument("--seed", type=int, default=None)
-    p_anchor.add_argument("--runs", type=int, default=100_000)
-    p_anchor.add_argument("--out", type=Path, default=None)
-
-    p_report = sub.add_parser("report", help="render stored reports into tables")
-    p_report.add_argument("inputs", nargs="+", help="report JSON files")
-    p_report.add_argument("--out", type=Path, default=None)
+    for name, (help_text, add_args) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name in commands:
+            add_args(p)
     return parser
 
 
@@ -122,17 +144,61 @@ def _seed_and_runs(args: argparse.Namespace, sf: ScenarioFile) -> tuple[int, int
 
 
 def _print_effective(sf: ScenarioFile, seed: int, n_runs: int) -> None:
+    """Print the effective configuration as ``yaml.dump(doc, Dumper=_DUMPER,
+    sort_keys=True, default_flow_style=False)`` would.
+
+    The document has a fixed shape: top-level scalars, and ``scenarios``, a
+    list of mappings whose values are scalars or one-level sections. So the
+    block is written line by line, and only each distinct value's text
+    comes from the dumper: the value is dumped under its own key at its own
+    depth, where it starts at the same column and indents its continuation
+    lines the same as in the whole document, and the text after ``key:``
+    is kept. Within one file the values of one key at one depth differ
+    under ``==`` (a sweep rejects repeated values), and the type joins the
+    memo key because ``1 == 1.0 == True``.
+    """
     doc = {
         "source": sf.source,
         "seed": seed,
         "n_runs": n_runs,
         "horizon_ms": sf.campaign.horizon_ms,
-        "scenarios": list(sf.effective),
+        "scenarios": sf.effective,
     }
-    print("# effective configuration")
-    text = yaml.dump(doc, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
-    print(text.rstrip())
-    print("# results")
+    texts: dict[tuple, str] = {}
+
+    def value(depth: int, key: str, v: Any) -> str:
+        memo = (depth, key, type(v), v)
+        text = texts.get(memo)
+        if text is None:
+            nested = {key: v}
+            prefix = f"{key}:"
+            if depth:
+                nested = {"s": [nested if depth == 1 else {"x": nested}]}
+                prefix = "s:\n- " + ("" if depth == 1 else "x:\n    ") + prefix
+            dumped = yaml.dump(
+                nested, Dumper=_DUMPER, sort_keys=True, default_flow_style=False
+            )
+            text = texts[memo] = dumped[len(prefix) :]
+        return text
+
+    out = ["# effective configuration\n"]
+    for key, v in sorted(doc.items()):
+        if key != "scenarios":
+            out += (key, ":", value(0, key, v))
+            continue
+        out.append("scenarios:\n")
+        for scenario in v:
+            lead = "- "
+            for name, section in sorted(scenario.items()):
+                if not isinstance(section, dict):
+                    out += (lead, name, ":", value(1, name, section))
+                else:
+                    out += (lead, name, ":\n")
+                    for k, x in sorted(section.items()):
+                        out += ("    ", k, ":", value(2, k, x))
+                lead = "  "
+    out.append("# results\n")
+    sys.stdout.write("".join(out))
 
 
 def _metric_lines(r: MetricsReport, focus: Optional[str]) -> list[str]:
@@ -236,8 +302,13 @@ def _run_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _build_parser(argv[:1]).parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error (exit 2) or the help or
+        # version (exit 0)
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         if args.command == "validate":
             return _run_validate(args)

@@ -88,6 +88,8 @@ class ScenarioFile:
     scenarios: tuple[Scenario, ...]
     campaign: CampaignSettings
     source: str
+    # per scenario, the sections it was built from and its id; the campaign
+    # applies to the whole file and is not repeated here
     effective: tuple[dict[str, Any], ...]
 
 
@@ -284,9 +286,9 @@ def scenario_file_from_dict(
     if typed["campaign.horizon_ms"] <= 0:
         raise _err(source, "campaign.horizon_ms", "must be positive")
     campaign = CampaignSettings(
-        n_runs=typed["campaign.n_runs"],
-        seed=typed["campaign.seed"],
-        horizon_ms=typed["campaign.horizon_ms"],
+        n_runs=typed.pop("campaign.n_runs"),
+        seed=typed.pop("campaign.seed"),
+        horizon_ms=typed.pop("campaign.horizon_ms"),
     )
 
     given_id = typed["scenario_id"]

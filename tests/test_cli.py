@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import warnings
 
@@ -7,11 +8,13 @@ import pytest
 import yaml
 
 from nrbeamsim.cli import (
+    _COMMANDS,
     EXIT_ANCHOR,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
     SEED_ENV_VAR,
+    _build_parser,
     main,
 )
 from nrbeamsim.codebook import MAX_SWEEP_LENGTH
@@ -199,6 +202,60 @@ class TestExitCodes:
         code = main(["validate", str(tmp_path / "nope.yaml")])
         assert code == EXIT_IO
         assert "io error" in capsys.readouterr().err
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["anchors", "--runs", "abc"],
+            ["validate"],
+            ["sweep", "--seed", "1"],
+            ["report"],
+            ["bogus"],
+            [],
+        ],
+    )
+    def test_usage_errors_exit_one(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert "usage: beamsim" in capsys.readouterr().err
+
+    def test_validate_rejects_out(self, quick_yaml, tmp_path, capsys):
+        # validate writes nothing, so it takes no directory to write to
+        out_dir = tmp_path / "d"
+        assert main(["validate", str(quick_yaml), "--out", str(out_dir)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --out" in captured.err
+        assert "ok:" not in captured.out
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["--help"], ["--version"], ["sweep", "-h"], ["validate", "-h"]]
+    )
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_a_command_built_alone_matches_the_full_tree(self, name):
+        def subparser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+            (action,) = [
+                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            ]
+            return action.choices[name]
+
+        def options(p: argparse.ArgumentParser) -> list[tuple]:
+            return [
+                (a.option_strings, a.dest, a.default, a.type, a.nargs, a.help)
+                for a in p._actions
+            ]
+
+        alone_tree, full_tree = _build_parser([name]), _build_parser(list(_COMMANDS))
+        assert alone_tree.format_help() == full_tree.format_help()
+        alone, full = subparser(alone_tree), subparser(full_tree)
+        assert len(alone._actions) > 1  # more than -h
+        assert options(alone) == options(full)
+        assert alone.format_help() == full.format_help()
 
 
 class TestCampaignCommands:

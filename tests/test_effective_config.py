@@ -1,24 +1,28 @@
 """The effective configuration every CLI run prints before its results.
 
-The block goes through libyaml's C emitter when PyYAML has it. On the
-benchmark workloads its text must equal what PyYAML's Python emitter
-writes, byte for byte. For any scenario id it must load back to the
-parsed file's ``effective`` documents: the two emitters wrap a long
-double-quoted scalar (an id or path holding non-ASCII or control
-characters) at different columns, so there only the loaded document is
-compared, never the text.
+``cli._print_effective`` writes the block line by line and takes only
+each distinct value's text from the dumper, ``cli._DUMPER`` (libyaml's C
+emitter when PyYAML has it). Under either dumper the block must equal
+what that dumper writes for the whole document, byte for byte, for any
+scenario id and source path. On the benchmark workloads the C emitter's
+text must also equal the Python emitter's. For other ids the two
+emitters can differ: they wrap a long double-quoted scalar (an id or
+path holding non-ASCII or control characters) at different columns, so
+there only the loaded document is compared across them.
 """
 from __future__ import annotations
 
 import contextlib
 import io
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nrbeamsim import cli
 from nrbeamsim.cli import EXIT_OK, SEED_ENV_VAR, _print_effective, main
 from nrbeamsim.scenario_io import parse_scenario, scenario_file_from_dict
 
@@ -73,6 +77,61 @@ def test_printed_block_loads_back_to_the_effective_documents(sid, source):
         "horizon_ms": sf.campaign.horizon_ms,
         "scenarios": list(sf.effective),
     }
+
+
+# strings that stress the emitters: any code point, YAML indicators,
+# quotes, line breaks, and long runs of words that a plain or quoted
+# scalar wraps at the line width
+_PIECES = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(
+        [" ", "  ", "\n", "\r\n", "\t", "'", '"', "\\", ": ", " #", "- ",
+         "\x00", "\x1b", "\x85", "\u2028", "\ufeff", "\xe9", "中"]
+    ),
+    st.text(alphabet="ab ", min_size=20, max_size=100),
+)
+_TEXT = st.lists(_PIECES, max_size=10).map("".join)
+_DUMPERS = [yaml.SafeDumper] + (
+    [yaml.CSafeDumper] if hasattr(yaml, "CSafeDumper") else []
+)
+
+
+@pytest.mark.parametrize("dumper", _DUMPERS, ids=lambda d: d.__name__)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sid=_TEXT, source=_TEXT.filter(bool))
+@example(sid="\xe9" * 30, source="grid.yaml")
+@example(sid="a\x01" * 40, source="中" * 30)
+@example(sid="word " * 30, source="dir with spaces/" * 8)
+def test_printed_block_is_the_dump_of_the_whole_document(dumper, sid, source):
+    data = {"scenario_id": sid, "sweep": {"ss.n_ss": [8, 16]}}
+    sf = scenario_file_from_dict(data, source=source)
+    buf = io.StringIO()
+    with mock.patch.object(cli, "_DUMPER", dumper), contextlib.redirect_stdout(buf):
+        _print_effective(sf, 7, 100)
+    doc = {
+        "source": source,
+        "seed": 7,
+        "n_runs": 100,
+        "horizon_ms": sf.campaign.horizon_ms,
+        "scenarios": list(sf.effective),
+    }
+    text = yaml.dump(doc, Dumper=dumper, sort_keys=True, default_flow_style=False)
+    assert buf.getvalue() == HEAD + text + "# results\n"
+
+
+def test_campaign_is_printed_once_as_resolved(capsys, monkeypatch):
+    # the campaign applies to the whole file: the block states the seed and
+    # run count the campaign uses, and no scenario repeats the file's own
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv(SEED_ENV_VAR, "9")
+    path = "nrbench/workloads/wide_arrays.yaml"
+    for argv, seed, n_runs in [(["--seed", "7", "--runs", "50"], 7, 50), ([], 9, 1000)]:
+        assert main(["validate", path, *argv]) == EXIT_OK
+        out = capsys.readouterr().out
+        doc = yaml.safe_load(out[len(HEAD) : out.index(TAIL)])
+        assert (doc["seed"], doc["n_runs"]) == (seed, n_runs)
+        assert all("campaign" not in scenario for scenario in doc["scenarios"])
+        assert out.count("seed:") == 1 and out.count("n_runs:") == 1
 
 
 def test_printed_values_are_the_values_the_model_reads(tmp_path, capsys):

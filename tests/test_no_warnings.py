@@ -1,9 +1,10 @@
 """No warning reaches a user on the benchmark workloads.
 
 Runs ``beamsim sweep`` and ``beamsim validate`` on both benchmark sweeps,
-and ``beamsim report`` on the sweep's ``reports.json``, each in a fresh
-interpreter under ``-W error``, so a numpy or library warning anywhere on
-those paths turns into a non-zero exit here.
+``beamsim report`` on the sweep's ``reports.json``, and the help of the
+program and of ``sweep``, each in a fresh interpreter under ``-W error``,
+so a numpy or library warning anywhere on those paths turns into a
+non-zero exit here.
 """
 from __future__ import annotations
 
@@ -46,3 +47,9 @@ def test_bench_workloads_run_under_warnings_as_errors(tmp_path, workload, comman
             "report", str(tmp_path / "reports.json"), "--out", str(tmp_path / "tables")
         )
         assert (tmp_path / "tables" / "kiviat.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["sweep", "-h"]])
+def test_help_exits_zero_in_a_fresh_interpreter(argv):
+    # each command's arguments are added only when it is invoked
+    _run_under_warnings_as_errors(*argv)
