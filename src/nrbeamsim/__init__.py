@@ -40,7 +40,6 @@ from .procedures import (
     Scenario,
     oracle_expected_ia,
     oracle_expected_rlf_sa,
-    simulate_ia_batch,
 )
 from .scenario_io import ScenarioFile, parse_scenario
 
@@ -75,7 +74,6 @@ __all__ = [
     "parse_scenario",
     "path_loss_db",
     "power_consumption_w",
-    "simulate_ia_batch",
     "sweep_length",
     "__version__",
 ]

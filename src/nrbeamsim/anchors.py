@@ -8,15 +8,18 @@ result per check; the CLI prints a line each and fails the process if
 any gated anchor fails. Calibration lines report reference values
 without gating (their absolute scale depends on scheduler details the
 model does not pin down).
+
+Every anchor reads closed forms only, so the set is deterministic and
+draws no random number. The simulation side of the same checks is the
+acceptance suite's: criteria 01, 02, 06 and 08 hold the campaigns to
+these closed forms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .codebook import Architecture, ArrayConfig, PowerModel, power_consumption_w
-from .evaluation import omega_ia_for, omega_tr_for, stat_from_samples
+from .evaluation import omega_ia_for, omega_tr_for
 from .frame import CsiRsConfig, SsBurstConfig, make_numerology
 from .link import ChannelParams, misdetection_probability
 from .procedures import (
@@ -24,10 +27,10 @@ from .procedures import (
     DeploymentMode,
     Scenario,
     expected_beam_report_delay_ms,
+    expected_tracking_delay_ms,
     oracle_expected_rlf_sa,
-    simulate_rlf_batch,
-    simulate_tracking_batch,
 )
+from .reporting import _to_csv
 
 RLF_ANCHORS_MS = ((40.0, 20.0535), (80.0, 40.0535))
 RLF_ANCHOR_TOL_MS = 0.002
@@ -71,7 +74,7 @@ def _scenario(
     )
 
 
-def _check_rlf_anchors(rng_seed: int, n_runs: int) -> list[AnchorResult]:
+def _check_rlf_anchors() -> list[AnchorResult]:
     out = []
     for t_ss, expect in RLF_ANCHORS_MS:
         sc = _scenario(
@@ -82,18 +85,13 @@ def _check_rlf_anchors(rng_seed: int, n_runs: int) -> list[AnchorResult]:
             t_ss_ms=t_ss,
         )
         oracle = oracle_expected_rlf_sa(sc)
-        ok_oracle = abs(oracle - expect) <= RLF_ANCHOR_TOL_MS
-        batch = simulate_rlf_batch(sc, n_runs, np.random.default_rng(rng_seed))
-        stat = stat_from_samples(batch.t_total_ms)
-        ok_sim = abs(stat.mean - oracle) <= 3.0 * stat.stderr
         out.append(
             AnchorResult(
                 name=f"rlf_recovery_mean_t_ss_{t_ss:g}",
-                passed=ok_oracle and ok_sim,
+                passed=abs(oracle - expect) <= RLF_ANCHOR_TOL_MS,
                 detail=(
                     f"oracle {oracle:.6f} ms vs reference {expect:g} "
-                    f"(tol {RLF_ANCHOR_TOL_MS:g}); simulated {stat.mean:.6f} "
-                    f"+/- {stat.stderr:.6f} over {n_runs} runs"
+                    f"(tol {RLF_ANCHOR_TOL_MS:g})"
                 ),
             )
         )
@@ -103,16 +101,14 @@ def _check_rlf_anchors(rng_seed: int, n_runs: int) -> list[AnchorResult]:
 def _check_nsa_constants() -> list[AnchorResult]:
     out = []
     for lte in LTE_LATENCY_VALUES_MS:
-        sc = _scenario(mode=DeploymentMode.NSA, lte_latency_ms=lte)
-        rlf = simulate_rlf_batch(sc, 16, np.random.default_rng(0))
-        t_rlf = float(rlf.t_total_ms[0])
-        t_br = expected_beam_report_delay_ms(sc)
-        exact = t_rlf == lte and t_br == lte and np.all(rlf.t_total_ms == lte)
+        t_br = expected_beam_report_delay_ms(
+            _scenario(mode=DeploymentMode.NSA, lte_latency_ms=lte)
+        )
         out.append(
             AnchorResult(
                 name=f"nsa_constants_lte_{lte:g}",
-                passed=bool(exact),
-                detail=f"t_rlf {t_rlf:g} ms, t_br {t_br:g} ms, target {lte:g} (exact)",
+                passed=t_br == lte,
+                detail=f"t_br {t_br:g} ms, target {lte:g} (exact)",
             )
         )
     return out
@@ -241,7 +237,7 @@ def _check_accuracy_ordering() -> AnchorResult:
     )
 
 
-def _check_tracking(seed: int, n_runs: int) -> list[AnchorResult]:
+def _check_tracking() -> list[AnchorResult]:
     scenarios = {
         (n_ss, t_ss): _scenario(
             m_gnb=64,
@@ -254,23 +250,18 @@ def _check_tracking(seed: int, n_runs: int) -> list[AnchorResult]:
         for n_ss in (8, 64)
         for t_ss in (20.0, 80.0)
     }
-    means = {}
-    for key, sc in scenarios.items():
-        waits, _ = simulate_tracking_batch(
-            sc, n_runs, np.random.default_rng(seed), horizon_ms=500.0
-        )
-        means[key] = float(np.nanmean(waits))
+    means = {key: expected_tracking_delay_ms(sc) for key, sc in scenarios.items()}
     ok_order = means[(8, 80.0)] <= means[(8, 20.0)] and means[(64, 80.0)] <= means[
         (64, 20.0)
     ]
-    omegas = {key: omega_tr_for(sc) for key, sc in scenarios.items()}
-    distinct = set(omegas.values())
-    out = [
+    distinct = {omega_tr_for(sc) for sc in scenarios.values()}
+    return [
         AnchorResult(
             name="tracking_sparser_bursts_track_faster",
-            passed=bool(ok_order),
+            passed=ok_order,
             detail=(
-                f"mean t_tr at t_ss=80 {means[(8, 80.0)]:.4f}/{means[(64, 80.0)]:.4f} "
+                "closed-form mean t_tr at t_ss=80 "
+                f"{means[(8, 80.0)]:.4f}/{means[(64, 80.0)]:.4f} "
                 f"<= at t_ss=20 {means[(8, 20.0)]:.4f}/{means[(64, 20.0)]:.4f} ms"
             ),
         ),
@@ -280,26 +271,23 @@ def _check_tracking(seed: int, n_runs: int) -> list[AnchorResult]:
             detail=f"omega_tr identical across burst configs: {sorted(distinct)}",
         ),
     ]
-    return out
 
 
-def run_anchors(seed: int = 42, heavy_runs: int = 100_000) -> list[AnchorResult]:
-    """Evaluate every anchor; deterministic for a fixed seed."""
+def run_anchors() -> list[AnchorResult]:
+    """Evaluate every anchor."""
     results: list[AnchorResult] = []
-    results += _check_rlf_anchors(seed, heavy_runs)
+    results += _check_rlf_anchors()
     results += _check_nsa_constants()
     results.append(_check_omega_ia_ratios())
     results += _check_power_points()
     results += _check_report_orderings()
     results.append(_check_accuracy_ordering())
-    results += _check_tracking(seed, 10_000)
+    results += _check_tracking()
     return results
 
 
 def anchors_csv(results: list[AnchorResult]) -> str:
-    lines = ["name,status,gated,detail"]
-    for r in results:
-        status = "pass" if r.passed else "FAIL"
-        detail = r.detail.replace('"', "'")
-        lines.append(f'{r.name},{status},{str(r.gated)},"{detail}"')
-    return "\n".join(lines) + "\n"
+    return _to_csv(
+        ("name", "status", "gated", "detail"),
+        ((r.name, "pass" if r.passed else "FAIL", str(r.gated), r.detail) for r in results),
+    )

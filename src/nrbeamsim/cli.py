@@ -1,9 +1,15 @@
 """Command line interface.
 
+Commands: ``validate`` checks a scenario file; ``sweep`` runs every
+campaign of every scenario, prints every metric, and with ``--out``
+writes ``reports.csv`` and ``reports.json``; ``anchors`` checks the
+built-in closed-form anchors; ``report`` renders stored reports into
+tables.
+
 Exit codes: 0 success, 1 usage, configuration or validation error,
-2 anchor failure, 3 I/O error. Every run prints the effective configuration
-(after defaults, overrides and sweep expansion) before any results, and
-all file output is byte-stable for a fixed seed.
+2 anchor failure, 3 I/O error. ``validate`` and ``sweep`` print the
+effective configuration (after defaults, overrides and sweep expansion)
+before any results, and all file output is byte-stable for a fixed seed.
 """
 from __future__ import annotations
 
@@ -45,10 +51,6 @@ EXIT_IO = 3
 # Python one.
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
-# the metric each campaign command prints, None for all of them; every one
-# runs every campaign of every scenario and --out writes every metric
-_FOCUS = {"ia": "t_ia_ms", "tracking": "t_tr_ms", "rlf": "t_rlf_ms", "sweep": None}
-
 
 def _add_file_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("scenario", help="scenario YAML file")
@@ -64,14 +66,12 @@ def _add_file_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--runs", type=int, default=None, help="runs per campaign")
 
 
-def _add_campaign_args(p: argparse.ArgumentParser) -> None:
+def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     _add_file_args(p)
     p.add_argument("--out", type=Path, default=None, help="directory for CSV/JSON")
 
 
 def _add_anchor_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--runs", type=int, default=100_000)
     p.add_argument("--out", type=Path, default=None)
 
 
@@ -83,15 +83,12 @@ def _add_report_args(p: argparse.ArgumentParser) -> None:
 # every command: its help line and what adds its arguments
 _COMMANDS = {
     "validate": ("parse and validate a scenario file", _add_file_args),
-    **{
-        name: (
-            "run every campaign of every scenario; print "
-            f"{focus or 'every metric'}, --out writes every metric",
-            _add_campaign_args,
-        )
-        for name, focus in _FOCUS.items()
-    },
-    "anchors": ("run the built-in regression anchors", _add_anchor_args),
+    "sweep": (
+        "run every campaign of every scenario; print every metric, "
+        "--out writes reports.csv and reports.json",
+        _add_sweep_args,
+    ),
+    "anchors": ("check the built-in closed-form anchors", _add_anchor_args),
     "report": ("render stored reports into tables", _add_report_args),
 }
 
@@ -201,9 +198,9 @@ def _print_effective(sf: ScenarioFile, seed: int, n_runs: int) -> None:
     sys.stdout.write("".join(out))
 
 
-def _metric_lines(r: MetricsReport, focus: Optional[str]) -> list[str]:
+def _metric_lines(r: MetricsReport) -> list[str]:
     lines = []
-    for column in (focus,) if focus else METRIC_COLUMNS:
+    for column in METRIC_COLUMNS:
         field = stat_field(column)
         if field is None:
             text = f"{getattr(r, column):.6g}"
@@ -214,8 +211,7 @@ def _metric_lines(r: MetricsReport, focus: Optional[str]) -> list[str]:
     return lines
 
 
-def _run_campaign(args: argparse.Namespace) -> int:
-    focus = _FOCUS[args.command]
+def _run_sweep(args: argparse.Namespace) -> int:
     sf = parse_scenario(args.scenario, overrides=args.overrides)
     seed, n_runs = _seed_and_runs(args, sf)
     _print_effective(sf, seed, n_runs)
@@ -224,12 +220,10 @@ def _run_campaign(args: argparse.Namespace) -> int:
         for sc in sf.scenarios
     ]
     for r in reports:
-        for line in _metric_lines(r, focus):
+        for line in _metric_lines(r):
             print(line)
     if args.out is not None:
-        basename = args.command if args.command != "sweep" else "reports"
-        written = emit(reports, args.out, basename=basename)
-        for path in written:
+        for path in emit(reports, args.out):
             print(f"wrote {path}")
     return EXIT_OK
 
@@ -243,8 +237,7 @@ def _run_validate(args: argparse.Namespace) -> int:
 
 
 def _run_anchors(args: argparse.Namespace) -> int:
-    seed = _resolved_seed(args.seed, 42)
-    results = run_anchors(seed=seed, heavy_runs=args.runs)
+    results = run_anchors()
     failed = [r for r in results if r.gated and not r.passed]
     for r in results:
         status = "pass" if r.passed else "FAIL"
@@ -312,8 +305,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "validate":
             return _run_validate(args)
-        if args.command in _FOCUS:
-            return _run_campaign(args)
+        if args.command == "sweep":
+            return _run_sweep(args)
         if args.command == "anchors":
             return _run_anchors(args)
         if args.command == "report":

@@ -145,15 +145,11 @@ def reports_from_json(text: str) -> list[MetricsReport]:
     return out
 
 
-def emit(
-    reports: Sequence[MetricsReport],
-    out_dir: str | Path,
-    basename: str = "reports",
-) -> list[Path]:
-    """Write ``basename.csv`` and ``basename.json``; returns their paths."""
+def emit(reports: Sequence[MetricsReport], out_dir: str | Path) -> list[Path]:
+    """Write ``reports.csv`` and ``reports.json``; returns their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path, json_path = out / f"{basename}.csv", out / f"{basename}.json"
+    csv_path, json_path = out / "reports.csv", out / "reports.json"
     csv_path.write_text(reports_to_csv(reports), encoding="utf-8")
     json_path.write_text(reports_to_json(reports), encoding="utf-8")
     return [csv_path, json_path]

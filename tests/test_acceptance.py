@@ -314,9 +314,7 @@ class TestAcceptance:
         lib_ok = reports_to_csv(reports[:1]) == reports_to_csv(reports[1:])
         lib_ok = lib_ok and reports_to_json(reports[:1]) == reports_to_json(reports[1:])
 
-        anchors_ok = anchors_csv(
-            run_anchors(seed=SEED, heavy_runs=5000)
-        ) == anchors_csv(run_anchors(seed=SEED, heavy_runs=5000))
+        anchors_ok = anchors_csv(run_anchors()) == anchors_csv(run_anchors())
         ok = files_ok and lib_ok and anchors_ok
         verdict(
             10,

@@ -31,3 +31,18 @@ def test_python_blocks_run_against_the_default_scenario(tmp_path, monkeypatch):
     assert blocks
     for code in blocks:
         exec(compile(code, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_exports_paragraph_names_root_exports_and_no_batch():
+    import nrbeamsim
+    from nrbeamsim import evaluation
+
+    text = README.read_text(encoding="utf-8")
+    paragraph = text[text.index("The package root exports"):].split("\n\n")[0]
+    named = {n for n in re.findall(r"`([A-Za-z_]\w*)`", paragraph)}
+    assert named and named <= set(nrbeamsim.__all__)
+    # the campaign batches are not root exports; the bench worker reads
+    # them from the evaluation module
+    assert not any(n.startswith("simulate_") for n in nrbeamsim.__all__)
+    assert not hasattr(nrbeamsim, "simulate_ia_batch")
+    assert callable(evaluation.simulate_ia_batch)

@@ -116,10 +116,6 @@ class TestEmit:
         for p in paths:
             assert p.read_text(encoding="utf-8")
 
-    def test_custom_basename(self, tmp_path):
-        paths = emit([tiny_report()], tmp_path, basename="ia")
-        assert [p.name for p in paths] == ["ia.csv", "ia.json"]
-
     def test_reruns_are_byte_identical(self, tmp_path):
         a = emit([tiny_report()], tmp_path / "a")
         b = emit([tiny_report()], tmp_path / "b")
