@@ -38,8 +38,6 @@ from .reporting import (
 )
 from .scenario_io import ScenarioFile, parse_scenario
 
-SEED_ENV_VAR = "BEAMSIM_SEED"
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ANCHOR = 2
@@ -50,6 +48,10 @@ EXIT_IO = 3
 # double-quoted scalar wraps; a PyYAML built without libyaml has only the
 # Python one.
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+# --seed N and --runs N add these --set items to the same list, so they pass
+# the one check of campaign values, and the last one on the line wins
+_CAMPAIGN_FLAGS = {"--seed": "campaign.seed={}", "--runs": "campaign.n_runs={}"}
 
 
 def _add_file_args(p: argparse.ArgumentParser) -> None:
@@ -62,8 +64,15 @@ def _add_file_args(p: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override a scenario value by dotted key (repeatable)",
     )
-    p.add_argument("--seed", type=int, default=None, help="campaign seed")
-    p.add_argument("--runs", type=int, default=None, help="runs per campaign")
+    for flag, item in _CAMPAIGN_FLAGS.items():
+        p.add_argument(
+            flag,
+            dest="overrides",
+            action="append",
+            type=item.format,
+            metavar="N",
+            help=f"the same as --set {item.format('N')}",
+        )
 
 
 def _add_sweep_args(p: argparse.ArgumentParser) -> None:
@@ -113,34 +122,20 @@ def _build_parser(commands: Sequence[str]) -> argparse.ArgumentParser:
     return parser
 
 
-def _resolved_seed(arg_seed: Optional[int], file_seed: int) -> int:
-    if arg_seed is not None:
-        if arg_seed < 0:
-            raise ConfigurationError(f"--seed {arg_seed}: must be non-negative")
-        return arg_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"{SEED_ENV_VAR}={env!r}: must be an integer"
-            ) from None
-        if seed < 0:
-            raise ConfigurationError(f"{SEED_ENV_VAR}={env!r}: must be non-negative")
-        return seed
-    return file_seed
+def _load(args: argparse.Namespace) -> ScenarioFile:
+    """Parse the scenario file with its overrides and print its effective
+    configuration. The seed was once also read from ``BEAMSIM_SEED``;
+    ignoring the variable would change the seed of a run that sets it."""
+    if "BEAMSIM_SEED" in os.environ:
+        raise ConfigurationError(
+            "BEAMSIM_SEED is no longer read: unset it and pass --seed N"
+        )
+    sf = parse_scenario(args.scenario, overrides=args.overrides)
+    _print_effective(sf)
+    return sf
 
 
-def _seed_and_runs(args: argparse.Namespace, sf: ScenarioFile) -> tuple[int, int]:
-    seed = _resolved_seed(args.seed, sf.campaign.seed)
-    n_runs = args.runs if args.runs is not None else sf.campaign.n_runs
-    if n_runs < 1:
-        raise ConfigurationError(f"--runs {n_runs}: must be at least 1")
-    return seed, n_runs
-
-
-def _print_effective(sf: ScenarioFile, seed: int, n_runs: int) -> None:
+def _print_effective(sf: ScenarioFile) -> None:
     """Print the effective configuration as ``yaml.dump(doc, Dumper=_DUMPER,
     sort_keys=True, default_flow_style=False)`` would.
 
@@ -156,8 +151,8 @@ def _print_effective(sf: ScenarioFile, seed: int, n_runs: int) -> None:
     """
     doc = {
         "source": sf.source,
-        "seed": seed,
-        "n_runs": n_runs,
+        "seed": sf.campaign.seed,
+        "n_runs": sf.campaign.n_runs,
         "horizon_ms": sf.campaign.horizon_ms,
         "scenarios": sf.effective,
     }
@@ -212,11 +207,10 @@ def _metric_lines(r: MetricsReport) -> list[str]:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    sf = parse_scenario(args.scenario, overrides=args.overrides)
-    seed, n_runs = _seed_and_runs(args, sf)
-    _print_effective(sf, seed, n_runs)
+    sf = _load(args)
+    c = sf.campaign
     reports = [
-        estimate_metrics(sc, n_runs=n_runs, seed=seed, horizon_ms=sf.campaign.horizon_ms)
+        estimate_metrics(sc, n_runs=c.n_runs, seed=c.seed, horizon_ms=c.horizon_ms)
         for sc in sf.scenarios
     ]
     for r in reports:
@@ -229,9 +223,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_validate(args: argparse.Namespace) -> int:
-    sf = parse_scenario(args.scenario, overrides=args.overrides)
-    seed, n_runs = _seed_and_runs(args, sf)
-    _print_effective(sf, seed, n_runs)
+    sf = _load(args)
     print(f"ok: {len(sf.scenarios)} scenario(s) valid")
     return EXIT_OK
 
@@ -256,10 +248,9 @@ def _run_anchors(args: argparse.Namespace) -> int:
 def _run_report(args: argparse.Namespace) -> int:
     reports: list[MetricsReport] = []
     for item in args.inputs:
-        text = Path(item).read_text(encoding="utf-8")
         try:
-            reports.extend(reports_from_json(text))
-        except ConfigurationError as exc:
+            reports.extend(reports_from_json(Path(item).read_text(encoding="utf-8")))
+        except (ConfigurationError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"{item}: {exc}") from None
     if not reports:
         raise ConfigurationError("no reports found in the given files")

@@ -24,13 +24,6 @@ from typing import Optional
 from .errors import ConfigurationError
 
 
-# Component draw calibrated against measured mmWave transceiver budgets
-# (3-bit ADCs): one full digital chain per element, or a shared front end
-# plus one phase shifter per element for analog combining.
-C_CHAIN_W_DEFAULT = 16.0896
-P0_W_DEFAULT = 16.0507
-C_PS_W_DEFAULT = 0.0585
-
 # Longest exhaustive sweep a scenario may ask for. The tracking plan
 # holds one int64 entry per nominal CSI-RS occasion of its hyperperiod,
 # at most 512*S of them (n=4, t_ss 160 ms, t_csi 5 slots): about 2.1M
@@ -81,11 +74,16 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class PowerModel:
-    """Per-component power coefficients in watts."""
+    """Per-component power coefficients in watts.
 
-    c_chain_w: float = C_CHAIN_W_DEFAULT
-    p0_w: float = P0_W_DEFAULT
-    c_ps_w: float = C_PS_W_DEFAULT
+    The defaults are calibrated against measured mmWave transceiver budgets
+    (3-bit ADCs): one full digital chain per element, or a shared front end
+    plus one phase shifter per element for analog combining.
+    """
+
+    c_chain_w: float = 16.0896
+    p0_w: float = 16.0507
+    c_ps_w: float = 0.0585
 
     def __post_init__(self) -> None:
         for name in ("c_chain_w", "p0_w", "c_ps_w"):

@@ -33,6 +33,9 @@ from .procedures import (
 
 Z_95 = 1.96
 
+# the most runs one campaign takes: about 1.3 GB at ~130 B of peak memory a run
+MAX_RUNS = 10**7
+
 
 @dataclass(frozen=True)
 class MetricStat:
@@ -130,8 +133,11 @@ def estimate_metrics(
     horizon_ms: float = 500.0,
 ) -> MetricsReport:
     """Run all campaigns for one scenario and assemble the report."""
-    if n_runs < 1:
-        raise DomainError(f"n_runs={n_runs}: need at least one run")
+    if not 1 <= n_runs <= MAX_RUNS or not 0 < horizon_ms < math.inf:
+        raise DomainError(
+            f"n_runs={n_runs}, horizon_ms={horizon_ms!r}: need 1..{MAX_RUNS} "
+            "runs and a finite, positive horizon"
+        )
     root = np.random.SeedSequence(seed)
     ia_ss, tr_ss, rlf_ss = root.spawn(3)
 

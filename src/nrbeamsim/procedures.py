@@ -75,7 +75,6 @@ from .frame import (
 from .link import ChannelParams, edge_margin_db, log_normal_cdf
 
 LTE_LATENCY_VALUES_MS = (0.8, 4.0, 10.0, 40.0)
-DEFAULT_OMEGA_BR_WINDOW_MS = 200.0
 
 
 class DeploymentMode(str, Enum):
@@ -97,7 +96,7 @@ class Scenario:
     mode: DeploymentMode = DeploymentMode.SA
     lte_latency_ms: Optional[float] = None
     carrier_ghz: float = 28.0
-    omega_br_window_ms: float = DEFAULT_OMEGA_BR_WINDOW_MS
+    omega_br_window_ms: float = 200.0
     label: Optional[str] = None
 
     def __post_init__(self) -> None:

@@ -121,6 +121,8 @@ def reports_from_json(text: str) -> list[MetricsReport]:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"not valid report JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigurationError("not valid report JSON: nested too deeply") from None
     if not isinstance(payload, dict) or "reports" not in payload:
         raise ConfigurationError("report JSON must be {'reports': [...]}")
     if not isinstance(payload["reports"], list):

@@ -1,8 +1,9 @@
 """Scenario files: YAML schema, defaults, overrides and sweep expansion.
 
 A scenario file is a nested mapping of the sections in ``_SCHEMA``,
-which holds every key's default (the README lists them); every key is
-optional. File keys, ``--set section.key=value`` overrides and the keys
+which holds every key's default (the README lists them), read off the
+config dataclass that builds the section where there is one; every key
+is optional. File keys, ``--set section.key=value`` overrides and the keys
 of the ``sweep`` section all name one flat table of dotted keys and pass
 one check: an unknown key is rejected with its dotted path, and so is a
 value of the wrong type, including ``null`` for a key whose default is
@@ -26,45 +27,33 @@ import yaml
 
 from .codebook import Architecture, ArrayConfig, PowerModel
 from .errors import ConfigurationError, DomainError
+from .evaluation import MAX_RUNS
 from .frame import CsiRsConfig, SsBurstConfig, make_numerology
 from .link import ChannelParams
 from .procedures import DeploymentMode, Scenario
 
+
+def _defaults(cls: type, *names: str) -> dict[str, Any]:
+    """The field defaults of config dataclass ``cls``, or of its fields
+    ``names``; an enum's default as its value."""
+    fields = [f for f in dataclasses.fields(cls) if f.name in names or not names]
+    return {f.name: getattr(f.default, "value", f.default) for f in fields}
+
+
+# the sections and their keys with their defaults: a section that a config
+# dataclass builds takes that dataclass's defaults
 _SCHEMA: dict[str, Optional[dict[str, Any]]] = {
     "scenario_id": None,
     "numerology": {"n": 3},
-    "ss": {"n_ss": 64, "t_ss_ms": 20.0},
-    "csi": {
-        "t_csi_slots": 5,
-        "n_symbols": 1,
-        "bandwidth_rb": 50,
-        "delta_t_symbols": 0,
-        "delta_f_rb": 0,
-    },
+    "ss": _defaults(SsBurstConfig),
+    "csi": _defaults(CsiRsConfig),
     "gnb": {"elements": 64, "arch": "analog", "k_bf": None},
     "ue": {"elements": 4, "arch": "analog", "k_bf": None},
-    "channel": {
-        "pl_intercept_db": 72.0,
-        "pl_exponent": 2.92,
-        "shadowing_sigma_db": 8.7,
-        "tx_power_dbm": 30.0,
-        "noise_figure_db": 5.0,
-        "bandwidth_hz": 400e6,
-        "detection_threshold_db": -5.0,
-        "cell_radius_m": 150.0,
-        "side_lobe_floor_db": -10.0,
-    },
-    "power": {
-        "c_chain_w": 16.0896,
-        "p0_w": 16.0507,
-        "c_ps_w": 0.0585,
-    },
-    "deployment": {
-        "mode": "SA",
-        "lte_latency_ms": None,
-        "carrier_ghz": 28.0,
-        "omega_br_window_ms": 200.0,
-    },
+    "channel": _defaults(ChannelParams),
+    "power": _defaults(PowerModel),
+    "deployment": _defaults(
+        Scenario, "mode", "lte_latency_ms", "carrier_ghz", "omega_br_window_ms"
+    ),
     "campaign": {"n_runs": 10_000, "seed": 42, "horizon_ms": 500.0},
     "sweep": {},
 }
@@ -181,6 +170,8 @@ def _overrides(overrides: Sequence[str], source: str) -> dict[str, Any]:
             flat[path] = yaml.safe_load(raw.strip())
         except yaml.YAMLError:
             raise _err(source, path, f"not a valid YAML value: {raw.strip()!r}") from None
+        except RecursionError:
+            raise _err(source, path, "YAML value nested too deeply") from None
     return flat
 
 
@@ -215,6 +206,7 @@ def _build_scenario(cfg: Mapping[str, Any], label: Optional[str], source: str) -
 
     dep = cfg["deployment"]
     try:
+        mode = _member(DeploymentMode, dep["mode"], "deployment.mode")
         return Scenario(
             numerology=make_numerology(cfg["numerology"]["n"]),
             ss=SsBurstConfig(**cfg["ss"]),
@@ -223,10 +215,7 @@ def _build_scenario(cfg: Mapping[str, Any], label: Optional[str], source: str) -
             ue=array_of("ue"),
             channel=ChannelParams(**cfg["channel"]),
             power=PowerModel(**cfg["power"]),
-            mode=_member(DeploymentMode, dep["mode"], "deployment.mode"),
-            lte_latency_ms=dep["lte_latency_ms"],
-            carrier_ghz=dep["carrier_ghz"],
-            omega_br_window_ms=dep["omega_br_window_ms"],
+            **{**dep, "mode": mode},
             label=label,
         )
     except (ConfigurationError, DomainError) as exc:
@@ -279,17 +268,15 @@ def scenario_file_from_dict(
         axes.append(axis)
 
     typed = {p: _coerce(source, p, p, v) for p, v in raw.items() if p not in swept}
-    if typed["campaign.n_runs"] < 1:
-        raise _err(source, "campaign.n_runs", "must be at least 1")
-    if typed["campaign.seed"] < 0:
+    keys = ("n_runs", "seed", "horizon_ms")
+    campaign = CampaignSettings(**{k: typed.pop(f"campaign.{k}") for k in keys})
+    if not 1 <= campaign.n_runs <= MAX_RUNS:
+        cap = f"must be in 1..{MAX_RUNS} (evaluation.MAX_RUNS)"
+        raise _err(source, "campaign.n_runs", cap)
+    if campaign.seed < 0:
         raise _err(source, "campaign.seed", "must be non-negative")
-    if typed["campaign.horizon_ms"] <= 0:
+    if campaign.horizon_ms <= 0:
         raise _err(source, "campaign.horizon_ms", "must be positive")
-    campaign = CampaignSettings(
-        n_runs=typed.pop("campaign.n_runs"),
-        seed=typed.pop("campaign.seed"),
-        horizon_ms=typed.pop("campaign.horizon_ms"),
-    )
 
     given_id = typed["scenario_id"]
     scenarios = []
@@ -318,16 +305,20 @@ def parse_scenario(
     """Parse and validate one scenario file.
 
     Raises:
-        ConfigurationError: invalid YAML, unknown keys, or any constraint
-            violation; the message carries the file and dotted key path.
+        ConfigurationError: text that is not UTF-8, invalid YAML, unknown
+            keys, or any constraint violation; the message carries the
+            file and dotted key path.
         OSError: unreadable path (the CLI maps this to its IO exit code).
     """
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
     try:
-        data = yaml.safe_load(text)
+        data = yaml.safe_load(p.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{p}: not valid YAML: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{p}: {exc}") from None
+    except RecursionError:
+        raise ConfigurationError(f"{p}: not valid YAML: nested too deeply") from None
     if data is None:
         data = {}
     if not isinstance(data, dict):

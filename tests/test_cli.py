@@ -17,12 +17,14 @@ from nrbeamsim.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
-    SEED_ENV_VAR,
     _build_parser,
     main,
 )
 from nrbeamsim.codebook import MAX_SWEEP_LENGTH
+from nrbeamsim.evaluation import MAX_RUNS
 from nrbeamsim.procedures import _plan_for
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "nrbench" / "workloads"
 
 
 @pytest.fixture
@@ -311,33 +313,89 @@ class TestCampaignCommands:
     def test_zero_runs_rejected(self, quick_yaml, command, capsys):
         assert main([command, str(quick_yaml), "--runs", "0"]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert "--runs 0: must be at least 1" in captured.err
+        assert f"{quick_yaml}: campaign.n_runs: must be in 1..{MAX_RUNS}" in (
+            captured.err
+        )
         assert "ok:" not in captured.out
+
+    @pytest.mark.parametrize("runs", [MAX_RUNS + 1, 10**12])
+    @pytest.mark.parametrize("spelling", ["--runs {}", "--set campaign.n_runs={}"])
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_runs_above_the_cap_exit_one(
+        self, quick_yaml, command, spelling, runs, capsys
+    ):
+        # rejected with the file, before any campaign allocates its runs
+        argv = [command, str(quick_yaml), *spelling.format(runs).split()]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        cap = f"campaign.n_runs: must be in 1..{MAX_RUNS} (evaluation.MAX_RUNS)"
+        assert cap in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_runs_at_the_cap_validate(self, quick_yaml, capsys):
+        assert main(["validate", str(quick_yaml), "--runs", str(MAX_RUNS)]) == EXIT_OK
+        assert f"n_runs: {MAX_RUNS}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["dense_grid", "wide_arrays"])
+    def test_flags_are_spellings_of_set(self, name, tmp_path, capsys):
+        path, out = str(WORKLOADS / f"{name}.yaml"), str(tmp_path)
+        runs = []
+        for argv in (
+            ["--seed", "7", "--runs", "200"],
+            ["--set", "campaign.seed=7", "--set", "campaign.n_runs=200"],
+        ):
+            assert main(["sweep", path, *argv, "--out", out]) == EXIT_OK
+            stored = (tmp_path / "reports.json").read_bytes()
+            runs.append((capsys.readouterr().out, stored))
+        assert runs[0] == runs[1]
+        assert "seed: 7\n" in runs[0][0] and "n_runs: 200\n" in runs[0][0]
 
 
 class TestSeedPrecedence:
-    def test_flag_beats_env_beats_file(self, quick_yaml, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "77")
-        main(["validate", str(quick_yaml), "--seed", "5"])
-        assert "seed: 5" in capsys.readouterr().out
-        main(["validate", str(quick_yaml)])
-        assert "seed: 77" in capsys.readouterr().out
-        monkeypatch.delenv(SEED_ENV_VAR)
-        main(["validate", str(quick_yaml)])
-        assert "seed: 11" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv, seed",
+        [
+            ([], 11),
+            (["--seed", "5"], 5),
+            (["--set", "campaign.seed=8", "--seed", "7"], 7),
+            (["--seed", "7", "--set", "campaign.seed=8"], 8),
+            (["--seed", "7", "--seed", "9"], 9),
+        ],
+    )
+    def test_last_one_wins(self, quick_yaml, argv, seed, capsys):
+        assert main(["validate", str(quick_yaml), *argv]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"seed: {seed}\n" in out and out.count("seed:") == 1
 
-    def test_env_must_be_integer(self, quick_yaml, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "lots")
-        assert main(["validate", str(quick_yaml)]) == EXIT_CONFIG
+    @pytest.mark.parametrize("value", ["7", "lots"])
+    def test_seed_variable_is_rejected(self, quick_yaml, value, capsys, monkeypatch):
+        # the variable is no longer read: a run that still sets it stops
+        # rather than use a seed its caller did not ask for
+        monkeypatch.setenv("BEAMSIM_SEED", value)
+        for command in ("validate", "sweep"):
+            assert main([command, str(quick_yaml), "--seed", "7"]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert "BEAMSIM_SEED" in captured.err and "--seed" in captured.err
+            assert captured.out == ""
+        # the anchors draw nothing, so they do not look at it
+        assert main(["anchors"]) == EXIT_OK
+        capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["validate", "sweep"])
-    def test_negative_seed_exits_one(self, quick_yaml, command, capsys, monkeypatch):
-        argv = [command, str(quick_yaml)]
-        assert main(argv + ["--seed", "-1"]) == EXIT_CONFIG
-        assert "--seed -1: must be non-negative" in capsys.readouterr().err
-        monkeypatch.setenv(SEED_ENV_VAR, "-2")
-        assert main(argv) == EXIT_CONFIG
-        assert f"{SEED_ENV_VAR}='-2': must be non-negative" in capsys.readouterr().err
+    def test_negative_seed_exits_one(self, quick_yaml, command, capsys):
+        assert main([command, str(quick_yaml), "--seed", "-1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{quick_yaml}: campaign.seed: must be non-negative" in err
+
+    @pytest.mark.parametrize("value, shown", [("abc", "'abc'"), ("1.5", "1.5")])
+    def test_seed_that_is_not_an_integer_exits_one(
+        self, quick_yaml, value, shown, capsys
+    ):
+        # the flag's value is read as YAML and checked like the file's
+        assert main(["sweep", str(quick_yaml), "--seed", value]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"campaign.seed: expected an integer, got {shown}" in err
 
     def test_negative_file_seed_exits_one(self, tmp_path, capsys):
         p = tmp_path / "neg.yaml"
@@ -413,6 +471,54 @@ class TestReportCommand:
 
     def test_missing_report_exits_three(self, tmp_path):
         assert main(["report", str(tmp_path / "none.json")]) == EXIT_IO
+
+
+DEEP_YAML = "[" * 5000 + "]" * 5000
+
+
+class TestMalformedInput:
+    """Input that the readers cannot take is an error naming the file or
+    key, not a traceback."""
+
+    @staticmethod
+    def _assert_one_error(code, capsys, *names):
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        for name in names:
+            assert name in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b"\xff\xfess: {n_ss: 8}\n", id="utf16-bom"),
+            pytest.param(b"ss: {n_ss: \xe9}\n", id="latin1"),
+            pytest.param(f"ss: {{n_ss: {DEEP_YAML}}}\n".encode(), id="nested-5000"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_scenario_file(self, tmp_path, command, content, capsys):
+        p = tmp_path / "bad.yaml"
+        p.write_bytes(content)
+        self._assert_one_error(main([command, str(p)]), capsys, str(p))
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_set_value_nested_too_deeply(self, quick_yaml, command, capsys):
+        code = main([command, str(quick_yaml), "--set", f"ss.n_ss={DEEP_YAML}"])
+        self._assert_one_error(code, capsys, str(quick_yaml), "ss.n_ss")
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b"[" * 200_000 + b"]" * 200_000, id="nested-200000"),
+            pytest.param(b'{"reports": []}\xff', id="not-utf8"),
+        ],
+    )
+    def test_report_file(self, tmp_path, content, capsys):
+        p = tmp_path / "reports.json"
+        p.write_bytes(content)
+        self._assert_one_error(main(["report", str(p)]), capsys, str(p))
 
 
 class TestAnchorsCommand:

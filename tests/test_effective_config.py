@@ -23,12 +23,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nrbeamsim import cli
-from nrbeamsim.cli import EXIT_OK, SEED_ENV_VAR, _print_effective, main
+from nrbeamsim.cli import EXIT_OK, _print_effective, main
 from nrbeamsim.scenario_io import parse_scenario, scenario_file_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 HEAD = "# effective configuration\n"
 TAIL = "\n# results\n"
+# the campaign the printed documents below state
+CAMPAIGN = {"campaign": {"seed": 7, "n_runs": 100}}
 
 
 @pytest.mark.parametrize("name", ["dense_grid", "wide_arrays"])
@@ -36,7 +38,6 @@ def test_workload_validate_matches_the_python_emitter(
     name, capsys, monkeypatch
 ):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     path = f"nrbench/workloads/{name}.yaml"
     assert main(["validate", path]) == EXIT_OK
     sf = parse_scenario(path)
@@ -63,10 +64,10 @@ def test_workload_validate_matches_the_python_emitter(
 @example(sid="\xe9" * 30, source="grid.yaml")
 @example(sid="a\x01" * 40, source="中" * 30)
 def test_printed_block_loads_back_to_the_effective_documents(sid, source):
-    sf = scenario_file_from_dict({"scenario_id": sid}, source=source)
+    sf = scenario_file_from_dict({"scenario_id": sid, **CAMPAIGN}, source=source)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        _print_effective(sf, 7, 100)
+        _print_effective(sf)
     out = buf.getvalue()
     assert out.startswith(HEAD) and out.endswith(TAIL)
     loaded = yaml.safe_load(out[len(HEAD) : -len(TAIL)])
@@ -103,11 +104,11 @@ _DUMPERS = [yaml.SafeDumper] + (
 @example(sid="a\x01" * 40, source="中" * 30)
 @example(sid="word " * 30, source="dir with spaces/" * 8)
 def test_printed_block_is_the_dump_of_the_whole_document(dumper, sid, source):
-    data = {"scenario_id": sid, "sweep": {"ss.n_ss": [8, 16]}}
+    data = {"scenario_id": sid, "sweep": {"ss.n_ss": [8, 16]}, **CAMPAIGN}
     sf = scenario_file_from_dict(data, source=source)
     buf = io.StringIO()
     with mock.patch.object(cli, "_DUMPER", dumper), contextlib.redirect_stdout(buf):
-        _print_effective(sf, 7, 100)
+        _print_effective(sf)
     doc = {
         "source": source,
         "seed": 7,
@@ -123,9 +124,8 @@ def test_campaign_is_printed_once_as_resolved(capsys, monkeypatch):
     # the campaign applies to the whole file: the block states the seed and
     # run count the campaign uses, and no scenario repeats the file's own
     monkeypatch.chdir(ROOT)
-    monkeypatch.setenv(SEED_ENV_VAR, "9")
     path = "nrbench/workloads/wide_arrays.yaml"
-    for argv, seed, n_runs in [(["--seed", "7", "--runs", "50"], 7, 50), ([], 9, 1000)]:
+    for argv, seed, n_runs in [(["--seed", "7", "--runs", "50"], 7, 50), ([], 42, 1000)]:
         assert main(["validate", path, *argv]) == EXIT_OK
         out = capsys.readouterr().out
         doc = yaml.safe_load(out[len(HEAD) : out.index(TAIL)])

@@ -12,6 +12,7 @@ from conftest import make_scenario, scenarios
 from nrbeamsim.errors import ConfigurationError, DomainError
 from nrbeamsim.evaluation import (
     KIVIAT_SCALE,
+    MAX_RUNS,
     MetricStat,
     estimate_metrics,
     kiviat_normalize,
@@ -148,6 +149,19 @@ class TestEstimateMetrics:
     def test_rejects_empty_campaign(self):
         with pytest.raises(DomainError):
             estimate_metrics(make_scenario(), n_runs=0)
+
+    @pytest.mark.parametrize("n_runs", [MAX_RUNS + 1, 10**12])
+    def test_rejects_runs_above_the_cap(self, n_runs):
+        # refused before a batch allocates anything
+        with pytest.raises(DomainError, match=f"1..{MAX_RUNS} runs"):
+            estimate_metrics(make_scenario(), n_runs=n_runs)
+
+    @pytest.mark.parametrize("horizon_ms", [math.nan, math.inf, 0.0, -5.0])
+    def test_rejects_a_horizon_that_is_not_finite_and_positive(self, horizon_ms):
+        # unchecked, nan would drop the horizon and -5 censor every run
+        sc = make_scenario(m_gnb=4, m_ue=1, n_ss=8)
+        with pytest.raises(DomainError, match=f"horizon_ms={horizon_ms!r}"):
+            estimate_metrics(sc, n_runs=200, horizon_ms=horizon_ms)
 
 
 class TestOverheadViews:

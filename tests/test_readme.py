@@ -1,11 +1,13 @@
-"""The README's defaults and library example hold as written."""
+"""The README's defaults, commands and library example hold as written."""
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import yaml
 
+from nrbeamsim.cli import _COMMANDS, EXIT_OK, main
 from nrbeamsim.scenario_io import scenario_file_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -31,6 +33,24 @@ def test_python_blocks_run_against_the_default_scenario(tmp_path, monkeypatch):
     assert blocks
     for code in blocks:
         exec(compile(code, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_command_lines_run_against_the_default_scenario(tmp_path, monkeypatch, capsys):
+    # each beamsim line, in order, in a directory that holds the defaults
+    # block as scenario.yaml; report reads what sweep wrote
+    (tmp_path / "scenario.yaml").write_text(_blocks("yaml")[0], encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lines = [
+        line
+        for block in _blocks("sh")
+        for line in block.splitlines()
+        if line.startswith("beamsim ")
+    ]
+    commands = [shlex.split(line, comments=True)[1:] for line in lines]
+    assert {argv[0] for argv in commands} == set(_COMMANDS)
+    for line, argv in zip(lines, commands):
+        assert main(argv) == EXIT_OK, (line, capsys.readouterr().err)
+    capsys.readouterr()
 
 
 def test_exports_paragraph_names_root_exports_and_no_batch():
