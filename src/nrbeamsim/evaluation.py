@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .codebook import power_consumption_w
 from .errors import ConfigurationError, DomainError
@@ -30,6 +28,11 @@ from .procedures import (
     simulate_tracking_batch,
     sweep_plan,
 )
+
+# numpy is imported by the functions that compute with arrays, as in
+# procedures
+if TYPE_CHECKING:
+    import numpy as np
 
 Z_95 = 1.96
 
@@ -57,6 +60,8 @@ def stat_from_samples(x: np.ndarray) -> MetricStat:
     so the same bits. A NaN shows in that sum, and only then are the
     samples copied without it.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=np.float64).ravel()
     total = np.add.reduce(x)
     if math.isnan(total):
@@ -133,6 +138,8 @@ def estimate_metrics(
     horizon_ms: float = 500.0,
 ) -> MetricsReport:
     """Run all campaigns for one scenario and assemble the report."""
+    import numpy as np
+
     if not 1 <= n_runs <= MAX_RUNS or not 0 < horizon_ms < math.inf:
         raise DomainError(
             f"n_runs={n_runs}, horizon_ms={horizon_ms!r}: need 1..{MAX_RUNS} "

@@ -15,8 +15,6 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .codebook import ArrayConfig, beamforming_gain_db
 from .errors import ConfigurationError, DomainError
 
@@ -82,14 +80,17 @@ def noise_power_dbm(cp: ChannelParams) -> float:
     )
 
 
-def path_loss_db(d_m, cp: ChannelParams, shadowing_db=0.0):
-    """Floating-intercept path loss at distances ``d_m`` in metres."""
-    if np.any(np.asarray(d_m) <= 0):
-        raise DomainError("path loss needs positive distances")
-    return cp.pl_intercept_db + 10.0 * cp.pl_exponent * np.log10(d_m) + shadowing_db
+def path_loss_db(d_m: float, cp: ChannelParams, shadowing_db: float = 0.0) -> float:
+    """Floating-intercept path loss at distance ``d_m`` in metres."""
+    if not 0.0 < d_m < math.inf or not math.isfinite(shadowing_db):
+        raise DomainError(
+            f"d_m={d_m!r}, shadowing_db={shadowing_db!r}: path loss needs a "
+            "positive, finite distance and finite shadowing"
+        )
+    return cp.pl_intercept_db + 10.0 * cp.pl_exponent * math.log10(d_m) + shadowing_db
 
 
-def mean_snr_db(cp: ChannelParams, gain_db: float, d_m):
+def mean_snr_db(cp: ChannelParams, gain_db: float, d_m: float) -> float:
     """Received SNR before shadowing through a pair of combined gain ``gain_db``."""
     return cp.tx_power_dbm + gain_db - noise_power_dbm(cp) - path_loss_db(d_m, cp)
 
@@ -120,11 +121,10 @@ def edge_margin_db(gnb: ArrayConfig, ue: ArrayConfig, cp: ChannelParams) -> floa
 
     The refusal names the keys of every term of the sum that is not
     finite, or large enough that the sum can overflow through it, and is
-    the only report of the overflow: numpy prints no warning.
+    the only report of the overflow.
     """
     gain = beamforming_gain_db(gnb) + beamforming_gain_db(ue)
-    with np.errstate(over="ignore", invalid="ignore"):
-        margin = float(mean_snr_db(cp, gain, cp.cell_radius_m)) - cp.detection_threshold_db
+    margin = mean_snr_db(cp, gain, cp.cell_radius_m) - cp.detection_threshold_db
     if math.isfinite(margin):
         return margin
     # Python floats overflow to inf without a warning

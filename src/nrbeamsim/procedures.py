@@ -47,9 +47,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .codebook import (
     MAX_SWEEP_LENGTH,
@@ -73,6 +71,11 @@ from .frame import (
     check_mmwave_numerology,
 )
 from .link import ChannelParams, edge_margin_db, log_normal_cdf
+
+# numpy is imported by each function that computes with arrays, so the
+# commands that never do (validate, report, help) start without it
+if TYPE_CHECKING:
+    import numpy as np
 
 LTE_LATENCY_VALUES_MS = (0.8, 4.0, 10.0, 40.0)
 
@@ -196,6 +199,8 @@ class SweepPlan:
         one the sweep's last burst swept; that is the tail after a last
         burst at cycle position 0. Built on first use, as NSA and a
         digital gNB never read it."""
+        import numpy as np
+
         return self.rach_end_sym(0, np.arange(self.f_g)) - self.det_offset_sym
 
     @cached_property
@@ -203,6 +208,8 @@ class SweepPlan:
         """Per start burst ``b`` of the cycle, f_g minus the first step the
         sweep's last burst sweeps (mod f_g), in [1, f_g]: the chosen step
         plus this is its offset into ``tail_ms_twice``."""
+        import numpy as np
+
         b = np.arange(self.cycle_bursts, dtype=np.int64)
         last_first = (b + self.bursts_per_sweep - 1) * self.blocks_per_burst
         return self.f_g - last_first % self.f_g
@@ -211,6 +218,8 @@ class SweepPlan:
     def tail_ms_twice(self) -> np.ndarray:
         """``report_tail_sym`` in ms, repeated once, so an offset in
         [0, 2 f_g) reads the tail of that offset mod f_g."""
+        import numpy as np
+
         tail_ms = self.report_tail_sym * self.symbol_ms
         return np.concatenate((tail_ms, tail_ms))
 
@@ -237,6 +246,8 @@ class SweepPlan:
 def _plan_for(
     gnb: ArrayConfig, ue: ArrayConfig, ss: SsBurstConfig, numerology: Numerology
 ) -> SweepPlan:
+    import numpy as np
+
     f_g, f_u = sweep_factor(gnb), sweep_factor(ue)
     s = f_g * f_u
     b = min(s, ss.n_ss)
@@ -288,6 +299,8 @@ def _normal_grid(shift: float) -> tuple[np.ndarray, np.ndarray]:
     log Phi(z + shift) there. Built on first use, not at import; the
     nodes depend on (sigma, floor) only through the shift, so sweeps of
     several lengths share them."""
+    import numpy as np
+
     z = np.linspace(-40.0, 40.0, 4001)
     log_w = -0.5 * z * z - 0.5 * math.log(2.0 * math.pi) + math.log(z[1] - z[0])
     log_w[[0, -1]] += math.log(0.5)
@@ -309,6 +322,8 @@ def p_correct_beam(s: int, sigma_db: float, floor_db: float) -> float:
     0 dB every slot is alike and p = 1/S, except that without shadowing
     the slots tie and the sweep takes the lowest, which is no draw.
     """
+    import numpy as np
+
     if s == 1 or (sigma_db == 0.0 and floor_db < 0.0):
         return 1.0
     if floor_db == 0.0:
@@ -333,6 +348,8 @@ def draw_sweep_winner(
     0 dB floor every slot ties and the lowest (gnb_beam, ue_beam) wins:
     slot 0, which sweeps step 0 at both ends.
     """
+    import numpy as np
+
     n = k_star.size
     s = plan.s
     if s == 1:
@@ -355,6 +372,8 @@ def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> Ia
     run, exact in distribution for iid shadowing on every measured
     block; see :func:`draw_sweep_winner`.
     """
+    import numpy as np
+
     if n_runs < 1:
         raise DomainError(f"n_runs={n_runs}: need at least one run")
     plan = sweep_plan(sc)
@@ -397,6 +416,8 @@ def simulate_rlf_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> I
     SA re-runs the full initial-access sweep; NSA signals over the LTE
     leg and recovers in exactly the configured latency.
     """
+    import numpy as np
+
     if sc.mode is DeploymentMode.NSA:
         assert sc.lte_latency_ms is not None
         const = np.full(n_runs, float(sc.lte_latency_ms))
@@ -422,6 +443,8 @@ def expected_beam_report_delay_ms(sc: Scenario) -> float:
     indexes ``SweepPlan.report_tail_sym`` takes every value congruent to
     the chosen step modulo gcd(B, f_g) equally often.
     """
+    import numpy as np
+
     if sc.mode is DeploymentMode.NSA:
         assert sc.lte_latency_ms is not None
         return sc.lte_latency_ms
@@ -470,7 +493,8 @@ def oracle_expected_rlf_sa(sc: Scenario) -> float:
     return oracle_expected_ia(sc)
 
 
-NO_OCCASION = np.iinfo(np.int64).max
+# the largest int64, np.iinfo(np.int64).max
+NO_OCCASION = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -504,6 +528,8 @@ def _tracking_plan_for(
     numerology: Numerology,
     csi: CsiRsConfig,
 ) -> TrackingPlan:
+    import numpy as np
+
     plan = _plan_for(gnb, ue, ss, numerology)
     period = csi.t_csi_slots * SYMBOLS_PER_SLOT
     t_ss = plan.t_ss_sym
@@ -555,6 +581,8 @@ def simulate_tracking_batch(
     no surviving occasion at all or the wait exceeds the horizon, and its
     wait is NaN.
     """
+    import numpy as np
+
     if n_runs < 1:
         raise DomainError(f"n_runs={n_runs}: need at least one run")
     tp = tracking_plan(sc)
@@ -581,6 +609,8 @@ def expected_tracking_delay_ms(sc: Scenario) -> float:
     surviving occasions over twice the hyperperiod. Directions with no
     surviving occasion are excluded (they only ever censor).
     """
+    import numpy as np
+
     tp = tracking_plan(sc)
     j = np.arange(tp.next_occasion.shape[1] - 1, dtype=np.int64)
     d = np.arange(tp.s, dtype=np.int64)[:, None]

@@ -42,7 +42,7 @@ from nrbeamsim.frame import (
     SsBurstConfig,
     carrier_resource_blocks,
 )
-from nrbeamsim.link import ChannelParams, mean_snr_db
+from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import (
     DeploymentMode,
     IaBatch,
@@ -581,9 +581,14 @@ def misdetection_drops(
     fully aligned pair (both endpoint gains, full transmit power) falls
     below the detection threshold under independent lognormal shadowing.
     A UE closer than 0.1 m is put at 0.1 m, where the path loss is finite.
+    The link budget is written out here over all drops at once: thermal
+    noise of -174 dBm/Hz over the bandwidth plus the noise figure, and the
+    floating-intercept path loss.
     """
     r = np.maximum(cp.cell_radius_m * np.sqrt(rng.uniform(0.0, 1.0, size=n_drops)), 0.1)
     shadow = rng.normal(0.0, cp.shadowing_sigma_db, size=n_drops)
     gain = beamforming_gain_db(gnb) + beamforming_gain_db(ue)
-    snr = mean_snr_db(cp, gain, r) - shadow
+    noise_dbm = -174.0 + 10.0 * math.log10(cp.bandwidth_hz) + cp.noise_figure_db
+    path_loss_db = cp.pl_intercept_db + 10.0 * cp.pl_exponent * np.log10(r)
+    snr = cp.tx_power_dbm + gain - noise_dbm - path_loss_db - shadow
     return float(np.mean(snr < cp.detection_threshold_db))

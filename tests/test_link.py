@@ -48,17 +48,12 @@ class TestPathLoss:
         )
 
     def test_rejects_nonpositive_distance(self):
-        with pytest.raises(DomainError):
-            path_loss_db(0.0, ChannelParams())
-        with pytest.raises(DomainError):
-            path_loss_db(-3.0, ChannelParams())
-        with pytest.raises(DomainError):
-            path_loss_db(np.array([10.0, 0.0]), ChannelParams())
-
-    def test_vectorized_matches_pointwise(self):
-        cp = ChannelParams()
-        d = np.array([1.0, 10.0, 50.0, 150.0])
-        assert path_loss_db(d, cp).tolist() == [path_loss_db(x, cp) for x in d]
+        for d_m in (0.0, -3.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="positive, finite distance"):
+                path_loss_db(d_m, ChannelParams())
+        for shadowing_db in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite shadowing"):
+                path_loss_db(50.0, ChannelParams(), shadowing_db=shadowing_db)
 
 
 class TestNoiseAndSnr:
