@@ -581,14 +581,19 @@ def misdetection_drops(
     fully aligned pair (both endpoint gains, full transmit power) falls
     below the detection threshold under independent lognormal shadowing.
     A UE closer than 0.1 m is put at 0.1 m, where the path loss is finite.
-    The link budget is written out here over all drops at once: thermal
-    noise of -174 dBm/Hz over the bandwidth plus the noise figure, and the
-    floating-intercept path loss.
     """
     r = np.maximum(cp.cell_radius_m * np.sqrt(rng.uniform(0.0, 1.0, size=n_drops)), 0.1)
     shadow = rng.normal(0.0, cp.shadowing_sigma_db, size=n_drops)
     gain = beamforming_gain_db(gnb) + beamforming_gain_db(ue)
+    snr = drop_mean_snr_db(cp, gain, r) - shadow
+    return float(np.mean(snr < cp.detection_threshold_db))
+
+
+def drop_mean_snr_db(cp: ChannelParams, gain_db: float, r: np.ndarray) -> np.ndarray:
+    """Mean SNR before shadowing at each distance of ``r``, written out over
+    all drops at once: thermal noise of -174 dBm/Hz over the bandwidth plus
+    the noise figure, and the floating-intercept path loss.
+    """
     noise_dbm = -174.0 + 10.0 * math.log10(cp.bandwidth_hz) + cp.noise_figure_db
     path_loss_db = cp.pl_intercept_db + 10.0 * cp.pl_exponent * np.log10(r)
-    snr = cp.tx_power_dbm + gain - noise_dbm - path_loss_db - shadow
-    return float(np.mean(snr < cp.detection_threshold_db))
+    return cp.tx_power_dbm + gain_db - noise_dbm - path_loss_db

@@ -18,7 +18,7 @@ from nrbeamsim.link import (
     noise_power_dbm,
     path_loss_db,
 )
-from reference import misdetection_drops
+from reference import drop_mean_snr_db, misdetection_drops
 
 
 def arr(m, arch="analog", k=None):
@@ -74,6 +74,13 @@ class TestNoiseAndSnr:
             - (-82.97940008672037)
         )
         assert got == pytest.approx(expect, abs=1e-9)
+
+    def test_drop_sampler_budget_matches_pointwise(self):
+        # the oracle's array link budget against the package's scalar one
+        cp = ChannelParams()
+        d = np.array([0.1, 1.0, 10.0, 50.0, 150.0, 4999.0])
+        got = drop_mean_snr_db(cp, 27.0, d).tolist()
+        assert got == pytest.approx([mean_snr_db(cp, 27.0, x) for x in d], abs=1e-9)
 
 
 @pytest.mark.parametrize(

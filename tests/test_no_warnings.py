@@ -7,7 +7,8 @@ program and of ``sweep``, each in a fresh interpreter under ``-W error``,
 so a numpy or library warning anywhere on those paths turns into a
 non-zero exit here. The interpreter also runs under ``-X importtime``,
 whose stderr lines name every module it imports: ``validate``, ``report``
-and the help start without numpy, and ``sweep`` loads it.
+and the help start without numpy, and ``sweep`` loads it. Importing
+every module of the package loads no numpy either.
 """
 from __future__ import annotations
 
@@ -25,12 +26,17 @@ IMPORT_TIME = "import time:"
 
 def _run_under_warnings_as_errors(*args: str) -> set[str]:
     """Run ``beamsim ARGS`` and return the names of the modules it imported."""
+    return _run_python("-m", "nrbeamsim", *args)
+
+
+def _run_python(*args: str) -> set[str]:
+    """Run ``python ARGS`` and return the names of the modules it imported."""
     pythonpath = os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
     )
     env = {k: v for k, v in os.environ.items() if k != "BEAMSIM_SEED"}
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-X", "importtime", "-m", "nrbeamsim", *args],
+        [sys.executable, "-W", "error", "-X", "importtime", *args],
         env=dict(env, PYTHONPATH=pythonpath),
         capture_output=True,
         text=True,
@@ -72,4 +78,16 @@ def test_bench_workloads_run_under_warnings_as_errors(tmp_path, workload, comman
 def test_help_exits_zero_in_a_fresh_interpreter(argv):
     # each command's arguments are added only when it is invoked
     imported = _run_under_warnings_as_errors(*argv)
+    assert not _numpy_modules(imported)
+
+
+def test_no_package_module_loads_numpy_when_imported():
+    # the functions that compute with arrays import numpy in their own body
+    modules = sorted(
+        f"nrbeamsim.{p.stem}"
+        for p in (ROOT / "src" / "nrbeamsim").glob("*.py")
+        if p.stem not in ("__init__", "__main__")
+    )
+    imported = _run_python("-c", "import " + ", ".join(modules))
+    assert set(modules) <= imported
     assert not _numpy_modules(imported)
