@@ -1,24 +1,40 @@
-"""Golden digests of the benchmark sweeps' outputs at seeds 42 and 7.
+"""Golden digests of the benchmark sweeps' outputs at seeds 42 and 7,
+and of the mixed-architecture sweeps under ``tests/scenarios``.
 
 Pinned: ``reports.json`` and ``reports.csv`` from ``beamsim sweep``, the
 ``# results`` lines ``sweep`` prints, and the three tables and
 ``kiviat.json`` that ``beamsim report --out`` writes from that
-``reports.json``. A refactor that keeps the model must keep these bytes
-at every seed. A change that means to alter results updates the digests
+``reports.json``; for the mixed-architecture sweeps, the two report
+files only. A refactor that keeps the model must keep these bytes at
+every seed. A change that means to alter results updates the digests
 here and records the new values, and why, in CHANGES.md.
+
+Every pinned campaign's ``reports.json`` also passes the benchmark's
+correctness gate, ``nrbench/checker.py``, with no failed scenario.
 """
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import io
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from nrbeamsim.cli import EXIT_OK, main
+from nrbeamsim.scenario_io import parse_scenario
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "nrbench" / "workloads"
+BENCH = Path(__file__).resolve().parents[1] / "nrbench"
+WORKLOADS = BENCH / "workloads"
+SCENARIOS = Path(__file__).resolve().parent / "scenarios"
+
+# the benchmark's checker, loaded from its file, as nrbench is no package;
+# its dataclasses need the module registered before it runs
+_spec = importlib.util.spec_from_file_location("nrbench_checker", BENCH / "checker.py")
+checker = sys.modules.setdefault(_spec.name, importlib.util.module_from_spec(_spec))
+_spec.loader.exec_module(checker)
 
 # (workload, seed) -> sha256 of reports.json and of reports.csv
 DIGESTS = {
@@ -77,6 +93,19 @@ OUTPUT_DIGESTS = {
 
 WORKLOAD_SEEDS = sorted(DIGESTS)
 
+# scenario file under tests/scenarios -> sha256 of reports.json and of
+# reports.csv, at the file's own seed and run count
+ARCH_DIGESTS = {
+    "mixed_arch": (
+        "4e873f583429ccc05311b92592d8419f458e864fe12cb2df0419d9c2675c9c61",
+        "a123447181dc6ce29c59f388090e37bf58dcee0654bf9b1d7dcbbb6dcf3f930a",
+    ),
+    "hybrid_k6": (
+        "51324e7a982adbb04e631567b5cb3745e9c8e1b21c6e9ad54a9743bfcdaebeea",
+        "f146571235d4ebb39a348fc56352252cb67008be3f80e5b5bb87dae44be5bae2",
+    ),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -105,6 +134,20 @@ def campaign(request, tmp_path_factory):
     return request.param, out, buf.getvalue()
 
 
+def _assert_checker_passes(path: Path, out: Path, seed: int | None = None) -> None:
+    """The checker finds no failed scenario in the sweep of ``path`` at
+    ``seed``, or at the file's own seed."""
+    sf = parse_scenario(path)
+    verdict = checker.check_reports(
+        sf.scenarios,
+        (out / "reports.json").read_text(),
+        seed=sf.campaign.seed if seed is None else seed,
+        n_runs=sf.campaign.n_runs,
+    )
+    assert verdict.scenarios == len(sf.scenarios)
+    assert verdict.failed == 0, verdict.failures
+
+
 def test_sweep_reports_are_byte_identical(campaign):
     key, out, _ = campaign
     json_digest, csv_digest = DIGESTS[key]
@@ -120,3 +163,29 @@ def test_results_lines_and_report_files_are_byte_identical(campaign):
     got = [_sha256(_results_lines(stdout).encode())]
     got += [_sha256((tables / name).read_bytes()) for name in REPORT_FILES]
     assert tuple(got) == OUTPUT_DIGESTS[key]
+
+
+def test_checker_passes_the_benchmark_sweep(campaign):
+    (workload, seed), out, _ = campaign
+    _assert_checker_passes(WORKLOADS / f"{workload}.yaml", out, seed)
+
+
+@pytest.fixture(scope="module", params=sorted(ARCH_DIGESTS))
+def arch_campaign(request, tmp_path_factory):
+    """A mixed-architecture sweep with ``--out``: its name and out dir."""
+    out = tmp_path_factory.mktemp(request.param)
+    argv = ["sweep", str(SCENARIOS / f"{request.param}.yaml"), "--out", str(out)]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == EXIT_OK
+    return request.param, out
+
+
+def test_mixed_architecture_reports_are_byte_identical(arch_campaign):
+    name, out = arch_campaign
+    got = tuple(_sha256((out / f).read_bytes()) for f in ("reports.json", "reports.csv"))
+    assert got == ARCH_DIGESTS[name]
+
+
+def test_checker_passes_the_mixed_architecture_sweep(arch_campaign):
+    name, out = arch_campaign
+    _assert_checker_passes(SCENARIOS / f"{name}.yaml", out)
