@@ -88,9 +88,9 @@ class PowerModel:
     def __post_init__(self) -> None:
         for name in ("c_chain_w", "p0_w", "c_ps_w"):
             value = getattr(self, name)
-            if value < 0:
+            if not 0 <= value < math.inf:
                 raise ConfigurationError(
-                    f"power.{name}={value:g}: must be non-negative"
+                    f"power.{name}={value:g}: must be finite and non-negative"
                 )
 
 

@@ -4,7 +4,7 @@
 collects the deterministic quantities (overheads, power, detection
 accuracy) into a single report. Every delay is read off its batch; a
 delay whose samples are all equal (the LTE leg latency in NSA, the
-digital gNB's reporting tail) is reported as that value with zero error
+reporting tail of a one-step gNB, such as a digital one) is reported as that value with zero error
 rather than as a float average of copies of it.
 
 Seeding: one root seed spawns independent substreams per campaign in a
@@ -13,6 +13,7 @@ fixed order, so reports are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -140,6 +141,12 @@ def estimate_metrics(
     """Run all campaigns for one scenario and assemble the report."""
     import numpy as np
 
+    for name, value in (("n_runs", n_runs), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name}={value!r}: must be an integer")
+    n_runs, seed = int(n_runs), int(seed)
+    if seed < 0:
+        raise DomainError(f"seed={seed}: must be non-negative")
     if not 1 <= n_runs <= MAX_RUNS or not 0 < horizon_ms < math.inf:
         raise DomainError(
             f"n_runs={n_runs}, horizon_ms={horizon_ms!r}: need 1..{MAX_RUNS} "

@@ -19,12 +19,13 @@ slot with the closed-form probability ``p_correct_beam`` and otherwise a
 uniform other slot. The batches draw timing alone, and detection
 accuracy is ``link.misdetection_probability``.
 
-Reporting then waits for the first matching RACH opportunity: a digital
-gNB listens in all directions at once right after the burst's blocks,
-while an analog or hybrid gNB offers one opportunity per direction its
-burst just swept, so a report may have to wait for the burst that
-revisits the chosen direction. The wait depends only on how many steps
-past the last burst's first one the chosen step lies. The sweep plan
+Reporting then waits for the first matching RACH opportunity: the gNB
+offers one opportunity per step its burst just swept, so a report may
+have to wait for the burst that revisits the chosen step. A digital gNB
+is the one-step case: it sweeps every direction in its one step, so the
+opportunity right after each burst's blocks serves every report. The
+wait depends only on how many steps past the last burst's first one
+the chosen step lies. The sweep plan
 tabulates that offset's complement per start burst, and the tail in ms
 per offset over two cycles of f_g steps, so a batch reads each run's
 tail by two gathers with no per-run modulo.
@@ -103,9 +104,10 @@ class Scenario:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not self.carrier_ghz > 0:
+        if not 0 < self.carrier_ghz < math.inf:
             raise ConfigurationError(
-                f"deployment.carrier_ghz={self.carrier_ghz:g}: must be positive"
+                f"deployment.carrier_ghz={self.carrier_ghz:g}: must be positive "
+                "and finite"
             )
         check_mmwave_numerology(self.numerology, self.carrier_ghz)
         self.ss.check_window(self.numerology)
@@ -127,10 +129,10 @@ class Scenario:
                 f"{MAX_SWEEP_LENGTH} are supported"
             )
         edge_margin_db(self.gnb, self.ue, self.channel)
-        if self.omega_br_window_ms <= 0:
+        if not 0 < self.omega_br_window_ms < math.inf:
             raise ConfigurationError(
                 f"deployment.omega_br_window_ms={self.omega_br_window_ms:g}: "
-                "must be positive"
+                "must be positive and finite"
             )
         rb = self.carrier_rb
         if self.csi.delta_f_rb + self.csi.bandwidth_rb > rb:
@@ -167,11 +169,10 @@ class SweepPlan:
     """Precomputed sweep geometry for one scenario.
 
     Sweep slot ``k`` steers the gNB to step ``k % f_g`` and the UE to step
-    ``k // f_g``; ``g_labels`` holds the gNB steps, -1 on a digital gNB,
-    which needs no steering. Direction ``d`` of an end is swept in step
-    ``d // width`` of that end. The gNB steps the bursts sweep repeat
-    every ``rach_cycle`` bursts. A run that starts at cycle
-    burst ``b`` and chooses gNB step ``g`` waits
+    ``k // f_g``; ``g_labels`` holds the gNB steps. Direction ``d`` of an
+    end is swept in step ``d // width`` of that end. The gNB steps the
+    bursts sweep repeat every ``rach_cycle`` bursts. A run that starts at
+    cycle burst ``b`` and chooses gNB step ``g`` waits
     ``tail_ms_twice[g + tail_shift[b]]`` from determination to the end
     of its report.
     """
@@ -187,21 +188,34 @@ class SweepPlan:
     t_ss_sym: int
     symbol_ms: float
     t_ss_ms: float
+    # read by no code here; the benchmark's tracer counts wait-table
+    # cells only for the gNBs this flags false
     digital_gnb: bool
     g_labels: np.ndarray
     det_offset_sym: int
-    digital_tail_sym: int
 
     @cached_property
     def report_tail_sym(self) -> np.ndarray:
         """Report tail, from determination to the end of the RACH
         opportunity, when the chosen step lies ``d`` steps past the first
-        one the sweep's last burst swept; that is the tail after a last
-        burst at cycle position 0. Built on first use, as NSA and a
-        digital gNB never read it."""
+        one the sweep's last burst swept. Built on first use, as NSA
+        never reads it.
+
+        Burst ``j`` sweeps steps ``j*B .. j*B + min(B, f_g) - 1`` (mod
+        f_g) and offers one opportunity per step after its blocks, in that
+        order, so the first burst to sweep the chosen step comes ``d // B``
+        bursts later, at rank ``d % B``.
+        """
         import numpy as np
 
-        return self.rach_end_sym(0, np.arange(self.f_g)) - self.det_offset_sym
+        b = self.blocks_per_burst
+        d = np.arange(self.f_g)
+        return (
+            (d // b) * self.t_ss_sym
+            + b * SS_BLOCK_SYMBOLS
+            + RACH_SYMBOLS * (d % b + 1)
+            - self.det_offset_sym
+        )
 
     @cached_property
     def tail_shift(self) -> np.ndarray:
@@ -223,24 +237,6 @@ class SweepPlan:
         tail_ms = self.report_tail_sym * self.symbol_ms
         return np.concatenate((tail_ms, tail_ms))
 
-    def rach_end_sym(self, det_pos, g_label):
-        """End of the report's RACH opportunity, in symbols from the start
-        of the burst at cycle position ``det_pos`` whose blocks end the
-        sweep, for an analog or hybrid gNB that chose step ``g_label``.
-
-        Burst ``j`` sweeps steps ``j*B .. j*B + min(B, f_g) - 1`` (mod
-        f_g) and offers one opportunity per step after its blocks, in that
-        order. With ``d = (g_label - det_pos*B) mod f_g`` the first burst
-        to sweep the step comes ``d // B`` bursts later, at rank ``d % B``.
-        """
-        b = self.blocks_per_burst
-        d = (g_label - det_pos * b) % self.f_g
-        return (
-            (d // b) * self.t_ss_sym
-            + b * SS_BLOCK_SYMBOLS
-            + RACH_SYMBOLS * (d % b + 1)
-        )
-
 
 @lru_cache(maxsize=128)
 def _plan_for(
@@ -253,11 +249,6 @@ def _plan_for(
     b = min(s, ss.n_ss)
     c = math.ceil(s / b)
     r = s - (c - 1) * b
-    digital_gnb = gnb.arch is Architecture.DIGITAL
-    if digital_gnb:
-        g_labels = np.full(s, -1, dtype=np.int64)
-    else:
-        g_labels = np.arange(s, dtype=np.int64) % f_g
     return SweepPlan(
         s=s,
         f_g=f_g,
@@ -266,14 +257,13 @@ def _plan_for(
         blocks_per_burst=b,
         bursts_per_sweep=c,
         cycle_bursts=s // math.gcd(b, s),
-        rach_cycle=1 if digital_gnb else f_g // math.gcd(b, f_g),
+        rach_cycle=f_g // math.gcd(b, f_g),
         t_ss_sym=round(ss.t_ss_ms * numerology.symbols_per_ms),
         symbol_ms=numerology.symbol_ms,
         t_ss_ms=ss.t_ss_ms,
-        digital_gnb=digital_gnb,
-        g_labels=g_labels,
+        digital_gnb=gnb.arch is Architecture.DIGITAL,
+        g_labels=np.arange(s, dtype=np.int64) % f_g,
         det_offset_sym=r * SS_BLOCK_SYMBOLS,
-        digital_tail_sym=(b - r) * SS_BLOCK_SYMBOLS + RACH_SYMBOLS,
     )
 
 
@@ -395,8 +385,6 @@ def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> Ia
     chosen_g = plan.g_labels[best]
     if sc.mode is DeploymentMode.NSA:
         t_br = np.full(n_runs, float(sc.lte_latency_ms))
-    elif plan.digital_gnb:
-        t_br = np.full(n_runs, plan.digital_tail_sym * plan.symbol_ms)
     else:
         offset = plan.tail_shift[start_burst]
         offset += chosen_g
@@ -449,8 +437,6 @@ def expected_beam_report_delay_ms(sc: Scenario) -> float:
         assert sc.lte_latency_ms is not None
         return sc.lte_latency_ms
     plan = sweep_plan(sc)
-    if plan.digital_gnb:
-        return plan.digital_tail_sym * plan.symbol_ms
     s, f_g, cp = plan.s, plan.f_g, sc.channel
     steps = np.arange(f_g)
     aligned = np.bincount(np.arange(sc.gnb.elements) // plan.g_width) / sc.gnb.elements
@@ -630,14 +616,10 @@ def expected_tracking_delay_ms(sc: Scenario) -> float:
 def omega_br(sc: Scenario) -> float:
     """Beam-reporting overhead: RACH symbols per reporting window.
 
-    One uplink opportunity spans 2 symbols over the whole carrier; a
-    directional (analog/hybrid) SA gNB must reserve one per direction
-    group it can serve, a digital SA gNB or an NSA deployment needs one.
+    One uplink opportunity spans 2 symbols over the whole carrier; an SA
+    gNB must reserve one per steering step, an NSA deployment needs one.
     The accounting window is ``omega_br_window_ms``.
     """
-    if sc.mode is DeploymentMode.NSA or sc.gnb.arch is Architecture.DIGITAL:
-        n_opps = 1
-    else:
-        n_opps = sweep_factor(sc.gnb)
+    n_opps = 1 if sc.mode is DeploymentMode.NSA else sweep_factor(sc.gnb)
     window_sym = sc.omega_br_window_ms * sc.numerology.symbols_per_ms
     return n_opps * RACH_SYMBOLS / window_sym

@@ -343,13 +343,12 @@ def rach_tails_walked(sc) -> np.ndarray:
     gNB). Determination is at the end of the sweep's last block.
     """
     plan = sweep_plan(sc)
+    directional = sc.gnb.arch is not Architecture.DIGITAL
     bursts = plan.cycle_bursts + plan.bursts_per_sweep + plan.rach_cycle + 1
     ss = build_ss_timeline(sc.ss, sc.numerology, bursts * sc.ss.t_ss_ms, sweep_labels(sc))
-    rach = build_rach_timeline(
-        ss, not plan.digital_gnb, sc.numerology, n_directions=plan.f_g
-    )
+    rach = build_rach_timeline(ss, directional, sc.numerology, n_directions=plan.f_g)
     starts = [e.start_symbol for e in rach.events]
-    labels = [None] if plan.digital_gnb else list(range(plan.f_g))
+    labels = list(range(plan.f_g)) if directional else [None]
     tails = np.empty((plan.cycle_bursts, len(labels)), dtype=np.int64)
     for c in range(plan.cycle_bursts):
         det_sym = (c + plan.bursts_per_sweep - 1) * plan.t_ss_sym + plan.det_offset_sym
@@ -462,7 +461,7 @@ def ia_batch_matrix(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
     if sc.mode is DeploymentMode.NSA:
         t_br = np.full(n_runs, float(sc.lte_latency_ms))
     else:
-        tails = rach_tails_walked(sc)[start_burst, np.maximum(chosen_g, 0)]
+        tails = rach_tails_walked(sc)[start_burst, chosen_g]
         t_br = tails * plan.symbol_ms
     return IaBatch(
         t_sweep_ms=t_sweep,
@@ -508,8 +507,6 @@ def ia_batch_formula(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
     chosen_g = plan.g_labels[best]
     if sc.mode is DeploymentMode.NSA:
         t_br = np.full(n_runs, float(sc.lte_latency_ms))
-    elif plan.digital_gnb:
-        t_br = np.full(n_runs, plan.digital_tail_sym * plan.symbol_ms)
     else:
         last_first = (start_burst + plan.bursts_per_sweep - 1) * plan.blocks_per_burst
         t_br = plan.report_tail_sym[(chosen_g - last_first) % plan.f_g] * plan.symbol_ms

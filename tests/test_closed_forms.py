@@ -54,25 +54,18 @@ def test_rach_wait_equals_the_timeline_walk(sc):
     plan = sweep_plan(sc)
     walked = rach_tails_walked(sc)
     for c in range(plan.cycle_bursts):
-        det_pos = (c + plan.bursts_per_sweep - 1) % plan.cycle_bursts
-        for d in range(sc.gnb.elements):
-            if plan.digital_gnb:
-                assert walked[c, 0] == plan.digital_tail_sym
-                continue
-            closed = plan.rach_end_sym(det_pos, d // plan.g_width) - plan.det_offset_sym
-            assert walked[c, covering_step(sc.gnb, d)] == closed, (c, d)
-        if plan.digital_gnb:
-            continue
-        # the batch's lookup: offset from the last burst's first block,
-        # with the start burst not reduced modulo the cycle
+        # offsets from the last burst's first block, with the start burst
+        # not reduced modulo the cycle
         last_first = (c + plan.bursts_per_sweep - 1) * plan.blocks_per_burst
+        for d in range(sc.gnb.elements):
+            closed = plan.report_tail_sym[(d // plan.g_width - last_first) % plan.f_g]
+            assert walked[c, covering_step(sc.gnb, d)] == closed, (c, d)
+        # the batch's lookup: two gathers, in ms
         for g in range(plan.f_g):
-            closed = plan.rach_end_sym(det_pos, g) - plan.det_offset_sym
-            assert plan.report_tail_sym[(g - last_first) % plan.f_g] == closed, (c, g)
+            tail_ms = plan.tail_ms_twice[g + plan.tail_shift[c]]
+            assert tail_ms == walked[c, g] * plan.symbol_ms, (c, g)
     cp = sc.channel
-    if plan.digital_gnb:
-        expected = walked.mean()
-    elif cp.shadowing_sigma_db == 0.0 and cp.side_lobe_floor_db == 0.0:
+    if cp.shadowing_sigma_db == 0.0 and cp.side_lobe_floor_db == 0.0:
         # every block ties and the lowest gNB step wins
         expected = walked[:, 0].mean()
     else:

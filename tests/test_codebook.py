@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from conftest import make_scenario
@@ -116,8 +118,16 @@ class TestGainAndPower:
         # k_bf chains plus one shifter per element
         assert hybrid == pytest.approx(8 * 16.0896 + 64 * 0.0585)
 
-    def test_power_model_validation(self):
-        with pytest.raises(ConfigurationError):
-            PowerModel(c_chain_w=-1.0)
-        with pytest.raises(ConfigurationError):
-            PowerModel(c_ps_w=-0.1)
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("c_chain_w", -1.0),
+            ("c_ps_w", -0.1),
+            ("p0_w", math.inf),
+            ("c_chain_w", math.nan),
+            ("c_ps_w", -math.inf),
+        ],
+    )
+    def test_power_model_validation(self, name, value):
+        with pytest.raises(ConfigurationError, match=rf"power\.{name}="):
+            PowerModel(**{name: value})

@@ -57,7 +57,7 @@ class TestMetricStat:
             value = 0.8
         else:
             plan = sweep_plan(make_scenario(**DIGITAL_16X4))
-            value = plan.digital_tail_sym * plan.symbol_ms
+            value = float(plan.report_tail_sym[0] * plan.symbol_ms)
         x = np.full(10_000, value)
         assert x.mean() != value  # a float average misses the last digit
         x[5] = np.nan
@@ -129,7 +129,8 @@ class TestEstimateMetrics:
         sc = make_scenario(**DIGITAL_16X4)
         rep = estimate_metrics(sc, n_runs=10_000, seed=1)
         plan = sweep_plan(sc)
-        assert rep.t_br == MetricStat(plan.digital_tail_sym * plan.symbol_ms, 0.0, 10_000)
+        tail_ms = float(plan.report_tail_sym[0] * plan.symbol_ms)
+        assert rep.t_br == MetricStat(tail_ms, 0.0, 10_000)
         # all blocks sent in one burst: wait (8-8)*4+2 symbols
         assert rep.t_br.mean == pytest.approx(2 * 0.125 / 14)
 
@@ -149,6 +150,30 @@ class TestEstimateMetrics:
     def test_rejects_empty_campaign(self):
         with pytest.raises(DomainError):
             estimate_metrics(make_scenario(), n_runs=0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("seed", True),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", "7"),
+            ("n_runs", True),
+            ("n_runs", 2.0),
+        ],
+    )
+    def test_rejects_a_bad_seed_or_run_count(self, name, value):
+        # a bool seed was written to the report as `true`, and the others
+        # raised numpy's TypeError or ValueError without the argument's name
+        args = dict(n_runs=50, seed=1) | {name: value}
+        with pytest.raises(DomainError, match=rf"^{name}="):
+            estimate_metrics(make_scenario(m_gnb=4, m_ue=1, n_ss=8), **args)
+
+    def test_numpy_integers_are_plain_ints_in_the_report(self):
+        sc = make_scenario(m_gnb=4, m_ue=1, n_ss=8)
+        rep = estimate_metrics(sc, n_runs=np.int64(50), seed=np.uint32(1))
+        assert rep == estimate_metrics(sc, n_runs=50, seed=1)
+        assert type(rep.seed) is int and type(rep.n_runs) is int
 
     @pytest.mark.parametrize("n_runs", [MAX_RUNS + 1, 10**12])
     def test_rejects_runs_above_the_cap(self, n_runs):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
+from nrbeamsim.codebook import Architecture
 from nrbeamsim.errors import (
     ConfigurationError,
     DomainError,
@@ -71,10 +72,7 @@ class TestSweepPlanGeometry:
     @staticmethod
     def _labels(plan):
         # the UE side is analog in these cases: slot k sweeps UE step k // f_g
-        return [
-            (None if g < 0 else int(g), k // plan.f_g)
-            for k, g in enumerate(plan.g_labels)
-        ]
+        return [(int(g), k // plan.f_g) for k, g in enumerate(plan.g_labels)]
 
     def test_pair_order_is_ue_outer(self):
         sc = make_scenario(m_gnb=2, m_ue=2, n_ss=8)
@@ -82,9 +80,11 @@ class TestSweepPlanGeometry:
         assert sweep_labels(sc) == self._labels(sweep_plan(sc))
 
     def test_digital_side_stamps_wildcards(self):
+        # the timeline stamps no beam on a digital side, whose one step
+        # the plan labels 0
         sc = make_scenario(m_gnb=8, m_ue=2, arch_gnb="digital", n_ss=8)
-        assert self._labels(sweep_plan(sc)) == [(None, 0), (None, 1)]
-        assert sweep_labels(sc) == self._labels(sweep_plan(sc))
+        assert sweep_labels(sc) == [(None, 0), (None, 1)]
+        assert self._labels(sweep_plan(sc)) == [(0, 0), (0, 1)]
 
     def test_aligned_slot_roundtrip(self):
         sc = make_scenario(m_gnb=4, m_ue=2, n_ss=8)
@@ -107,22 +107,18 @@ class TestReportTailAgainstTimelines:
             dict(m_gnb=8, m_ue=4, n_ss=12),
             dict(m_gnb=64, m_ue=4, arch_gnb="hybrid", k_bf_gnb=8, n_ss=8),
             dict(m_gnb=127, m_ue=1, n_ss=8),
+            dict(m_gnb=64, m_ue=16, arch_gnb="digital", n_ss=8),
         ],
     )
-    def test_directional_tails_match(self, kw):
+    def test_tails_match(self, kw):
         sc = make_scenario(**kw)
         plan = sweep_plan(sc)
         walked = rach_tails_walked(sc)
         for c in range(plan.cycle_bursts):
             det_pos = (c + plan.bursts_per_sweep - 1) % plan.cycle_bursts
             for label in range(plan.f_g):
-                closed = plan.rach_end_sym(det_pos, label) - plan.det_offset_sym
-                assert walked[c, label] == closed, (c, label)
-
-    def test_digital_tail_matches(self):
-        sc = make_scenario(m_gnb=64, m_ue=16, arch_gnb="digital", n_ss=8)
-        plan = sweep_plan(sc)
-        assert (rach_tails_walked(sc) == plan.digital_tail_sym).all()
+                d = (label - det_pos * plan.blocks_per_burst) % plan.f_g
+                assert walked[c, label] == plan.report_tail_sym[d], (c, label)
 
     @pytest.mark.parametrize(
         "kw",
@@ -141,7 +137,7 @@ class TestReportTailAgainstTimelines:
         totals = []
         for c in range(plan.cycle_bursts):
             for g_star in range(sc.gnb.elements):
-                label = 0 if plan.digital_gnb else covering_step(sc.gnb, g_star)
+                label = covering_step(sc.gnb, g_star)
                 totals.append(
                     (plan.bursts_per_sweep - 1) * plan.t_ss_sym
                     + plan.det_offset_sym
@@ -192,7 +188,8 @@ class TestBeamReportDelayPointwise:
     def _rach(sc, horizon_ms=60.0):
         ss = build_ss_timeline(sc.ss, sc.numerology, horizon_ms, sweep_labels(sc))
         plan = sweep_plan(sc)
-        return build_rach_timeline(ss, not plan.digital_gnb, sc.numerology, plan.f_g)
+        directional = sc.gnb.arch is not Architecture.DIGITAL
+        return build_rach_timeline(ss, directional, sc.numerology, plan.f_g)
 
     def test_digital_next_opportunity(self):
         sc = make_scenario(m_gnb=64, m_ue=16, arch_gnb="digital", n_ss=8)
@@ -279,13 +276,54 @@ class TestOutcomeInvariants:
             out = simulate_ia_batch(make_scenario(**kw), 100, rng)
             assert (out.t_total_ms == out.t_sweep_ms + out.t_br_ms).all()
 
-    def test_digital_pair_labels_are_none_sided(self):
+    def test_digital_gnb_chooses_its_one_step(self):
         out = simulate_ia_batch(
             make_scenario(m_gnb=8, arch_gnb="digital", m_ue=4),
             100,
             np.random.default_rng(4),
         )
-        assert (out.chosen_g == -1).all()
+        assert (out.chosen_g == 0).all()
+
+
+class TestDigitalIsAOneStepSweep:
+    """A digital gNB of M elements times like a hybrid gNB with k_bf = M:
+    both sweep every direction in one step, so every timing result must
+    be the same, bit for bit."""
+
+    @staticmethod
+    def _twins(m_gnb, ue, n_ss, mode, channel):
+        kw = dict(m_gnb=m_gnb, n_ss=n_ss, channel=channel, **ue)
+        if mode == "NSA":
+            kw.update(mode="NSA", lte_latency_ms=4.0)
+        digital = make_scenario(arch_gnb="digital", **kw)
+        hybrid = make_scenario(arch_gnb="hybrid", k_bf_gnb=m_gnb, **kw)
+        return digital, hybrid
+
+    @pytest.mark.parametrize("mode", ["SA", "NSA"])
+    @pytest.mark.parametrize(
+        "channel",
+        [ChannelParams(), ChannelParams(shadowing_sigma_db=0.0, side_lobe_floor_db=0.0)],
+        ids=["shadowed", "ties"],
+    )
+    @pytest.mark.parametrize("n_ss", [3, 64])
+    @pytest.mark.parametrize(
+        "ue",
+        [
+            dict(m_ue=4),
+            dict(m_ue=16, arch_ue="digital"),
+            dict(m_ue=16, arch_ue="hybrid", k_bf_ue=3),
+        ],
+        ids=["analog-ue", "digital-ue", "hybrid-ue"],
+    )
+    @pytest.mark.parametrize("m_gnb", [1, 8, 64])
+    def test_same_timing_as_a_one_step_hybrid(self, m_gnb, ue, n_ss, mode, channel):
+        digital, hybrid = self._twins(m_gnb, ue, n_ss, mode, channel)
+        a = simulate_ia_batch(digital, 500, np.random.default_rng(31))
+        b = simulate_ia_batch(hybrid, 500, np.random.default_rng(31))
+        for field in ("t_sweep_ms", "t_br_ms", "t_total_ms", "chosen_g"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        for closed_form in (expected_beam_report_delay_ms, oracle_expected_ia, omega_br):
+            assert closed_form(digital) == closed_form(hybrid), closed_form.__name__
 
 
 class TestRlfRecovery:
@@ -398,10 +436,16 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError, match="numerology"):
             make_scenario(n=1)
 
-    @pytest.mark.parametrize("ghz", [0.0, -28.0, math.nan])
+    @pytest.mark.parametrize("ghz", [0.0, -28.0, math.nan, math.inf])
     def test_carrier_must_be_positive(self, ghz):
         with pytest.raises(ConfigurationError, match=r"deployment\.carrier_ghz"):
             make_scenario(carrier_ghz=ghz)
+
+    @pytest.mark.parametrize("ms", [0.0, -200.0, math.nan, math.inf])
+    def test_omega_br_window_must_be_positive_and_finite(self, ms):
+        # unchecked, nan gave omega_br = nan and inf gave 0
+        with pytest.raises(ConfigurationError, match=r"deployment\.omega_br_window_ms"):
+            make_scenario(omega_br_window_ms=ms)
 
     def test_csi_band_must_fit_carrier(self):
         with pytest.raises(ConfigurationError, match="carrier"):
