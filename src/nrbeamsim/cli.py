@@ -10,6 +10,12 @@ Exit codes: 0 success, 1 usage, configuration or validation error,
 2 anchor failure, 3 I/O error. ``validate`` and ``sweep`` print the
 effective configuration (after defaults, overrides and sweep expansion)
 before any results, and all file output is byte-stable for a fixed seed.
+
+A run does only the work its output needs: a known command is parsed by
+a parser built for it alone, and the top-level parser, which lists each
+command's help line, serves only ``-h``, ``--version`` and a missing or
+unknown command. The effective configuration takes its values' text
+from one YAML dump per nesting depth.
 """
 from __future__ import annotations
 
@@ -102,10 +108,10 @@ _COMMANDS = {
 }
 
 
-def _build_parser(commands: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser with every command and its help line, but the arguments
-    of ``commands`` only: a run parses one command, so the others' are not
-    built."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser: every command with its help line and none of
+    its arguments. It serves ``-h``, ``--version`` and a missing or
+    unknown command; a known command is parsed by `_command_parser`."""
     parser = argparse.ArgumentParser(
         prog="beamsim",
         description=(
@@ -115,10 +121,16 @@ def _build_parser(commands: Sequence[str]) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if name in commands:
-            add_args(p)
+    for name, (help_text, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
+    return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command ``name`` alone: the parser that the top-level
+    parser's subcommand would be, with the same arguments and help."""
+    parser = argparse.ArgumentParser(prog=f"beamsim {name}")
+    _COMMANDS[name][1](parser)
     return parser
 
 
@@ -135,19 +147,50 @@ def _load(args: argparse.Namespace) -> ScenarioFile:
     return sf
 
 
+# how the block nests a value of each depth, as the text before the value's
+# key: the top-level mapping, a scenario's own key, a section's key
+_LEADS = ("", "- ", "- x:\n    ")
+
+
+def _value_texts(depth: int, items: Sequence[tuple]) -> dict[tuple, str]:
+    """The text after ``key:`` of each ``(depth, key, type, value)`` item,
+    from one dump of them all.
+
+    Each value is dumped under its own key at its own depth, where it
+    starts at the same column and indents its continuation lines as in
+    the whole document: the top-level items, whose keys differ and come in
+    sorted order, are one mapping, the others a list of one-key mappings.
+    A value's lines after its first are indented, so its text ends where
+    the next item's lead and key begin a line.
+    """
+    if depth == 0:
+        doc: Any = {key: v for _, key, _, v in items}
+    else:
+        doc = {"s": [{k: v} if depth == 1 else {"x": {k: v}} for _, k, _, v in items]}
+    dumped = yaml.dump(doc, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
+    heads = [f"{_LEADS[depth]}{key}:" for _, key, _, _ in items]
+    texts = {}
+    pos = 0 if depth == 0 else len("s:\n")
+    for i, item in enumerate(items):
+        start = pos + len(heads[i])
+        last = i + 1 == len(items)
+        pos = len(dumped) if last else dumped.index("\n" + heads[i + 1], start) + 1
+        texts[item] = dumped[start:pos]
+    return texts
+
+
 def _print_effective(sf: ScenarioFile) -> None:
     """Print the effective configuration as ``yaml.dump(doc, Dumper=_DUMPER,
     sort_keys=True, default_flow_style=False)`` would.
 
     The document has a fixed shape: top-level scalars, and ``scenarios``, a
     list of mappings whose values are scalars or one-level sections. So the
-    block is written line by line, and only each distinct value's text
-    comes from the dumper: the value is dumped under its own key at its own
-    depth, where it starts at the same column and indents its continuation
-    lines the same as in the whole document, and the text after ``key:``
-    is kept. Within one file the values of one key at one depth differ
-    under ``==`` (a sweep rejects repeated values), and the type joins the
-    memo key because ``1 == 1.0 == True``.
+    block is written line by line, and only the values' texts come from
+    the dumper: the distinct ``(depth, key, type, value)`` items are
+    collected first and each depth's are rendered by one dump
+    (`_value_texts`). Within one file the values of one key at one depth
+    differ under ``==`` (a sweep rejects repeated values), and the type
+    joins the item because ``1 == 1.0 == True``.
     """
     doc = {
         "source": sf.source,
@@ -156,24 +199,16 @@ def _print_effective(sf: ScenarioFile) -> None:
         "horizon_ms": sf.campaign.horizon_ms,
         "scenarios": sf.effective,
     }
-    texts: dict[tuple, str] = {}
+    # the block's pieces, each value as its item; the items of each depth
+    # in first-seen order
+    out: list[Any] = ["# effective configuration\n"]
+    items: tuple[dict, ...] = ({}, {}, {})
 
-    def value(depth: int, key: str, v: Any) -> str:
-        memo = (depth, key, type(v), v)
-        text = texts.get(memo)
-        if text is None:
-            nested = {key: v}
-            prefix = f"{key}:"
-            if depth:
-                nested = {"s": [nested if depth == 1 else {"x": nested}]}
-                prefix = "s:\n- " + ("" if depth == 1 else "x:\n    ") + prefix
-            dumped = yaml.dump(
-                nested, Dumper=_DUMPER, sort_keys=True, default_flow_style=False
-            )
-            text = texts[memo] = dumped[len(prefix) :]
-        return text
+    def value(depth: int, key: str, v: Any) -> tuple:
+        item = (depth, key, type(v), v)
+        items[depth][item] = None
+        return item
 
-    out = ["# effective configuration\n"]
     for key, v in sorted(doc.items()):
         if key != "scenarios":
             out += (key, ":", value(0, key, v))
@@ -190,7 +225,10 @@ def _print_effective(sf: ScenarioFile) -> None:
                         out += ("    ", k, ":", value(2, k, x))
                 lead = "  "
     out.append("# results\n")
-    sys.stdout.write("".join(out))
+    texts: dict[tuple, str] = {}
+    for depth, distinct in enumerate(items):
+        texts.update(_value_texts(depth, list(distinct)))
+    sys.stdout.write("".join(texts[p] if isinstance(p, tuple) else p for p in out))
 
 
 def _metric_lines(r: MetricsReport) -> list[str]:
@@ -287,22 +325,31 @@ def _run_report(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
     try:
-        args = _build_parser(argv[:1]).parse_args(argv)
+        if command in _COMMANDS:
+            args = _command_parser(command).parse_args(argv[1:])
+        else:
+            parser = _build_parser()
+            parser.parse_args(argv)
+            # a command that is not the first argument (some argparse
+            # versions pass over a "--" before it) has not had its arguments
+            # parsed
+            parser.error("the command must be the first argument")
     except SystemExit as exc:
         # argparse has printed the usage error (exit 2) or the help or
         # version (exit 0)
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
-        if args.command == "validate":
+        if command == "validate":
             return _run_validate(args)
-        if args.command == "sweep":
+        if command == "sweep":
             return _run_sweep(args)
-        if args.command == "anchors":
+        if command == "anchors":
             return _run_anchors(args)
-        if args.command == "report":
+        if command == "report":
             return _run_report(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        raise AssertionError(f"unhandled command {command!r}")
     except (ConfigurationError, DomainError, NotApplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

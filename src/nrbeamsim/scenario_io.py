@@ -32,6 +32,54 @@ from .frame import CsiRsConfig, SsBurstConfig, make_numerology
 from .link import ChannelParams
 from .procedures import DeploymentMode, Scenario
 
+# libyaml's C parser reads a scenario file several times faster than
+# PyYAML's Python one, to the same values; a PyYAML built without libyaml
+# has only the Python one.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# a scenario file nests collections three deep (the file, a section, a
+# key's list of values), and a --set value is one of those values
+_MAX_DEPTH = 3
+
+
+class _TooDeep(yaml.YAMLError):
+    def __str__(self) -> str:
+        return "nested too deeply"
+
+
+def _load_yaml(text: str) -> Any:
+    """The value of YAML ``text`` read by ``_LOADER``.
+
+    Text that nests collections deeper than ``_MAX_DEPTH`` raises
+    `_TooDeep`, a `yaml.YAMLError`. Its events are counted before any
+    node is built, because libyaml composes nodes by recursion on the C
+    stack (an 8 MB stack overflows near 30,000 levels). The loaded value
+    is checked too, because an alias nests a value deeper than the text
+    that names it. So the checks after loading, whose messages show the
+    value, never recurse far.
+    """
+    depth = 0
+    for event in yaml.parse(text, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise _TooDeep()
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    value = yaml.load(text, Loader=_LOADER)
+    # the values inside _MAX_DEPTH collections must all be scalars
+    inside = [value]
+    for _ in range(_MAX_DEPTH):
+        inside = [
+            v
+            for c in inside
+            if isinstance(c, (dict, list))
+            for v in (c.values() if isinstance(c, dict) else c)
+        ]
+    if any(isinstance(v, (dict, list)) for v in inside):
+        raise _TooDeep()
+    return value
+
 
 def _defaults(cls: type, *names: str) -> dict[str, Any]:
     """The field defaults of config dataclass ``cls``, or of its fields
@@ -167,11 +215,13 @@ def _overrides(overrides: Sequence[str], source: str) -> dict[str, Any]:
             raise _err(source, item, "override must look like section.key=value")
         path = path.strip()
         try:
-            flat[path] = yaml.safe_load(raw.strip())
-        except yaml.YAMLError:
-            raise _err(source, path, f"not a valid YAML value: {raw.strip()!r}") from None
-        except RecursionError:
+            flat[path] = _load_yaml(raw.strip())
+        except _TooDeep:
             raise _err(source, path, "YAML value nested too deeply") from None
+        except (yaml.YAMLError, UnicodeEncodeError):
+            # libyaml takes UTF-8 only, and an argument that is not UTF-8
+            # reaches Python as lone surrogates
+            raise _err(source, path, f"not a valid YAML value: {raw.strip()!r}") from None
     return flat
 
 
@@ -312,13 +362,11 @@ def parse_scenario(
     """
     p = Path(path)
     try:
-        data = yaml.safe_load(p.read_text(encoding="utf-8"))
+        data = _load_yaml(p.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{p}: not valid YAML: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{p}: {exc}") from None
-    except RecursionError:
-        raise ConfigurationError(f"{p}: not valid YAML: nested too deeply") from None
     if data is None:
         data = {}
     if not isinstance(data, dict):

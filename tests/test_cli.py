@@ -18,6 +18,7 @@ from nrbeamsim.cli import (
     EXIT_IO,
     EXIT_OK,
     _build_parser,
+    _command_parser,
     main,
 )
 from nrbeamsim.codebook import MAX_SWEEP_LENGTH
@@ -227,6 +228,8 @@ class TestUsage:
             # the anchors are closed forms: no seed, no run count
             ["anchors", "--seed", "1"],
             ["anchors", "--runs", "5"],
+            # the command comes first
+            ["--", "anchors"],
         ],
     )
     def test_usage_errors_exit_one(self, argv, quick_yaml, capsys):
@@ -254,26 +257,46 @@ class TestUsage:
         assert main(["-h"]) == EXIT_OK
         assert "{validate,sweep,anchors,report}" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("name", list(_COMMANDS))
-    def test_a_command_built_alone_matches_the_full_tree(self, name):
-        def subparser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-            (action,) = [
-                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-            ]
-            return action.choices[name]
+    @staticmethod
+    def _full_tree() -> tuple[argparse.ArgumentParser, dict]:
+        """The top-level parser with every command's arguments added, and
+        its subparsers by command."""
+        tree = _build_parser()
+        (sub,) = [a for a in tree._actions if isinstance(a, argparse._SubParsersAction)]
+        for name, (_, add_args) in _COMMANDS.items():
+            add_args(sub.choices[name])
+        return tree, sub.choices
 
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_a_command_parser_is_its_subparser_in_the_full_tree(self, name):
         def options(p: argparse.ArgumentParser) -> list[tuple]:
             return [
                 (a.option_strings, a.dest, a.default, a.type, a.nargs, a.help)
                 for a in p._actions
             ]
 
-        alone_tree, full_tree = _build_parser([name]), _build_parser(list(_COMMANDS))
-        assert alone_tree.format_help() == full_tree.format_help()
-        alone, full = subparser(alone_tree), subparser(full_tree)
+        alone, full = _command_parser(name), self._full_tree()[1][name]
         assert len(alone._actions) > 1  # more than -h
         assert options(alone) == options(full)
         assert alone.format_help() == full.format_help()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["-h"], EXIT_OK),
+            (["--version"], EXIT_OK),
+            (["bogus"], EXIT_CONFIG),
+            ([], EXIT_CONFIG),
+        ],
+    )
+    def test_the_top_level_parser_answers_as_the_full_tree(self, argv, code, capsys):
+        # help, version and a missing or unknown command print what the
+        # tree with every command's arguments prints
+        with pytest.raises(SystemExit):
+            self._full_tree()[0].parse_args(argv)
+        expected = capsys.readouterr()
+        assert main(argv) == code
+        assert capsys.readouterr() == expected
 
 
 class TestCampaignCommands:
@@ -495,6 +518,23 @@ class TestMalformedInput:
             pytest.param(b"\xff\xfess: {n_ss: 8}\n", id="utf16-bom"),
             pytest.param(b"ss: {n_ss: \xe9}\n", id="latin1"),
             pytest.param(f"ss: {{n_ss: {DEEP_YAML}}}\n".encode(), id="nested-5000"),
+            pytest.param(
+                f"sweep: {{ss.n_ss: {DEEP_YAML}}}\n".encode(), id="sweep-nested-5000"
+            ),
+            pytest.param(f"scenario_id: {DEEP_YAML}\n".encode(), id="id-nested-5000"),
+            # shallow text, but each alias nests the value once more
+            pytest.param(
+                (
+                    "ss: {n_ss: &a0 [8]}\nss:\n"
+                    + "".join(f"  n_ss: &a{i + 1} [*a{i}]\n" for i in range(5000))
+                ).encode(),
+                id="aliases-nested-5000",
+            ),
+            # libyaml composes nodes by recursion on the C stack
+            pytest.param(
+                b"ss: {n_ss: " + b"[" * 100_000 + b"]" * 100_000 + b"}\n",
+                id="nested-100000",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "sweep"])
@@ -506,6 +546,12 @@ class TestMalformedInput:
     @pytest.mark.parametrize("command", ["validate", "sweep"])
     def test_set_value_nested_too_deeply(self, quick_yaml, command, capsys):
         code = main([command, str(quick_yaml), "--set", f"ss.n_ss={DEEP_YAML}"])
+        self._assert_one_error(code, capsys, str(quick_yaml), "ss.n_ss")
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_set_value_not_utf8(self, quick_yaml, command, capsys):
+        # a non-UTF-8 argument byte reaches Python as a lone surrogate
+        code = main([command, str(quick_yaml), "--set", "ss.n_ss=\udcff"])
         self._assert_one_error(code, capsys, str(quick_yaml), "ss.n_ss")
 
     @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 """The effective configuration every CLI run prints before its results.
 
-``cli._print_effective`` writes the block line by line and takes only
-each distinct value's text from the dumper, ``cli._DUMPER`` (libyaml's C
-emitter when PyYAML has it). Under either dumper the block must equal
+``cli._print_effective`` writes the block line by line and takes the
+distinct values' text from one dump per nesting depth, split per value,
+by ``cli._DUMPER`` (libyaml's C emitter when PyYAML has it). Under
+either dumper the block must equal
 what that dumper writes for the whole document, byte for byte, for any
 scenario id and source path. On the benchmark workloads the C emitter's
 text must also equal the Python emitter's. For other ids the two
@@ -81,13 +82,16 @@ def test_printed_block_loads_back_to_the_effective_documents(sid, source):
 
 
 # strings that stress the emitters: any code point, YAML indicators,
-# quotes, line breaks, and long runs of words that a plain or quoted
-# scalar wraps at the line width
+# quotes, line breaks, long runs of words that a plain or quoted scalar
+# wraps at the line width, and the text that separates the values of one
+# dump (a list item's lead, a nested key's, a key)
 _PIECES = st.one_of(
     st.text(max_size=6),
     st.sampled_from(
         [" ", "  ", "\n", "\r\n", "\t", "'", '"', "\\", ": ", " #", "- ",
-         "\x00", "\x1b", "\x85", "\u2028", "\ufeff", "\xe9", "中"]
+         "\x00", "\x1b", "\x85", "\u2028", "\ufeff", "\xe9", "中",
+         "\n- ", "- x:\n    ", "\n- x:\n    n_ss:", "- scenario_id:", "\nsource:",
+         "\nseed: 7\n", "s:\n"]
     ),
     st.text(alphabet="ab ", min_size=20, max_size=100),
 )
@@ -103,6 +107,7 @@ _DUMPERS = [yaml.SafeDumper] + (
 @example(sid="\xe9" * 30, source="grid.yaml")
 @example(sid="a\x01" * 40, source="中" * 30)
 @example(sid="word " * 30, source="dir with spaces/" * 8)
+@example(sid="a - scenario_id: b\n- scenario_id: c", source="s:\n- x:\n    ")
 def test_printed_block_is_the_dump_of_the_whole_document(dumper, sid, source):
     data = {"scenario_id": sid, "sweep": {"ss.n_ss": [8, 16]}, **CAMPAIGN}
     sf = scenario_file_from_dict(data, source=source)

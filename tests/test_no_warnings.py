@@ -3,7 +3,7 @@ commands that compute with arrays import numpy.
 
 Runs ``beamsim sweep`` and ``beamsim validate`` on both benchmark sweeps,
 ``beamsim report`` on the sweep's ``reports.json``, and the help of the
-program and of ``sweep``, each in a fresh interpreter under ``-W error``,
+program and of each command, each in a fresh interpreter under ``-W error``,
 so a numpy or library warning anywhere on those paths turns into a
 non-zero exit here. The interpreter also runs under ``-X importtime``,
 whose stderr lines name every module it imports: ``validate``, ``report``
@@ -74,9 +74,12 @@ def test_bench_workloads_run_under_warnings_as_errors(tmp_path, workload, comman
     assert not _numpy_modules(imported)
 
 
-@pytest.mark.parametrize("argv", [["-h"], ["sweep", "-h"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["sweep", "-h"], ["validate", "-h"], ["anchors", "-h"], ["report", "-h"]],
+)
 def test_help_exits_zero_in_a_fresh_interpreter(argv):
-    # each command's arguments are added only when it is invoked
+    # a command's help comes from the parser built for it alone
     imported = _run_under_warnings_as_errors(*argv)
     assert not _numpy_modules(imported)
 

@@ -1,15 +1,27 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+from pathlib import Path
+from unittest import mock
 
 import pytest
+import yaml
 
+from nrbeamsim import scenario_io
 from nrbeamsim.codebook import Architecture, PowerModel
 from nrbeamsim.errors import ConfigurationError
 from nrbeamsim.frame import CsiRsConfig, SsBurstConfig
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import DeploymentMode, Scenario
-from nrbeamsim.scenario_io import _SCHEMA, parse_scenario, scenario_file_from_dict
+from nrbeamsim.scenario_io import (
+    _SCHEMA,
+    _overrides,
+    parse_scenario,
+    scenario_file_from_dict,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FLOAT_KEYS = {
     (section, key)
@@ -319,3 +331,49 @@ class TestParseScenarioFile:
         p.write_text("ss: {t_ss_ms: 15}\n", encoding="utf-8")
         sf = parse_scenario(p, overrides=["ss.t_ss_ms=20"])
         assert sf.scenarios[0].ss.t_ss_ms == 20.0
+
+
+# PyYAML's Python loader, and libyaml's when PyYAML was built with it
+_LOADERS = [yaml.SafeLoader] + (
+    [yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else []
+)
+
+
+def test_the_module_loader_is_libyaml_when_pyyaml_has_it():
+    fastest = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert scenario_io._LOADER is fastest
+
+
+@pytest.mark.parametrize("loader", _LOADERS, ids=lambda loader: loader.__name__)
+class TestLoaders:
+    """The module reads YAML with libyaml's loader when PyYAML has it, and
+    with the Python one otherwise: either must read every committed
+    scenario and every kind of ``--set`` literal as the Python one does."""
+
+    def test_committed_scenarios_parse_alike(self, loader, tmp_path):
+        paths = sorted(ROOT.glob("tests/scenarios/*.yaml"))
+        paths += sorted(ROOT.glob("nrbench/workloads/*.yaml"))
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        assert len(paths) >= 4 and len(blocks) == 2
+        for i, block in enumerate(blocks):
+            paths.append(tmp_path / f"readme_{i}.yaml")
+            paths[-1].write_text(block, encoding="utf-8")
+        for path in paths:
+            with mock.patch.object(scenario_io, "_LOADER", yaml.SafeLoader):
+                expected = parse_scenario(path)
+            with mock.patch.object(scenario_io, "_LOADER", loader):
+                got = parse_scenario(path)
+            assert got.scenarios == expected.scenarios
+            assert got.campaign == expected.campaign
+            # repr tells 1 from 1.0 and True
+            assert repr(got.effective) == repr(expected.effective)
+
+    def test_set_literals_read_alike(self, loader):
+        literals = ["42", "4.0e8", "yes", "null", "0x10", "1_000", ".inf", "[8, 16]"]
+        items = [f"k{i}={raw}" for i, raw in enumerate(literals)]
+        with mock.patch.object(scenario_io, "_LOADER", loader):
+            values = list(_overrides(items, "<set>").values())
+        # YAML 1.1 reads 4.0e8 as a string; scenario_io takes it as a number
+        expected = [42, "4.0e8", True, None, 16, 1000, float("inf"), [8, 16]]
+        assert repr(values) == repr(expected)
