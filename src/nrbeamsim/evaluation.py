@@ -8,13 +8,17 @@ reporting tail of a one-step gNB, such as a digital one) is reported as that val
 rather than as a float average of copies of it.
 
 Seeding: one root seed spawns independent substreams per campaign in a
-fixed order, so reports are reproducible bit for bit.
+fixed order, so reports are reproducible bit for bit. Every scenario of a
+sweep draws from the same root seed, and the tracking campaign reads only
+the arrays, bursts, numerology and CSI-RS grid, so SA and NSA twins share
+one tracking campaign, which runs once per geometry.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .codebook import power_consumption_w
@@ -34,6 +38,9 @@ from .procedures import (
 # procedures
 if TYPE_CHECKING:
     import numpy as np
+
+    from .codebook import ArrayConfig
+    from .frame import CsiRsConfig, Numerology, SsBurstConfig
 
 Z_95 = 1.96
 
@@ -132,13 +139,52 @@ def omega_tr_for(sc: Scenario) -> float:
     return csi_area / (period_sym * sc.carrier_rb)
 
 
+@dataclass(frozen=True)
+class _TrackingCampaign:
+    """What a tracking campaign reads: the tracking plan's inputs, the root
+    seed, the run count and the horizon. ``sc`` is the scenario the batch
+    runs on and takes no part in equality, so SA and NSA twins are one
+    campaign."""
+
+    gnb: ArrayConfig
+    ue: ArrayConfig
+    ss: SsBurstConfig
+    numerology: Numerology
+    csi: CsiRsConfig
+    seed: int
+    n_runs: int
+    horizon_ms: float
+    sc: Scenario = field(compare=False)
+
+
+@lru_cache(maxsize=128)
+def _tracking_stats(campaign: _TrackingCampaign) -> tuple[MetricStat, int]:
+    """``t_tr`` and the censored run count of one tracking campaign, drawn
+    from the root seed's second substream; the waits are not kept."""
+    import numpy as np
+
+    tr_ss = np.random.SeedSequence(campaign.seed).spawn(3)[1]
+    waits, censored = simulate_tracking_batch(
+        campaign.sc,
+        campaign.n_runs,
+        np.random.default_rng(tr_ss),
+        horizon_ms=campaign.horizon_ms,
+    )
+    return stat_from_samples(waits), int(np.count_nonzero(censored))
+
+
 def estimate_metrics(
     sc: Scenario,
     n_runs: int = 10_000,
     seed: int = 0,
     horizon_ms: float = 500.0,
 ) -> MetricsReport:
-    """Run all campaigns for one scenario and assemble the report."""
+    """Run all campaigns for one scenario and assemble the report.
+
+    Every scenario draws from the same root ``seed``, so SA and NSA twins
+    share one tracking campaign, which runs once per geometry (per seed,
+    run count and horizon); the IA and RLF campaigns run per scenario.
+    """
     import numpy as np
 
     for name, value in (("n_runs", n_runs), ("seed", seed)):
@@ -152,12 +198,13 @@ def estimate_metrics(
             f"n_runs={n_runs}, horizon_ms={horizon_ms!r}: need 1..{MAX_RUNS} "
             "runs and a finite, positive horizon"
         )
-    root = np.random.SeedSequence(seed)
-    ia_ss, tr_ss, rlf_ss = root.spawn(3)
+    ia_ss, _, rlf_ss = np.random.SeedSequence(seed).spawn(3)
 
     ia = simulate_ia_batch(sc, n_runs, np.random.default_rng(ia_ss))
-    waits, censored = simulate_tracking_batch(
-        sc, n_runs, np.random.default_rng(tr_ss), horizon_ms=horizon_ms
+    t_tr, censored = _tracking_stats(
+        _TrackingCampaign(
+            sc.gnb, sc.ue, sc.ss, sc.numerology, sc.csi, seed, n_runs, horizon_ms, sc
+        )
     )
     rlf = simulate_rlf_batch(sc, n_runs, np.random.default_rng(rlf_ss))
     p_md = misdetection_probability(sc.gnb, sc.ue, sc.channel)
@@ -174,7 +221,7 @@ def estimate_metrics(
         t_ss_ms=sc.ss.t_ss_ms,
         t_csi_slots=sc.csi.t_csi_slots,
         t_ia=stat_from_samples(ia.t_total_ms),
-        t_tr=stat_from_samples(waits),
+        t_tr=t_tr,
         t_br=stat_from_samples(ia.t_br_ms),
         t_rlf=stat_from_samples(rlf.t_total_ms),
         omega_ia=omega_ia_for(sc),
@@ -184,7 +231,7 @@ def estimate_metrics(
         p_c_w=power_consumption_w(sc.gnb, sc.power),
         seed=seed,
         n_runs=n_runs,
-        censored_tracking=int(np.count_nonzero(censored)),
+        censored_tracking=censored,
     )
 
 

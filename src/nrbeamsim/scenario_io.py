@@ -81,6 +81,26 @@ def _load_yaml(text: str) -> Any:
     return value
 
 
+def _at(mark: yaml.Mark) -> str:
+    return f"line {mark.line + 1}, column {mark.column + 1}"
+
+
+def _yaml_error(path: Path, exc: yaml.YAMLError) -> ConfigurationError:
+    """One line naming the file, where the parser stopped and why. The
+    loader's own text spans several lines and names "<unicode string>",
+    because it reads the decoded text, not the file."""
+    marked = isinstance(exc, yaml.MarkedYAMLError)
+    if not marked or exc.problem is None or exc.problem_mark is None:
+        return ConfigurationError(f"{path}: not valid YAML: {exc}")
+    problem = exc.problem
+    if exc.context is not None:
+        start = "" if exc.context_mark is None else f" at {_at(exc.context_mark)}"
+        problem += f" ({exc.context}{start})"
+    return ConfigurationError(
+        f"{path}, {_at(exc.problem_mark)}: not valid YAML: {problem}"
+    )
+
+
 def _defaults(cls: type, *names: str) -> dict[str, Any]:
     """The field defaults of config dataclass ``cls``, or of its fields
     ``names``; an enum's default as its value."""
@@ -364,7 +384,7 @@ def parse_scenario(
     try:
         data = _load_yaml(p.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
-        raise ConfigurationError(f"{p}: not valid YAML: {exc}") from None
+        raise _yaml_error(p, exc) from None
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{p}: {exc}") from None
     if data is None:

@@ -544,6 +544,21 @@ class TestMalformedInput:
         self._assert_one_error(main([command, str(p)]), capsys, str(p))
 
     @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_invalid_yaml_names_the_file_line_and_column(
+        self, tmp_path, command, capsys
+    ):
+        # the loader's own message spans four lines and names "<unicode string>"
+        p = tmp_path / "bad.yaml"
+        p.write_text("ss: [unclosed\n", encoding="utf-8")
+        self._assert_one_error(
+            main([command, str(p)]),
+            capsys,
+            f"{p}, line 2, column 1: not valid YAML: ",
+            "expected ',' or ']'",
+            "line 1, column 5",
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
     def test_set_value_nested_too_deeply(self, quick_yaml, command, capsys):
         code = main([command, str(quick_yaml), "--set", f"ss.n_ss={DEEP_YAML}"])
         self._assert_one_error(code, capsys, str(quick_yaml), "ss.n_ss")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +23,16 @@ from nrbeamsim.evaluation import (
 )
 from nrbeamsim.procedures import (
     LTE_LATENCY_VALUES_MS,
+    DeploymentMode,
     expected_tracking_delay_ms,
     oracle_expected_ia,
     oracle_expected_rlf_sa,
+    simulate_tracking_batch,
     sweep_plan,
 )
+from nrbeamsim.scenario_io import parse_scenario
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "nrbench" / "workloads"
 FINITE = st.floats(-1e6, 1e6)
 DIGITAL_16X4 = dict(m_gnb=16, arch_gnb="digital", m_ue=4, n_ss=8)
 
@@ -187,6 +192,43 @@ class TestEstimateMetrics:
         sc = make_scenario(m_gnb=4, m_ue=1, n_ss=8)
         with pytest.raises(DomainError, match=f"horizon_ms={horizon_ms!r}"):
             estimate_metrics(sc, n_runs=200, horizon_ms=horizon_ms)
+
+
+class TestSharedTrackingCampaign:
+    """SA and NSA twins share one tracking campaign, run once per
+    geometry; any other seed, run count or horizon is a fresh campaign."""
+
+    @staticmethod
+    def _direct(sc, n_runs, seed, horizon_ms):
+        # the tracking campaign as estimate_metrics drew it per scenario
+        tr_ss = np.random.SeedSequence(seed).spawn(3)[1]
+        waits, censored = simulate_tracking_batch(
+            sc, n_runs, np.random.default_rng(tr_ss), horizon_ms=horizon_ms
+        )
+        return stat_from_samples(waits), int(np.count_nonzero(censored))
+
+    @pytest.mark.parametrize("workload", ["dense_grid", "wide_arrays"])
+    def test_nsa_twin_reports_its_sa_twins_tracking(self, workload):
+        scenarios = parse_scenario(WORKLOADS / f"{workload}.yaml").scenarios
+        reports = {
+            sc.scenario_id: estimate_metrics(sc, n_runs=300, seed=4) for sc in scenarios
+        }
+        nsa = [sc for sc in scenarios if sc.mode is DeploymentMode.NSA]
+        assert 2 * len(nsa) == len(scenarios)
+        for sc in nsa:
+            sa = reports[sc.scenario_id.replace("mode=NSA", "mode=SA")]
+            got = reports[sc.scenario_id]
+            assert (got.t_tr, got.censored_tracking) == (sa.t_tr, sa.censored_tracking)
+            assert (got.t_tr, got.censored_tracking) == self._direct(sc, 300, 4, 500.0)
+
+    def test_seed_run_count_and_horizon_each_get_a_fresh_campaign(self):
+        sc = make_scenario(m_gnb=64, m_ue=4)
+        base = dict(n_runs=400, seed=3, horizon_ms=500.0)
+        for change in ({}, {"seed": 8}, {"n_runs": 700}, {"horizon_ms": 50.0}):
+            args = base | change
+            rep = estimate_metrics(sc, **args)
+            assert rep.censored_tracking > 0
+            assert (rep.t_tr, rep.censored_tracking) == self._direct(sc, **args)
 
 
 class TestOverheadViews:

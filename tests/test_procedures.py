@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
+from nrbeamsim import evaluation
 from nrbeamsim.codebook import Architecture
 from nrbeamsim.errors import (
     ConfigurationError,
@@ -465,14 +466,26 @@ class TestPlanCaches:
     @pytest.mark.parametrize(
         "workload, geometries", [("dense_grid", 18), ("wide_arrays", 9)]
     )
-    def test_sa_and_nsa_twins_share_their_plans(self, workload, geometries):
+    def test_sa_and_nsa_twins_share_their_plans(
+        self, workload, geometries, monkeypatch
+    ):
         # each workload sweeps mode over SA and NSA on every geometry; the
-        # plans read only the arrays, bursts, numerology and CSI-RS grid
+        # plans and the tracking campaign read only the arrays, bursts,
+        # numerology and CSI-RS grid
         scenarios = parse_scenario(WORKLOADS / f"{workload}.yaml").scenarios
         assert len(scenarios) == 2 * geometries
+        batches = []
+
+        def tracking_batch(sc, *args, **kwargs):
+            batches.append(sc)
+            return simulate_tracking_batch(sc, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "simulate_tracking_batch", tracking_batch)
         _plan_for.cache_clear()
         _tracking_plan_for.cache_clear()
+        evaluation._tracking_stats.cache_clear()
         for sc in scenarios:
             estimate_metrics(sc, n_runs=20, seed=1)
         assert _plan_for.cache_info().misses == geometries
         assert _tracking_plan_for.cache_info().misses == geometries
+        assert len(batches) == geometries
