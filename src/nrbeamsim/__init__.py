@@ -16,6 +16,7 @@ from .codebook import (
 )
 from .errors import ConfigurationError, DomainError, NotApplicableError
 from .evaluation import (
+    CampaignSettings,
     KiviatSet,
     MetricStat,
     MetricsReport,
@@ -48,6 +49,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Architecture",
     "ArrayConfig",
+    "CampaignSettings",
     "ChannelParams",
     "ConfigurationError",
     "CsiRsConfig",

@@ -192,13 +192,7 @@ def _print_effective(sf: ScenarioFile) -> None:
     differ under ``==`` (a sweep rejects repeated values), and the type
     joins the item because ``1 == 1.0 == True``.
     """
-    doc = {
-        "source": sf.source,
-        "seed": sf.campaign.seed,
-        "n_runs": sf.campaign.n_runs,
-        "horizon_ms": sf.campaign.horizon_ms,
-        "scenarios": sf.effective,
-    }
+    doc = {"source": sf.source, **vars(sf.campaign), "scenarios": sf.effective}
     # the block's pieces, each value as its item; the items of each depth
     # in first-seen order
     out: list[Any] = ["# effective configuration\n"]
@@ -246,11 +240,7 @@ def _metric_lines(r: MetricsReport) -> list[str]:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     sf = _load(args)
-    c = sf.campaign
-    reports = [
-        estimate_metrics(sc, n_runs=c.n_runs, seed=c.seed, horizon_ms=c.horizon_ms)
-        for sc in sf.scenarios
-    ]
+    reports = [estimate_metrics(sc, sf.campaign) for sc in sf.scenarios]
     for r in reports:
         for line in _metric_lines(r):
             print(line)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_int
 
 
 # Longest exhaustive sweep a scenario may ask for. The tracking plan
@@ -51,10 +51,7 @@ class ArrayConfig:
     k_bf: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.elements, int) or isinstance(self.elements, bool):
-            raise ConfigurationError(
-                f"elements={self.elements!r}: must be an integer"
-            )
+        require_int("elements", self.elements)
         if self.elements < 1:
             raise ConfigurationError(
                 f"elements={self.elements}: must be at least 1"

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check the
+config classes share."""
 
 
 class ConfigurationError(ValueError):
@@ -16,3 +17,9 @@ class DomainError(ValueError):
 
 class NotApplicableError(RuntimeError):
     """An operation was requested for a mode it is not defined in."""
+
+
+def require_int(key: str, value: object) -> None:
+    """Reject a ``value`` of ``key`` that is not an ``int``, or is a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(f"{key}={value!r}: must be an integer")

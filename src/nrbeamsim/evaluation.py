@@ -7,17 +7,18 @@ delay whose samples are all equal (the LTE leg latency in NSA, the
 reporting tail of a one-step gNB, such as a digital one) is reported as that value with zero error
 rather than as a float average of copies of it.
 
-Seeding: one root seed spawns independent substreams per campaign in a
-fixed order, so reports are reproducible bit for bit. Every scenario of a
-sweep draws from the same root seed, and the tracking campaign reads only
-the arrays, bursts, numerology and CSI-RS grid, so SA and NSA twins share
-one tracking campaign, which runs once per geometry.
+Seeding: a campaign is one ``CampaignSettings`` value, whose root seed
+spawns independent substreams per batch in a fixed order, so reports are
+reproducible bit for bit. Every scenario of a sweep runs the same
+campaign, and the tracking batch reads only the scenario's tracking
+plan, which SA and NSA twins share, so they share one tracking campaign,
+which runs once per geometry.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
@@ -32,6 +33,7 @@ from .procedures import (
     simulate_rlf_batch,
     simulate_tracking_batch,
     sweep_plan,
+    tracking_plan,
 )
 
 # numpy is imported by the functions that compute with arrays, as in
@@ -39,13 +41,43 @@ from .procedures import (
 if TYPE_CHECKING:
     import numpy as np
 
-    from .codebook import ArrayConfig
-    from .frame import CsiRsConfig, Numerology, SsBurstConfig
+    from .procedures import TrackingPlan
 
 Z_95 = 1.96
 
 # the most runs one campaign takes: about 1.3 GB at ~130 B of peak memory a run
 MAX_RUNS = 10**7
+
+
+@dataclass(frozen=True)
+class CampaignSettings:
+    """One campaign: ``n_runs`` runs per batch from root ``seed``, tracking
+    waits censored past ``horizon_ms``. A scenario file's ``campaign``
+    block builds it, so its defaults and checks are the campaign's only
+    ones. Errors name the bare key; a scenario file prefixes the file and
+    ``campaign.``. A numpy integer is stored as an ``int``.
+    """
+
+    n_runs: int = 10_000
+    seed: int = 42
+    horizon_ms: float = 500.0
+
+    def __post_init__(self) -> None:
+        for name in ("n_runs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name}={value!r}: must be an integer")
+            object.__setattr__(self, name, int(value))
+        if not 1 <= self.n_runs <= MAX_RUNS:
+            raise ConfigurationError(
+                f"n_runs={self.n_runs}: must be in 1..{MAX_RUNS} (evaluation.MAX_RUNS)"
+            )
+        if self.seed < 0:
+            raise ConfigurationError(f"seed={self.seed}: must be non-negative")
+        h = self.horizon_ms
+        real = isinstance(h, numbers.Real) and not isinstance(h, bool)
+        if not (real and 0 < h < math.inf):
+            raise ConfigurationError(f"horizon_ms={h!r}: must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -119,7 +151,7 @@ class MetricsReport:
     p_c_w: float
     seed: int
     n_runs: int
-    censored_tracking: int = 0
+    censored_tracking: int
 
 
 def omega_ia_for(sc: Scenario) -> float:
@@ -139,73 +171,38 @@ def omega_tr_for(sc: Scenario) -> float:
     return csi_area / (period_sym * sc.carrier_rb)
 
 
-@dataclass(frozen=True)
-class _TrackingCampaign:
-    """What a tracking campaign reads: the tracking plan's inputs, the root
-    seed, the run count and the horizon. ``sc`` is the scenario the batch
-    runs on and takes no part in equality, so SA and NSA twins are one
-    campaign."""
-
-    gnb: ArrayConfig
-    ue: ArrayConfig
-    ss: SsBurstConfig
-    numerology: Numerology
-    csi: CsiRsConfig
-    seed: int
-    n_runs: int
-    horizon_ms: float
-    sc: Scenario = field(compare=False)
-
-
 @lru_cache(maxsize=128)
-def _tracking_stats(campaign: _TrackingCampaign) -> tuple[MetricStat, int]:
-    """``t_tr`` and the censored run count of one tracking campaign, drawn
-    from the root seed's second substream; the waits are not kept."""
+def _tracking_stats(
+    tp: TrackingPlan, campaign: CampaignSettings
+) -> tuple[MetricStat, int]:
+    """``t_tr`` and the censored run count of ``campaign`` on plan ``tp``,
+    drawn from the root seed's second substream; the waits are not kept.
+    The cache holds the plans it keys on, so their ids are never reused."""
     import numpy as np
 
     tr_ss = np.random.SeedSequence(campaign.seed).spawn(3)[1]
     waits, censored = simulate_tracking_batch(
-        campaign.sc,
-        campaign.n_runs,
-        np.random.default_rng(tr_ss),
-        horizon_ms=campaign.horizon_ms,
+        tp, campaign.n_runs, np.random.default_rng(tr_ss), campaign.horizon_ms
     )
     return stat_from_samples(waits), int(np.count_nonzero(censored))
 
 
 def estimate_metrics(
-    sc: Scenario,
-    n_runs: int = 10_000,
-    seed: int = 0,
-    horizon_ms: float = 500.0,
+    sc: Scenario, campaign: CampaignSettings = CampaignSettings()
 ) -> MetricsReport:
     """Run all campaigns for one scenario and assemble the report.
 
-    Every scenario draws from the same root ``seed``, so SA and NSA twins
-    share one tracking campaign, which runs once per geometry (per seed,
-    run count and horizon); the IA and RLF campaigns run per scenario.
+    Every scenario runs the same ``campaign``, so SA and NSA twins, which
+    share their tracking plan, share one tracking campaign, which runs
+    once per geometry; the IA and RLF campaigns run per scenario.
     """
     import numpy as np
 
-    for name, value in (("n_runs", n_runs), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name}={value!r}: must be an integer")
-    n_runs, seed = int(n_runs), int(seed)
-    if seed < 0:
-        raise DomainError(f"seed={seed}: must be non-negative")
-    if not 1 <= n_runs <= MAX_RUNS or not 0 < horizon_ms < math.inf:
-        raise DomainError(
-            f"n_runs={n_runs}, horizon_ms={horizon_ms!r}: need 1..{MAX_RUNS} "
-            "runs and a finite, positive horizon"
-        )
-    ia_ss, _, rlf_ss = np.random.SeedSequence(seed).spawn(3)
+    n_runs = campaign.n_runs
+    ia_ss, _, rlf_ss = np.random.SeedSequence(campaign.seed).spawn(3)
 
     ia = simulate_ia_batch(sc, n_runs, np.random.default_rng(ia_ss))
-    t_tr, censored = _tracking_stats(
-        _TrackingCampaign(
-            sc.gnb, sc.ue, sc.ss, sc.numerology, sc.csi, seed, n_runs, horizon_ms, sc
-        )
-    )
+    t_tr, censored = _tracking_stats(tracking_plan(sc), campaign)
     rlf = simulate_rlf_batch(sc, n_runs, np.random.default_rng(rlf_ss))
     p_md = misdetection_probability(sc.gnb, sc.ue, sc.channel)
 
@@ -229,7 +226,7 @@ def estimate_metrics(
         omega_br=omega_br(sc),
         accuracy=1.0 - p_md,
         p_c_w=power_consumption_w(sc.gnb, sc.power),
-        seed=seed,
+        seed=campaign.seed,
         n_runs=n_runs,
         censored_tracking=censored,
     )

@@ -20,9 +20,9 @@ by event as the oracle those closed forms are tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_int
 
 SYMBOLS_PER_SLOT = 14
 SS_BLOCK_SYMBOLS = 4
@@ -116,6 +116,7 @@ class SsBurstConfig:
     t_ss_ms: float = 20.0
 
     def __post_init__(self) -> None:
+        require_int("ss.n_ss", self.n_ss)
         if not 1 <= self.n_ss <= MAX_SS_BLOCKS_PER_BURST:
             raise ConfigurationError(
                 f"ss.n_ss={self.n_ss}: must be in 1..{MAX_SS_BLOCKS_PER_BURST}"
@@ -150,6 +151,8 @@ class CsiRsConfig:
     delta_f_rb: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            require_int(f"csi.{f.name}", getattr(self, f.name))
         if self.t_csi_slots not in CSI_PERIODS_SLOTS:
             raise ConfigurationError(
                 f"csi.t_csi_slots={self.t_csi_slots}: must be one of "

@@ -483,7 +483,7 @@ def oracle_expected_rlf_sa(sc: Scenario) -> float:
 NO_OCCASION = 2**63 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackingPlan:
     """CSI occasion pattern over one hyperperiod, collisions resolved.
 
@@ -495,6 +495,10 @@ class TrackingPlan:
     occasion one hyperperiod on, so a lookup past the last occasion
     wraps. A direction whose occasions all collide holds ``NO_OCCASION``
     throughout.
+
+    A plan hashes by identity, so a tracking campaign is cached on the
+    plan it reads, with no key restating the plan's inputs: SA and NSA
+    twins get one plan object from `tracking_plan`, hence one campaign.
     """
 
     s: int
@@ -551,27 +555,24 @@ def _tracking_plan_for(
 
 
 def tracking_plan(sc: Scenario) -> TrackingPlan:
-    """The scenario's tracking plan, cached on what it reads."""
+    """The scenario's tracking plan, cached on what it reads, so SA and NSA
+    twins share one plan object."""
     return _tracking_plan_for(sc.gnb, sc.ue, sc.ss, sc.numerology, sc.csi)
 
 
 def simulate_tracking_batch(
-    sc: Scenario,
-    n_runs: int,
-    rng: np.random.Generator,
-    horizon_ms: float = 500.0,
+    tp: TrackingPlan, n_runs: int, rng: np.random.Generator, horizon_ms: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized tracking campaign.
+    """Vectorized tracking campaign on tracking plan ``tp``.
 
     Returns (wait_ms, censored); a run is censored when its direction has
-    no surviving occasion at all or the wait exceeds the horizon, and its
-    wait is NaN.
+    no surviving occasion at all or the wait exceeds ``horizon_ms``, and
+    its wait is NaN.
     """
     import numpy as np
 
     if n_runs < 1:
         raise DomainError(f"n_runs={n_runs}: need at least one run")
-    tp = tracking_plan(sc)
     dirs = rng.integers(0, tp.s, size=n_runs)
     t0 = rng.uniform(0.0, tp.hyper_sym, size=n_runs)
     # occasions are integer symbols, so "at or after t0" is ">= ceil(t0)",

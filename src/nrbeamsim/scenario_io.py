@@ -27,7 +27,7 @@ import yaml
 
 from .codebook import Architecture, ArrayConfig, PowerModel
 from .errors import ConfigurationError, DomainError
-from .evaluation import MAX_RUNS
+from .evaluation import CampaignSettings
 from .frame import CsiRsConfig, SsBurstConfig, make_numerology
 from .link import ChannelParams
 from .procedures import DeploymentMode, Scenario
@@ -122,20 +122,13 @@ _SCHEMA: dict[str, Optional[dict[str, Any]]] = {
     "deployment": _defaults(
         Scenario, "mode", "lte_latency_ms", "carrier_ghz", "omega_br_window_ms"
     ),
-    "campaign": {"n_runs": 10_000, "seed": 42, "horizon_ms": 500.0},
+    "campaign": _defaults(CampaignSettings),
     "sweep": {},
 }
 
 # keys a sweep cannot vary: the id, and the campaign block, which applies
 # to the whole file
 _UNSWEPT = ("scenario_id", "campaign")
-
-
-@dataclass(frozen=True)
-class CampaignSettings:
-    n_runs: int
-    seed: int
-    horizon_ms: float
 
 
 @dataclass(frozen=True)
@@ -338,15 +331,12 @@ def scenario_file_from_dict(
         axes.append(axis)
 
     typed = {p: _coerce(source, p, p, v) for p, v in raw.items() if p not in swept}
-    keys = ("n_runs", "seed", "horizon_ms")
-    campaign = CampaignSettings(**{k: typed.pop(f"campaign.{k}") for k in keys})
-    if not 1 <= campaign.n_runs <= MAX_RUNS:
-        cap = f"must be in 1..{MAX_RUNS} (evaluation.MAX_RUNS)"
-        raise _err(source, "campaign.n_runs", cap)
-    if campaign.seed < 0:
-        raise _err(source, "campaign.seed", "must be non-negative")
-    if campaign.horizon_ms <= 0:
-        raise _err(source, "campaign.horizon_ms", "must be positive")
+    try:
+        campaign = CampaignSettings(
+            **{k: typed.pop(f"campaign.{k}") for k in _SCHEMA["campaign"]}
+        )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{source}: campaign.{exc}") from None
 
     given_id = typed["scenario_id"]
     scenarios = []

@@ -21,6 +21,7 @@ from nrbeamsim.cli import EXIT_CONFIG, EXIT_OK, main
 from nrbeamsim.codebook import Architecture, ArrayConfig, PowerModel, power_consumption_w
 from nrbeamsim.errors import ConfigurationError
 from nrbeamsim.evaluation import (
+    CampaignSettings,
     estimate_metrics,
     omega_ia_for,
     omega_tr_for,
@@ -36,6 +37,7 @@ from nrbeamsim.procedures import (
     simulate_ia_batch,
     simulate_rlf_batch,
     simulate_tracking_batch,
+    tracking_plan,
 )
 from nrbeamsim.reporting import reports_to_csv, reports_to_json
 
@@ -77,7 +79,7 @@ class TestAcceptance:
         for lte in LTE_LATENCY_VALUES_MS:
             sc = make_scenario(mode="NSA", lte_latency_ms=lte)
             batch = simulate_rlf_batch(sc, 1000, np.random.default_rng(SEED))
-            rep = estimate_metrics(sc, n_runs=500, seed=SEED)
+            rep = estimate_metrics(sc, CampaignSettings(n_runs=500, seed=SEED))
             ok = ok and bool(np.all(batch.t_total_ms == lte))
             ok = ok and expected_beam_report_delay_ms(sc) == lte
             ok = ok and rep.t_br.mean == lte and rep.t_br.stderr == 0.0
@@ -218,7 +220,7 @@ class TestAcceptance:
                     csi=CsiRsConfig(t_csi_slots=5),
                 )
                 waits, _ = simulate_tracking_batch(
-                    sc, 10_000, np.random.default_rng(SEED), horizon_ms=500.0
+                    tracking_plan(sc), 10_000, np.random.default_rng(SEED), 500.0
                 )
                 means[(n_ss, t_ss)] = float(np.nanmean(waits))
                 omegas.add(omega_tr_for(sc))
@@ -307,10 +309,8 @@ class TestAcceptance:
             )
         files_ok = blobs[0] == blobs[1]
 
-        reports = [
-            estimate_metrics(make_scenario(n_ss=8), n_runs=500, seed=SEED)
-            for _ in range(2)
-        ]
+        campaign = CampaignSettings(n_runs=500, seed=SEED)
+        reports = [estimate_metrics(make_scenario(n_ss=8), campaign) for _ in range(2)]
         lib_ok = reports_to_csv(reports[:1]) == reports_to_csv(reports[1:])
         lib_ok = lib_ok and reports_to_json(reports[:1]) == reports_to_json(reports[1:])
 

@@ -336,7 +336,7 @@ class TestCampaignCommands:
     def test_zero_runs_rejected(self, quick_yaml, command, capsys):
         assert main([command, str(quick_yaml), "--runs", "0"]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert f"{quick_yaml}: campaign.n_runs: must be in 1..{MAX_RUNS}" in (
+        assert f"{quick_yaml}: campaign.n_runs=0: must be in 1..{MAX_RUNS}" in (
             captured.err
         )
         assert "ok:" not in captured.out
@@ -351,7 +351,7 @@ class TestCampaignCommands:
         argv = [command, str(quick_yaml), *spelling.format(runs).split()]
         assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
-        cap = f"campaign.n_runs: must be in 1..{MAX_RUNS} (evaluation.MAX_RUNS)"
+        cap = f"campaign.n_runs={runs}: must be in 1..{MAX_RUNS} (evaluation.MAX_RUNS)"
         assert cap in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
@@ -409,7 +409,7 @@ class TestSeedPrecedence:
     def test_negative_seed_exits_one(self, quick_yaml, command, capsys):
         assert main([command, str(quick_yaml), "--seed", "-1"]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"{quick_yaml}: campaign.seed: must be non-negative" in err
+        assert f"{quick_yaml}: campaign.seed=-1: must be non-negative" in err
 
     @pytest.mark.parametrize("value, shown", [("abc", "'abc'"), ("1.5", "1.5")])
     def test_seed_that_is_not_an_integer_exits_one(
@@ -425,7 +425,7 @@ class TestSeedPrecedence:
         p.write_text("campaign: {seed: -1}\n", encoding="utf-8")
         for command in ("validate", "sweep"):
             assert main([command, str(p)]) == EXIT_CONFIG
-            assert "campaign.seed: must be non-negative" in capsys.readouterr().err
+            assert "campaign.seed=-1: must be non-negative" in capsys.readouterr().err
 
     def test_seed_changes_outputs(self, quick_yaml, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -491,6 +491,23 @@ class TestReportCommand:
         assert main(["report", str(p)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "odd.json" in err and "reports[0]" in err
+
+    def test_report_without_its_censored_count_exits_one(
+        self, sweep_yaml, tmp_path, capsys
+    ):
+        camp = tmp_path / "camp"
+        assert main(["sweep", str(sweep_yaml), "--out", str(camp)]) == EXIT_OK
+        payload = json.loads((camp / "reports.json").read_text(encoding="utf-8"))
+        del payload["reports"][0]["censored_tracking"]
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        out_dir = tmp_path / "tables"
+        assert main(["report", str(p), "--out", str(out_dir)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1 and len(captured.err.splitlines()) == 1
+        assert "old.json" in captured.err and "censored_tracking" in captured.err
+        assert captured.out == "" and not out_dir.exists()
 
     def test_missing_report_exits_three(self, tmp_path):
         assert main(["report", str(tmp_path / "none.json")]) == EXIT_IO

@@ -5,15 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_scenario, scenarios
+from nrbeamsim.cli import EXIT_CONFIG, EXIT_OK, main
 from nrbeamsim.errors import ConfigurationError, DomainError
 from nrbeamsim.evaluation import (
     KIVIAT_SCALE,
     MAX_RUNS,
+    CampaignSettings,
     MetricStat,
     estimate_metrics,
     kiviat_normalize,
@@ -24,17 +27,39 @@ from nrbeamsim.evaluation import (
 from nrbeamsim.procedures import (
     LTE_LATENCY_VALUES_MS,
     DeploymentMode,
+    _tracking_plan_for,
     expected_tracking_delay_ms,
     oracle_expected_ia,
     oracle_expected_rlf_sa,
     simulate_tracking_batch,
     sweep_plan,
+    tracking_plan,
 )
-from nrbeamsim.scenario_io import parse_scenario
+from nrbeamsim.reporting import reports_from_json
+from nrbeamsim.scenario_io import parse_scenario, scenario_file_from_dict
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "nrbench" / "workloads"
 FINITE = st.floats(-1e6, 1e6)
 DIGITAL_16X4 = dict(m_gnb=16, arch_gnb="digital", m_ue=4, n_ss=8)
+
+# campaign values that neither a caller nor a scenario file may set; a
+# file also reads 2.0 as the integer 2 and "500" as the number 500, so
+# those are refused by the library alone
+BAD_CAMPAIGNS = [
+    ("n_runs", 0),
+    ("n_runs", MAX_RUNS + 1),
+    ("n_runs", 10**12),
+    ("n_runs", True),
+    ("seed", -1),
+    ("seed", True),
+    ("seed", 1.5),
+    ("seed", "7"),
+    ("horizon_ms", math.nan),
+    ("horizon_ms", math.inf),
+    ("horizon_ms", 0.0),
+    ("horizon_ms", -5.0),
+    ("horizon_ms", True),
+]
 
 
 class TestMetricStat:
@@ -112,27 +137,27 @@ class TestMetricStat:
 class TestEstimateMetrics:
     def test_same_seed_reproduces_exactly(self):
         sc = make_scenario(m_gnb=16, m_ue=4, n_ss=8)
-        a = estimate_metrics(sc, n_runs=300, seed=5)
-        b = estimate_metrics(sc, n_runs=300, seed=5)
+        a = estimate_metrics(sc, CampaignSettings(n_runs=300, seed=5))
+        b = estimate_metrics(sc, CampaignSettings(n_runs=300, seed=5))
         assert a == b
 
     def test_seed_matters(self):
         sc = make_scenario(m_gnb=16, m_ue=4, n_ss=8)
-        a = estimate_metrics(sc, n_runs=300, seed=5)
-        b = estimate_metrics(sc, n_runs=300, seed=6)
+        a = estimate_metrics(sc, CampaignSettings(n_runs=300, seed=5))
+        b = estimate_metrics(sc, CampaignSettings(n_runs=300, seed=6))
         assert a.t_ia.mean != b.t_ia.mean
 
     def test_nsa_deterministic_legs_have_zero_error(self):
         # read off 10,000-run batches, which a float average would miss
         for lte in LTE_LATENCY_VALUES_MS:
             sc = make_scenario(mode="NSA", lte_latency_ms=lte, n_ss=8)
-            rep = estimate_metrics(sc, n_runs=10_000, seed=1)
+            rep = estimate_metrics(sc, CampaignSettings(n_runs=10_000, seed=1))
             assert rep.t_br == MetricStat(lte, 0.0, 10_000)
             assert rep.t_rlf == MetricStat(lte, 0.0, 10_000)
 
     def test_digital_reporting_leg_is_constant(self):
         sc = make_scenario(**DIGITAL_16X4)
-        rep = estimate_metrics(sc, n_runs=10_000, seed=1)
+        rep = estimate_metrics(sc, CampaignSettings(n_runs=10_000, seed=1))
         plan = sweep_plan(sc)
         tail_ms = float(plan.report_tail_sym[0] * plan.symbol_ms)
         assert rep.t_br == MetricStat(tail_ms, 0.0, 10_000)
@@ -141,7 +166,7 @@ class TestEstimateMetrics:
 
     def test_report_identity_fields(self):
         sc = make_scenario(m_gnb=8, m_ue=4, n_ss=8, t_ss_ms=40.0)
-        rep = estimate_metrics(sc, n_runs=50, seed=2)
+        rep = estimate_metrics(sc, CampaignSettings(n_runs=50, seed=2))
         assert rep.scenario_id == sc.scenario_id
         assert (rep.m_gnb, rep.m_ue) == (8, 4)
         assert (rep.mode, rep.arch_gnb, rep.arch_ue) == ("SA", "analog", "analog")
@@ -149,12 +174,12 @@ class TestEstimateMetrics:
         assert (rep.seed, rep.n_runs) == (2, 50)
 
     def test_accuracy_is_a_probability(self):
-        rep = estimate_metrics(make_scenario(), n_runs=50, seed=3)
+        rep = estimate_metrics(make_scenario(), CampaignSettings(n_runs=50, seed=3))
         assert 0.0 <= rep.accuracy <= 1.0
 
     def test_rejects_empty_campaign(self):
-        with pytest.raises(DomainError):
-            estimate_metrics(make_scenario(), n_runs=0)
+        with pytest.raises(ConfigurationError):
+            estimate_metrics(make_scenario(), CampaignSettings(n_runs=0))
 
     @pytest.mark.parametrize(
         "name, value",
@@ -171,27 +196,68 @@ class TestEstimateMetrics:
         # a bool seed was written to the report as `true`, and the others
         # raised numpy's TypeError or ValueError without the argument's name
         args = dict(n_runs=50, seed=1) | {name: value}
-        with pytest.raises(DomainError, match=rf"^{name}="):
-            estimate_metrics(make_scenario(m_gnb=4, m_ue=1, n_ss=8), **args)
+        with pytest.raises(ConfigurationError, match=rf"^{name}="):
+            estimate_metrics(
+                make_scenario(m_gnb=4, m_ue=1, n_ss=8), CampaignSettings(**args)
+            )
 
     def test_numpy_integers_are_plain_ints_in_the_report(self):
         sc = make_scenario(m_gnb=4, m_ue=1, n_ss=8)
-        rep = estimate_metrics(sc, n_runs=np.int64(50), seed=np.uint32(1))
-        assert rep == estimate_metrics(sc, n_runs=50, seed=1)
+        rep = estimate_metrics(
+            sc, CampaignSettings(n_runs=np.int64(50), seed=np.uint32(1))
+        )
+        assert rep == estimate_metrics(sc, CampaignSettings(n_runs=50, seed=1))
         assert type(rep.seed) is int and type(rep.n_runs) is int
 
     @pytest.mark.parametrize("n_runs", [MAX_RUNS + 1, 10**12])
     def test_rejects_runs_above_the_cap(self, n_runs):
         # refused before a batch allocates anything
-        with pytest.raises(DomainError, match=f"1..{MAX_RUNS} runs"):
-            estimate_metrics(make_scenario(), n_runs=n_runs)
+        with pytest.raises(
+            ConfigurationError, match=rf"^n_runs={n_runs}: must be in 1\.\.{MAX_RUNS}"
+        ):
+            estimate_metrics(make_scenario(), CampaignSettings(n_runs=n_runs))
 
     @pytest.mark.parametrize("horizon_ms", [math.nan, math.inf, 0.0, -5.0])
     def test_rejects_a_horizon_that_is_not_finite_and_positive(self, horizon_ms):
         # unchecked, nan would drop the horizon and -5 censor every run
         sc = make_scenario(m_gnb=4, m_ue=1, n_ss=8)
-        with pytest.raises(DomainError, match=f"horizon_ms={horizon_ms!r}"):
-            estimate_metrics(sc, n_runs=200, horizon_ms=horizon_ms)
+        with pytest.raises(ConfigurationError, match=f"horizon_ms={horizon_ms!r}"):
+            estimate_metrics(sc, CampaignSettings(n_runs=200, horizon_ms=horizon_ms))
+
+
+class TestCampaignSettings:
+    def test_defaults_are_the_scenario_files(self):
+        assert CampaignSettings() == CampaignSettings(10_000, 42, 500.0)
+        assert scenario_file_from_dict({}).campaign == CampaignSettings()
+
+    @pytest.mark.parametrize(
+        "key, value", BAD_CAMPAIGNS + [("n_runs", 2.0), ("horizon_ms", "500")]
+    )
+    def test_a_bad_value_names_the_bare_key(self, key, value):
+        with pytest.raises(ConfigurationError, match=rf"^{key}="):
+            CampaignSettings(**{key: value})
+
+    @pytest.mark.parametrize("key, value", BAD_CAMPAIGNS)
+    def test_a_bad_file_value_names_the_file_and_key(
+        self, key, value, tmp_path, capsys
+    ):
+        p = tmp_path / "campaign.yaml"
+        p.write_text(yaml.safe_dump({"campaign": {key: value}}), encoding="utf-8")
+        assert main(["validate", str(p)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {p}: campaign.{key}")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+    def test_the_default_campaign_is_the_cli_default(self, tmp_path, capsys):
+        # a file with no campaign block runs what estimate_metrics runs by
+        # default
+        p = tmp_path / "default.yaml"
+        p.write_text("gnb: {elements: 16}\nss: {n_ss: 8}\n", encoding="utf-8")
+        assert main(["sweep", str(p), "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        (written,) = reports_from_json((tmp_path / "reports.json").read_text())
+        assert written == estimate_metrics(parse_scenario(p).scenarios[0])
+        assert (written.seed, written.n_runs) == (42, 10_000)
 
 
 class TestSharedTrackingCampaign:
@@ -203,16 +269,15 @@ class TestSharedTrackingCampaign:
         # the tracking campaign as estimate_metrics drew it per scenario
         tr_ss = np.random.SeedSequence(seed).spawn(3)[1]
         waits, censored = simulate_tracking_batch(
-            sc, n_runs, np.random.default_rng(tr_ss), horizon_ms=horizon_ms
+            tracking_plan(sc), n_runs, np.random.default_rng(tr_ss), horizon_ms
         )
         return stat_from_samples(waits), int(np.count_nonzero(censored))
 
     @pytest.mark.parametrize("workload", ["dense_grid", "wide_arrays"])
     def test_nsa_twin_reports_its_sa_twins_tracking(self, workload):
         scenarios = parse_scenario(WORKLOADS / f"{workload}.yaml").scenarios
-        reports = {
-            sc.scenario_id: estimate_metrics(sc, n_runs=300, seed=4) for sc in scenarios
-        }
+        campaign = CampaignSettings(n_runs=300, seed=4)
+        reports = {sc.scenario_id: estimate_metrics(sc, campaign) for sc in scenarios}
         nsa = [sc for sc in scenarios if sc.mode is DeploymentMode.NSA]
         assert 2 * len(nsa) == len(scenarios)
         for sc in nsa:
@@ -221,12 +286,29 @@ class TestSharedTrackingCampaign:
             assert (got.t_tr, got.censored_tracking) == (sa.t_tr, sa.censored_tracking)
             assert (got.t_tr, got.censored_tracking) == self._direct(sc, 300, 4, 500.0)
 
+    def test_a_rebuilt_plan_draws_the_same_campaign(self):
+        # a plan evicted and rebuilt is a new key, so the twin's campaign is
+        # drawn again from the same substream, to the same numbers
+        sa = make_scenario(m_gnb=64, m_ue=4)
+        nsa = make_scenario(m_gnb=64, m_ue=4, mode="NSA", lte_latency_ms=10.0)
+        campaign = CampaignSettings(n_runs=400, seed=3)
+        first = estimate_metrics(sa, campaign)
+        evicted = tracking_plan(sa)
+        _tracking_plan_for.cache_clear()
+        twin = estimate_metrics(nsa, campaign)
+        assert tracking_plan(nsa) is not evicted
+        assert first.censored_tracking > 0
+        assert (twin.t_tr, twin.censored_tracking) == (
+            first.t_tr,
+            first.censored_tracking,
+        )
+
     def test_seed_run_count_and_horizon_each_get_a_fresh_campaign(self):
         sc = make_scenario(m_gnb=64, m_ue=4)
         base = dict(n_runs=400, seed=3, horizon_ms=500.0)
         for change in ({}, {"seed": 8}, {"n_runs": 700}, {"horizon_ms": 50.0}):
             args = base | change
-            rep = estimate_metrics(sc, **args)
+            rep = estimate_metrics(sc, CampaignSettings(**args))
             assert rep.censored_tracking > 0
             assert (rep.t_tr, rep.censored_tracking) == self._direct(sc, **args)
 
@@ -269,12 +351,9 @@ class TestOverheadViews:
 
 class TestKiviat:
     def _reports(self):
-        quick = estimate_metrics(
-            make_scenario(m_gnb=4, m_ue=1, n_ss=8), n_runs=200, seed=9
-        )
-        slow = estimate_metrics(
-            make_scenario(m_gnb=64, m_ue=1, n_ss=8), n_runs=200, seed=9
-        )
+        campaign = CampaignSettings(n_runs=200, seed=9)
+        quick = estimate_metrics(make_scenario(m_gnb=4, m_ue=1, n_ss=8), campaign)
+        slow = estimate_metrics(make_scenario(m_gnb=64, m_ue=1, n_ss=8), campaign)
         return quick, slow
 
     def test_axis_maximum_is_the_scale(self):
@@ -320,7 +399,7 @@ def _within_5_stderr(stat: MetricStat, expected: float) -> None:
 @given(scenarios())
 def test_simulated_means_sit_near_the_oracles(sc):
     # at 5 stderr a correct model misses about once in 2 million checks
-    report = estimate_metrics(sc, n_runs=2000, seed=42)
+    report = estimate_metrics(sc, CampaignSettings(n_runs=2000, seed=42))
     _within_5_stderr(report.t_ia, oracle_expected_ia(sc))
     _within_5_stderr(report.t_rlf, oracle_expected_rlf_sa(sc))
     if report.censored_tracking == 0:

@@ -1,6 +1,7 @@
 """The frame configurations, and the reference timelines built on them."""
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,26 @@ class TestNumerology:
         assert symbols_in_ms(num, 0.625) == 70
         with pytest.raises(ConfigurationError):
             symbols_in_ms(num, 0.0001)
+
+
+@pytest.mark.parametrize("value", [True, 8.0, 1.5])
+@pytest.mark.parametrize(
+    "cls, key",
+    [
+        (SsBurstConfig, "ss.n_ss"),
+        (CsiRsConfig, "csi.t_csi_slots"),
+        (CsiRsConfig, "csi.n_symbols"),
+        (CsiRsConfig, "csi.bandwidth_rb"),
+        (CsiRsConfig, "csi.delta_t_symbols"),
+        (CsiRsConfig, "csi.delta_f_rb"),
+    ],
+)
+def test_counts_must_be_integers(cls, key, value):
+    # unchecked, True and 8.0 reached the report, which its own reader then
+    # refused, and 1.5 failed inside numpy
+    message = rf"^{re.escape(f'{key}={value!r}')}: must be an integer$"
+    with pytest.raises(ConfigurationError, match=message):
+        cls(**{key.partition(".")[2]: value})
 
 
 class TestSsBurst:

@@ -14,7 +14,7 @@ from nrbeamsim.errors import (
     DomainError,
     NotApplicableError,
 )
-from nrbeamsim.evaluation import estimate_metrics
+from nrbeamsim.evaluation import CampaignSettings, estimate_metrics
 from nrbeamsim.frame import SS_BLOCK_SYMBOLS, CsiRsConfig
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import (
@@ -30,6 +30,7 @@ from nrbeamsim.procedures import (
     simulate_rlf_batch,
     simulate_tracking_batch,
     sweep_plan,
+    tracking_plan,
 )
 from nrbeamsim.scenario_io import parse_scenario
 from reference import (
@@ -374,7 +375,7 @@ class TestTracking:
     def test_simulation_matches_renewal_mean(self):
         sc = make_scenario(m_gnb=64, m_ue=16, arch_gnb="digital")
         waits, censored = simulate_tracking_batch(
-            sc, 8000, np.random.default_rng(17), horizon_ms=500.0
+            tracking_plan(sc), 8000, np.random.default_rng(17), 500.0
         )
         assert not censored.any()
         kept = waits[~np.isnan(waits)]
@@ -384,7 +385,7 @@ class TestTracking:
     def test_tight_horizon_censors(self):
         sc = make_scenario(m_gnb=64, m_ue=1)
         waits, censored = simulate_tracking_batch(
-            sc, 500, np.random.default_rng(8), horizon_ms=0.01
+            tracking_plan(sc), 500, np.random.default_rng(8), 0.01
         )
         assert censored.all()
         assert np.isnan(waits).all()
@@ -397,7 +398,7 @@ class TestTracking:
         with pytest.raises(NotApplicableError):
             expected_tracking_delay_ms(sc)
         waits, censored = simulate_tracking_batch(
-            sc, 50, np.random.default_rng(2), horizon_ms=500.0
+            tracking_plan(sc), 50, np.random.default_rng(2), 500.0
         )
         assert censored.all()
 
@@ -476,16 +477,16 @@ class TestPlanCaches:
         assert len(scenarios) == 2 * geometries
         batches = []
 
-        def tracking_batch(sc, *args, **kwargs):
-            batches.append(sc)
-            return simulate_tracking_batch(sc, *args, **kwargs)
+        def tracking_batch(tp, *args, **kwargs):
+            batches.append(tp)
+            return simulate_tracking_batch(tp, *args, **kwargs)
 
         monkeypatch.setattr(evaluation, "simulate_tracking_batch", tracking_batch)
         _plan_for.cache_clear()
         _tracking_plan_for.cache_clear()
         evaluation._tracking_stats.cache_clear()
         for sc in scenarios:
-            estimate_metrics(sc, n_runs=20, seed=1)
+            estimate_metrics(sc, CampaignSettings(n_runs=20, seed=1))
         assert _plan_for.cache_info().misses == geometries
         assert _tracking_plan_for.cache_info().misses == geometries
         assert len(batches) == geometries

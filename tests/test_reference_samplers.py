@@ -26,6 +26,7 @@ from nrbeamsim.procedures import (
     simulate_rlf_batch,
     simulate_tracking_batch,
     sweep_plan,
+    tracking_plan,
 )
 from reference import (
     ia_batch_formula,
@@ -283,7 +284,8 @@ class TestTrackingBatchAgainstLoop:
                 return seed
             return np.random.default_rng(seed)
 
-        got_w, got_c = simulate_tracking_batch(sc, n_runs, rng(), horizon_ms=horizon_ms)
+        tp = tracking_plan(sc)
+        got_w, got_c = simulate_tracking_batch(tp, n_runs, rng(), horizon_ms)
         ref_w, ref_c = tracking_batch_loop(sc, n_runs, rng(), horizon_ms=horizon_ms)
         assert got_w.tobytes() == ref_w.tobytes()
         assert np.array_equal(got_c, ref_c)

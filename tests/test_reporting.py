@@ -8,7 +8,12 @@ import pytest
 
 from conftest import make_scenario
 from nrbeamsim.errors import ConfigurationError
-from nrbeamsim.evaluation import MetricStat, MetricsReport, estimate_metrics
+from nrbeamsim.evaluation import (
+    CampaignSettings,
+    MetricStat,
+    MetricsReport,
+    estimate_metrics,
+)
 from nrbeamsim.reporting import (
     CSV_COLUMNS,
     emit,
@@ -23,7 +28,7 @@ from nrbeamsim.reporting import (
 
 def tiny_report(**kw) -> MetricsReport:
     sc = make_scenario(**kw)
-    return estimate_metrics(sc, n_runs=60, seed=3)
+    return estimate_metrics(sc, CampaignSettings(n_runs=60, seed=3))
 
 
 class TestCsv:
@@ -102,6 +107,16 @@ class TestJsonRoundTrip:
         payload = json.loads(reports_to_json([tiny_report()]))
         payload["reports"][0][field] = value
         with pytest.raises(ConfigurationError, match=path):
+            reports_from_json(json.dumps(payload))
+
+    def test_a_report_without_its_censored_count_is_refused(self):
+        # the count once defaulted to 0, so such an entry loaded as a
+        # campaign that censored no run
+        report = tiny_report(m_ue=16)
+        assert report.censored_tracking > 0
+        payload = json.loads(reports_to_json([report]))
+        del payload["reports"][0]["censored_tracking"]
+        with pytest.raises(ConfigurationError, match=r"reports\[0\].*censored_tracking"):
             reports_from_json(json.dumps(payload))
 
     def test_trailing_newline(self):
