@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import ast
 import csv
+import hashlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from nrbeamsim import anchors
@@ -36,6 +40,26 @@ EXPECTED_ANCHORS = {
     "tracking_sparser_bursts_track_faster": True,
     "tracking_overhead_invariant": True,
 }
+
+
+# sha256 of `python -m nrbeamsim anchors` stdout: every printed digit of
+# every anchor is pinned, so a rewrite of a closed form that moves one
+# shows here
+ANCHORS_STDOUT_SHA256 = "76447c4b1758c9e1f403f217a40d07703a73853d86e3f5f2a5e97f8dcc4a33b9"
+
+
+def test_anchors_stdout_is_byte_identical():
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nrbeamsim", "anchors"],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().endswith("20/20 anchors passed\n")
+    assert hashlib.sha256(proc.stdout).hexdigest() == ANCHORS_STDOUT_SHA256
 
 
 def test_names_and_gated_flags_are_pinned_and_all_pass():
