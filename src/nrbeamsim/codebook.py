@@ -24,11 +24,10 @@ from typing import Optional
 from .errors import ConfigurationError, require_int
 
 
-# Longest exhaustive sweep a scenario may ask for. The tracking plan
-# holds one int64 entry per nominal CSI-RS occasion of its hyperperiod,
-# at most 512*S of them (n=4, t_ss 160 ms, t_csi 5 slots): about 2.1M
-# occasions, 16 MB per array, at this cap, against 33M occasions, about
-# 254 MB per array, for a 255x255 analog pair.
+# Longest exhaustive sweep a scenario may ask for: the chance that the
+# sweep picks its aligned slot, `procedures.p_correct_beam`, sums the
+# other S-1 slots in log space on a fixed quadrature grid that is
+# accurate up to S = 4096.
 MAX_SWEEP_LENGTH = 4096
 
 

@@ -38,9 +38,10 @@ often the sweep chooses it, which for a hybrid gNB with unequal beam
 groups depends on p. Tracking rides the CSI-RS grid: occasions cycle
 directions round-robin on the nominal grid, occasions colliding with SS
 blocks are dropped, and the delay is the wait for the next surviving
-occasion of the wanted direction. The tracking plan tabulates that next
-occasion for each direction and round of the nominal grid, so a run's
-round is a ceiling division and its wait one gather.
+occasion of the wanted direction. A collision depends only on the
+occasion's index modulo the q occasions that span whole burst periods,
+so the tracking plan tabulates, per residue, the rounds to the next
+surviving occasion: a run's wait is a ceiling division and one gather.
 """
 from __future__ import annotations
 
@@ -479,22 +480,19 @@ def oracle_expected_rlf_sa(sc: Scenario) -> float:
     return oracle_expected_ia(sc)
 
 
-# the largest int64, np.iinfo(np.int64).max
-NO_OCCASION = 2**63 - 1
-
-
 @dataclass(frozen=True, eq=False)
 class TrackingPlan:
-    """CSI occasion pattern over one hyperperiod, collisions resolved.
+    """CSI occasion pattern by residue class, collisions resolved.
 
     Nominal occasion ``m = j*s + d`` serves direction ``d`` in round ``j``
-    of the round-robin and starts at symbol ``delta_t + m*period``; a
-    hyperperiod holds J rounds. ``next_occasion[d, j]`` is the start of
-    the first surviving occasion of ``d`` in round ``j`` or later, for
-    ``j`` in [0, J); column J holds the direction's first surviving
-    occasion one hyperperiod on, so a lookup past the last occasion
-    wraps. A direction whose occasions all collide holds ``NO_OCCASION``
-    throughout.
+    of the round-robin and starts at symbol ``delta_t + m*period``. Its
+    collision depends only on ``m % q``, as q = t_ss / gcd(period, t_ss)
+    occasions span whole burst periods. ``skip[r]`` is the number of
+    rounds from residue ``r`` to the next surviving residue
+    ``(r + k*s) % q``, or -1 when none survives, so the first surviving
+    occasion of ``d`` in round ``j`` or later is nominal occasion
+    ``m + skip[m % q]*s``. The pattern repeats every ``hyper_sym``
+    symbols, lcm(q, s) occasions, of which ``dropped_count`` collide.
 
     A plan hashes by identity, so a tracking campaign is cached on the
     plan it reads, with no key restating the plan's inputs: SA and NSA
@@ -507,7 +505,7 @@ class TrackingPlan:
     hyper_sym: int
     symbol_ms: float
     dropped_count: int
-    next_occasion: np.ndarray
+    skip: tuple[int, ...]
 
 
 @lru_cache(maxsize=128)
@@ -518,39 +516,39 @@ def _tracking_plan_for(
     numerology: Numerology,
     csi: CsiRsConfig,
 ) -> TrackingPlan:
-    import numpy as np
-
     plan = _plan_for(gnb, ue, ss, numerology)
     period = csi.t_csi_slots * SYMBOLS_PER_SLOT
     t_ss = plan.t_ss_sym
     s = plan.s
-    n_pat = math.lcm(math.lcm(period, t_ss) // period, s)
-    hyper = n_pat * period
-
-    # nominal occasion m starts at symbol t and serves direction m % s; it
-    # is dropped when it shares symbols and RBs with the sweep's SS blocks
-    # of its own burst or of the next one
-    t = csi.delta_t_symbols + np.arange(n_pat, dtype=np.int64) * period
-    a = t % t_ss
-    collides = (a < plan.blocks_per_burst * SS_BLOCK_SYMBOLS) | (
-        a + csi.n_symbols > t_ss
-    )
-    collides &= csi.delta_f_rb < SS_BLOCK_RB
-    # row d lists direction d's occasions in time order; occasions lie in
-    # [0, hyper) because delta_t_symbols < period
-    table = np.empty((s, n_pat // s + 1), dtype=np.int64)
-    table[:, :-1] = np.where(collides, NO_OCCASION, t).reshape(-1, s).T
-    first = table[:, :-1].min(axis=1)
-    table[:, -1] = np.where(first < NO_OCCASION, first + hyper, NO_OCCASION)
-    np.minimum.accumulate(table[:, ::-1], axis=1, out=table[:, ::-1])
+    q = t_ss // math.gcd(period, t_ss)
+    # an occasion of residue r starts (delta_t + r*period) % t_ss into its
+    # burst; it is dropped when it shares symbols and RBs with the sweep's
+    # SS blocks of its own burst or of the next one
+    blocks_end = plan.blocks_per_burst * SS_BLOCK_SYMBOLS
+    survives = [
+        csi.delta_f_rb >= SS_BLOCK_RB or blocks_end <= a <= t_ss - csi.n_symbols
+        for a in ((csi.delta_t_symbols + r * period) % t_ss for r in range(q))
+    ]
+    # a direction steps through the residues of its class mod gcd(q, s) in
+    # strides of s; two backward laps of each class's cycle show every
+    # residue its next survivor, past the wrap too
+    g = math.gcd(q, s)
+    skip = [-1] * q
+    for c in range(g):
+        cycle = [(c + k * s) % q for k in range(q // g)] * 2
+        nxt = None
+        for i in reversed(range(len(cycle))):
+            nxt = i if survives[cycle[i]] else nxt
+            if nxt is not None:
+                skip[cycle[i]] = nxt - i
     return TrackingPlan(
         s=s,
         period_sym=period,
         delta_t_sym=csi.delta_t_symbols,
-        hyper_sym=hyper,
+        hyper_sym=math.lcm(q, s) * period,
         symbol_ms=plan.symbol_ms,
-        dropped_count=int(np.count_nonzero(collides)),
-        next_occasion=table,
+        dropped_count=math.lcm(q, s) // q * survives.count(False),
+        skip=tuple(skip),
     )
 
 
@@ -578,13 +576,14 @@ def simulate_tracking_batch(
     # occasions are integer symbols, so "at or after t0" is ">= ceil(t0)",
     # and the direction's first round j there is a ceiling division of its
     # lag behind round 0. That lag exceeds -round, since delta_t < period,
-    # so j needs no clamp at 0; t0 < hyper keeps it at most J.
+    # so j needs no clamp at 0.
     round_sym = tp.s * tp.period_sym
     lag = np.ceil(t0).astype(np.int64) - dirs * tp.period_sym
-    j = (lag + (round_sym - 1 - tp.delta_t_sym)) // round_sym
-    nxt = tp.next_occasion.ravel()[dirs * tp.next_occasion.shape[1] + j]
-    waits = (nxt - t0) * tp.symbol_ms
-    censored = (nxt == NO_OCCASION) | (waits > horizon_ms)
+    m = (lag + (round_sym - 1 - tp.delta_t_sym)) // round_sym * tp.s + dirs
+    skip = np.array(tp.skip)[m % len(tp.skip)]
+    m += skip * tp.s
+    waits = (m * tp.period_sym + tp.delta_t_sym - t0) * tp.symbol_ms
+    censored = (skip < 0) | (waits > horizon_ms)
     waits[censored] = np.nan
     return waits, censored
 
@@ -593,25 +592,26 @@ def expected_tracking_delay_ms(sc: Scenario) -> float:
     """Mean tracking delay over uniform (direction, arrival), censoring-free.
 
     Renewal mean: for each direction, sum of squared gaps between
-    surviving occasions over twice the hyperperiod. Directions with no
-    surviving occasion are excluded (they only ever censor).
+    surviving occasions over twice the hyperperiod. The s/g directions
+    of a class mod g = gcd(q, s) share one cycle of residues, hence one
+    set of gaps: 1 + skip[(r + s) % q] rounds after each surviving
+    residue r. Directions with no surviving occasion are excluded (they
+    only ever censor).
     """
-    import numpy as np
-
     tp = tracking_plan(sc)
-    j = np.arange(tp.next_occasion.shape[1] - 1, dtype=np.int64)
-    d = np.arange(tp.s, dtype=np.int64)[:, None]
-    nominal = tp.delta_t_sym + (j * tp.s + d) * tp.period_sym
-    kept = tp.next_occasion[:, :-1] == nominal
-    served = kept.any(axis=1)
-    if not served.any():
+    q = len(tp.skip)
+    g = math.gcd(q, tp.s)
+    sq_gaps = [0] * g
+    for r, k in enumerate(tp.skip):
+        if k == 0:
+            gap = 1 + tp.skip[(r + tp.s) % q]
+            sq_gaps[r % g] += gap * gap
+    served = [x for x in sq_gaps if x]
+    if not served:
         raise NotApplicableError("every direction's occasions collide away")
-    # a surviving occasion's gap runs to the next one of its direction,
-    # the last one's to the first of the next hyperperiod; the int64 sum of
-    # squares is exact, as a hyperperiod stays below 2^28 symbols
-    gaps = np.where(kept, tp.next_occasion[:, 1:] - nominal, 0)
-    sq_gaps = (gaps * gaps).sum(axis=1)[served].astype(np.float64)
-    return float(np.mean(sq_gaps / (2.0 * tp.hyper_sym))) * tp.symbol_ms
+    # the int sum is exact; a round is s*period symbols
+    sq_sym = sum(served) * (tp.s * tp.period_sym) ** 2
+    return sq_sym / (2 * tp.hyper_sym * len(served)) * tp.symbol_ms
 
 
 def omega_br(sc: Scenario) -> float:

@@ -105,15 +105,27 @@ def reports_to_json(reports: Sequence[MetricsReport]) -> str:
 _JSON_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
 
 
-def _check_field_types(obj: Any, path: str) -> None:
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+def _from_json_object(cls: type, item: Any, path: str) -> Any:
+    """The ``cls`` dataclass that JSON value ``item`` at ``path`` holds;
+    every error names the path of what is wrong."""
+    if not isinstance(item, dict):
+        raise ConfigurationError(f"report JSON: {path} is not an object")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in item:
+            raise ConfigurationError(f"report JSON: {path} lacks field {f.name!r}")
+        value = item[f.name]
         if f.type == "MetricStat":
-            _check_field_types(value, f"{path}.{f.name}")
+            value = _from_json_object(MetricStat, value, f"{path}.{f.name}")
         elif isinstance(value, bool) or not isinstance(value, _JSON_FIELD_TYPES[f.type]):
             raise ConfigurationError(
                 f"report JSON: {path}.{f.name}: expected {f.type}, got {value!r}"
             )
+        kwargs[f.name] = value
+    for key in item:
+        if key not in kwargs:
+            raise ConfigurationError(f"report JSON: {path} has unknown field {key!r}")
+    return cls(**kwargs)
 
 
 def reports_from_json(text: str) -> list[MetricsReport]:
@@ -127,24 +139,10 @@ def reports_from_json(text: str) -> list[MetricsReport]:
         raise ConfigurationError("report JSON must be {'reports': [...]}")
     if not isinstance(payload["reports"], list):
         raise ConfigurationError("report JSON: 'reports' must be a list")
-    out = []
-    for i, item in enumerate(payload["reports"]):
-        try:
-            kwargs = dict(item)
-            for field in filter(None, map(stat_field, METRIC_COLUMNS)):
-                kwargs[field] = MetricStat(**kwargs[field])
-            report = MetricsReport(**kwargs)
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"report JSON: reports[{i}] lacks field {exc.args[0]!r}"
-            ) from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"report JSON: reports[{i}] is not a report: {exc}"
-            ) from None
-        _check_field_types(report, f"reports[{i}]")
-        out.append(report)
-    return out
+    return [
+        _from_json_object(MetricsReport, item, f"reports[{i}]")
+        for i, item in enumerate(payload["reports"])
+    ]
 
 
 def emit(reports: Sequence[MetricsReport], out_dir: str | Path) -> list[Path]:

@@ -509,6 +509,20 @@ class TestReportCommand:
         assert "old.json" in captured.err and "censored_tracking" in captured.err
         assert captured.out == "" and not out_dir.exists()
 
+    def test_report_with_an_unknown_field_exits_one(self, sweep_yaml, tmp_path, capsys):
+        camp = tmp_path / "camp"
+        assert main(["sweep", str(sweep_yaml), "--out", str(camp)]) == EXIT_OK
+        payload = json.loads((camp / "reports.json").read_text(encoding="utf-8"))
+        payload["reports"][1]["extra"] = 0
+        p = tmp_path / "extra.json"
+        p.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(p)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        assert "extra.json" in captured.err
+        assert captured.err.rstrip().endswith("reports[1] has unknown field 'extra'")
+
     def test_missing_report_exits_three(self, tmp_path):
         assert main(["report", str(tmp_path / "none.json")]) == EXIT_IO
 

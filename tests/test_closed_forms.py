@@ -1,14 +1,16 @@
 """The package's closed forms against the reference timelines.
 
 Over random valid scenarios: the report wait of every (burst position,
-gNB direction) and the report-tail table, every cell of the tracking
-plan's next-occasion table and both grid overheads must equal what the
+gNB direction) and the report-tail table, the next surviving CSI
+occasion the tracking plan's residue table gives for every nominal
+occasion, and both grid overheads must equal what the
 event-by-event timelines in ``reference.py`` give, exactly; the mean
 report and tracking delays, float averages, agree to 1e-12.
 """
 from __future__ import annotations
 
 import bisect
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from nrbeamsim.errors import NotApplicableError
 from nrbeamsim.frame import SYMBOLS_PER_SLOT, CsiRsConfig
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import (
-    NO_OCCASION,
     expected_beam_report_delay_ms,
     expected_tracking_delay_ms,
     p_correct_beam,
@@ -108,32 +109,54 @@ ALL_COLLIDE = make_scenario(
 )
 
 
+# g = gcd(q, s) = 1: q = 32 occasions span whole burst periods and
+# s = 63 directions, so every direction visits every residue, in strides
+# of 63 = -1 mod 32; the 252 block symbols drop residues 0-3, and from
+# residue 3 the next survivor, 31, lies past the cycle's wrap, 4 rounds
+# on. g = q: s = q = 32, so each direction keeps one residue, and
+# direction 0's meets the 8 blocks every time.
+ONE_CLASS = make_scenario(m_gnb=63)
+CLASS_PER_RESIDUE = make_scenario(m_gnb=32, n_ss=8)
+
+
+def _next_occasion(tp, m):
+    """The plan's first surviving occasion at or after nominal occasion
+    ``m``, or None when its direction's occasions all collide."""
+    k = tp.skip[m % len(tp.skip)]
+    return None if k < 0 else tp.delta_t_sym + (m + k * tp.s) * tp.period_sym
+
+
 @PROPERTY
 @given(scenarios())
 @example(TOUCHING_OCCASIONS[0])
 @example(TOUCHING_OCCASIONS[1])
 @example(ONE_DIRECTION_COLLIDES)
 @example(ALL_COLLIDE)
+@example(ONE_CLASS)
+@example(CLASS_PER_RESIDUE)
 def test_next_occasion_table_is_the_timeline_walk(sc):
     tp = tracking_plan(sc)
     hyper, dropped, occasions = surviving_csi_occasions(sc)
     assert tp.hyper_sym == hyper
     assert tp.dropped_count == dropped
     period = sc.csi.t_csi_slots * SYMBOLS_PER_SLOT
-    n_cols = hyper // (tp.s * period)
-    assert tp.next_occasion.shape == (tp.s, n_cols + 1)
+    # one entry per residue of the occasions after which the burst grid repeats
+    t_ss = sweep_plan(sc).t_ss_sym
+    assert len(tp.skip) == t_ss // math.gcd(period, t_ss)
+    n_rounds = hyper // (tp.s * period)
     for d in range(tp.s):
-        row = tp.next_occasion[d].tolist()
+        # rounds [0, J) and round J, the first of the next hyperperiod
+        row = [_next_occasion(tp, j * tp.s + d) for j in range(n_rounds + 1)]
         if d not in occasions:
-            assert row == [NO_OCCASION] * (n_cols + 1), d
+            assert row == [None] * (n_rounds + 1), d
             continue
         occ = occasions[d]
-        # cell j: the first occasion at or after nominal occasion j*s + d
-        for j in range(n_cols):
+        # round j: the first occasion at or after nominal occasion j*s + d
+        for j in range(n_rounds):
             nominal = sc.csi.delta_t_symbols + (j * tp.s + d) * period
             i = bisect.bisect_left(occ, nominal)
             assert row[j] == (occ[i] if i < len(occ) else occ[0] + hyper), (d, j)
-        assert row[n_cols] == occ[0] + hyper, d
+        assert row[n_rounds] == occ[0] + hyper, d
 
 
 @PROPERTY
@@ -141,6 +164,8 @@ def test_next_occasion_table_is_the_timeline_walk(sc):
 @example(TOUCHING_OCCASIONS[0])
 @example(ONE_DIRECTION_COLLIDES)
 @example(ALL_COLLIDE)
+@example(ONE_CLASS)
+@example(CLASS_PER_RESIDUE)
 def test_mean_tracking_delay_is_the_renewal_mean_of_the_walk(sc):
     hyper, _, occasions = surviving_csi_occasions(sc)
     if not occasions:

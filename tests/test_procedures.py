@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_scenario
 from nrbeamsim import evaluation
-from nrbeamsim.codebook import Architecture
+from nrbeamsim.codebook import MAX_SWEEP_LENGTH, Architecture
 from nrbeamsim.errors import (
     ConfigurationError,
     DomainError,
@@ -401,6 +401,20 @@ class TestTracking:
             tracking_plan(sc), 50, np.random.default_rng(2), 500.0
         )
         assert censored.all()
+
+
+    @pytest.mark.parametrize("m_gnb", [MAX_SWEEP_LENGTH, MAX_SWEEP_LENGTH - 1])
+    def test_the_longest_sweeps_plan_holds_one_entry_per_residue(self, m_gnb):
+        # n = 4, t_ss 160 ms, t_csi 5 slots: the 35,840-symbol burst grid
+        # repeats after q = 512 occasions of 70 symbols. The hyperperiod
+        # holds lcm(q, s) occasions, 4096 here and 2,096,640 at the odd
+        # s = 4095, but the plan holds only the q residues.
+        sc = make_scenario(m_gnb=m_gnb, n=4, t_ss_ms=160.0)
+        tp = tracking_plan(sc)
+        assert tp.s == m_gnb
+        assert tp.hyper_sym == math.lcm(512, m_gnb) * 70
+        sized = [v for v in vars(tp).values() if hasattr(v, "__len__")]
+        assert sized and max(map(len, sized)) == len(tp.skip) == 512
 
 
 class TestOmegaBr:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -117,6 +118,34 @@ class TestJsonRoundTrip:
         payload = json.loads(reports_to_json([report]))
         del payload["reports"][0]["censored_tracking"]
         with pytest.raises(ConfigurationError, match=r"reports\[0\].*censored_tracking"):
+            reports_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda r: r.pop("m_gnb"), "reports[0] lacks field 'm_gnb'"),
+            (lambda r: r.update(extra=1), "reports[0] has unknown field 'extra'"),
+            (lambda r: r["t_ia"].pop("stderr"), "reports[0].t_ia lacks field 'stderr'"),
+            (
+                lambda r: r["t_tr"].update(bogus=0),
+                "reports[0].t_tr has unknown field 'bogus'",
+            ),
+            (lambda r: r.update(t_br=[1.0, 0.1, 5]), "reports[0].t_br is not an object"),
+        ],
+        ids=["missing", "unknown", "stat-missing", "stat-unknown", "stat-not-object"],
+    )
+    def test_field_errors_name_their_path(self, edit, message):
+        payload = json.loads(reports_to_json([tiny_report()]))
+        edit(payload["reports"][0])
+        with pytest.raises(ConfigurationError, match=f"^report JSON: {re.escape(message)}$"):
+            reports_from_json(json.dumps(payload))
+
+    def test_an_entry_that_is_no_object_is_named(self):
+        payload = json.loads(reports_to_json([tiny_report()]))
+        payload["reports"].append(5)
+        with pytest.raises(
+            ConfigurationError, match=r"^report JSON: reports\[1\] is not an object$"
+        ):
             reports_from_json(json.dumps(payload))
 
     def test_trailing_newline(self):
