@@ -402,7 +402,6 @@ class TestTracking:
         )
         assert censored.all()
 
-
     @pytest.mark.parametrize("m_gnb", [MAX_SWEEP_LENGTH, MAX_SWEEP_LENGTH - 1])
     def test_the_longest_sweeps_plan_holds_one_entry_per_residue(self, m_gnb):
         # n = 4, t_ss 160 ms, t_csi 5 slots: the 35,840-symbol burst grid
