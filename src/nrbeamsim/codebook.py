@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import ConfigurationError, require_int
+from .errors import ConfigurationError, require_int, require_real
 
 
 # Longest exhaustive sweep a scenario may ask for: the chance that the
@@ -55,6 +55,8 @@ class ArrayConfig:
             raise ConfigurationError(
                 f"elements={self.elements}: must be at least 1"
             )
+        if self.k_bf is not None:
+            require_int("k_bf", self.k_bf)
         if self.arch is Architecture.HYBRID:
             if self.k_bf is None or not 1 <= self.k_bf <= self.elements:
                 raise ConfigurationError(
@@ -84,7 +86,8 @@ class PowerModel:
     def __post_init__(self) -> None:
         for name in ("c_chain_w", "p0_w", "c_ps_w"):
             value = getattr(self, name)
-            if not 0 <= value < math.inf:
+            require_real(f"power.{name}", value, "finite and non-negative")
+            if value < 0:
                 raise ConfigurationError(
                     f"power.{name}={value:g}: must be finite and non-negative"
                 )

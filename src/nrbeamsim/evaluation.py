@@ -23,8 +23,8 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .codebook import power_consumption_w
-from .errors import ConfigurationError, DomainError
-from .frame import SS_BLOCK_RB, SS_BLOCK_SYMBOLS, SYMBOLS_PER_SLOT
+from .errors import ConfigurationError, DomainError, require_real
+from .frame import SS_BLOCK_RB, SS_BLOCK_SYMBOLS
 from .link import misdetection_probability
 from .procedures import (
     Scenario,
@@ -74,10 +74,11 @@ class CampaignSettings:
             )
         if self.seed < 0:
             raise ConfigurationError(f"seed={self.seed}: must be non-negative")
-        h = self.horizon_ms
-        real = isinstance(h, numbers.Real) and not isinstance(h, bool)
-        if not (real and 0 < h < math.inf):
-            raise ConfigurationError(f"horizon_ms={h!r}: must be finite and positive")
+        require_real("horizon_ms", self.horizon_ms, "finite and positive")
+        if self.horizon_ms <= 0:
+            raise ConfigurationError(
+                f"horizon_ms={self.horizon_ms!r}: must be finite and positive"
+            )
 
 
 @dataclass(frozen=True)
@@ -166,9 +167,8 @@ def omega_tr_for(sc: Scenario) -> float:
     Collisions reallocate an occasion's grid area to the SS burst, they
     do not hand it back to data, so the reserved share is what counts.
     """
-    period_sym = sc.csi.t_csi_slots * SYMBOLS_PER_SLOT
     csi_area = sc.csi.n_symbols * sc.csi.bandwidth_rb
-    return csi_area / (period_sym * sc.carrier_rb)
+    return csi_area / (sc.csi.period_symbols * sc.carrier_rb)
 
 
 @lru_cache(maxsize=128)

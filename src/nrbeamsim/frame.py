@@ -11,7 +11,10 @@ Conventions
 * Frequency is counted in resource blocks of 12 subcarriers at the
   configured subcarrier spacing.
 * An SS block spans 4 consecutive symbols and 240 subcarriers (20 RB).
-  All blocks of a burst must fit the first 5 ms of the burst period.
+  All blocks of a burst fit the first 5 ms of the burst period, as 3GPP
+  requires, with no check needed: at most 64 blocks of 4 symbols at the
+  narrowest FR2 spacing, 60 kHz (n = 2), span 64 * 4 * 250/14 us, about
+  4.57 ms.
 * A RACH opportunity spans 2 symbols over the whole carrier.
 
 :mod:`procedures` places blocks, occasions and opportunities on this
@@ -28,13 +31,11 @@ SYMBOLS_PER_SLOT = 14
 SS_BLOCK_SYMBOLS = 4
 SS_BLOCK_SUBCARRIERS = 240
 SS_BLOCK_RB = SS_BLOCK_SUBCARRIERS // 12
-SS_BURST_WINDOW_US = 5000.0
 RACH_SYMBOLS = 2
 MAX_SS_BLOCKS_PER_BURST = 64
-DEFAULT_CARRIER_BANDWIDTH_HZ = 400e6
 SUBCARRIERS_PER_RB = 12
-MIN_MMWAVE_NUMEROLOGY = 2
-MMWAVE_CARRIER_GHZ = 6.0
+# the FR2 (mmWave) numerologies, 60 to 240 kHz: the model's only ones
+NUMEROLOGIES = (2, 3, 4)
 
 SS_PERIODS_MS = (5, 10, 20, 40, 80, 160)
 CSI_PERIODS_SLOTS = (5, 10, 20, 40, 80, 160, 320, 640)
@@ -47,7 +48,7 @@ class Numerology:
     """One NR numerology: subcarrier spacing and derived symbol timing.
 
     Attributes:
-        n: numerology index, 0..4.
+        n: numerology index, one of ``NUMEROLOGIES``.
         scs_khz: subcarrier spacing, 15 * 2**n kHz.
         slot_ms: slot duration, 1 / 2**n ms.
         symbol_us: OFDM symbol duration in microseconds (slot / 14).
@@ -71,14 +72,16 @@ def make_numerology(n: int) -> Numerology:
     """Build the numerology for index ``n``.
 
     Args:
-        n: numerology index; NR defines 0..4 (15 kHz to 240 kHz).
+        n: numerology index; of the 0..4 that 3GPP TS 38.211 section
+            4.2 defines, FR2 uses 2..4 (60 kHz to 240 kHz).
 
     Raises:
-        ConfigurationError: if ``n`` is not an integer in 0..4.
+        ConfigurationError: if ``n`` is not an integer in 2..4.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= 4:
+    if not isinstance(n, int) or isinstance(n, bool) or n not in NUMEROLOGIES:
         raise ConfigurationError(
-            f"numerology.n={n!r}: must be an integer in 0..4"
+            f"numerology.n={n!r}: must be an integer in "
+            f"{NUMEROLOGIES[0]}..{NUMEROLOGIES[-1]}"
         )
     scs_khz = 15 * (1 << n)
     slot_ms = 1.0 / (1 << n)
@@ -86,22 +89,7 @@ def make_numerology(n: int) -> Numerology:
     return Numerology(n=n, scs_khz=scs_khz, slot_ms=slot_ms, symbol_us=symbol_us)
 
 
-def check_mmwave_numerology(num: Numerology, carrier_ghz: float) -> None:
-    """Reject numerologies too narrow for a mmWave carrier.
-
-    Carriers above 6 GHz require subcarrier spacing of at least 60 kHz
-    (numerology 2) to keep phase noise and Doppler manageable.
-    """
-    if carrier_ghz > MMWAVE_CARRIER_GHZ and num.n < MIN_MMWAVE_NUMEROLOGY:
-        raise ConfigurationError(
-            f"numerology.n={num.n} is not allowed above {MMWAVE_CARRIER_GHZ:g} GHz: "
-            f"deployment.carrier_ghz={carrier_ghz:g} needs n >= {MIN_MMWAVE_NUMEROLOGY}"
-        )
-
-
-def carrier_resource_blocks(
-    num: Numerology, bandwidth_hz: float = DEFAULT_CARRIER_BANDWIDTH_HZ
-) -> int:
+def carrier_resource_blocks(num: Numerology, bandwidth_hz: float) -> int:
     """Number of whole resource blocks fitting the carrier bandwidth."""
     if bandwidth_hz <= 0:
         raise ConfigurationError(f"bandwidth_hz={bandwidth_hz:g}: must be positive")
@@ -124,15 +112,6 @@ class SsBurstConfig:
         if self.t_ss_ms not in SS_PERIODS_MS:
             raise ConfigurationError(
                 f"ss.t_ss_ms={self.t_ss_ms:g}: must be one of {set(SS_PERIODS_MS)}"
-            )
-
-    def check_window(self, num: Numerology) -> None:
-        """All blocks must fit the first 5 ms of the burst period."""
-        span_us = self.n_ss * SS_BLOCK_SYMBOLS * num.symbol_us
-        if span_us > SS_BURST_WINDOW_US:
-            raise ConfigurationError(
-                f"ss.n_ss={self.n_ss} at numerology.n={num.n} spans "
-                f"{span_us:g} us, exceeding the {SS_BURST_WINDOW_US:g} us burst window"
             )
 
 
@@ -170,9 +149,13 @@ class CsiRsConfig:
             raise ConfigurationError(
                 f"csi.delta_f_rb={self.delta_f_rb}: must be non-negative"
             )
-        period_symbols = self.t_csi_slots * SYMBOLS_PER_SLOT
-        if not 0 <= self.delta_t_symbols < period_symbols:
+        if not 0 <= self.delta_t_symbols < self.period_symbols:
             raise ConfigurationError(
                 f"csi.delta_t_symbols={self.delta_t_symbols}: must be in "
-                f"0..{period_symbols - 1} for t_csi_slots={self.t_csi_slots}"
+                f"0..{self.period_symbols - 1} for t_csi_slots={self.t_csi_slots}"
             )
+
+    @property
+    def period_symbols(self) -> int:
+        """The occasion period in OFDM symbols."""
+        return self.t_csi_slots * SYMBOLS_PER_SLOT

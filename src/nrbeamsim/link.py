@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from .codebook import ArrayConfig, beamforming_gain_db
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, require_real
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 _SQRT2 = math.sqrt(2.0)
@@ -42,11 +42,7 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ConfigurationError(
-                    f"channel.{f.name}={value!r}: must be finite"
-                )
+            require_real(f"channel.{f.name}", getattr(self, f.name))
         if self.pl_exponent <= 0:
             raise ConfigurationError(
                 f"channel.pl_exponent={self.pl_exponent:g}: must be positive"

@@ -60,17 +60,15 @@ from .codebook import (
     sweep_factor,
     sweep_length,
 )
-from .errors import ConfigurationError, DomainError, NotApplicableError
+from .errors import ConfigurationError, DomainError, NotApplicableError, require_real
 from .frame import (
     CsiRsConfig,
     Numerology,
     RACH_SYMBOLS,
     SS_BLOCK_RB,
     SS_BLOCK_SYMBOLS,
-    SYMBOLS_PER_SLOT,
     SsBurstConfig,
     carrier_resource_blocks,
-    check_mmwave_numerology,
 )
 from .link import ChannelParams, edge_margin_db, log_normal_cdf
 
@@ -100,18 +98,10 @@ class Scenario:
     power: PowerModel = PowerModel()
     mode: DeploymentMode = DeploymentMode.SA
     lte_latency_ms: Optional[float] = None
-    carrier_ghz: float = 28.0
     omega_br_window_ms: float = 200.0
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.carrier_ghz < math.inf:
-            raise ConfigurationError(
-                f"deployment.carrier_ghz={self.carrier_ghz:g}: must be positive "
-                "and finite"
-            )
-        check_mmwave_numerology(self.numerology, self.carrier_ghz)
-        self.ss.check_window(self.numerology)
         if self.mode is DeploymentMode.NSA:
             if self.lte_latency_ms is None:
                 raise ConfigurationError(
@@ -130,10 +120,11 @@ class Scenario:
                 f"{MAX_SWEEP_LENGTH} are supported"
             )
         edge_margin_db(self.gnb, self.ue, self.channel)
-        if not 0 < self.omega_br_window_ms < math.inf:
+        window = self.omega_br_window_ms
+        require_real("deployment.omega_br_window_ms", window, "positive and finite")
+        if window <= 0:
             raise ConfigurationError(
-                f"deployment.omega_br_window_ms={self.omega_br_window_ms:g}: "
-                "must be positive and finite"
+                f"deployment.omega_br_window_ms={window:g}: must be positive and finite"
             )
         rb = self.carrier_rb
         if self.csi.delta_f_rb + self.csi.bandwidth_rb > rb:
@@ -517,7 +508,7 @@ def _tracking_plan_for(
     csi: CsiRsConfig,
 ) -> TrackingPlan:
     plan = _plan_for(gnb, ue, ss, numerology)
-    period = csi.t_csi_slots * SYMBOLS_PER_SLOT
+    period = csi.period_symbols
     t_ss = plan.t_ss_sym
     s = plan.s
     q = t_ss // math.gcd(period, t_ss)

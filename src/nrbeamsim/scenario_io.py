@@ -119,9 +119,7 @@ _SCHEMA: dict[str, Optional[dict[str, Any]]] = {
     "ue": {"elements": 4, "arch": "analog", "k_bf": None},
     "channel": _defaults(ChannelParams),
     "power": _defaults(PowerModel),
-    "deployment": _defaults(
-        Scenario, "mode", "lte_latency_ms", "carrier_ghz", "omega_br_window_ms"
-    ),
+    "deployment": _defaults(Scenario, "mode", "lte_latency_ms", "omega_br_window_ms"),
     "campaign": _defaults(CampaignSettings),
     "sweep": {},
 }

@@ -8,6 +8,7 @@ from nrbeamsim.codebook import Architecture, ArrayConfig
 from nrbeamsim.frame import (
     CSI_PERIODS_SLOTS,
     CSI_SYMBOL_COUNTS,
+    NUMEROLOGIES,
     SS_PERIODS_MS,
     SYMBOLS_PER_SLOT,
     CsiRsConfig,
@@ -15,6 +16,7 @@ from nrbeamsim.frame import (
     carrier_resource_blocks,
     make_numerology,
 )
+from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import DeploymentMode, Scenario
 
 
@@ -57,11 +59,12 @@ def scenarios(draw):
 
     arch_g, m_g, k_g = array(12)
     arch_u, m_u, k_u = array(3)
-    n = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.sampled_from(NUMEROLOGIES))
     t_csi = draw(st.sampled_from(CSI_PERIODS_SLOTS))
     delta_f = draw(st.sampled_from([0, 10, 19, 20, 60]))
     bandwidth = draw(st.integers(50, 80))
-    assume(delta_f + bandwidth <= carrier_resource_blocks(make_numerology(n)))
+    carrier_rb = carrier_resource_blocks(make_numerology(n), ChannelParams().bandwidth_hz)
+    assume(delta_f + bandwidth <= carrier_rb)
     return make_scenario(
         m_gnb=m_g,
         arch_gnb=arch_g,

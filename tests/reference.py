@@ -129,7 +129,6 @@ def build_ss_timeline(
     burst ``j`` is stamped with sweep slot ``(j * blocks + i) % len(sweep)``,
     so a sweep longer than one burst wraps onto the next.
     """
-    cfg.check_window(num)
     t_ss_sym = symbols_in_ms(num, cfg.t_ss_ms)
     horizon_sym = symbols_in_ms(num, horizon_ms)
     if horizon_sym < t_ss_sym:
@@ -171,7 +170,7 @@ def build_csi_timeline(
     its direction's turn rather than shifting the pattern.
     """
     if carrier_rb is None:
-        carrier_rb = carrier_resource_blocks(num)
+        carrier_rb = carrier_resource_blocks(num, ChannelParams().bandwidth_hz)
     if cfg.delta_f_rb + cfg.bandwidth_rb > carrier_rb:
         raise ConfigurationError(
             f"csi occupies RB {cfg.delta_f_rb}..{cfg.delta_f_rb + cfg.bandwidth_rb}"
@@ -234,7 +233,7 @@ def build_rach_timeline(
     if ss.burst_period_symbols is None:
         raise ConfigurationError("rach timeline needs an SS timeline with a burst period")
     if carrier_rb is None:
-        carrier_rb = carrier_resource_blocks(num)
+        carrier_rb = carrier_resource_blocks(num, ChannelParams().bandwidth_hz)
     period = ss.burst_period_symbols
     by_burst: dict[int, list[TimelineEvent]] = {}
     for b in ss.of_kind(EventKind.SS_BLOCK):

@@ -72,6 +72,11 @@ class TestExitCodes:
             "csi.n_symbols=3",
             "csi.bandwidth_rb=30",
             "numerology.n=5",
+            # the model is FR2: no 15 or 30 kHz numerology, no carrier key
+            "numerology.n=0",
+            "numerology.n=1",
+            "deployment.carrier_ghz=28",
+            "sweep.deployment.carrier_ghz=[28, 73]",
             "channel.tx_power_dbm=.nan",
             "channel.shadowing_sigma_db=.nan",
             "channel.shadowing_sigma_db=.inf",
@@ -85,9 +90,6 @@ class TestExitCodes:
             "power.c_chain_w=null",
             "channel.tx_power_dbm=null",
             "ss.t_ss_ms=null",
-            "deployment.carrier_ghz=null",
-            "deployment.carrier_ghz=-1",
-            "deployment.carrier_ghz=0",
             "campaign.seed=-1",
             "gnb.elements=0",
             "ue.elements=0",
@@ -190,6 +192,27 @@ class TestExitCodes:
     def test_unknown_key_exits_one(self, quick_yaml, capsys):
         code = main(["validate", str(quick_yaml), "--set", "ss.bogus=1"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "file_text, overrides, message",
+        [
+            ("", ["deployment.carrier_ghz=28"], "deployment.carrier_ghz: unknown key"),
+            ("numerology: {n: 0}\n", [], "numerology.n=0: must be an integer in 2..4"),
+            ("", ["numerology.n=1"], "numerology.n=1: must be an integer in 2..4"),
+        ],
+    )
+    def test_sub6_inputs_print_one_error_line(
+        self, tmp_path, file_text, overrides, message, capsys
+    ):
+        p = tmp_path / "fr2.yaml"
+        p.write_text(file_text, encoding="utf-8")
+        argv = ["validate", str(p)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {p}: {message}")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
     def test_sweep_length_is_capped(self, quick_yaml, capsys):
         built = _plan_for.cache_info().misses

@@ -41,6 +41,13 @@ class TestArrayConfig:
         with pytest.raises(ConfigurationError):
             arr(bad, "analog")
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_k_bf_must_be_an_integer(self, bad):
+        # unchecked, 2.5 failed in plan building with a bare TypeError and
+        # True was taken as 1
+        with pytest.raises(ConfigurationError, match=rf"^k_bf={bad!r}: must be an integer$"):
+            arr(4, "hybrid", bad)
+
 
 class TestSweepGeometry:
     @pytest.mark.parametrize(
@@ -126,6 +133,10 @@ class TestGainAndPower:
             ("p0_w", math.inf),
             ("c_chain_w", math.nan),
             ("c_ps_w", -math.inf),
+            # unchecked, these failed with a bare TypeError or passed as 1
+            ("p0_w", None),
+            ("c_chain_w", "16"),
+            ("c_ps_w", True),
         ],
     )
     def test_power_model_validation(self, name, value):

@@ -188,3 +188,15 @@ class TestChannelValidation:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=rf"channel\.{field}=.*finite"):
             ChannelParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("pl_exponent", "2"), ("bandwidth_hz", True), ("tx_power_dbm", None)],
+    )
+    def test_not_a_real_number_rejected(self, field, value):
+        # unchecked, "2" and None failed with a bare TypeError and True
+        # was taken as a 1 Hz carrier
+        with pytest.raises(
+            ConfigurationError, match=rf"^channel\.{field}={value!r}: must be a real number$"
+        ):
+            ChannelParams(**{field: value})

@@ -451,14 +451,10 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError, match="numerology"):
             make_scenario(n=1)
 
-    @pytest.mark.parametrize("ghz", [0.0, -28.0, math.nan, math.inf])
-    def test_carrier_must_be_positive(self, ghz):
-        with pytest.raises(ConfigurationError, match=r"deployment\.carrier_ghz"):
-            make_scenario(carrier_ghz=ghz)
-
-    @pytest.mark.parametrize("ms", [0.0, -200.0, math.nan, math.inf])
+    @pytest.mark.parametrize("ms", [0.0, -200.0, math.nan, math.inf, "200", True, None])
     def test_omega_br_window_must_be_positive_and_finite(self, ms):
-        # unchecked, nan gave omega_br = nan and inf gave 0
+        # unchecked, nan gave omega_br = nan and inf gave 0, and a string
+        # or None failed with a bare TypeError
         with pytest.raises(ConfigurationError, match=r"deployment\.omega_br_window_ms"):
             make_scenario(omega_br_window_ms=ms)
 

@@ -11,6 +11,7 @@ import yaml
 from nrbeamsim import scenario_io
 from nrbeamsim.codebook import Architecture, PowerModel
 from nrbeamsim.errors import ConfigurationError
+from nrbeamsim.evaluation import estimate_metrics
 from nrbeamsim.frame import CsiRsConfig, SsBurstConfig
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import DeploymentMode, Scenario
@@ -54,7 +55,7 @@ class TestDefaults:
         assert sc.csi == CsiRsConfig()
         assert sc.ss == SsBurstConfig()
         defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
-        for name in ("mode", "carrier_ghz", "omega_br_window_ms"):
+        for name in ("mode", "lte_latency_ms", "omega_br_window_ms"):
             assert getattr(sc, name) == defaults[name]
 
     def test_default_campaign(self):
@@ -377,3 +378,69 @@ class TestLoaders:
         # YAML 1.1 reads 4.0e8 as a string; scenario_io takes it as a number
         expected = [42, "4.0e8", True, None, 16, 1000, float("inf"), [8, 16]]
         assert repr(values) == repr(expected)
+
+
+# every scenario key, in a context where it matters, with a second valid
+# value: (the base keys, the value); each base runs a few hundred runs
+_CHANGES = {
+    "scenario_id": ({}, "named"),
+    "numerology.n": ({}, 2),
+    "ss.n_ss": ({}, 8),
+    "ss.t_ss_ms": ({}, 40.0),
+    "csi.t_csi_slots": ({}, 10),
+    "csi.n_symbols": ({}, 2),
+    "csi.bandwidth_rb": ({}, 60),
+    "csi.delta_t_symbols": ({}, 30),
+    "csi.delta_f_rb": ({}, 20),
+    "gnb.elements": ({}, 16),
+    "gnb.arch": ({}, "digital"),
+    "gnb.k_bf": ({"gnb.arch": "hybrid", "gnb.k_bf": 4}, 8),
+    "ue.elements": ({}, 2),
+    "ue.arch": ({}, "digital"),
+    "ue.k_bf": ({"ue.arch": "hybrid", "ue.k_bf": 1}, 2),
+    "channel.pl_intercept_db": ({}, 80.0),
+    "channel.pl_exponent": ({}, 3.5),
+    "channel.shadowing_sigma_db": ({}, 4.0),
+    "channel.tx_power_dbm": ({}, 20.0),
+    "channel.noise_figure_db": ({}, 9.0),
+    "channel.bandwidth_hz": ({}, 200e6),
+    "channel.detection_threshold_db": ({}, 0.0),
+    "channel.cell_radius_m": ({}, 300.0),
+    "channel.side_lobe_floor_db": ({}, -3.0),
+    "power.c_chain_w": ({"gnb.arch": "digital"}, 20.0),
+    "power.p0_w": ({}, 10.0),
+    "power.c_ps_w": ({}, 0.1),
+    # SA ignores the LTE leg, so it is set in both runs
+    "deployment.mode": ({"deployment.lte_latency_ms": 10.0}, "NSA"),
+    "deployment.lte_latency_ms": (
+        {"deployment.mode": "NSA", "deployment.lte_latency_ms": 10.0},
+        40.0,
+    ),
+    "deployment.omega_br_window_ms": ({}, 100.0),
+    "campaign.n_runs": ({}, 200),
+    "campaign.seed": ({}, 7),
+    # below the tracking waits of the default 64 x 4 analog sweep
+    "campaign.horizon_ms": ({}, 50.0),
+}
+
+
+def _result(flat: dict, key: str) -> str:
+    """The report of the one scenario that the keys ``flat`` build; its id
+    only where ``key`` is the id."""
+    sf = scenario_file_from_dict(scenario_io._nested({"campaign.n_runs": 300, **flat}))
+    (sc,) = sf.scenarios
+    if key == "scenario_id":
+        return sc.scenario_id
+    # the id names most keys' values, so it is left out; and repr, so that
+    # a NaN field compares equal to itself
+    return repr(dataclasses.replace(estimate_metrics(sc, sf.campaign), scenario_id=""))
+
+
+@pytest.mark.parametrize("key", sorted(set(scenario_io._DEFAULTS) | set(_CHANGES)))
+def test_every_scenario_key_changes_a_result(key):
+    # a key that changes no result is not accepted
+    assert key in scenario_io._DEFAULTS, f"{key} is not a scenario key"
+    assert key in _CHANGES, f"{key} has no context and value that change a result"
+    base, value = _CHANGES[key]
+    assert value != base.get(key, scenario_io._DEFAULTS[key])
+    assert _result(base, key) != _result({**base, key: value}, key)
