@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import ConfigurationError, require_int, require_real
+from .errors import ConfigurationError, check_domains, declare
 
 
 # Longest exhaustive sweep a scenario may ask for: the chance that the
@@ -41,24 +41,19 @@ class Architecture(str, Enum):
 class ArrayConfig:
     """One end's antenna array and beamforming architecture.
 
-    Errors name the bare key (``elements``, ``k_bf``); a scenario file
-    prefixes the section (``gnb.`` or ``ue.``).
+    Each field declares its domain (`errors.declare`); ``arch`` also takes
+    an architecture's name. Errors name the bare key (``elements``,
+    ``k_bf``); a scenario file prefixes the section (``gnb.`` or ``ue.``).
     """
 
-    elements: int
-    arch: Architecture = Architecture.ANALOG
-    k_bf: Optional[int] = None
+    elements: int = declare(int, lo=1)
+    arch: Architecture = declare(Architecture, Architecture.ANALOG)
+    k_bf: Optional[int] = declare(int, None, lo=1)
 
     def __post_init__(self) -> None:
-        require_int("elements", self.elements)
-        if self.elements < 1:
-            raise ConfigurationError(
-                f"elements={self.elements}: must be at least 1"
-            )
-        if self.k_bf is not None:
-            require_int("k_bf", self.k_bf)
+        check_domains(self)
         if self.arch is Architecture.HYBRID:
-            if self.k_bf is None or not 1 <= self.k_bf <= self.elements:
+            if self.k_bf is None or self.k_bf > self.elements:
                 raise ConfigurationError(
                     f"k_bf={self.k_bf!r}: a hybrid array needs k_bf in "
                     f"1..{self.elements}"
@@ -79,18 +74,12 @@ class PowerModel:
     plus one phase shifter per element for analog combining.
     """
 
-    c_chain_w: float = 16.0896
-    p0_w: float = 16.0507
-    c_ps_w: float = 0.0585
+    c_chain_w: float = declare(float, 16.0896, lo=0)
+    p0_w: float = declare(float, 16.0507, lo=0)
+    c_ps_w: float = declare(float, 0.0585, lo=0)
 
     def __post_init__(self) -> None:
-        for name in ("c_chain_w", "p0_w", "c_ps_w"):
-            value = getattr(self, name)
-            require_real(f"power.{name}", value, "finite and non-negative")
-            if value < 0:
-                raise ConfigurationError(
-                    f"power.{name}={value:g}: must be finite and non-negative"
-                )
+        check_domains(self, "power.")
 
 
 def directions_per_step(array: ArrayConfig) -> int:

@@ -1,7 +1,16 @@
-"""Exception types shared across the package, and the number checks the
-config classes share."""
+"""Exception types shared across the package, and the one check of the
+config classes' fields: each field declares its domain once, with
+`declare`, which ``scenario_io`` also reads for its keys' kinds and
+defaults, and every refusal reads ``{key}={value!r}: must be {rule}``.
+"""
+from __future__ import annotations
+
+import dataclasses
 import math
 import numbers
+from enum import Enum
+from functools import cache
+from typing import Any, NamedTuple, Optional
 
 
 class ConfigurationError(ValueError):
@@ -22,18 +31,105 @@ class NotApplicableError(RuntimeError):
     """An operation was requested for a mode it is not defined in."""
 
 
-def require_int(key: str, value: object) -> None:
-    """Reject a ``value`` of ``key`` that is not an ``int``, or is a bool."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigurationError(f"{key}={value!r}: must be an integer")
+# each number kind: the values it takes, and what a refusal calls them
+_NUMBERS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number")}
 
 
-def require_real(key: str, value: object, rule: str = "finite") -> None:
-    """Reject a ``value`` of ``key`` that is not a real number, is a bool,
-    or is not finite. The last error says the value must be ``rule``; a
-    caller that also checks a bound passes the whole requirement, such as
-    "finite and positive", so that its own error reads the same."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ConfigurationError(f"{key}={value!r}: must be a real number")
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{key}={value!r}: must be {rule}")
+class Domain(NamedTuple):
+    """The kind, default and allowed values of one config field, as
+    `declare` describes them."""
+
+    kind: type
+    default: Any
+    among: tuple
+    lo: Optional[float]
+    hi: Optional[float]
+    lo_open: bool
+
+    def rule(self) -> str:
+        """What a value must be, in the words of a refusal."""
+        lo, hi = self.lo, self.hi
+        if self.among:
+            return f"one of {list(self.among)}"
+        if hi is not None:
+            bound = f"at most {hi}" if lo is None else f"in {lo}..{hi}"
+        elif lo == 0:
+            bound = "positive" if self.lo_open else "non-negative"
+        elif lo is not None:
+            bound = f"{'greater than' if self.lo_open else 'at least'} {lo}"
+        else:
+            return "finite"
+        return f"finite and {bound}" if self.kind is float else bound
+
+    def check(self, key: str, value: Any) -> Any:
+        """``value`` as the field stores it; a value outside the domain
+        raises `ConfigurationError` naming ``key``."""
+        if value is None and self.default is None:
+            return None
+        kind, t = self.kind, type(value)
+        if kind not in _NUMBERS:
+            try:
+                return kind(value)
+            except ValueError:
+                raise _refusal(key, value, self.rule()) from None
+        number, noun = _NUMBERS[kind]
+        # an exact int or float skips the slower check of the numbers ABC
+        if t is not int and t is not kind and (t is bool or not isinstance(value, number)):
+            raise _refusal(key, value, noun)
+        stored = value if kind is float else int(value)
+        lo, hi = self.lo, self.hi
+        if self.among:
+            fits = stored in self.among
+        else:
+            fits = (kind is int or math.isfinite(stored)) and (
+                (lo is None or stored > lo or (stored == lo and not self.lo_open))
+                and (hi is None or stored <= hi)
+            )
+        if not fits:
+            raise _refusal(key, value, self.rule())
+        return stored
+
+
+def _refusal(key: str, value: Any, rule: str) -> ConfigurationError:
+    return ConfigurationError(f"{key}={value!r}: must be {rule}")
+
+
+def declare(
+    kind: type,
+    default: Any = dataclasses.MISSING,
+    among: tuple = (),
+    *,
+    lo: Optional[float] = None,
+    hi: Optional[float] = None,
+    lo_open: bool = False,
+) -> Any:
+    """A dataclass field with ``default`` that `check_domains` checks.
+
+    ``kind`` is ``int`` (an integral number, stored as an ``int``),
+    ``float`` (a finite real number, stored as given) or an `Enum` (a
+    member or a member's value, stored as the member); a bool is no
+    number. A number is one of ``among``, or else within ``lo``..``hi``,
+    where ``lo_open`` excludes ``lo``. A ``None`` default admits ``None``.
+    """
+    if issubclass(kind, Enum):
+        among = [member.value for member in kind]
+    domain = Domain(kind, default, tuple(among), lo, hi, lo_open)
+    return dataclasses.field(default=default, metadata={"domain": domain})
+
+
+@cache
+def declared_domains(cls: type) -> tuple[tuple[str, Domain], ...]:
+    """The name and domain of each field of dataclass ``cls`` that
+    `declare` made, in field order."""
+    fields = dataclasses.fields(cls)
+    return tuple((f.name, f.metadata["domain"]) for f in fields if "domain" in f.metadata)
+
+
+def check_domains(obj: Any, section: str = "") -> None:
+    """Check each declared field of frozen dataclass ``obj``, named
+    ``section`` plus its name, and store its value as the domain does."""
+    for name, domain in declared_domains(type(obj)):
+        value = getattr(obj, name)
+        stored = domain.check(section + name, value)
+        if stored is not value:
+            object.__setattr__(obj, name, stored)

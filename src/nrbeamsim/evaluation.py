@@ -17,13 +17,12 @@ which runs once per geometry.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .codebook import power_consumption_w
-from .errors import ConfigurationError, DomainError, require_real
+from .errors import ConfigurationError, DomainError, check_domains, declare
 from .frame import SS_BLOCK_RB, SS_BLOCK_SYMBOLS
 from .link import misdetection_probability
 from .procedures import (
@@ -55,30 +54,15 @@ class CampaignSettings:
     waits censored past ``horizon_ms``. A scenario file's ``campaign``
     block builds it, so its defaults and checks are the campaign's only
     ones. Errors name the bare key; a scenario file prefixes the file and
-    ``campaign.``. A numpy integer is stored as an ``int``.
+    ``campaign.``.
     """
 
-    n_runs: int = 10_000
-    seed: int = 42
-    horizon_ms: float = 500.0
+    n_runs: int = declare(int, 10_000, lo=1, hi=MAX_RUNS)
+    seed: int = declare(int, 42, lo=0)
+    horizon_ms: float = declare(float, 500.0, lo=0, lo_open=True)
 
     def __post_init__(self) -> None:
-        for name in ("n_runs", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{name}={value!r}: must be an integer")
-            object.__setattr__(self, name, int(value))
-        if not 1 <= self.n_runs <= MAX_RUNS:
-            raise ConfigurationError(
-                f"n_runs={self.n_runs}: must be in 1..{MAX_RUNS} (evaluation.MAX_RUNS)"
-            )
-        if self.seed < 0:
-            raise ConfigurationError(f"seed={self.seed}: must be non-negative")
-        require_real("horizon_ms", self.horizon_ms, "finite and positive")
-        if self.horizon_ms <= 0:
-            raise ConfigurationError(
-                f"horizon_ms={self.horizon_ms!r}: must be finite and positive"
-            )
+        check_domains(self)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ by event as the oracle those closed forms are tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from .errors import ConfigurationError, require_int
+from .errors import ConfigurationError, check_domains, declare
 
 SYMBOLS_PER_SLOT = 14
 SS_BLOCK_SYMBOLS = 4
@@ -100,19 +100,11 @@ def carrier_resource_blocks(num: Numerology, bandwidth_hz: float) -> int:
 class SsBurstConfig:
     """SS burst configuration: ``n_ss`` blocks every ``t_ss_ms``."""
 
-    n_ss: int = 64
-    t_ss_ms: float = 20.0
+    n_ss: int = declare(int, 64, lo=1, hi=MAX_SS_BLOCKS_PER_BURST)
+    t_ss_ms: float = declare(float, 20.0, SS_PERIODS_MS)
 
     def __post_init__(self) -> None:
-        require_int("ss.n_ss", self.n_ss)
-        if not 1 <= self.n_ss <= MAX_SS_BLOCKS_PER_BURST:
-            raise ConfigurationError(
-                f"ss.n_ss={self.n_ss}: must be in 1..{MAX_SS_BLOCKS_PER_BURST}"
-            )
-        if self.t_ss_ms not in SS_PERIODS_MS:
-            raise ConfigurationError(
-                f"ss.t_ss_ms={self.t_ss_ms:g}: must be one of {set(SS_PERIODS_MS)}"
-            )
+        check_domains(self, "ss.")
 
 
 @dataclass(frozen=True)
@@ -123,33 +115,15 @@ class CsiRsConfig:
     the SS burst start in time and the carrier edge in frequency.
     """
 
-    t_csi_slots: int = 5
-    n_symbols: int = 1
-    bandwidth_rb: int = 50
-    delta_t_symbols: int = 0
-    delta_f_rb: int = 0
+    t_csi_slots: int = declare(int, 5, CSI_PERIODS_SLOTS)
+    n_symbols: int = declare(int, 1, CSI_SYMBOL_COUNTS)
+    bandwidth_rb: int = declare(int, 50, lo=CSI_MIN_RB)
+    delta_t_symbols: int = declare(int, 0, lo=0)
+    delta_f_rb: int = declare(int, 0, lo=0)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            require_int(f"csi.{f.name}", getattr(self, f.name))
-        if self.t_csi_slots not in CSI_PERIODS_SLOTS:
-            raise ConfigurationError(
-                f"csi.t_csi_slots={self.t_csi_slots}: must be one of "
-                f"{set(CSI_PERIODS_SLOTS)}"
-            )
-        if self.n_symbols not in CSI_SYMBOL_COUNTS:
-            raise ConfigurationError(
-                f"csi.n_symbols={self.n_symbols}: must be one of {set(CSI_SYMBOL_COUNTS)}"
-            )
-        if self.bandwidth_rb < CSI_MIN_RB:
-            raise ConfigurationError(
-                f"csi.bandwidth_rb={self.bandwidth_rb}: must be at least {CSI_MIN_RB}"
-            )
-        if self.delta_f_rb < 0:
-            raise ConfigurationError(
-                f"csi.delta_f_rb={self.delta_f_rb}: must be non-negative"
-            )
-        if not 0 <= self.delta_t_symbols < self.period_symbols:
+        check_domains(self, "csi.")
+        if self.delta_t_symbols >= self.period_symbols:
             raise ConfigurationError(
                 f"csi.delta_t_symbols={self.delta_t_symbols}: must be in "
                 f"0..{self.period_symbols - 1} for t_csi_slots={self.t_csi_slots}"

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .codebook import ArrayConfig, beamforming_gain_db
-from .errors import ConfigurationError, DomainError, require_real
+from .errors import DomainError, check_domains, declare
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 _SQRT2 = math.sqrt(2.0)
@@ -30,41 +30,18 @@ class ChannelParams:
     a 400 MHz carrier and a cell of 150 m radius.
     """
 
-    pl_intercept_db: float = 72.0
-    pl_exponent: float = 2.92
-    shadowing_sigma_db: float = 8.7
-    tx_power_dbm: float = 30.0
-    noise_figure_db: float = 5.0
-    bandwidth_hz: float = 400e6
-    detection_threshold_db: float = -5.0
-    cell_radius_m: float = 150.0
-    side_lobe_floor_db: float = -10.0
+    pl_intercept_db: float = declare(float, 72.0)
+    pl_exponent: float = declare(float, 2.92, lo=0, lo_open=True)
+    shadowing_sigma_db: float = declare(float, 8.7, lo=0)
+    tx_power_dbm: float = declare(float, 30.0)
+    noise_figure_db: float = declare(float, 5.0)
+    bandwidth_hz: float = declare(float, 400e6, lo=0, lo_open=True)
+    detection_threshold_db: float = declare(float, -5.0)
+    cell_radius_m: float = declare(float, 150.0, lo=0, lo_open=True)
+    side_lobe_floor_db: float = declare(float, -10.0, hi=0)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            require_real(f"channel.{f.name}", getattr(self, f.name))
-        if self.pl_exponent <= 0:
-            raise ConfigurationError(
-                f"channel.pl_exponent={self.pl_exponent:g}: must be positive"
-            )
-        if self.shadowing_sigma_db < 0:
-            raise ConfigurationError(
-                f"channel.shadowing_sigma_db={self.shadowing_sigma_db:g}: "
-                "must be non-negative"
-            )
-        if self.bandwidth_hz <= 0:
-            raise ConfigurationError(
-                f"channel.bandwidth_hz={self.bandwidth_hz:g}: must be positive"
-            )
-        if self.cell_radius_m <= 0:
-            raise ConfigurationError(
-                f"channel.cell_radius_m={self.cell_radius_m:g}: must be positive"
-            )
-        if self.side_lobe_floor_db > 0:
-            raise ConfigurationError(
-                f"channel.side_lobe_floor_db={self.side_lobe_floor_db:g}: "
-                "must not exceed 0 dB"
-            )
+        check_domains(self, "channel.")
 
 
 def noise_power_dbm(cp: ChannelParams) -> float:

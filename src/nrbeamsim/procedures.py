@@ -60,7 +60,8 @@ from .codebook import (
     sweep_factor,
     sweep_length,
 )
-from .errors import ConfigurationError, DomainError, NotApplicableError, require_real
+from .errors import ConfigurationError, DomainError, NotApplicableError
+from .errors import check_domains, declare
 from .frame import (
     CsiRsConfig,
     Numerology,
@@ -96,21 +97,16 @@ class Scenario:
     csi: CsiRsConfig = CsiRsConfig()
     channel: ChannelParams = ChannelParams()
     power: PowerModel = PowerModel()
-    mode: DeploymentMode = DeploymentMode.SA
-    lte_latency_ms: Optional[float] = None
-    omega_br_window_ms: float = 200.0
+    mode: DeploymentMode = declare(DeploymentMode, DeploymentMode.SA)
+    lte_latency_ms: Optional[float] = declare(float, None, LTE_LATENCY_VALUES_MS)
+    omega_br_window_ms: float = declare(float, 200.0, lo=0, lo_open=True)
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.mode is DeploymentMode.NSA:
-            if self.lte_latency_ms is None:
-                raise ConfigurationError(
-                    "deployment.mode=NSA requires deployment.lte_latency_ms"
-                )
-        if self.lte_latency_ms is not None and self.lte_latency_ms not in LTE_LATENCY_VALUES_MS:
+        check_domains(self, "deployment.")
+        if self.mode is DeploymentMode.NSA and self.lte_latency_ms is None:
             raise ConfigurationError(
-                f"deployment.lte_latency_ms={self.lte_latency_ms:g}: must be one of "
-                f"{set(LTE_LATENCY_VALUES_MS)}"
+                "deployment.mode=NSA requires deployment.lte_latency_ms"
             )
         s = sweep_length(self.gnb, self.ue)
         if s > MAX_SWEEP_LENGTH:
@@ -120,12 +116,6 @@ class Scenario:
                 f"{MAX_SWEEP_LENGTH} are supported"
             )
         edge_margin_db(self.gnb, self.ue, self.channel)
-        window = self.omega_br_window_ms
-        require_real("deployment.omega_br_window_ms", window, "positive and finite")
-        if window <= 0:
-            raise ConfigurationError(
-                f"deployment.omega_br_window_ms={window:g}: must be positive and finite"
-            )
         rb = self.carrier_rb
         if self.csi.delta_f_rb + self.csi.bandwidth_rb > rb:
             raise ConfigurationError(

@@ -1,13 +1,14 @@
 """Scenario files: YAML schema, defaults, overrides and sweep expansion.
 
 A scenario file is a nested mapping of the sections in ``_SCHEMA``,
-which holds every key's default (the README lists them), read off the
-config dataclass that builds the section where there is one; every key
-is optional. File keys, ``--set section.key=value`` overrides and the keys
+which holds every key's default (the README lists them); every key is
+optional. A section that a config dataclass builds has that dataclass's
+declared fields (`errors.declare`) as its keys, with their defaults and
+their kinds. File keys, ``--set section.key=value`` overrides and the keys
 of the ``sweep`` section all name one flat table of dotted keys and pass
 one check: an unknown key is rejected with its dotted path, and so is a
-value of the wrong type, including ``null`` for a key whose default is
-not ``null``.
+value that is not of the key's kind, including ``null`` for a key whose
+default is not ``null``. The dataclasses then check each value's domain.
 
 The ``sweep`` section maps dotted keys to value lists and expands to the
 Cartesian product of scenarios; each variant's id gets a deterministic
@@ -25,12 +26,12 @@ from typing import Any, Mapping, Optional, Sequence
 
 import yaml
 
-from .codebook import Architecture, ArrayConfig, PowerModel
-from .errors import ConfigurationError, DomainError
+from .codebook import ArrayConfig, PowerModel
+from .errors import ConfigurationError, DomainError, declared_domains
 from .evaluation import CampaignSettings
 from .frame import CsiRsConfig, SsBurstConfig, make_numerology
 from .link import ChannelParams
-from .procedures import DeploymentMode, Scenario
+from .procedures import Scenario
 
 # libyaml's C parser reads a scenario file several times faster than
 # PyYAML's Python one, to the same values; a PyYAML built without libyaml
@@ -101,28 +102,34 @@ def _yaml_error(path: Path, exc: yaml.YAMLError) -> ConfigurationError:
     )
 
 
-def _defaults(cls: type, *names: str) -> dict[str, Any]:
-    """The field defaults of config dataclass ``cls``, or of its fields
-    ``names``; an enum's default as its value."""
-    fields = [f for f in dataclasses.fields(cls) if f.name in names or not names]
-    return {f.name: getattr(f.default, "value", f.default) for f in fields}
+def _defaults(cls: type) -> dict[str, Any]:
+    """The declared fields of config dataclass ``cls`` with their defaults;
+    an enum's default as its value."""
+    return {name: getattr(d.default, "value", d.default) for name, d in declared_domains(cls)}
 
 
-# the sections and their keys with their defaults: a section that a config
-# dataclass builds takes that dataclass's defaults
+# the config dataclass that builds each section
+_BUILDERS: dict[str, type] = {
+    "ss": SsBurstConfig,
+    "csi": CsiRsConfig,
+    "gnb": ArrayConfig,
+    "ue": ArrayConfig,
+    "channel": ChannelParams,
+    "power": PowerModel,
+    "deployment": Scenario,
+    "campaign": CampaignSettings,
+}
+
+# the sections and their keys with their defaults
 _SCHEMA: dict[str, Optional[dict[str, Any]]] = {
     "scenario_id": None,
     "numerology": {"n": 3},
-    "ss": _defaults(SsBurstConfig),
-    "csi": _defaults(CsiRsConfig),
-    "gnb": {"elements": 64, "arch": "analog", "k_bf": None},
-    "ue": {"elements": 4, "arch": "analog", "k_bf": None},
-    "channel": _defaults(ChannelParams),
-    "power": _defaults(PowerModel),
-    "deployment": _defaults(Scenario, "mode", "lte_latency_ms", "omega_br_window_ms"),
-    "campaign": _defaults(CampaignSettings),
+    **{section: _defaults(cls) for section, cls in _BUILDERS.items()},
     "sweep": {},
 }
+# an array's size has no field default, and the two ends differ
+_SCHEMA["gnb"]["elements"] = 64
+_SCHEMA["ue"]["elements"] = 4
 
 # keys a sweep cannot vary: the id, and the campaign block, which applies
 # to the whole file
@@ -162,16 +169,13 @@ def _flatten(data: Mapping[Any, Any], source: str) -> dict[str, Any]:
     return flat
 
 
-# the flat key table: every dotted key with its default and type; the
-# type is the default's, except for the keys that default to null
+# the flat key table: every dotted key with its default and its kind, the
+# declared one of the field that takes it
 _DEFAULTS: dict[str, Any] = _flatten(_SCHEMA, "<schema>")
-_TYPES: dict[str, type] = {
-    path: type(value) for path, value in _DEFAULTS.items() if value is not None
-} | {
-    "scenario_id": str,
-    "gnb.k_bf": int,
-    "ue.k_bf": int,
-    "deployment.lte_latency_ms": float,
+_TYPES: dict[str, type] = {"scenario_id": str, "numerology.n": int} | {
+    f"{section}.{name}": domain.kind
+    for section, cls in _BUILDERS.items()
+    for name, domain in declared_domains(cls)
 }
 
 
@@ -184,7 +188,8 @@ def _check_path(source: str, path: str, shown: str) -> None:
 
 
 def _coerce(source: str, path: str, shown: str, value: Any) -> Any:
-    """``value`` as the type of key ``path``, or an error naming ``shown``."""
+    """``value`` as the kind of key ``path``, or an error naming ``shown``;
+    an enum key keeps the name as given."""
     if value is None:
         if _DEFAULTS[path] is not None:
             raise _err(source, shown, "must not be null")
@@ -247,27 +252,14 @@ def _nested(flat: Mapping[str, Any]) -> dict[str, Any]:
     return out
 
 
-def _member(enum: Any, value: str, path: str) -> Any:
-    try:
-        return enum(value)
-    except ValueError:
-        raise ConfigurationError(
-            f"{path}={value!r}: must be one of {[m.value for m in enum]}"
-        ) from None
-
-
 def _build_scenario(cfg: Mapping[str, Any], label: Optional[str], source: str) -> Scenario:
     def array_of(name: str) -> ArrayConfig:
-        sec = cfg[name]
-        arch = _member(Architecture, sec["arch"], f"{name}.arch")
         try:
-            return ArrayConfig(elements=sec["elements"], arch=arch, k_bf=sec["k_bf"])
+            return ArrayConfig(**cfg[name])
         except ConfigurationError as exc:
             raise ConfigurationError(f"{name}.{exc}") from None
 
-    dep = cfg["deployment"]
     try:
-        mode = _member(DeploymentMode, dep["mode"], "deployment.mode")
         return Scenario(
             numerology=make_numerology(cfg["numerology"]["n"]),
             ss=SsBurstConfig(**cfg["ss"]),
@@ -276,7 +268,7 @@ def _build_scenario(cfg: Mapping[str, Any], label: Optional[str], source: str) -
             ue=array_of("ue"),
             channel=ChannelParams(**cfg["channel"]),
             power=PowerModel(**cfg["power"]),
-            **{**dep, "mode": mode},
+            **cfg["deployment"],
             label=label,
         )
     except (ConfigurationError, DomainError) as exc:

@@ -374,7 +374,7 @@ class TestCampaignCommands:
         argv = [command, str(quick_yaml), *spelling.format(runs).split()]
         assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
-        cap = f"campaign.n_runs={runs}: must be in 1..{MAX_RUNS} (evaluation.MAX_RUNS)"
+        cap = f"campaign.n_runs={runs}: must be in 1..{MAX_RUNS}\n"
         assert cap in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""

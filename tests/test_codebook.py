@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -40,6 +41,19 @@ class TestArrayConfig:
     def test_elements_positive_int(self, bad):
         with pytest.raises(ConfigurationError):
             arr(bad, "analog")
+
+    def test_arch_takes_a_member_or_its_value(self):
+        # a value was once stored as given: "hybrid" failed while the
+        # k_bf check formatted its message, and "analog" in sweep_length
+        assert ArrayConfig(64, arch="analog") == ArrayConfig(64)
+        assert sweep_length(ArrayConfig(64, arch="analog"), ArrayConfig(1)) == 64
+        assert ArrayConfig(64, arch="hybrid", k_bf=4) == arr(64, "hybrid", 4)
+        with pytest.raises(ConfigurationError, match="only meaningful for hybrid"):
+            ArrayConfig(64, arch="digital", k_bf=4)
+        for value in ("quantum", "Analog", 0, None):
+            message = re.escape(f"arch={value!r}: must be one of ['analog', 'digital', 'hybrid']")
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                ArrayConfig(64, arch=value)
 
     @pytest.mark.parametrize("bad", [2.5, True])
     def test_k_bf_must_be_an_integer(self, bad):

@@ -1,0 +1,78 @@
+"""Every config field declares its domain, and one check reads them all."""
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from nrbeamsim import scenario_io
+from nrbeamsim.codebook import ArrayConfig, PowerModel
+from nrbeamsim.errors import declared_domains
+from nrbeamsim.evaluation import CampaignSettings
+from nrbeamsim.frame import CsiRsConfig, SsBurstConfig
+from nrbeamsim.link import ChannelParams
+from nrbeamsim.procedures import Scenario
+
+# the config dataclass that builds each scenario-file section
+SECTIONS = {
+    "ss": SsBurstConfig,
+    "csi": CsiRsConfig,
+    "gnb": ArrayConfig,
+    "ue": ArrayConfig,
+    "channel": ChannelParams,
+    "power": PowerModel,
+    "deployment": Scenario,
+    "campaign": CampaignSettings,
+}
+CONFIGS = sorted(set(SECTIONS.values()), key=lambda cls: cls.__name__)
+
+# the fields no domain describes: a scenario's nested configs, which check
+# themselves, its numerology, which make_numerology checks, and its label
+UNDECLARED = {
+    (Scenario, name)
+    for name in ("gnb", "ue", "ss", "csi", "channel", "power", "numerology", "label")
+}
+
+# a valid value of each config that has a field without a default
+REQUIRED = {ArrayConfig: dict(elements=4, arch="hybrid", k_bf=2)}
+
+
+@pytest.mark.parametrize("cls", CONFIGS, ids=lambda cls: cls.__name__)
+def test_every_config_field_declares_a_domain(cls):
+    declared = {name for name, _ in declared_domains(cls)}
+    for f in dataclasses.fields(cls):
+        assert (f.name in declared) != ((cls, f.name) in UNDECLARED), f.name
+
+
+def test_every_scenario_key_takes_its_kind_from_its_field():
+    # so a new key cannot skip the check of its field's domain
+    kinds = {
+        f"{section}.{name}": domain.kind
+        for section, cls in SECTIONS.items()
+        for name, domain in declared_domains(cls)
+    }
+    keys = set(scenario_io._DEFAULTS) - {"scenario_id", "numerology.n"}
+    assert keys == set(kinds)
+    assert {key: scenario_io._TYPES[key] for key in keys} == kinds
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        (cls, name)
+        for cls in CONFIGS
+        for name, domain in declared_domains(cls)
+        if domain.kind is int
+    ],
+    ids=lambda p: getattr(p, "__name__", p),
+)
+@pytest.mark.parametrize("integer", [np.int64, np.uint16])
+def test_an_integral_number_is_stored_as_an_int(cls, name, integer):
+    # ArrayConfig, SsBurstConfig and CsiRsConfig once refused numpy
+    # integers that CampaignSettings took
+    plain = cls(**REQUIRED.get(cls, {}))
+    value = getattr(plain, name)
+    widened = cls(**{**REQUIRED.get(cls, {}), name: integer(value)})
+    assert widened == plain
+    assert type(getattr(widened, name)) is int

@@ -1,6 +1,7 @@
 """The frame configurations, and the reference timelines built on them."""
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from nrbeamsim.frame import (
     MAX_SS_BLOCKS_PER_BURST,
     NUMEROLOGIES,
     SS_BLOCK_SYMBOLS,
+    SS_PERIODS_MS,
     CsiRsConfig,
     SsBurstConfig,
     carrier_resource_blocks,
@@ -64,7 +66,7 @@ class TestNumerology:
             symbols_in_ms(num, 0.0001)
 
 
-@pytest.mark.parametrize("value", [True, 8.0, 1.5])
+@pytest.mark.parametrize("value", [True, 8.0, 1.5, "8"])
 @pytest.mark.parametrize(
     "cls, key",
     [
@@ -93,6 +95,18 @@ class TestSsBurst:
             SsBurstConfig(n_ss=0, t_ss_ms=20)
         with pytest.raises(ConfigurationError, match="n_ss"):
             SsBurstConfig(n_ss=65, t_ss_ms=20)
+        # each refusal shows the value as given: the string crashed the
+        # message's {:g} format, and the near miss read as "=20"
+        periods = list(SS_PERIODS_MS)
+        for value, rule in [
+            ("20", "a real number"),
+            (True, "a real number"),
+            (20.0000001, f"one of {periods}"),
+            (math.nan, f"one of {periods}"),
+        ]:
+            message = re.escape(f"ss.t_ss_ms={value!r}: must be {rule}")
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                SsBurstConfig(t_ss_ms=value)
 
     @pytest.mark.parametrize("n", NUMEROLOGIES)
     def test_every_burst_fits_the_first_5_ms(self, n):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from nrbeamsim.frame import SS_BLOCK_SYMBOLS, CsiRsConfig
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import (
     LTE_LATENCY_VALUES_MS,
+    DeploymentMode,
     _plan_for,
     _tracking_plan_for,
     expected_beam_report_delay_ms,
@@ -446,6 +449,34 @@ class TestScenarioValidation:
     def test_lte_latency_from_known_set(self):
         with pytest.raises(ConfigurationError, match="lte_latency_ms"):
             make_scenario(mode="NSA", lte_latency_ms=7.0)
+        # each refusal shows the value as given: the string crashed the
+        # message's {:g} format, and True read as "=1"
+        latencies = list(LTE_LATENCY_VALUES_MS)
+        for value, rule in [
+            ("10", "a real number"),
+            (True, "a real number"),
+            (10.0000001, f"one of {latencies}"),
+        ]:
+            message = re.escape(f"deployment.lte_latency_ms={value!r}: must be {rule}")
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                make_scenario(mode="NSA", lte_latency_ms=value)
+
+    def test_mode_takes_a_member_or_its_value(self):
+        # a value was once stored as given: "XYZ" was accepted, and "NSA"
+        # skipped the LTE latency check, then failed in estimate_metrics
+        sa = make_scenario(m_gnb=4, n_ss=8)
+        nsa = dataclasses.replace(sa, mode="NSA", lte_latency_ms=10)
+        assert nsa.mode is DeploymentMode.NSA
+        assert dataclasses.replace(sa, mode="SA").mode is DeploymentMode.SA
+        twin = make_scenario(m_gnb=4, n_ss=8, mode="NSA", lte_latency_ms=10.0)
+        settings = CampaignSettings(n_runs=50)
+        assert estimate_metrics(nsa, settings) == estimate_metrics(twin, settings)
+        with pytest.raises(ConfigurationError, match="requires deployment.lte_latency_ms"):
+            dataclasses.replace(sa, mode="NSA")
+        for value in ("XYZ", "nsa", 1, None):
+            message = re.escape(f"deployment.mode={value!r}: must be one of ['SA', 'NSA']")
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                dataclasses.replace(sa, mode=value)
 
     def test_mmwave_needs_wide_subcarriers(self):
         with pytest.raises(ConfigurationError, match="numerology"):
