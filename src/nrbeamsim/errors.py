@@ -81,7 +81,11 @@ class Domain(NamedTuple):
         if self.among:
             fits = stored in self.among
         else:
-            fits = (kind is int or math.isfinite(stored)) and (
+            try:
+                finite = kind is int or math.isfinite(stored)
+            except OverflowError:  # a real number beyond float range
+                finite = False
+            fits = finite and (
                 (lo is None or stored > lo or (stored == lo and not self.lo_open))
                 and (hi is None or stored <= hi)
             )

@@ -50,16 +50,15 @@ MAX_RUNS = 10**7
 
 @dataclass(frozen=True)
 class CampaignSettings:
-    """One campaign: ``n_runs`` runs per batch from root ``seed``, tracking
-    waits censored past ``horizon_ms``. A scenario file's ``campaign``
-    block builds it, so its defaults and checks are the campaign's only
-    ones. Errors name the bare key; a scenario file prefixes the file and
-    ``campaign.``.
+    """One campaign: ``n_runs`` runs per batch from root ``seed``. A
+    tracking run is censored only when its direction has no surviving
+    CSI-RS occasion. A scenario file's ``campaign`` block builds it, so
+    its defaults and checks are the campaign's only ones. Errors name the
+    bare key; a scenario file prefixes the file and ``campaign.``.
     """
 
     n_runs: int = declare(int, 10_000, lo=1, hi=MAX_RUNS)
     seed: int = declare(int, 42, lo=0)
-    horizon_ms: float = declare(float, 500.0, lo=0, lo_open=True)
 
     def __post_init__(self) -> None:
         check_domains(self)
@@ -159,14 +158,15 @@ def omega_tr_for(sc: Scenario) -> float:
 def _tracking_stats(
     tp: TrackingPlan, campaign: CampaignSettings
 ) -> tuple[MetricStat, int]:
-    """``t_tr`` and the censored run count of ``campaign`` on plan ``tp``,
-    drawn from the root seed's second substream; the waits are not kept.
-    The cache holds the plans it keys on, so their ids are never reused."""
+    """``t_tr`` of ``campaign`` on plan ``tp`` and its censored run count,
+    the runs whose direction has no surviving CSI-RS occasion, drawn
+    from the root seed's second substream; the waits are not kept. The
+    cache holds the plans it keys on, so their ids are never reused."""
     import numpy as np
 
     tr_ss = np.random.SeedSequence(campaign.seed).spawn(3)[1]
     waits, censored = simulate_tracking_batch(
-        tp, campaign.n_runs, np.random.default_rng(tr_ss), campaign.horizon_ms
+        tp, campaign.n_runs, np.random.default_rng(tr_ss)
     )
     return stat_from_samples(waits), int(np.count_nonzero(censored))
 
@@ -240,7 +240,7 @@ def _reactiveness(reports: Sequence[MetricsReport], delay: str) -> list[float]:
     col = []
     for r in reports:
         mean = getattr(r, delay).mean
-        if not mean > 0 or math.isnan(mean):
+        if not mean > 0:
             raise ConfigurationError(
                 f"kiviat axis {delay}_ms: scenario {r.scenario_id} has "
                 f"non-positive mean delay {mean!r}"

@@ -540,13 +540,13 @@ def tracking_plan(sc: Scenario) -> TrackingPlan:
 
 
 def simulate_tracking_batch(
-    tp: TrackingPlan, n_runs: int, rng: np.random.Generator, horizon_ms: float
+    tp: TrackingPlan, n_runs: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized tracking campaign on tracking plan ``tp``.
 
     Returns (wait_ms, censored); a run is censored when its direction has
-    no surviving occasion at all or the wait exceeds ``horizon_ms``, and
-    its wait is NaN.
+    no surviving CSI-RS occasion, and its wait is NaN. The mean of the
+    other waits estimates :func:`expected_tracking_delay_ms`.
     """
     import numpy as np
 
@@ -564,20 +564,20 @@ def simulate_tracking_batch(
     skip = np.array(tp.skip)[m % len(tp.skip)]
     m += skip * tp.s
     waits = (m * tp.period_sym + tp.delta_t_sym - t0) * tp.symbol_ms
-    censored = (skip < 0) | (waits > horizon_ms)
+    censored = skip < 0
     waits[censored] = np.nan
     return waits, censored
 
 
 def expected_tracking_delay_ms(sc: Scenario) -> float:
-    """Mean tracking delay over uniform (direction, arrival), censoring-free.
+    """Mean tracking delay over uniform (direction, arrival), exactly.
 
     Renewal mean: for each direction, sum of squared gaps between
     surviving occasions over twice the hyperperiod. The s/g directions
     of a class mod g = gcd(q, s) share one cycle of residues, hence one
     set of gaps: 1 + skip[(r + s) % q] rounds after each surviving
-    residue r. Directions with no surviving occasion are excluded (they
-    only ever censor).
+    residue r. Directions with no surviving CSI-RS occasion are
+    excluded, as their runs are the ones a campaign counts as censored.
     """
     tp = tracking_plan(sc)
     q = len(tp.skip)

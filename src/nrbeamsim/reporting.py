@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import fields
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
@@ -63,13 +62,8 @@ def _column_value(r: MetricsReport, column: str) -> Any:
 
 
 def _fmt(value: Any) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.6g}"
-    return str(value)
+    # a NaN float reads "nan"; a bool is no float
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def report_csv_row(r: MetricsReport) -> list[str]:

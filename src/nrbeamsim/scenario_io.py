@@ -332,7 +332,7 @@ def scenario_file_from_dict(
     scenarios = []
     effectives = []
     for combo in itertools.product(*axes):
-        suffix = "__".join(f"{key.partition('.')[2]}={v}" for key, v, _ in combo)
+        suffix = "__".join(f"{key}={v}" for key, v, _ in combo)
         label = f"{given_id}__{suffix}" if suffix and given_id else given_id
         cfg = _nested({**typed, **{key: t for key, _, t in combo}})
         sc = _build_scenario(cfg, label, source)

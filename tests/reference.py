@@ -532,10 +532,7 @@ def rlf_batch_formula(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
 
 
 def tracking_batch_loop(
-    sc,
-    n_runs: int,
-    rng: np.random.Generator,
-    horizon_ms: float = 500.0,
+    sc, n_runs: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tracking campaign that scans the runs once per sweep direction,
     over the surviving occasions :func:`surviving_csi_occasions` walks.
@@ -564,9 +561,6 @@ def tracking_batch_loop(
         wrapped = idx == occ.size
         nxt = np.where(wrapped, occ[0] + hyper, occ[np.minimum(idx, occ.size - 1)])
         waits[mask] = (nxt - t) * sc.numerology.symbol_ms
-    over = ~np.isnan(waits) & (waits > horizon_ms)
-    censored |= over
-    waits[censored] = np.nan
     return waits, censored
 
 

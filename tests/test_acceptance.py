@@ -220,7 +220,7 @@ class TestAcceptance:
                     csi=CsiRsConfig(t_csi_slots=5),
                 )
                 waits, _ = simulate_tracking_batch(
-                    tracking_plan(sc), 10_000, np.random.default_rng(SEED), 500.0
+                    tracking_plan(sc), 10_000, np.random.default_rng(SEED)
                 )
                 means[(n_ss, t_ss)] = float(np.nanmean(waits))
                 omegas.add(omega_tr_for(sc))

@@ -214,6 +214,25 @@ class TestExitCodes:
         assert captured.err.startswith(f"error: {p}: {message}")
         assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "file_text, overrides",
+        [("campaign: {horizon_ms: 500}\n", []), ("", ["campaign.horizon_ms=50"])],
+    )
+    def test_a_tracking_horizon_is_an_unknown_key(
+        self, tmp_path, file_text, overrides, capsys
+    ):
+        # a tracking run is censored only when its direction has no
+        # surviving CSI-RS occasion, so no cut-off wait is set
+        p = tmp_path / "horizon.yaml"
+        p.write_text(file_text, encoding="utf-8")
+        argv = ["validate", str(p)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {p}: campaign.horizon_ms: unknown key")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
     def test_sweep_length_is_capped(self, quick_yaml, capsys):
         built = _plan_for.cache_info().misses
         code = main(["sweep", str(quick_yaml), "--set", "gnb.elements=4097"])

@@ -6,9 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import make_scenario
 from nrbeamsim import scenario_io
 from nrbeamsim.codebook import ArrayConfig, PowerModel
-from nrbeamsim.errors import declared_domains
+from nrbeamsim.errors import ConfigurationError, declared_domains
 from nrbeamsim.evaluation import CampaignSettings
 from nrbeamsim.frame import CsiRsConfig, SsBurstConfig
 from nrbeamsim.link import ChannelParams
@@ -76,3 +77,28 @@ def test_an_integral_number_is_stored_as_an_int(cls, name, integer):
     widened = cls(**{**REQUIRED.get(cls, {}), name: integer(value)})
     assert widened == plain
     assert type(getattr(widened, name)) is int
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        (cls, name)
+        for cls in CONFIGS
+        for name, domain in declared_domains(cls)
+        if domain.kind is float
+    ],
+    ids=lambda p: getattr(p, "__name__", p),
+)
+def test_an_int_beyond_float_range_is_refused_by_its_rule(cls, name):
+    # 10**400 has no float, so math.isfinite cannot take it
+    domain = dict(declared_domains(cls))[name]
+    plain = make_scenario() if cls is Scenario else cls(**REQUIRED.get(cls, {}))
+    with pytest.raises(ConfigurationError) as refused:
+        dataclasses.replace(plain, **{name: 10**400})
+    assert str(refused.value).endswith(f"{name}=1{'0' * 400}: must be {domain.rule()}")
+
+
+def test_an_int_beyond_float_range_names_its_section():
+    refusal = r"^channel\.tx_power_dbm=10+: must be finite$"
+    with pytest.raises(ConfigurationError, match=refusal):
+        ChannelParams(tx_power_dbm=10**400)

@@ -46,7 +46,6 @@ def test_workload_validate_matches_the_python_emitter(
         "source": path,
         "seed": sf.campaign.seed,
         "n_runs": sf.campaign.n_runs,
-        "horizon_ms": sf.campaign.horizon_ms,
         "scenarios": list(sf.effective),
     }
     text = yaml.dump(
@@ -76,7 +75,6 @@ def test_printed_block_loads_back_to_the_effective_documents(sid, source):
         "source": source,
         "seed": 7,
         "n_runs": 100,
-        "horizon_ms": sf.campaign.horizon_ms,
         "scenarios": list(sf.effective),
     }
 
@@ -118,7 +116,6 @@ def test_printed_block_is_the_dump_of_the_whole_document(dumper, sid, source):
         "source": source,
         "seed": 7,
         "n_runs": 100,
-        "horizon_ms": sf.campaign.horizon_ms,
         "scenarios": list(sf.effective),
     }
     text = yaml.dump(doc, Dumper=dumper, sort_keys=True, default_flow_style=False)
@@ -161,6 +158,6 @@ def test_printed_values_are_the_values_the_model_reads(tmp_path, capsys):
         assert isinstance(scenario["ss"]["t_ss_ms"], float)
     # the id suffixes keep the values as written
     assert [s["scenario_id"] for s in doc["scenarios"]] == [
-        "sa_a16xa4_n3_nss64_tss20__mode=SA__t_ss_ms=20",
-        "nsa_a16xa4_n3_nss64_tss20_lte10__mode=NSA__t_ss_ms=20",
+        "sa_a16xa4_n3_nss64_tss20__deployment.mode=SA__ss.t_ss_ms=20",
+        "nsa_a16xa4_n3_nss64_tss20_lte10__deployment.mode=NSA__ss.t_ss_ms=20",
     ]

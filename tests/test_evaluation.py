@@ -54,11 +54,6 @@ BAD_CAMPAIGNS = [
     ("seed", True),
     ("seed", 1.5),
     ("seed", "7"),
-    ("horizon_ms", math.nan),
-    ("horizon_ms", math.inf),
-    ("horizon_ms", 0.0),
-    ("horizon_ms", -5.0),
-    ("horizon_ms", True),
 ]
 
 
@@ -217,22 +212,13 @@ class TestEstimateMetrics:
         ):
             estimate_metrics(make_scenario(), CampaignSettings(n_runs=n_runs))
 
-    @pytest.mark.parametrize("horizon_ms", [math.nan, math.inf, 0.0, -5.0])
-    def test_rejects_a_horizon_that_is_not_finite_and_positive(self, horizon_ms):
-        # unchecked, nan would drop the horizon and -5 censor every run
-        sc = make_scenario(m_gnb=4, m_ue=1, n_ss=8)
-        with pytest.raises(ConfigurationError, match=f"horizon_ms={horizon_ms!r}"):
-            estimate_metrics(sc, CampaignSettings(n_runs=200, horizon_ms=horizon_ms))
-
 
 class TestCampaignSettings:
     def test_defaults_are_the_scenario_files(self):
-        assert CampaignSettings() == CampaignSettings(10_000, 42, 500.0)
+        assert CampaignSettings() == CampaignSettings(10_000, 42)
         assert scenario_file_from_dict({}).campaign == CampaignSettings()
 
-    @pytest.mark.parametrize(
-        "key, value", BAD_CAMPAIGNS + [("n_runs", 2.0), ("horizon_ms", "500")]
-    )
+    @pytest.mark.parametrize("key, value", BAD_CAMPAIGNS + [("n_runs", 2.0)])
     def test_a_bad_value_names_the_bare_key(self, key, value):
         with pytest.raises(ConfigurationError, match=rf"^{key}="):
             CampaignSettings(**{key: value})
@@ -262,14 +248,14 @@ class TestCampaignSettings:
 
 class TestSharedTrackingCampaign:
     """SA and NSA twins share one tracking campaign, run once per
-    geometry; any other seed, run count or horizon is a fresh campaign."""
+    geometry; any other seed or run count is a fresh campaign."""
 
     @staticmethod
-    def _direct(sc, n_runs, seed, horizon_ms):
+    def _direct(sc, n_runs, seed):
         # the tracking campaign as estimate_metrics drew it per scenario
         tr_ss = np.random.SeedSequence(seed).spawn(3)[1]
         waits, censored = simulate_tracking_batch(
-            tracking_plan(sc), n_runs, np.random.default_rng(tr_ss), horizon_ms
+            tracking_plan(sc), n_runs, np.random.default_rng(tr_ss)
         )
         return stat_from_samples(waits), int(np.count_nonzero(censored))
 
@@ -284,7 +270,7 @@ class TestSharedTrackingCampaign:
             sa = reports[sc.scenario_id.replace("mode=NSA", "mode=SA")]
             got = reports[sc.scenario_id]
             assert (got.t_tr, got.censored_tracking) == (sa.t_tr, sa.censored_tracking)
-            assert (got.t_tr, got.censored_tracking) == self._direct(sc, 300, 4, 500.0)
+            assert (got.t_tr, got.censored_tracking) == self._direct(sc, 300, 4)
 
     def test_a_rebuilt_plan_draws_the_same_campaign(self):
         # a plan evicted and rebuilt is a new key, so the twin's campaign is
@@ -303,10 +289,10 @@ class TestSharedTrackingCampaign:
             first.censored_tracking,
         )
 
-    def test_seed_run_count_and_horizon_each_get_a_fresh_campaign(self):
+    def test_seed_and_run_count_each_get_a_fresh_campaign(self):
         sc = make_scenario(m_gnb=64, m_ue=4)
-        base = dict(n_runs=400, seed=3, horizon_ms=500.0)
-        for change in ({}, {"seed": 8}, {"n_runs": 700}, {"horizon_ms": 50.0}):
+        base = dict(n_runs=400, seed=3)
+        for change in ({}, {"seed": 8}, {"n_runs": 700}):
             args = base | change
             rep = estimate_metrics(sc, CampaignSettings(**args))
             assert rep.censored_tracking > 0

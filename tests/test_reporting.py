@@ -15,6 +15,7 @@ from nrbeamsim.evaluation import (
     MetricsReport,
     estimate_metrics,
 )
+from nrbeamsim.frame import CsiRsConfig
 from nrbeamsim.reporting import (
     CSV_COLUMNS,
     emit,
@@ -51,6 +52,15 @@ class TestCsv:
         rows = list(csv.DictReader(io.StringIO(reports_to_csv([rep]))))
         cell = rows[0]["t_ia_ms"]
         assert cell == f"{rep.t_ia.mean:.6g}"
+
+    def test_a_nan_delay_reads_nan(self):
+        # occasions every 160 slots land on each burst start, so no run
+        # has a tracking wait
+        csi = CsiRsConfig(t_csi_slots=160, delta_f_rb=0)
+        rep = tiny_report(m_gnb=4, m_ue=1, n_ss=64, csi=csi)
+        assert rep.censored_tracking == rep.n_runs
+        (row,) = csv.DictReader(io.StringIO(reports_to_csv([rep])))
+        assert row["t_tr_ms"] == "nan"
 
     def test_byte_stable(self):
         a = reports_to_csv([tiny_report()])

@@ -60,7 +60,7 @@ class TestDefaults:
 
     def test_default_campaign(self):
         camp = scenario_file_from_dict({}).campaign
-        assert (camp.n_runs, camp.seed, camp.horizon_ms) == (10_000, 42, 500.0)
+        assert (camp.n_runs, camp.seed) == (10_000, 42)
 
     def test_none_section_means_defaults(self):
         sf = scenario_file_from_dict({"ss": None})
@@ -128,8 +128,6 @@ class TestValidationMessages:
     def test_campaign_bounds(self):
         with pytest.raises(ConfigurationError, match=r"campaign\.n_runs"):
             scenario_file_from_dict({"campaign": {"n_runs": 0}})
-        with pytest.raises(ConfigurationError, match=r"campaign\.horizon_ms"):
-            scenario_file_from_dict({"campaign": {"horizon_ms": -5}})
         with pytest.raises(ConfigurationError, match=r"campaign\.seed"):
             scenario_file_from_dict({"campaign": {"seed": -1}})
         assert scenario_file_from_dict({"campaign": {"seed": 0}}).campaign.seed == 0
@@ -272,7 +270,7 @@ class TestSweepExpansion:
             {"scenario_id": "base", "sweep": {"ss.t_ss_ms": [20, 40]}}
         )
         ids = sorted(sc.scenario_id for sc in sf.scenarios)
-        assert ids == ["base__t_ss_ms=20", "base__t_ss_ms=40"]
+        assert ids == ["base__ss.t_ss_ms=20", "base__ss.t_ss_ms=40"]
 
     def test_sweep_needs_lists(self):
         with pytest.raises(ConfigurationError, match="non-empty list"):
@@ -419,8 +417,6 @@ _CHANGES = {
     "deployment.omega_br_window_ms": ({}, 100.0),
     "campaign.n_runs": ({}, 200),
     "campaign.seed": ({}, 7),
-    # below the tracking waits of the default 64 x 4 analog sweep
-    "campaign.horizon_ms": ({}, 50.0),
 }
 
 
