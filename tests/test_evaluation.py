@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -217,6 +218,15 @@ class TestCampaignSettings:
     def test_defaults_are_the_scenario_files(self):
         assert CampaignSettings() == CampaignSettings(10_000, 42)
         assert scenario_file_from_dict({}).campaign == CampaignSettings()
+
+    def test_a_campaign_is_its_run_count_and_seed(self):
+        # no stopping rule: a tracking wait is never cut at a horizon
+        assert [f.name for f in dataclasses.fields(CampaignSettings)] == [
+            "n_runs",
+            "seed",
+        ]
+        with pytest.raises(TypeError, match="horizon_ms"):
+            CampaignSettings(horizon_ms=500.0)
 
     @pytest.mark.parametrize("key, value", BAD_CAMPAIGNS + [("n_runs", 2.0)])
     def test_a_bad_value_names_the_bare_key(self, key, value):

@@ -385,6 +385,34 @@ class TestTracking:
         se = kept.std(ddof=1) / math.sqrt(kept.size)
         assert abs(kept.mean() - expected_tracking_delay_ms(sc)) <= 3 * se
 
+    def test_censors_exactly_the_runs_of_directions_with_no_occasion(self):
+        # the default 64 x 1 analog sweep: directions 0-3 and 32-35 lose
+        # their only occasion (see test_frozen_default_means). A run's
+        # direction is the batch's first draw.
+        tp = tracking_plan(make_scenario(m_gnb=64, m_ue=1))
+        g = math.gcd(len(tp.skip), tp.s)
+        dead = [d for d in range(tp.s) if all(k < 0 for k in tp.skip[d % g :: g])]
+        assert dead == [0, 1, 2, 3, 32, 33, 34, 35]
+        waits, censored = simulate_tracking_batch(tp, 4000, np.random.default_rng(9))
+        dirs = np.random.default_rng(9).integers(0, tp.s, size=4000)
+        np.testing.assert_array_equal(censored, np.isin(dirs, dead))
+        assert 0 < censored.sum() < censored.size
+        assert np.isnan(waits[censored]).all() and np.isfinite(waits[~censored]).all()
+
+    def test_long_waits_count_toward_the_renewal_mean(self):
+        # 64 x 16 analog, n_ss = 8: one direction in 32 has no occasion,
+        # and about a fifth of the other waits last over 500 ms; they all
+        # enter the mean, which estimates the closed form
+        sc = make_scenario(m_gnb=64, m_ue=16, n_ss=8)
+        waits, censored = simulate_tracking_batch(
+            tracking_plan(sc), 8000, np.random.default_rng(5)
+        )
+        kept = waits[~censored]
+        assert 0 < censored.sum() < censored.size
+        assert (kept > 500.0).mean() > 0.1
+        se = kept.std(ddof=1) / math.sqrt(kept.size)
+        assert abs(kept.mean() - expected_tracking_delay_ms(sc)) <= 3 * se
+
     def test_everything_collides_is_not_applicable(self):
         # occasions every 160 slots land exactly on each burst start
         sc = make_scenario(
