@@ -1,13 +1,15 @@
 """Exception types shared across the package, and the one check of the
 config classes' fields: each field declares its domain once, with
 `declare`, which ``scenario_io`` also reads for its keys' kinds and
-defaults, and every refusal reads ``{key}={value!r}: must be {rule}``.
+defaults, and every refusal reads ``{key}={value!r}: must be {rule}``,
+where an int too long for the interpreter to print shows its size.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 import numbers
+import sys
 from enum import Enum
 from functools import cache
 from typing import Any, NamedTuple, Optional
@@ -91,11 +93,21 @@ class Domain(NamedTuple):
             )
         if not fits:
             raise _refusal(key, value, self.rule())
+        if kind is int:
+            try:
+                repr(stored)
+            except ValueError:  # past the interpreter's digit limit
+                limit = sys.get_int_max_str_digits()
+                raise _refusal(key, value, f"at most {limit} digits long") from None
         return stored
 
 
 def _refusal(key: str, value: Any, rule: str) -> ConfigurationError:
-    return ConfigurationError(f"{key}={value!r}: must be {rule}")
+    try:
+        shown = repr(value)
+    except ValueError:  # an int past the interpreter's digit limit
+        shown = f"<an integer of over {sys.get_int_max_str_digits()} digits>"
+    return ConfigurationError(f"{key}={shown}: must be {rule}")
 
 
 def declare(

@@ -4,15 +4,15 @@
 collects the deterministic quantities (overheads, power, detection
 accuracy) into a single report. Every delay is read off its batch; a
 delay whose samples are all equal (the LTE leg latency in NSA, the
-reporting tail of a one-step gNB, such as a digital one) is reported as that value with zero error
-rather than as a float average of copies of it.
+reporting tail of a one-step gNB, such as a digital one) is reported as
+that value with zero error, not as a float average of copies of it.
 
 Seeding: a campaign is one ``CampaignSettings`` value, whose root seed
 spawns independent substreams per batch in a fixed order, so reports are
 reproducible bit for bit. Every scenario of a sweep runs the same
 campaign, and the tracking batch reads only the scenario's tracking
-plan, which SA and NSA twins share, so they share one tracking campaign,
-which runs once per geometry.
+plan, so the one campaign cache keys the tracking campaign on the plan's
+value: SA and NSA twins, and arrays of one sweep length, share one.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from .procedures import (
     simulate_ia_batch,
     simulate_rlf_batch,
     simulate_tracking_batch,
-    sweep_plan,
     tracking_plan,
 )
 
@@ -141,7 +140,7 @@ class MetricsReport:
 def omega_ia_for(sc: Scenario) -> float:
     """SS-block share of the grid: all ``n_ss`` configured blocks per burst."""
     ss_area = sc.ss.n_ss * SS_BLOCK_SYMBOLS * SS_BLOCK_RB
-    return ss_area / (sweep_plan(sc).t_ss_sym * sc.carrier_rb)
+    return ss_area / (sc.t_ss_sym * sc.carrier_rb)
 
 
 def omega_tr_for(sc: Scenario) -> float:
@@ -161,7 +160,8 @@ def _tracking_stats(
     """``t_tr`` of ``campaign`` on plan ``tp`` and its censored run count,
     the runs whose direction has no surviving CSI-RS occasion, drawn
     from the root seed's second substream; the waits are not kept. The
-    cache holds the plans it keys on, so their ids are never reused."""
+    batch reads only the plan and the seed, so the cache keys on their
+    values, and scenarios with equal plans share one campaign."""
     import numpy as np
 
     tr_ss = np.random.SeedSequence(campaign.seed).spawn(3)[1]
@@ -176,9 +176,9 @@ def estimate_metrics(
 ) -> MetricsReport:
     """Run all campaigns for one scenario and assemble the report.
 
-    Every scenario runs the same ``campaign``, so SA and NSA twins, which
-    share their tracking plan, share one tracking campaign, which runs
-    once per geometry; the IA and RLF campaigns run per scenario.
+    Every scenario runs the same ``campaign``, so scenarios with equal
+    tracking plans share one tracking campaign; the IA and RLF campaigns
+    run per scenario.
     """
     import numpy as np
 

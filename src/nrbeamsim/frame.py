@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, check_domains, declare
+from .errors import ConfigurationError, _refusal, check_domains, declare
 
 SYMBOLS_PER_SLOT = 14
 SS_BLOCK_SYMBOLS = 4
@@ -79,10 +79,8 @@ def make_numerology(n: int) -> Numerology:
         ConfigurationError: if ``n`` is not an integer in 2..4.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n not in NUMEROLOGIES:
-        raise ConfigurationError(
-            f"numerology.n={n!r}: must be an integer in "
-            f"{NUMEROLOGIES[0]}..{NUMEROLOGIES[-1]}"
-        )
+        rule = f"an integer in {NUMEROLOGIES[0]}..{NUMEROLOGIES[-1]}"
+        raise _refusal("numerology.n", n, rule)
     scs_khz = 15 * (1 << n)
     slot_ms = 1.0 / (1 << n)
     symbol_us = slot_ms * 1000.0 / SYMBOLS_PER_SLOT

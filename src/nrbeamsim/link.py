@@ -53,14 +53,11 @@ def noise_power_dbm(cp: ChannelParams) -> float:
     )
 
 
-def path_loss_db(d_m: float, cp: ChannelParams, shadowing_db: float = 0.0) -> float:
+def path_loss_db(d_m: float, cp: ChannelParams) -> float:
     """Floating-intercept path loss at distance ``d_m`` in metres."""
-    if not 0.0 < d_m < math.inf or not math.isfinite(shadowing_db):
-        raise DomainError(
-            f"d_m={d_m!r}, shadowing_db={shadowing_db!r}: path loss needs a "
-            "positive, finite distance and finite shadowing"
-        )
-    return cp.pl_intercept_db + 10.0 * cp.pl_exponent * math.log10(d_m) + shadowing_db
+    if not 0.0 < d_m < math.inf:
+        raise DomainError(f"d_m={d_m!r}: path loss needs a positive, finite distance")
+    return cp.pl_intercept_db + 10.0 * cp.pl_exponent * math.log10(d_m)
 
 
 def mean_snr_db(cp: ChannelParams, gain_db: float, d_m: float) -> float:

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 from .codebook import (
@@ -130,6 +130,11 @@ class Scenario:
         return carrier_resource_blocks(self.numerology, self.channel.bandwidth_hz)
 
     @property
+    def t_ss_sym(self) -> int:
+        """The SS burst period in symbols."""
+        return round(self.ss.t_ss_ms * self.numerology.symbols_per_ms)
+
+    @property
     def scenario_id(self) -> str:
         if self.label:
             return self.label
@@ -176,12 +181,11 @@ class SweepPlan:
     g_labels: np.ndarray
     det_offset_sym: int
 
-    @cached_property
+    @property
     def report_tail_sym(self) -> np.ndarray:
         """Report tail, from determination to the end of the RACH
         opportunity, when the chosen step lies ``d`` steps past the first
-        one the sweep's last burst swept. Built on first use, as NSA
-        never reads it.
+        one the sweep's last burst swept. NSA never reads it.
 
         Burst ``j`` sweeps steps ``j*B .. j*B + min(B, f_g) - 1`` (mod
         f_g) and offers one opportunity per step after its blocks, in that
@@ -199,7 +203,7 @@ class SweepPlan:
             - self.det_offset_sym
         )
 
-    @cached_property
+    @property
     def tail_shift(self) -> np.ndarray:
         """Per start burst ``b`` of the cycle, f_g minus the first step the
         sweep's last burst sweeps (mod f_g), in [1, f_g]: the chosen step
@@ -210,7 +214,7 @@ class SweepPlan:
         last_first = (b + self.bursts_per_sweep - 1) * self.blocks_per_burst
         return self.f_g - last_first % self.f_g
 
-    @cached_property
+    @property
     def tail_ms_twice(self) -> np.ndarray:
         """``report_tail_sym`` in ms, repeated once, so an offset in
         [0, 2 f_g) reads the tail of that offset mod f_g."""
@@ -220,15 +224,14 @@ class SweepPlan:
         return np.concatenate((tail_ms, tail_ms))
 
 
-@lru_cache(maxsize=128)
-def _plan_for(
-    gnb: ArrayConfig, ue: ArrayConfig, ss: SsBurstConfig, numerology: Numerology
-) -> SweepPlan:
+def sweep_plan(sc: Scenario) -> SweepPlan:
+    """The scenario's sweep plan, built anew on each call."""
     import numpy as np
 
-    f_g, f_u = sweep_factor(gnb), sweep_factor(ue)
-    s = f_g * f_u
-    b = min(s, ss.n_ss)
+    gnb, ue = sc.gnb, sc.ue
+    f_g = sweep_factor(gnb)
+    s = f_g * sweep_factor(ue)
+    b = min(s, sc.ss.n_ss)
     c = math.ceil(s / b)
     r = s - (c - 1) * b
     return SweepPlan(
@@ -240,19 +243,13 @@ def _plan_for(
         bursts_per_sweep=c,
         cycle_bursts=s // math.gcd(b, s),
         rach_cycle=f_g // math.gcd(b, f_g),
-        t_ss_sym=round(ss.t_ss_ms * numerology.symbols_per_ms),
-        symbol_ms=numerology.symbol_ms,
-        t_ss_ms=ss.t_ss_ms,
+        t_ss_sym=sc.t_ss_sym,
+        symbol_ms=sc.numerology.symbol_ms,
+        t_ss_ms=sc.ss.t_ss_ms,
         digital_gnb=gnb.arch is Architecture.DIGITAL,
         g_labels=np.arange(s, dtype=np.int64) % f_g,
         det_offset_sym=r * SS_BLOCK_SYMBOLS,
     )
-
-
-def sweep_plan(sc: Scenario) -> SweepPlan:
-    """The scenario's sweep plan, cached on what it reads, so SA and NSA
-    twins share one."""
-    return _plan_for(sc.gnb, sc.ue, sc.ss, sc.numerology)
 
 
 @dataclass
@@ -461,7 +458,7 @@ def oracle_expected_rlf_sa(sc: Scenario) -> float:
     return oracle_expected_ia(sc)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TrackingPlan:
     """CSI occasion pattern by residue class, collisions resolved.
 
@@ -474,10 +471,6 @@ class TrackingPlan:
     occasion of ``d`` in round ``j`` or later is nominal occasion
     ``m + skip[m % q]*s``. The pattern repeats every ``hyper_sym``
     symbols, lcm(q, s) occasions, of which ``dropped_count`` collide.
-
-    A plan hashes by identity, so a tracking campaign is cached on the
-    plan it reads, with no key restating the plan's inputs: SA and NSA
-    twins get one plan object from `tracking_plan`, hence one campaign.
     """
 
     s: int
@@ -489,15 +482,10 @@ class TrackingPlan:
     skip: tuple[int, ...]
 
 
-@lru_cache(maxsize=128)
-def _tracking_plan_for(
-    gnb: ArrayConfig,
-    ue: ArrayConfig,
-    ss: SsBurstConfig,
-    numerology: Numerology,
-    csi: CsiRsConfig,
-) -> TrackingPlan:
-    plan = _plan_for(gnb, ue, ss, numerology)
+def tracking_plan(sc: Scenario) -> TrackingPlan:
+    """The scenario's tracking plan, built anew on each call; SA and NSA
+    twins, and arrays of one sweep length, get equal plans."""
+    plan, csi = sweep_plan(sc), sc.csi
     period = csi.period_symbols
     t_ss = plan.t_ss_sym
     s = plan.s
@@ -531,12 +519,6 @@ def _tracking_plan_for(
         dropped_count=math.lcm(q, s) // q * survives.count(False),
         skip=tuple(skip),
     )
-
-
-def tracking_plan(sc: Scenario) -> TrackingPlan:
-    """The scenario's tracking plan, cached on what it reads, so SA and NSA
-    twins share one plan object."""
-    return _tracking_plan_for(sc.gnb, sc.ue, sc.ss, sc.numerology, sc.csi)
 
 
 def simulate_tracking_batch(

@@ -125,8 +125,9 @@ def _from_json_object(cls: type, item: Any, path: str) -> Any:
 def reports_from_json(text: str) -> list[MetricsReport]:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"not valid report JSON: {exc}") from None
+    except ValueError as exc:  # bad JSON, or an int past the digit limit
+        problem = str(exc).partition("; use")[0]
+        raise ConfigurationError(f"not valid report JSON: {problem}") from None
     except RecursionError:
         raise ConfigurationError("not valid report JSON: nested too deeply") from None
     if not isinstance(payload, dict) or "reports" not in payload:

@@ -43,42 +43,51 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _MAX_DEPTH = 3
 
 
-class _TooDeep(yaml.YAMLError):
-    def __str__(self) -> str:
-        return "nested too deeply"
+class _Unreadable(yaml.YAMLError):
+    """YAML text with no value that a message can print."""
 
 
 def _load_yaml(text: str) -> Any:
     """The value of YAML ``text`` read by ``_LOADER``.
 
     Text that nests collections deeper than ``_MAX_DEPTH`` raises
-    `_TooDeep`, a `yaml.YAMLError`. Its events are counted before any
+    `_Unreadable`, a `yaml.YAMLError`. Its events are counted before any
     node is built, because libyaml composes nodes by recursion on the C
     stack (an 8 MB stack overflows near 30,000 levels). The loaded value
     is checked too, because an alias nests a value deeper than the text
     that names it. So the checks after loading, whose messages show the
-    value, never recurse far.
+    value, never recurse far, nor meet an int too long to print.
     """
     depth = 0
     for event in yaml.parse(text, Loader=_LOADER):
         if isinstance(event, yaml.CollectionStartEvent):
             depth += 1
             if depth > _MAX_DEPTH:
-                raise _TooDeep()
+                raise _Unreadable("nested too deeply")
         elif isinstance(event, yaml.CollectionEndEvent):
             depth -= 1
-    value = yaml.load(text, Loader=_LOADER)
-    # the values inside _MAX_DEPTH collections must all be scalars
-    inside = [value]
-    for _ in range(_MAX_DEPTH):
-        inside = [
-            v
-            for c in inside
-            if isinstance(c, (dict, list))
-            for v in (c.values() if isinstance(c, dict) else c)
-        ]
-    if any(isinstance(v, (dict, list)) for v in inside):
-        raise _TooDeep()
+    try:
+        value = yaml.load(text, Loader=_LOADER)
+        # the keys and values inside _MAX_DEPTH collections must be scalars,
+        # and each int must print: a 0x literal loads past the digit limit,
+        # where a decimal one, like a date that does not exist, fails to load
+        inside = level = [value]
+        for _ in range(_MAX_DEPTH):
+            level = [
+                v
+                for c in level
+                if isinstance(c, (dict, list))
+                for v in ((*c, *c.values()) if isinstance(c, dict) else c)
+            ]
+            inside += level
+        for v in inside:
+            if type(v) is int:
+                repr(v)
+    except ValueError as exc:
+        # a file cannot take the advice to raise the digit limit
+        raise _Unreadable(str(exc).partition("; use")[0]) from None
+    if any(isinstance(v, (dict, list)) for v in level):
+        raise _Unreadable("nested too deeply")
     return value
 
 
@@ -232,8 +241,8 @@ def _overrides(overrides: Sequence[str], source: str) -> dict[str, Any]:
         path = path.strip()
         try:
             flat[path] = _load_yaml(raw.strip())
-        except _TooDeep:
-            raise _err(source, path, "YAML value nested too deeply") from None
+        except _Unreadable as exc:
+            raise _err(source, path, f"not a valid YAML value: {exc}") from None
         except (yaml.YAMLError, UnicodeEncodeError):
             # libyaml takes UTF-8 only, and an argument that is not UTF-8
             # reaches Python as lone surrogates

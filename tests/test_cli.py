@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from nrbeamsim import procedures
 from nrbeamsim.cli import (
     _COMMANDS,
     EXIT_ANCHOR,
@@ -23,7 +24,6 @@ from nrbeamsim.cli import (
 )
 from nrbeamsim.codebook import MAX_SWEEP_LENGTH
 from nrbeamsim.evaluation import MAX_RUNS
-from nrbeamsim.procedures import _plan_for
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "nrbench" / "workloads"
 
@@ -233,14 +233,24 @@ class TestExitCodes:
         assert captured.err.startswith(f"error: {p}: campaign.horizon_ms: unknown key")
         assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
-    def test_sweep_length_is_capped(self, quick_yaml, capsys):
-        built = _plan_for.cache_info().misses
+    def test_sweep_length_is_capped(self, quick_yaml, capsys, monkeypatch):
+        built = []
+        sweep_plan = procedures.sweep_plan
+
+        def recorded(sc):
+            built.append(sc)
+            return sweep_plan(sc)
+
+        monkeypatch.setattr(procedures, "sweep_plan", recorded)
         code = main(["sweep", str(quick_yaml), "--set", "gnb.elements=4097"])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "gnb.elements=4097" in err and "ue.elements=1" in err
         assert f"S=4097 slots; at most {MAX_SWEEP_LENGTH}" in err
-        assert _plan_for.cache_info().misses == built
+        assert built == []
+        # the recorder sees the plan a sweep that runs builds
+        assert main(["sweep", str(quick_yaml), "--runs", "20"]) == EXIT_OK
+        assert built
         for sizes in (["gnb.elements=4096"], ["gnb.elements=64", "ue.elements=64"]):
             argv = ["validate", str(quick_yaml)]
             for item in sizes:
@@ -570,6 +580,10 @@ class TestReportCommand:
 
 
 DEEP_YAML = "[" * 5000 + "]" * 5000
+# integers past the interpreter's default 4300-digit limit: the decimal one
+# fails to read, the 0x one (about 4800 digits) reads but fails to print
+LONG_INTS = [pytest.param("1" * 5000, id="decimal"), pytest.param("0x" + "f" * 4000, id="hex")]
+DIGIT_LIMIT = f"({sys.get_int_max_str_digits()} digits)"
 
 
 class TestMalformedInput:
@@ -581,6 +595,7 @@ class TestMalformedInput:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert len(err) < 500
         assert "Traceback" not in err
         for name in names:
             assert name in err
@@ -636,6 +651,42 @@ class TestMalformedInput:
         code = main([command, str(quick_yaml), "--set", f"ss.n_ss={DEEP_YAML}"])
         self._assert_one_error(code, capsys, str(quick_yaml), "ss.n_ss")
 
+    @pytest.mark.parametrize(
+        "template",
+        [
+            pytest.param("ss: {{n_ss: {}}}\n", id="value"),
+            pytest.param("sweep: {{ss.n_ss: [8, {}]}}\n", id="swept-value"),
+            pytest.param("? {}\n: 8\n", id="key"),
+        ],
+    )
+    @pytest.mark.parametrize("number", LONG_INTS)
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_integer_past_the_digit_limit(
+        self, tmp_path, command, number, template, capsys
+    ):
+        p = tmp_path / "long.yaml"
+        p.write_text(template.format(number), encoding="utf-8")
+        self._assert_one_error(
+            main([command, str(p)]), capsys, f"{p}: not valid YAML: ", DIGIT_LIMIT
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_date_that_does_not_exist(self, tmp_path, command, capsys):
+        p = tmp_path / "date.yaml"
+        p.write_text("ss: {n_ss: 2001-02-30}\n", encoding="utf-8")
+        self._assert_one_error(
+            main([command, str(p)]), capsys, f"{p}: not valid YAML: ", "day is out of range"
+        )
+
+    @pytest.mark.parametrize("number", LONG_INTS)
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_set_integer_past_the_digit_limit(self, quick_yaml, command, number, capsys):
+        code = main([command, str(quick_yaml), "--set", f"campaign.n_runs={number}"])
+        # the line names the key and the limit, and does not echo the digits
+        self._assert_one_error(
+            code, capsys, f"{quick_yaml}: campaign.n_runs: ", DIGIT_LIMIT
+        )
+
     @pytest.mark.parametrize("command", ["validate", "sweep"])
     def test_set_value_not_utf8(self, quick_yaml, command, capsys):
         # a non-UTF-8 argument byte reaches Python as a lone surrogate
@@ -647,6 +698,9 @@ class TestMalformedInput:
         [
             pytest.param(b"[" * 200_000 + b"]" * 200_000, id="nested-200000"),
             pytest.param(b'{"reports": []}\xff', id="not-utf8"),
+            pytest.param(
+                b'{"reports": [{"n_runs": ' + b"1" * 5000 + b"}]}", id="integer-5000-digits"
+            ),
         ],
     )
     def test_report_file(self, tmp_path, content, capsys):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -102,3 +103,27 @@ def test_an_int_beyond_float_range_names_its_section():
     refusal = r"^channel\.tx_power_dbm=10+: must be finite$"
     with pytest.raises(ConfigurationError, match=refusal):
         ChannelParams(tx_power_dbm=10**400)
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        (cls, name)
+        for cls in CONFIGS
+        for name, domain in declared_domains(cls)
+        if domain.kind in (int, float)
+    ],
+    ids=lambda p: getattr(p, "__name__", p),
+)
+def test_an_int_past_the_digit_limit_is_refused_by_its_rule(cls, name):
+    # repr cannot print an int of more digits than the interpreter's limit
+    domain = dict(declared_domains(cls))[name]
+    plain = make_scenario() if cls is Scenario else cls(**REQUIRED.get(cls, {}))
+    with pytest.raises(ConfigurationError) as refused:
+        dataclasses.replace(plain, **{name: 10**5000})
+    limit = sys.get_int_max_str_digits()
+    shown = f"<an integer of over {limit} digits>"
+    # a bound refuses it by the domain's rule, and no bound by its size
+    unbounded = domain.kind is int and domain.hi is None and not domain.among
+    rule = f"at most {limit} digits long" if unbounded else domain.rule()
+    assert str(refused.value).endswith(f"{name}={shown}: must be {rule}")

@@ -28,7 +28,6 @@ from nrbeamsim.evaluation import (
 from nrbeamsim.procedures import (
     LTE_LATENCY_VALUES_MS,
     DeploymentMode,
-    _tracking_plan_for,
     expected_tracking_delay_ms,
     oracle_expected_ia,
     oracle_expected_rlf_sa,
@@ -257,8 +256,9 @@ class TestCampaignSettings:
 
 
 class TestSharedTrackingCampaign:
-    """SA and NSA twins share one tracking campaign, run once per
-    geometry; any other seed or run count is a fresh campaign."""
+    """Scenarios with equal tracking plans, such as SA and NSA twins,
+    share one tracking campaign; any other seed or run count is a fresh
+    campaign."""
 
     @staticmethod
     def _direct(sc, n_runs, seed):
@@ -282,22 +282,21 @@ class TestSharedTrackingCampaign:
             assert (got.t_tr, got.censored_tracking) == (sa.t_tr, sa.censored_tracking)
             assert (got.t_tr, got.censored_tracking) == self._direct(sc, 300, 4)
 
-    def test_a_rebuilt_plan_draws_the_same_campaign(self):
-        # a plan evicted and rebuilt is a new key, so the twin's campaign is
-        # drawn again from the same substream, to the same numbers
-        sa = make_scenario(m_gnb=64, m_ue=4)
-        nsa = make_scenario(m_gnb=64, m_ue=4, mode="NSA", lte_latency_ms=10.0)
+    @pytest.mark.parametrize("n_ss", [8, 64])
+    def test_arrays_of_one_sweep_length_share_a_campaign(self, n_ss):
+        # 64x1 and 16x4 both sweep 64 slots, so their tracking plans are
+        # equal values, built apart, and key one cached campaign
+        wide = make_scenario(m_gnb=64, m_ue=1, n_ss=n_ss)
+        split = make_scenario(m_gnb=16, m_ue=4, n_ss=n_ss)
+        plan = tracking_plan(wide)
+        assert plan is not tracking_plan(split)
+        assert plan == tracking_plan(split)
+        assert hash(plan) == hash(tracking_plan(split))
         campaign = CampaignSettings(n_runs=400, seed=3)
-        first = estimate_metrics(sa, campaign)
-        evicted = tracking_plan(sa)
-        _tracking_plan_for.cache_clear()
-        twin = estimate_metrics(nsa, campaign)
-        assert tracking_plan(nsa) is not evicted
-        assert first.censored_tracking > 0
-        assert (twin.t_tr, twin.censored_tracking) == (
-            first.t_tr,
-            first.censored_tracking,
-        )
+        direct = self._direct(wide, 400, 3)
+        for sc in (wide, split):
+            rep = estimate_metrics(sc, campaign)
+            assert (rep.t_tr, rep.censored_tracking) == direct
 
     def test_seed_and_run_count_each_get_a_fresh_campaign(self):
         sc = make_scenario(m_gnb=64, m_ue=4)

@@ -41,19 +41,10 @@ class TestPathLoss:
         assert pl == sorted(pl)
         assert pl[0] < pl[-1]
 
-    def test_shadowing_is_added_loss(self):
-        cp = ChannelParams()
-        assert path_loss_db(50.0, cp, shadowing_db=6.0) == pytest.approx(
-            path_loss_db(50.0, cp) + 6.0
-        )
-
     def test_rejects_nonpositive_distance(self):
         for d_m in (0.0, -3.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match="positive, finite distance"):
                 path_loss_db(d_m, ChannelParams())
-        for shadowing_db in (math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError, match="finite shadowing"):
-                path_loss_db(50.0, ChannelParams(), shadowing_db=shadowing_db)
 
 
 class TestNoiseAndSnr:
