@@ -240,6 +240,9 @@ def _metric_lines(r: MetricsReport) -> list[str]:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     sf = _load(args)
+    if args.out is not None:
+        # an --out the reports cannot go to fails before the campaigns run
+        args.out.mkdir(parents=True, exist_ok=True)
     reports = [estimate_metrics(sc, sf.campaign) for sc in sf.scenarios]
     for r in reports:
         for line in _metric_lines(r):

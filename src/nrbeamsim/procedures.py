@@ -7,9 +7,11 @@ SS burst carries B = min(S, n_ss) blocks back to back from the burst
 start, and block i of burst j carries sweep slot ``(j*B + i) mod S``, so
 the sweep wraps across bursts when S > n_ss and completes after
 C = ceil(S / B) bursts with R = S - (C-1)*B blocks into the last one.
-The UE (or the failure event, for link recovery) arrives at a uniform
-instant of the sweep cycle: a uniform phase within one burst period plus
-a uniform burst index within the cycle of P = S / gcd(B, S) bursts.
+The UE arrives at a uniform instant of the sweep cycle: a uniform phase
+within one burst period, an IA batch's first draw, plus a uniform burst
+index within the cycle of P = S / gcd(B, S) bursts. An NSA batch draws
+only the phase, so SA and NSA twins share their sweep times. SA link
+recovery is a fresh initial access: it reads the IA batch itself.
 
 Determination is the argmax of per-block RSRP and takes no extra time;
 ties break toward the lowest (gnb_beam, ue_beam). Every block of one
@@ -156,12 +158,11 @@ class SweepPlan:
     """Precomputed sweep geometry for one scenario.
 
     Sweep slot ``k`` steers the gNB to step ``k % f_g`` and the UE to step
-    ``k // f_g``; ``g_labels`` holds the gNB steps. Direction ``d`` of an
-    end is swept in step ``d // width`` of that end. The gNB steps the
-    bursts sweep repeat every ``rach_cycle`` bursts. A run that starts at
-    cycle burst ``b`` and chooses gNB step ``g`` waits
-    ``tail_ms_twice[g + tail_shift[b]]`` from determination to the end
-    of its report.
+    ``k // f_g``. Direction ``d`` of an end is swept in step ``d // width``
+    of that end. The gNB steps the bursts sweep repeat every
+    ``rach_cycle`` bursts. A run that starts at cycle burst ``b`` and
+    chooses gNB step ``g`` waits ``tail_ms_twice[g + tail_shift[b]]``
+    from determination to the end of its report.
     """
 
     s: int
@@ -178,7 +179,6 @@ class SweepPlan:
     # read by no code here; the benchmark's tracer counts wait-table
     # cells only for the gNBs this flags false
     digital_gnb: bool
-    g_labels: np.ndarray
     det_offset_sym: int
 
     @property
@@ -226,8 +226,6 @@ class SweepPlan:
 
 def sweep_plan(sc: Scenario) -> SweepPlan:
     """The scenario's sweep plan, built anew on each call."""
-    import numpy as np
-
     gnb, ue = sc.gnb, sc.ue
     f_g = sweep_factor(gnb)
     s = f_g * sweep_factor(ue)
@@ -247,7 +245,6 @@ def sweep_plan(sc: Scenario) -> SweepPlan:
         symbol_ms=sc.numerology.symbol_ms,
         t_ss_ms=sc.ss.t_ss_ms,
         digital_gnb=gnb.arch is Architecture.DIGITAL,
-        g_labels=np.arange(s, dtype=np.int64) % f_g,
         det_offset_sym=r * SS_BLOCK_SYMBOLS,
     )
 
@@ -335,17 +332,25 @@ def draw_sweep_winner(
 def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> IaBatch:
     """Run ``n_runs`` independent initial accesses, vectorized.
 
-    Per run draws: the true best pair (uniform per side, sectors being
-    symmetric), the sweep's winning block, and the arrival instant
-    (uniform cycle position and phase). The winner is drawn in O(1) per
-    run, exact in distribution for iid shadowing on every measured
-    block; see :func:`draw_sweep_winner`.
+    Per run draws, in this order: the arrival phase within the burst
+    period; then, in SA, the true best pair (uniform per side, sectors
+    being symmetric), the sweep's winning block and the arrival's burst
+    of the cycle. NSA reports over the LTE leg and draws no more. The
+    winner is drawn in O(1) per run, exact in distribution for iid
+    shadowing on every measured block; see :func:`draw_sweep_winner`.
     """
     import numpy as np
 
     if n_runs < 1:
         raise DomainError(f"n_runs={n_runs}: need at least one run")
     plan = sweep_plan(sc)
+    # (T_SS - phase) + (C - 1) T_SS + the blocks into the last burst
+    t_sweep = rng.uniform(0.0, plan.t_ss_ms, size=n_runs)
+    np.subtract(plan.t_ss_ms, t_sweep, out=t_sweep)
+    t_sweep += (plan.bursts_per_sweep - 1) * plan.t_ss_ms
+    t_sweep += plan.det_offset_sym * plan.symbol_ms
+    if sc.mode is DeploymentMode.NSA:
+        return _over_lte(sc, t_sweep)
     g_star = rng.integers(0, sc.gnb.elements, size=n_runs)
     u_star = rng.integers(0, sc.ue.elements, size=n_runs)
     # the aligned slot: UE step * f_g + gNB step, a step being the
@@ -353,49 +358,31 @@ def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> Ia
     k_star = u_star // plan.u_width
     k_star *= plan.f_g
     k_star += g_star // plan.g_width
-    best = draw_sweep_winner(plan, sc.channel, k_star, rng)
-
-    start_burst = rng.integers(0, plan.cycle_bursts, size=n_runs)
-    # (T_SS - phase) + (C - 1) T_SS + the blocks into the last burst
-    t_sweep = rng.uniform(0.0, plan.t_ss_ms, size=n_runs)
-    np.subtract(plan.t_ss_ms, t_sweep, out=t_sweep)
-    t_sweep += (plan.bursts_per_sweep - 1) * plan.t_ss_ms
-    t_sweep += plan.det_offset_sym * plan.symbol_ms
-    chosen_g = plan.g_labels[best]
-    if sc.mode is DeploymentMode.NSA:
-        t_br = np.full(n_runs, float(sc.lte_latency_ms))
-    else:
-        offset = plan.tail_shift[start_burst]
-        offset += chosen_g
-        t_br = plan.tail_ms_twice[offset]
-
-    return IaBatch(
-        t_sweep_ms=t_sweep,
-        t_br_ms=t_br,
-        t_total_ms=t_sweep + t_br,
-        chosen_g=chosen_g,
-    )
+    chosen_g = draw_sweep_winner(plan, sc.channel, k_star, rng) % plan.f_g
+    offset = plan.tail_shift[rng.integers(0, plan.cycle_bursts, size=n_runs)]
+    offset += chosen_g
+    t_br = plan.tail_ms_twice[offset]
+    return IaBatch(t_sweep, t_br, t_sweep + t_br, chosen_g)
 
 
-def simulate_rlf_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> IaBatch:
-    """Vectorized link-recovery campaign from a failure at a uniform instant.
+def _over_lte(sc: Scenario, t_sweep_ms: np.ndarray) -> IaBatch:
+    """A batch whose report rides the LTE leg, at its latency exactly."""
+    import numpy as np
 
-    SA re-runs the full initial-access sweep; NSA signals over the LTE
-    leg and recovers in exactly the configured latency.
-    """
+    n = t_sweep_ms.size
+    t_br = np.full(n, float(sc.lte_latency_ms))
+    return IaBatch(t_sweep_ms, t_br, t_sweep_ms + t_br, np.full(n, -1, dtype=np.int64))
+
+
+def simulate_rlf_batch(sc: Scenario, ia: IaBatch) -> IaBatch:
+    """Link recovery from a failure at a uniform instant, for the scenario
+    whose IA campaign is ``ia``. SA recovery is a fresh initial access, so
+    it is ``ia`` itself; NSA recovers over the LTE leg in its latency."""
     import numpy as np
 
     if sc.mode is DeploymentMode.NSA:
-        assert sc.lte_latency_ms is not None
-        const = np.full(n_runs, float(sc.lte_latency_ms))
-        zero = np.zeros(n_runs)
-        return IaBatch(
-            t_sweep_ms=zero,
-            t_br_ms=const,
-            t_total_ms=const.copy(),
-            chosen_g=np.full(n_runs, -1, dtype=np.int64),
-        )
-    return simulate_ia_batch(sc, n_runs, rng)
+        return _over_lte(sc, np.zeros(ia.t_sweep_ms.size))
+    return ia
 
 
 def expected_beam_report_delay_ms(sc: Scenario) -> float:

@@ -434,13 +434,22 @@ def ia_batch_matrix(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
     """Initial-access campaign with the winner from :func:`matrix_sweep_winner`
     and the report tail from :func:`rach_tails_walked`.
 
-    The true pairs come first in the stream, as in ``simulate_ia_batch``;
-    each run's mean SNR is then drawn at random over a wide range, which
-    must not change the winner's law.
+    The arrival phase and then the true pairs come first in the stream, as
+    in ``simulate_ia_batch``, and NSA draws only the phase; each run's mean
+    SNR is then drawn at random over a wide range, which must not change
+    the winner's law.
     """
     if n_runs < 1:
         raise DomainError(f"n_runs={n_runs}: need at least one run")
     plan = sweep_plan(sc)
+    phase = rng.uniform(0.0, plan.t_ss_ms, size=n_runs)
+    t_sweep = (
+        (plan.t_ss_ms - phase)
+        + (plan.bursts_per_sweep - 1) * plan.t_ss_ms
+        + plan.det_offset_sym * plan.symbol_ms
+    )
+    if sc.mode is DeploymentMode.NSA:
+        return lte_batch_formula(sc, t_sweep)
     ig_of_dir = np.array([covering_step(sc.gnb, g) for g in range(sc.gnb.elements)])
     iu_of_dir = np.array([covering_step(sc.ue, u) for u in range(sc.ue.elements)])
     g_star = rng.integers(0, sc.gnb.elements, size=n_runs)
@@ -450,18 +459,8 @@ def ia_batch_matrix(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
     best = matrix_sweep_winner(plan, sc.channel, base_db, k_star, rng)
 
     start_burst = rng.integers(0, plan.cycle_bursts, size=n_runs)
-    phase = rng.uniform(0.0, plan.t_ss_ms, size=n_runs)
-    t_sweep = (
-        (plan.t_ss_ms - phase)
-        + (plan.bursts_per_sweep - 1) * plan.t_ss_ms
-        + plan.det_offset_sym * plan.symbol_ms
-    )
-    chosen_g = plan.g_labels[best]
-    if sc.mode is DeploymentMode.NSA:
-        t_br = np.full(n_runs, float(sc.lte_latency_ms))
-    else:
-        tails = rach_tails_walked(sc)[start_burst, chosen_g]
-        t_br = tails * plan.symbol_ms
+    chosen_g = best % plan.f_g
+    t_br = rach_tails_walked(sc)[start_burst, chosen_g] * plan.symbol_ms
     return IaBatch(
         t_sweep_ms=t_sweep,
         t_br_ms=t_br,
@@ -488,27 +487,26 @@ def sweep_winner_formula(plan, cp, k_star, rng):
 def ia_batch_formula(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
     """``simulate_ia_batch`` as first written: each quantity one expression,
     the report tail read at ``(g - first step of the last burst) mod f_g``
-    and scaled to ms per run. The package's batch must equal it bit for
-    bit."""
+    and scaled to ms per run. The arrival phase is the first draw, and NSA
+    draws nothing more. The package's batch must equal it bit for bit."""
     plan = sweep_plan(sc)
-    g_star = rng.integers(0, sc.gnb.elements, size=n_runs)
-    u_star = rng.integers(0, sc.ue.elements, size=n_runs)
-    k_star = u_star // plan.u_width * plan.f_g + g_star // plan.g_width
-    best = sweep_winner_formula(plan, sc.channel, k_star, rng)
-
-    start_burst = rng.integers(0, plan.cycle_bursts, size=n_runs)
     phase = rng.uniform(0.0, plan.t_ss_ms, size=n_runs)
     t_sweep = (
         (plan.t_ss_ms - phase)
         + (plan.bursts_per_sweep - 1) * plan.t_ss_ms
         + plan.det_offset_sym * plan.symbol_ms
     )
-    chosen_g = plan.g_labels[best]
     if sc.mode is DeploymentMode.NSA:
-        t_br = np.full(n_runs, float(sc.lte_latency_ms))
-    else:
-        last_first = (start_burst + plan.bursts_per_sweep - 1) * plan.blocks_per_burst
-        t_br = plan.report_tail_sym[(chosen_g - last_first) % plan.f_g] * plan.symbol_ms
+        return lte_batch_formula(sc, t_sweep)
+    g_star = rng.integers(0, sc.gnb.elements, size=n_runs)
+    u_star = rng.integers(0, sc.ue.elements, size=n_runs)
+    k_star = u_star // plan.u_width * plan.f_g + g_star // plan.g_width
+    best = sweep_winner_formula(plan, sc.channel, k_star, rng)
+
+    start_burst = rng.integers(0, plan.cycle_bursts, size=n_runs)
+    chosen_g = best % plan.f_g
+    last_first = (start_burst + plan.bursts_per_sweep - 1) * plan.blocks_per_burst
+    t_br = plan.report_tail_sym[(chosen_g - last_first) % plan.f_g] * plan.symbol_ms
     return IaBatch(
         t_sweep_ms=t_sweep,
         t_br_ms=t_br,
@@ -517,17 +515,24 @@ def ia_batch_formula(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
     )
 
 
+def lte_batch_formula(sc, t_sweep: np.ndarray) -> IaBatch:
+    """A batch of sweep times ``t_sweep`` whose report rides the LTE leg:
+    the LTE latency exactly, and no gNB step chosen (-1)."""
+    t_br = np.full(t_sweep.size, float(sc.lte_latency_ms))
+    return IaBatch(
+        t_sweep_ms=t_sweep,
+        t_br_ms=t_br,
+        t_total_ms=t_sweep + t_br,
+        chosen_g=np.full(t_sweep.size, -1, dtype=np.int64),
+    )
+
+
 def rlf_batch_formula(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
-    """``simulate_rlf_batch`` as first written: NSA recovers in the LTE
-    latency exactly, SA re-runs :func:`ia_batch_formula`."""
+    """``simulate_rlf_batch`` of the IA campaign ``ia_batch_formula(sc,
+    n_runs, rng)``, as first written: NSA recovers in the LTE latency
+    exactly, SA is a fresh initial access, that campaign itself."""
     if sc.mode is DeploymentMode.NSA:
-        const = np.full(n_runs, float(sc.lte_latency_ms))
-        return IaBatch(
-            t_sweep_ms=np.zeros(n_runs),
-            t_br_ms=const,
-            t_total_ms=const.copy(),
-            chosen_g=np.full(n_runs, -1, dtype=np.int64),
-        )
+        return lte_batch_formula(sc, np.zeros(n_runs))
     return ia_batch_formula(sc, n_runs, rng)
 
 

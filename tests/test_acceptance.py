@@ -60,7 +60,8 @@ class TestAcceptance:
                 m_gnb=64, arch_gnb="digital", m_ue=1, n_ss=64, t_ss_ms=t_ss
             )
             oracle = oracle_expected_rlf_sa(sc)
-            batch = simulate_rlf_batch(sc, 100_000, np.random.default_rng(SEED))
+            ia = simulate_ia_batch(sc, 100_000, np.random.default_rng(SEED))
+            batch = simulate_rlf_batch(sc, ia)
             stat = stat_from_samples(batch.t_total_ms)
             ok_oracle = abs(oracle - reference) <= 0.002
             ok_sim = abs(stat.mean - oracle) <= 3.0 * stat.stderr
@@ -78,7 +79,8 @@ class TestAcceptance:
         ok = True
         for lte in LTE_LATENCY_VALUES_MS:
             sc = make_scenario(mode="NSA", lte_latency_ms=lte)
-            batch = simulate_rlf_batch(sc, 1000, np.random.default_rng(SEED))
+            ia = simulate_ia_batch(sc, 1000, np.random.default_rng(SEED))
+            batch = simulate_rlf_batch(sc, ia)
             rep = estimate_metrics(sc, CampaignSettings(n_runs=500, seed=SEED))
             ok = ok and bool(np.all(batch.t_total_ms == lte))
             ok = ok and expected_beam_report_delay_ms(sc) == lte

@@ -5,6 +5,10 @@
 and exits non-zero when one is missing or a wrapped span is not timed
 once per scenario. Renaming or no longer calling such a name breaks
 ``nrbench/run.py --trace 1``; this test makes it fail here too.
+
+The IA and RLF batch spans must each be timed once per scenario as well,
+so that the per-layer ``ia_batch_s`` and ``rlf_batch_s`` keep meaning
+one call per scenario.
 """
 from __future__ import annotations
 
@@ -40,4 +44,10 @@ def test_worker_trace_times_every_wrapped_name(tmp_path, workload):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1])["rc"] == 0
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    n_scenarios = result["counts"]["scenario_io.scenarios"]
+    assert n_scenarios == (36 if workload == "dense_grid" else 18)
+    spans = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))["spans"]
+    for name in ("procedures.ia_batch", "procedures.rlf_batch"):
+        assert sum(span[0] == name for span in spans) == n_scenarios, name

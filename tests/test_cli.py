@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from nrbeamsim import procedures
+from nrbeamsim import cli, procedures
 from nrbeamsim.cli import (
     _COMMANDS,
     EXIT_ANCHOR,
@@ -372,6 +372,20 @@ class TestCampaignCommands:
         assert (out_dir / "reports.json").exists()
         payload = json.loads((out_dir / "reports.json").read_text())
         assert len(payload["reports"]) == 1
+
+    def test_out_on_a_file_fails_before_any_campaign(
+        self, quick_yaml, tmp_path, capsys, monkeypatch
+    ):
+        target = tmp_path / "taken"
+        target.write_text("keep\n", encoding="utf-8")
+        ran = []
+        monkeypatch.setattr(cli, "estimate_metrics", lambda *a: ran.append(a))
+        assert main(["sweep", str(quick_yaml), "--out", str(target)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == f"io error: [Errno 17] File exists: '{target}'\n"
+        assert "t_ia_ms =" not in captured.out
+        assert ran == []
+        assert target.read_text(encoding="utf-8") == "keep\n"
 
     def test_reruns_byte_identical(self, sweep_yaml, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

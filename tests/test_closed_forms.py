@@ -78,7 +78,7 @@ def test_rach_wait_equals_the_timeline_walk(sc):
             k_star = covering_step(sc.gnb, d)
             for k in range(plan.s):
                 w = p if k == k_star else (1.0 - p) / (plan.s - 1)
-                chosen[plan.g_labels[k]] += w / sc.gnb.elements
+                chosen[k % plan.f_g] += w / sc.gnb.elements
         expected = (walked @ chosen).mean()
     assert expected_beam_report_delay_ms(sc) == pytest.approx(
         expected * plan.symbol_ms, rel=1e-12

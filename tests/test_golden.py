@@ -40,20 +40,20 @@ _spec.loader.exec_module(checker)
 # (workload, seed) -> sha256 of reports.json and of reports.csv
 DIGESTS = {
     ("dense_grid", 42): (
-        "f5719e626bba05978be3575cf55845f218d1366f48f6b56848017a900b02bd57",
-        "161b7cd0a17ecf122981e3dc4df3675b50c64f5cbd8f08118cb4fd08bb607892",
+        "8e12928e5ec884e0251022bc90a0fcb64a559737ef4316cbfbc66333314169a7",
+        "a4d3c5fae5c2dd7d12b58158596eb4d89a2712b39f8642712f51c446521c4650",
     ),
     ("dense_grid", 7): (
-        "cb7b24de95b7a051356ef90fc5260e9d97cd6218ed5b7397b483aceffc43a0db",
-        "c70ece9149b7c8793a0305cb5f5bbab0dfde5404d93dadb05bf443b72432d250",
+        "04b12cc796a10236f6d1785bf2af5f320adcb79cbb977f5b46f328bfcb0c1aab",
+        "0d58fdc613113a50d89038fb7b599dc5f84cbf93a23a109f90ea34d0ea96a42e",
     ),
     ("wide_arrays", 42): (
-        "b1c7e0ce102815a33ffafb4186ea6c859673bb8906a02f568e1286d113b526c0",
-        "1523d2a8d7e32d92c26239aa5b84fcaab33d718f7327e9fa08518e1a11cf1a79",
+        "4485eb9e02e0f0ef78685c1f2a5ad267c02315ba24851d68935072bf588ce216",
+        "89fdf5300973dd90fb3d10ce1442336c2196c38eeba4b45ed5ee9fcd2b141484",
     ),
     ("wide_arrays", 7): (
-        "b8cc123d290d12c00a5e04547369c9819503f0359949ad1ae40e983678e682bb",
-        "561e96d36c7667b93778cc08b7fc97e3f875b5a823bc2e3d067ddb7beb7e0abe",
+        "334cfcf91c7092f7f50291fdce00eae9a9342f1704f5a12663dcdc28c485b331",
+        "43f6da9e9ab9e40904fa1da714246cfd8f0204c4fe7b616b85bc1fb99e2ab118",
     ),
 }
 
@@ -63,32 +63,32 @@ REPORT_FILES = ("t_br_by_gnb.csv", "power_overhead.csv", "t_rlf_table.csv", "kiv
 # then of each of REPORT_FILES
 OUTPUT_DIGESTS = {
     ("dense_grid", 42): (
-        "a703377196ef5ff1ace2a3f267ab4a5d399daa5d900f4a7006faa2838e187083",
-        "74a30657fcf1b917b89b7f50dbf297da7a588fba361fd1127ec8633d268c39cd",
+        "25be2b2ace686b85762ec4147ecebc446cf0220dd04b4e23ea0d51e55ca33c8f",
+        "fa470833f9a2523924a750b330aef69897b84a9e0b472cc17bc64d9b81af4cef",
         "d5d3752584b608ce353369c05f06e074e098842e15ce3b9e9822de9b18b38d53",
-        "22d73d4be8ce981b8c557ba89f9de38f8f6c777d4d35042413708d31599c5730",
-        "c69477e2fde42f0b82c01396cd6691e9c0b0cd72ce3ec498ba57a79999350497",
+        "9b7391ab2755e2b8c815274004d974177e84955f1752090b8c1189628e7afdcd",
+        "f7c196224fbe65d024d6f81fda9542b3e9ed451bb3023c76a57837105e5292ec",
     ),
     ("dense_grid", 7): (
-        "6e88a7daf27953426854fa07af13e15044d8ae1236364f42c5d1a6eafd26dd1b",
-        "3fcba6151c62c579590b2654ef92306979f664b05bdcf49605999309173294cf",
+        "8e0c1b3dc06ac188e774a95100b775b7ef9dbd576868cb8ca936cc0d293fa228",
+        "fb05026306e70ea3d93780b9df0f386c1d1a6b46cb34da63fb69628d0592a970",
         "d5d3752584b608ce353369c05f06e074e098842e15ce3b9e9822de9b18b38d53",
-        "37096a42dad65935bb12706490582cd2dd2b99bf68123d961cc8214828465c98",
-        "5c949f2a5da9807620f8232833f064df0ed8c072657ba24794b00eed81b78665",
+        "cdff646c2e9b5962ada6a8ee8afe7e1a878f36dec6198e0f47ebf49b4ea301e8",
+        "ad1dc108f5a48878faba39b2a27ef244e566d939e9b7e54987cb149fc99deb36",
     ),
     ("wide_arrays", 42): (
-        "43b799c2582c48750eddc2a0f289e50f112087e9769bcdc83c861ab406dd6bd5",
-        "ed36d9f294b31c3e4dddafc7e6ed529168431eece5fd6704342e0d4b117f0991",
+        "ed1ae97b256475ae77bb6ec974bdf25841d6d6b0bd0dc8795ada3d6f02bd00fb",
+        "add2bac35515b097af1c866b285ba03e6f067303ece58c66b3705d22b808ad78",
         "ae3e1573fe3525b3eb1cf63bf2e231fa3f3f2cfbddd730d509055d39c45ce3e1",
-        "4b94915b144c1b4d378b7e446c8cc9c9e3334398b877e520d16ba53d80a6a075",
-        "61e994e3d3dd50f5f26e233b077c2660bba36c5e46e5f8018ab45bebde3b6ff5",
+        "52db59e7d5bf3ccf15a49726529b69eb64ca54207f248661cdd228decc02173d",
+        "2c840c3359aa11f6331705d51cea54a23e29b5dbc2f7e5b96efeb53a0418899b",
     ),
     ("wide_arrays", 7): (
-        "06d57e6c8127a3ad3a620a941d75f005465f1f770fe1db7e318cc035d8769dea",
-        "7e500d3a1902c01bf12662064836282573179e49dfe0bda2b8d1ab9d3f2dad1f",
+        "042670e20625350a02bc2692cb767a37774ae12bb58063cd66031367c528bff1",
+        "73b0d65254a1e458450c426075a6977068403f1b42427876d5b289bf63280dc6",
         "ae3e1573fe3525b3eb1cf63bf2e231fa3f3f2cfbddd730d509055d39c45ce3e1",
-        "45901383c42a4695331f45b2b9ea8000cfc572781cbaa35381868a80437c52be",
-        "712bd8186de127c494247d59e8b9cc538ad0b74b79beee9dfa5bfa0c1c890bc3",
+        "078e05c3bd41afe10606cc896e28bc00c40986166dde803496e7396eb4c5c420",
+        "c4abfe52fcda38f30ab05c7b618d5a23386af0403ad3c067e807d86822b766df",
     ),
 }
 
@@ -98,12 +98,12 @@ WORKLOAD_SEEDS = sorted(DIGESTS)
 # reports.csv, at the file's own seed and run count
 ARCH_DIGESTS = {
     "mixed_arch": (
-        "a92a3ad55c13abece33c22690c5d483ef0951fd5a4e3ea22fdfc452123661abc",
-        "f45d1c88d6e11a7daf52e7ef26c7f2f14c5dbdbba336540bbaa8428171b06838",
+        "1558f3494089e32961100c4aaa9a8a2cd20d13e58d410d1ceaf262610be29a03",
+        "c048865f66fbdab42f4b3be3b50867df7fc00610c6c2bd888b250875b8bebf35",
     ),
     "hybrid_k6": (
-        "b8fbc0e1cd0aef4a00ace735078e16c2e2a4bbf35672bd12aa7ac9a07fe8c7aa",
-        "33c121efffad19b715f562699ed9c97ae8c0996dd55cbdb392955e22921699c8",
+        "a1ce2dbf08d69da0064dd3cad897e7f463017692412c0abfcee74524f70bd53d",
+        "4d6d2138f74287b4f9955da18f96056ceb962f017e992310c810ca9036562d96",
     ),
 }
 

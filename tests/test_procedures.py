@@ -75,7 +75,7 @@ class TestSweepPlanGeometry:
     @staticmethod
     def _labels(plan):
         # the UE side is analog in these cases: slot k sweeps UE step k // f_g
-        return [(int(g), k // plan.f_g) for k, g in enumerate(plan.g_labels)]
+        return [(k % plan.f_g, k // plan.f_g) for k in range(plan.s)]
 
     def test_pair_order_is_ue_outer(self):
         sc = make_scenario(m_gnb=2, m_ue=2, n_ss=8)
@@ -95,7 +95,7 @@ class TestSweepPlanGeometry:
         for u in range(2):
             for g in range(4):
                 k = covering_step(sc.ue, u) * plan.f_g + covering_step(sc.gnb, g)
-                assert (plan.g_labels[k], k // plan.f_g) == (g, u)
+                assert (k % plan.f_g, k // plan.f_g) == (g, u)
 
 
 class TestReportTailAgainstTimelines:
@@ -333,14 +333,18 @@ class TestRlfRecovery:
     @pytest.mark.parametrize("lte", LTE_LATENCY_VALUES_MS)
     def test_nsa_recovers_in_exactly_the_lte_latency(self, lte):
         sc = make_scenario(mode="NSA", lte_latency_ms=lte)
-        batch = simulate_rlf_batch(sc, 1000, np.random.default_rng(0))
+        ia = simulate_ia_batch(sc, 1000, np.random.default_rng(0))
+        batch = simulate_rlf_batch(sc, ia)
+        assert batch.t_total_ms.size == 1000
         assert np.all(batch.t_total_ms == lte)
         assert np.ptp(batch.t_total_ms) == 0.0
 
-    def test_sa_recovery_follows_the_ia_law(self):
+    def test_sa_recovery_is_the_ia_campaign(self):
         sc = make_scenario(m_gnb=16, m_ue=4, n_ss=8)
         assert oracle_expected_rlf_sa(sc) == oracle_expected_ia(sc)
-        batch = simulate_rlf_batch(sc, 4000, np.random.default_rng(14))
+        ia = simulate_ia_batch(sc, 4000, np.random.default_rng(14))
+        batch = simulate_rlf_batch(sc, ia)
+        assert batch is ia
         se = batch.t_total_ms.std(ddof=1) / math.sqrt(batch.t_total_ms.size)
         assert abs(batch.t_total_ms.mean() - oracle_expected_rlf_sa(sc)) <= 3 * se
 

@@ -1,6 +1,7 @@
 """The vectorized campaign samplers against their reference forms."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import statistics
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import make_scenario, scenarios
 from nrbeamsim.errors import ConfigurationError
+from nrbeamsim.evaluation import CampaignSettings, MetricStat, estimate_metrics
 from nrbeamsim.frame import (
     CSI_PERIODS_SLOTS,
     CSI_SYMBOL_COUNTS,
@@ -20,6 +22,8 @@ from nrbeamsim.frame import (
 )
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import (
+    LTE_LATENCY_VALUES_MS,
+    DeploymentMode,
     draw_sweep_winner,
     p_correct_beam,
     simulate_ia_batch,
@@ -136,8 +140,9 @@ class TestSweepWinnerAgainstMatrix:
         ],
     )
     def test_deterministic_winner_is_exact(self, kw):
-        # true pairs come first in both streams, so the runs line up one
-        # to one when the winner is not random
+        # the arrival phase and then the true pairs come first in both
+        # streams, so the runs line up one to one when the winner is not
+        # random
         sc = make_scenario(n_ss=8, **kw)
         new = simulate_ia_batch(sc, 2000, np.random.default_rng(41))
         ref = ia_batch_matrix(sc, 2000, np.random.default_rng(41))
@@ -292,9 +297,17 @@ class TestTrackingBatchAgainstLoop:
             assert got_c.tolist() == [False] * 5 + [True] * 2
 
 
+def nsa_twin(sc, lte_latency_ms=10.0):
+    """The NSA deployment of SA scenario ``sc``: the same geometry, with
+    the report and recovery over an LTE leg of ``lte_latency_ms``."""
+    return dataclasses.replace(
+        sc, mode=DeploymentMode.NSA, lte_latency_ms=lte_latency_ms
+    )
+
+
 # beyond the small random SA scenarios: NSA, a digital gNB, a hybrid gNB
-# whose last beam group is short, odd arrays co-prime to n_ss, and the
-# shadowless tie at a 0 dB floor
+# whose last beam group is short, odd arrays co-prime to n_ss, the NSA
+# twins of those four, and the shadowless tie at a 0 dB floor
 FORMULA_EXAMPLES = {
     "nsa16x4": make_scenario(m_gnb=16, m_ue=4, n_ss=8, mode="NSA", lte_latency_ms=10.0),
     "digital64x16": make_scenario(m_gnb=64, m_ue=16, arch_gnb="digital", n_ss=8),
@@ -308,6 +321,8 @@ FORMULA_EXAMPLES = {
         channel=ChannelParams(shadowing_sigma_db=0.0, side_lobe_floor_db=0.0),
     ),
 }
+for _name in ("digital64x16", "hybrid64x4", "odd127x1", "odd255x1"):
+    FORMULA_EXAMPLES[f"nsa_{_name}"] = nsa_twin(FORMULA_EXAMPLES[_name])
 BATCH_FIELDS = ("t_sweep_ms", "t_br_ms", "t_total_ms", "chosen_g")
 
 
@@ -324,14 +339,50 @@ class TestBatchesAgainstFormula:
     @example(sc=FORMULA_EXAMPLES["odd127x1"], n_runs=2_000, seed=4)
     @example(sc=FORMULA_EXAMPLES["odd255x1"], n_runs=2_000, seed=5)
     @example(sc=FORMULA_EXAMPLES["tie16x4"], n_runs=2_000, seed=6)
+    @example(sc=FORMULA_EXAMPLES["nsa_digital64x16"], n_runs=2_000, seed=7)
+    @example(sc=FORMULA_EXAMPLES["nsa_hybrid64x4"], n_runs=2_000, seed=8)
+    @example(sc=FORMULA_EXAMPLES["nsa_odd127x1"], n_runs=2_000, seed=9)
+    @example(sc=FORMULA_EXAMPLES["nsa_odd255x1"], n_runs=2_000, seed=10)
     def test_ia_and_rlf_batches_bit_for_bit(self, sc, n_runs, seed):
-        for batch, formula in (
-            (simulate_ia_batch, ia_batch_formula),
-            (simulate_rlf_batch, rlf_batch_formula),
+        ia = simulate_ia_batch(sc, n_runs, np.random.default_rng(seed))
+        for name, got, formula in (
+            ("ia", ia, ia_batch_formula),
+            ("rlf", simulate_rlf_batch(sc, ia), rlf_batch_formula),
         ):
-            got = batch(sc, n_runs, np.random.default_rng(seed))
             want = formula(sc, n_runs, np.random.default_rng(seed))
             for field in BATCH_FIELDS:
                 a, b = getattr(got, field), getattr(want, field)
-                assert a.dtype == b.dtype, (batch.__name__, field)
-                assert np.array_equal(a, b), (batch.__name__, field)
+                assert a.dtype == b.dtype, (name, field)
+                assert np.array_equal(a, b), (name, field)
+
+
+class TestSharedCampaign:
+    """An NSA twin's IA batch draws only the arrival, so its sweep times
+    are its SA twin's, bit for bit, and SA recovery reads the IA
+    campaign."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        sc=scenarios(),
+        n_runs=st.integers(1, 500),
+        seed=st.integers(0, 2**32 - 1),
+        lte=st.sampled_from(LTE_LATENCY_VALUES_MS),
+    )
+    @example(sc=FORMULA_EXAMPLES["digital64x16"], n_runs=2_000, seed=7, lte=0.8)
+    @example(sc=FORMULA_EXAMPLES["odd255x1"], n_runs=2_000, seed=10, lte=40.0)
+    def test_nsa_twin_sweeps_like_its_sa_twin(self, sc, n_runs, seed, lte):
+        sa = simulate_ia_batch(sc, n_runs, np.random.default_rng(seed))
+        nsa = simulate_ia_batch(nsa_twin(sc, lte), n_runs, np.random.default_rng(seed))
+        assert nsa.t_sweep_ms.tobytes() == sa.t_sweep_ms.tobytes()
+        assert np.array_equal(nsa.t_total_ms, nsa.t_sweep_ms + lte)
+        assert np.all(nsa.t_br_ms == lte)
+        assert np.all(nsa.chosen_g == -1)
+
+    @pytest.mark.parametrize("name", ["digital64x16", "hybrid64x4", "odd127x1"])
+    def test_reports_read_one_ia_campaign(self, name):
+        campaign = CampaignSettings(n_runs=2_000, seed=5)
+        sa = estimate_metrics(FORMULA_EXAMPLES[name], campaign)
+        nsa = estimate_metrics(nsa_twin(FORMULA_EXAMPLES[name], 4.0), campaign)
+        assert sa.t_rlf == sa.t_ia
+        assert nsa.t_rlf == MetricStat(4.0, 0.0, campaign.n_runs)
+        assert nsa.t_br == MetricStat(4.0, 0.0, campaign.n_runs)
