@@ -14,13 +14,15 @@ before any results, and all file output is byte-stable for a fixed seed.
 A run does only the work its output needs: a known command is parsed by
 a parser built for it alone, and the top-level parser, which lists each
 command's help line, serves only ``-h``, ``--version`` and a missing or
-unknown command. The effective configuration takes its values' text
-from one YAML dump per nesting depth.
+unknown command. The effective configuration writes numbers, bools and
+null as the safe representer gives them, and takes the text of its
+strings from one YAML dump per nesting depth.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -152,9 +154,29 @@ def _load(args: argparse.Namespace) -> ScenarioFile:
 _LEADS = ("", "- ", "- x:\n    ")
 
 
+def _plain(v: Any) -> Optional[str]:
+    """The text that the safe representer gives a bool, None, int or float,
+    which the emitter writes as a plain scalar; None for any other value."""
+    kind = type(v)
+    if kind is int:
+        return int.__repr__(v)
+    if kind is float:
+        if v != v:
+            return ".nan"
+        if v in (math.inf, -math.inf):
+            return ".inf" if v > 0 else "-.inf"
+        text = float.__repr__(v).lower()
+        # 1e+17 is no YAML float; 1.0e+17 is
+        return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
+    if kind is bool:
+        return "true" if v else "false"
+    return "null" if v is None else None
+
+
 def _value_texts(depth: int, items: Sequence[tuple]) -> dict[tuple, str]:
-    """The text after ``key:`` of each ``(depth, key, type, value)`` item,
-    from one dump of them all.
+    """The text after ``key:`` of each ``(depth, key, type, value)`` item:
+    its plain scalar (`_plain`), or else its text from one dump of all such
+    items.
 
     Each value is dumped under its own key at its own depth, where it
     starts at the same column and indents its continuation lines as in
@@ -163,13 +185,23 @@ def _value_texts(depth: int, items: Sequence[tuple]) -> dict[tuple, str]:
     A value's lines after its first are indented, so its text ends where
     the next item's lead and key begin a line.
     """
+    texts = {}
+    dumped_items = []
+    for item in items:
+        plain = _plain(item[3])
+        if plain is None:
+            dumped_items.append(item)
+        else:
+            texts[item] = f" {plain}\n"
+    if not dumped_items:
+        return texts
+    items = dumped_items
     if depth == 0:
         doc: Any = {key: v for _, key, _, v in items}
     else:
         doc = {"s": [{k: v} if depth == 1 else {"x": {k: v}} for _, k, _, v in items]}
     dumped = yaml.dump(doc, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
     heads = [f"{_LEADS[depth]}{key}:" for _, key, _, _ in items]
-    texts = {}
     pos = 0 if depth == 0 else len("s:\n")
     for i, item in enumerate(items):
         start = pos + len(heads[i])
@@ -190,13 +222,18 @@ def _print_effective(sf: ScenarioFile) -> None:
     collected first and each depth's are rendered by one dump
     (`_value_texts`). Within one file the values of one key at one depth
     differ under ``==`` (a sweep rejects repeated values), and the type
-    joins the item because ``1 == 1.0 == True``.
+    joins the item because ``1 == 1.0 == True``. Sections with equal
+    items of equal types have the same lines, which are written once.
     """
     doc = {"source": sf.source, **vars(sf.campaign), "scenarios": sf.effective}
-    # the block's pieces, each value as its item; the items of each depth
-    # in first-seen order
+    # the block's pieces, each value as its item and each section's lines
+    # as the key of their text; the items of each depth in first-seen order
     out: list[Any] = ["# effective configuration\n"]
     items: tuple[dict, ...] = ({}, {}, {})
+    # each distinct section's key, by its items and their types, and its
+    # lines by key
+    keys: dict[tuple, tuple] = {}
+    lines: dict[tuple, list] = {}
 
     def value(depth: int, key: str, v: Any) -> tuple:
         item = (depth, key, type(v), v)
@@ -214,18 +251,26 @@ def _print_effective(sf: ScenarioFile) -> None:
                 if not isinstance(section, dict):
                     out += (lead, name, ":", value(1, name, section))
                 else:
-                    out += (lead, name, ":\n")
-                    for k, x in sorted(section.items()):
-                        out += ("    ", k, ":", value(2, k, x))
+                    shape = (*section.items(), *map(type, section.values()))
+                    ref = keys.get(shape)
+                    if ref is None:
+                        ref = keys[shape] = ("section", len(keys))
+                        lines[ref] = []
+                        for k, x in sorted(section.items()):
+                            lines[ref] += ("    ", k, ":", value(2, k, x))
+                    out += (lead, name, ":\n", ref)
                 lead = "  "
     out.append("# results\n")
     texts: dict[tuple, str] = {}
     for depth, distinct in enumerate(items):
         texts.update(_value_texts(depth, list(distinct)))
+    for ref, pieces in lines.items():
+        texts[ref] = "".join(texts[p] if isinstance(p, tuple) else p for p in pieces)
     sys.stdout.write("".join(texts[p] if isinstance(p, tuple) else p for p in out))
 
 
-def _metric_lines(r: MetricsReport) -> list[str]:
+def _metric_lines(r: MetricsReport) -> str:
+    """The result lines of report ``r``, each ending in a newline."""
     lines = []
     for column in METRIC_COLUMNS:
         field = stat_field(column)
@@ -234,8 +279,8 @@ def _metric_lines(r: MetricsReport) -> list[str]:
         else:
             stat = getattr(r, field)
             text = f"{stat.mean:.6g} +/- {stat.stderr:.3g}"
-        lines.append(f"{r.scenario_id}: {column} = {text}")
-    return lines
+        lines.append(f"{r.scenario_id}: {column} = {text}\n")
+    return "".join(lines)
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -244,9 +289,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
         # an --out the reports cannot go to fails before the campaigns run
         args.out.mkdir(parents=True, exist_ok=True)
     reports = [estimate_metrics(sc, sf.campaign) for sc in sf.scenarios]
-    for r in reports:
-        for line in _metric_lines(r):
-            print(line)
+    # the results block in one write
+    sys.stdout.write("".join(map(_metric_lines, reports)))
     if args.out is not None:
         for path in emit(reports, args.out):
             print(f"wrote {path}")

@@ -8,14 +8,14 @@ reporting tail of a one-step gNB, such as a digital one) is reported as
 that value with zero error, not as a float average of copies of it.
 
 Seeding: a campaign is one ``CampaignSettings`` value, whose root seed
-spawns two substreams, for the IA and the tracking batch, so reports are
-reproducible bit for bit. The IA batch draws each run's arrival first,
-and in NSA only that. Recovery reads the IA campaign: SA ``t_rlf`` is
-``t_ia``, NSA ``t_rlf`` the LTE latency. Every scenario of a sweep runs
-the same campaign, and the tracking batch reads only the scenario's
-tracking plan, so the one campaign cache keys the tracking campaign on
-the plan's value: SA and NSA twins, and arrays of one sweep length,
-share one.
+is split once per campaign into two substreams, for the IA and the
+tracking batch, so reports are reproducible bit for bit. The IA batch
+draws each run's arrival first, and in NSA only that. Recovery reads the
+IA campaign: SA ``t_rlf`` is the ``t_ia`` statistic itself, NSA ``t_rlf``
+the LTE latency. Every scenario of a sweep runs the same campaign, and
+the tracking batch reads only the scenario's tracking plan, so the one
+campaign cache keys the tracking campaign on the plan's value: SA and
+NSA twins, and arrays of one sweep length, share one.
 """
 from __future__ import annotations
 
@@ -41,6 +41,7 @@ from .procedures import (
 # procedures
 if TYPE_CHECKING:
     import numpy as np
+    from numpy.random import SeedSequence
 
     from .procedures import TrackingPlan
 
@@ -157,6 +158,17 @@ def omega_tr_for(sc: Scenario) -> float:
     return csi_area / (sc.csi.period_symbols * sc.carrier_rb)
 
 
+@lru_cache(maxsize=16)
+def _substreams(seed: int) -> tuple[SeedSequence, SeedSequence]:
+    """The IA and the tracking substream of root ``seed``, split once: a
+    generator seeded from a ``SeedSequence`` only reads its state, so every
+    scenario's batch starts its substream alike."""
+    import numpy as np
+
+    ia_ss, tr_ss = np.random.SeedSequence(seed).spawn(2)
+    return ia_ss, tr_ss
+
+
 @lru_cache(maxsize=128)
 def _tracking_stats(
     tp: TrackingPlan, campaign: CampaignSettings
@@ -168,9 +180,8 @@ def _tracking_stats(
     values, and scenarios with equal plans share one campaign."""
     import numpy as np
 
-    tr_ss = np.random.SeedSequence(campaign.seed).spawn(2)[1]
     waits, censored = simulate_tracking_batch(
-        tp, campaign.n_runs, np.random.default_rng(tr_ss)
+        tp, campaign.n_runs, np.random.default_rng(_substreams(campaign.seed)[1])
     )
     return stat_from_samples(waits), int(np.count_nonzero(censored))
 
@@ -183,16 +194,17 @@ def estimate_metrics(
     Every scenario runs the same ``campaign``, so scenarios with equal
     tracking plans share one tracking campaign. The IA campaign draws
     each run's arrival first, and in NSA only that, its SA twin's sweep
-    times; recovery reads it, so SA ``t_rlf`` equals ``t_ia``.
+    times; recovery reads it, so SA ``t_rlf`` is the ``t_ia`` statistic.
     """
     import numpy as np
 
     n_runs = campaign.n_runs
-    ia_ss = np.random.SeedSequence(campaign.seed).spawn(2)[0]
+    ia_ss = _substreams(campaign.seed)[0]
     ia = simulate_ia_batch(sc, n_runs, np.random.default_rng(ia_ss))
     t_tr, censored = _tracking_stats(tracking_plan(sc), campaign)
     rlf = simulate_rlf_batch(sc, ia)
     p_md = misdetection_probability(sc.gnb, sc.ue, sc.channel)
+    t_ia = stat_from_samples(ia.t_total_ms)
 
     return MetricsReport(
         scenario_id=sc.scenario_id,
@@ -205,10 +217,10 @@ def estimate_metrics(
         n_ss=sc.ss.n_ss,
         t_ss_ms=sc.ss.t_ss_ms,
         t_csi_slots=sc.csi.t_csi_slots,
-        t_ia=stat_from_samples(ia.t_total_ms),
+        t_ia=t_ia,
         t_tr=t_tr,
         t_br=stat_from_samples(ia.t_br_ms),
-        t_rlf=stat_from_samples(rlf.t_total_ms),
+        t_rlf=t_ia if rlf is ia else stat_from_samples(rlf.t_total_ms),
         omega_ia=omega_ia_for(sc),
         omega_tr=omega_tr_for(sc),
         omega_br=omega_br(sc),

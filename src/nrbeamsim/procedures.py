@@ -73,7 +73,7 @@ from .frame import (
     SsBurstConfig,
     carrier_resource_blocks,
 )
-from .link import ChannelParams, edge_margin_db, log_normal_cdf
+from .link import ERFCX_SERIES_FROM, ChannelParams, edge_margin_db, erfcx_series
 
 # numpy is imported by each function that computes with arrays, so the
 # commands that never do (validate, report, help) start without it
@@ -264,13 +264,40 @@ def _normal_grid(shift: float) -> tuple[np.ndarray, np.ndarray]:
     """Log trapezoid weights of phi(z) dz at nodes z on [-40, 40], and
     log Phi(z + shift) there. Built on first use, not at import; the
     nodes depend on (sigma, floor) only through the shift, so sweeps of
-    several lengths share them."""
+    several lengths share them.
+
+    log Phi(x) is log1p(-erfc(x / sqrt 2) / 2) from 0 up and, below, the
+    log of erfcx(y) (the forms of `link._log_erfcx`) minus y^2 and log 2,
+    with y = -x / sqrt 2, accurate in both tails. Its arithmetic runs on
+    arrays and its ``math`` calls map over the nodes, as numpy's ``log``
+    and ``log1p`` can differ from them in the last bit, so each node is
+    bit for bit what one scalar evaluation gives (``log_normal_cdf`` in
+    ``tests/reference.py``).
+    """
     import numpy as np
+
+    def each(f, a: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(f, a.tolist()), np.float64, a.size)
 
     z = np.linspace(-40.0, 40.0, 4001)
     log_w = -0.5 * z * z - 0.5 * math.log(2.0 * math.pi) + math.log(z[1] - z[0])
     log_w[[0, -1]] += math.log(0.5)
-    return log_w, np.array([log_normal_cdf(x) for x in (z + shift).tolist()])
+    x = z + shift
+    log_cdf = np.empty_like(x)
+    upper = x >= 0.0
+    sqrt2 = math.sqrt(2.0)
+    log_cdf[upper] = each(math.log1p, -0.5 * each(math.erfc, x[upper] / sqrt2))
+    # below 0, log Phi(x) = log erfcx(y) - y^2 - log 2 with y = -x / sqrt 2
+    y = -x[~upper] / sqrt2
+    near = y < ERFCX_SERIES_FROM
+    yn, yf = y[near], y[~near]
+    log_erfcx = np.empty_like(y)
+    log_erfcx[near] = yn * yn + each(math.log, each(math.erfc, yn))
+    log_erfcx[~near] = each(math.log, erfcx_series(yf)) - each(
+        math.log, yf * math.sqrt(math.pi)
+    )
+    log_cdf[~upper] = log_erfcx - y * y - math.log(2.0)
+    return log_w, log_cdf
 
 
 @lru_cache(maxsize=128)
@@ -326,7 +353,8 @@ def draw_sweep_winner(
     aligned = rng.random(n) < p_correct_beam(s, sigma, floor)
     j = rng.integers(0, s - 1, size=n)
     j += j >= k_star
-    return np.where(aligned, k_star, j)
+    np.copyto(j, k_star, where=aligned)
+    return j
 
 
 def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> IaBatch:
@@ -471,7 +499,11 @@ class TrackingPlan:
 
 def tracking_plan(sc: Scenario) -> TrackingPlan:
     """The scenario's tracking plan, built anew on each call; SA and NSA
-    twins, and arrays of one sweep length, get equal plans."""
+    twins, and arrays of one sweep length, get equal plans.
+
+    A surviving residue skips no round, so only the classes mod
+    gcd(q, s) that hold a dropped residue are walked.
+    """
     plan, csi = sweep_plan(sc), sc.csi
     period = csi.period_symbols
     t_ss = plan.t_ss_sym
@@ -480,27 +512,31 @@ def tracking_plan(sc: Scenario) -> TrackingPlan:
     # an occasion of residue r starts (delta_t + r*period) % t_ss into its
     # burst; it is dropped when it shares symbols and RBs with the sweep's
     # SS blocks of its own burst or of the next one
+    off_band = csi.delta_f_rb >= SS_BLOCK_RB
     blocks_end = plan.blocks_per_burst * SS_BLOCK_SYMBOLS
+    last_start = t_ss - csi.n_symbols
+    first = csi.delta_t_symbols
     survives = [
-        csi.delta_f_rb >= SS_BLOCK_RB or blocks_end <= a <= t_ss - csi.n_symbols
-        for a in ((csi.delta_t_symbols + r * period) % t_ss for r in range(q))
+        off_band or blocks_end <= a % t_ss <= last_start
+        for a in range(first, first + q * period, period)
     ]
     # a direction steps through the residues of its class mod gcd(q, s) in
     # strides of s; two backward laps of each class's cycle show every
     # residue its next survivor, past the wrap too
     g = math.gcd(q, s)
-    skip = [-1] * q
-    for c in range(g):
+    skip = [0] * q
+    for c in {r % g for r in range(q) if not survives[r]}:
         cycle = [(c + k * s) % q for k in range(q // g)] * 2
         nxt = None
         for i in reversed(range(len(cycle))):
-            nxt = i if survives[cycle[i]] else nxt
-            if nxt is not None:
-                skip[cycle[i]] = nxt - i
+            if survives[cycle[i]]:
+                nxt = i
+            else:
+                skip[cycle[i]] = -1 if nxt is None else nxt - i
     return TrackingPlan(
         s=s,
         period_sym=period,
-        delta_t_sym=csi.delta_t_symbols,
+        delta_t_sym=first,
         hyper_sym=math.lcm(q, s) * period,
         symbol_ms=plan.symbol_ms,
         dropped_count=math.lcm(q, s) // q * survives.count(False),

@@ -11,6 +11,8 @@ import csv
 import io
 import json
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
@@ -56,9 +58,11 @@ def stat_field(column: str) -> Optional[str]:
     return None
 
 
-def _column_value(r: MetricsReport, column: str) -> Any:
-    field = stat_field(column)
-    return getattr(r, column) if field is None else getattr(r, field).mean
+# each column's getter of its value from a report
+_COLUMN_VALUE = {
+    c: attrgetter(c if stat_field(c) is None else f"{stat_field(c)}.mean")
+    for c in CSV_COLUMNS
+}
 
 
 def _fmt(value: Any) -> str:
@@ -67,7 +71,7 @@ def _fmt(value: Any) -> str:
 
 
 def report_csv_row(r: MetricsReport) -> list[str]:
-    return [_fmt(_column_value(r, c)) for c in CSV_COLUMNS]
+    return [_fmt(value(r)) for value in _COLUMN_VALUE.values()]
 
 
 def _to_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -82,18 +86,60 @@ def reports_to_csv(reports: Sequence[MetricsReport]) -> str:
     return _to_csv(CSV_COLUMNS, map(report_csv_row, reports))
 
 
-def _report_dict(r: MetricsReport) -> dict[str, Any]:
-    """``dataclasses.asdict(r)`` without its deep copies: the fields are
-    immutable, and each ``MetricStat`` becomes a dict of its own."""
-    return {
-        name: vars(value) if isinstance(value, MetricStat) else value
-        for name, value in vars(r).items()
-    }
+def _json_float(value: float) -> str:
+    if value - value == 0.0:  # finite
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+# how json.dumps writes a value of each type: the escaped string,
+# int.__repr__, and float.__repr__ with NaN and the infinities in JSON's
+# extension
+_JSON_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float}
+
+
+def _json_scalar(value: Any) -> str:
+    """``value`` as ``json.dumps`` writes it, for a str, int or float by
+    ``_JSON_TEXT``."""
+    return _JSON_TEXT.get(type(value), json.dumps)(value)
+
+
+def _fields_in_json_order(cls: type, indent: str) -> tuple[tuple[str, str], ...]:
+    """Each field of dataclass ``cls`` in sorted order, with the text that
+    starts its line at ``indent``."""
+    names = sorted(f.name for f in fields(cls))
+    return tuple((n, f"{indent}{encode_basestring_ascii(n)}: ") for n in names)
+
+
+_REPORT_KEYS = _fields_in_json_order(MetricsReport, " " * 6)
+_STAT_KEYS = _fields_in_json_order(MetricStat, " " * 8)
+
+
+def _report_json(r: MetricsReport) -> str:
+    lines = []
+    for name, head in _REPORT_KEYS:
+        value = getattr(r, name)
+        if isinstance(value, MetricStat):
+            stat = ",\n".join(h + _json_scalar(getattr(value, n)) for n, h in _STAT_KEYS)
+            lines.append(f"{head}{{\n{stat}\n      }}")
+        else:
+            lines.append(head + _json_scalar(value))
+    return "    {\n" + ",\n".join(lines) + "\n    }"
 
 
 def reports_to_json(reports: Sequence[MetricsReport]) -> str:
-    payload = {"reports": [_report_dict(r) for r in reports]}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps({"reports": [...]}, indent=2,
+    sort_keys=True) + "\n"``, with each report a dict of its fields and
+    each ``MetricStat`` a dict of its own.
+
+    The payload has a fixed shape, so it is written line by line from the
+    primitives that ``json.dumps`` writes its values with, not by the
+    pure-Python encoder that its ``indent`` takes.
+    """
+    if not reports:
+        return '{\n  "reports": []\n}\n'
+    body = ",\n".join(map(_report_json, reports))
+    return f'{{\n  "reports": [\n{body}\n  ]\n}}\n'
 
 
 _JSON_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
@@ -175,7 +221,7 @@ def _pivot(
         cells = [str(v) for v in row]
         for g in group_keys:
             r = first.get((row, g))
-            cells += ["" if r is None else _fmt(_column_value(r, m)) for m in metrics]
+            cells += ["" if r is None else _fmt(_COLUMN_VALUE[m](r)) for m in metrics]
         body.append(cells)
     return _to_csv(header, body)
 

@@ -261,22 +261,36 @@ def _nested(flat: Mapping[str, Any]) -> dict[str, Any]:
     return out
 
 
-def _build_scenario(cfg: Mapping[str, Any], label: Optional[str], source: str) -> Scenario:
-    def array_of(name: str) -> ArrayConfig:
-        try:
-            return ArrayConfig(**cfg[name])
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{name}.{exc}") from None
+# what builds each section that a scenario holds as an object, in the
+# order a scenario is checked
+_PARTS = {
+    "numerology": make_numerology,
+    **{name: _BUILDERS[name] for name in ("ss", "csi", "gnb", "ue", "channel", "power")},
+}
+
+
+def _build_scenario(
+    cfg: Mapping[str, Any], label: Optional[str], source: str, parts: dict
+) -> Scenario:
+    """The scenario of the sections ``cfg``. ``parts`` holds each section's
+    object by the section's name and values, so the scenarios of one file
+    build each distinct section once."""
+
+    def part(name: str) -> Any:
+        key = (name, *cfg[name].items())
+        if key not in parts:
+            try:
+                parts[key] = _PARTS[name](**cfg[name])
+            except ConfigurationError as exc:
+                if name not in ("gnb", "ue"):
+                    raise
+                # an array's errors name the bare key
+                raise ConfigurationError(f"{name}.{exc}") from None
+        return parts[key]
 
     try:
         return Scenario(
-            numerology=make_numerology(cfg["numerology"]["n"]),
-            ss=SsBurstConfig(**cfg["ss"]),
-            csi=CsiRsConfig(**cfg["csi"]),
-            gnb=array_of("gnb"),
-            ue=array_of("ue"),
-            channel=ChannelParams(**cfg["channel"]),
-            power=PowerModel(**cfg["power"]),
+            **{name: part(name) for name in _PARTS},
             **cfg["deployment"],
             label=label,
         )
@@ -338,13 +352,21 @@ def scenario_file_from_dict(
         raise ConfigurationError(f"{source}: campaign.{exc}") from None
 
     given_id = typed["scenario_id"]
+    unswept = _nested(typed)
+    # each distinct section's object, built once for the whole file
+    parts: dict[tuple, Any] = {}
     scenarios = []
     effectives = []
     for combo in itertools.product(*axes):
         suffix = "__".join(f"{key}={v}" for key, v, _ in combo)
         label = f"{given_id}__{suffix}" if suffix and given_id else given_id
-        cfg = _nested({**typed, **{key: t for key, _, t in combo}})
-        sc = _build_scenario(cfg, label, source)
+        # each scenario's sections are dicts of its own: a YAML dump of
+        # shared ones would write anchors and aliases
+        cfg = {name: dict(v) if isinstance(v, dict) else v for name, v in unswept.items()}
+        for key, _, t in combo:
+            name, _, field = key.partition(".")
+            cfg.setdefault(name, {})[field] = t
+        sc = _build_scenario(cfg, label, source, parts)
         if suffix and not given_id:
             sc = dataclasses.replace(sc, label=f"{sc.scenario_id}__{suffix}")
         scenarios.append(sc)

@@ -13,7 +13,8 @@ that each line can be checked against the model by eye.
   misdetection probability the package gives in closed form.
 * The formula batches are the IA and recovery batches as first written,
   one plain expression per quantity, which the package's in-place
-  rewrites must reproduce bit for bit.
+  rewrites must reproduce bit for bit; so must the package's grid of
+  ``log_normal_cdf`` values, one scalar call per node.
 """
 from __future__ import annotations
 
@@ -42,13 +43,21 @@ from nrbeamsim.frame import (
     SsBurstConfig,
     carrier_resource_blocks,
 )
-from nrbeamsim.link import ChannelParams
+from nrbeamsim.link import ChannelParams, _log_erfcx
 from nrbeamsim.procedures import (
     DeploymentMode,
     IaBatch,
     p_correct_beam,
     sweep_plan,
 )
+
+
+def log_normal_cdf(x: float) -> float:
+    """log Phi(x) of the standard normal, accurate in both tails."""
+    if x >= 0.0:
+        return math.log1p(-0.5 * math.erfc(x / math.sqrt(2.0)))
+    y = -x / math.sqrt(2.0)
+    return _log_erfcx(y) - y * y - math.log(2.0)
 
 
 def symbols_in_ms(num: Numerology, duration_ms: float) -> int:

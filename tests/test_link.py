@@ -12,13 +12,12 @@ from nrbeamsim.codebook import Architecture, ArrayConfig, beamforming_gain_db
 from nrbeamsim.errors import ConfigurationError, DomainError
 from nrbeamsim.link import (
     ChannelParams,
-    log_normal_cdf,
     mean_snr_db,
     misdetection_probability,
     noise_power_dbm,
     path_loss_db,
 )
-from reference import drop_mean_snr_db, misdetection_drops
+from reference import drop_mean_snr_db, log_normal_cdf, misdetection_drops
 
 
 def arr(m, arch="analog", k=None):

@@ -24,6 +24,7 @@ from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import (
     LTE_LATENCY_VALUES_MS,
     DeploymentMode,
+    _normal_grid,
     draw_sweep_winner,
     p_correct_beam,
     simulate_ia_batch,
@@ -35,6 +36,7 @@ from nrbeamsim.procedures import (
 from reference import (
     ia_batch_formula,
     ia_batch_matrix,
+    log_normal_cdf,
     matrix_sweep_winner,
     rlf_batch_formula,
     tracking_batch_loop,
@@ -195,6 +197,19 @@ class TestCorrectBeamProbability:
         assert p_correct_beam(s, sigma, floor) == pytest.approx(
             _p_quadrature(s, sigma, floor), rel=1e-9, abs=1e-12
         )
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(shift=st.floats(0.0, 100.0))
+    @example(shift=0.0)
+    @example(shift=5e-324)
+    @example(shift=10.0 / 8.7)
+    @example(shift=200.0)
+    @example(shift=1e6)
+    def test_grid_is_the_scalar_log_cdf_bit_for_bit(self, shift):
+        # the shift is -floor / sigma, never negative
+        z = np.linspace(-40.0, 40.0, 4001)
+        expected = np.array([log_normal_cdf(x) for x in (z + shift).tolist()])
+        assert _normal_grid(shift)[1].tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("s", [2, 3, 64, 4096])
     def test_exact_cases(self, s):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
+import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_scenario
 from nrbeamsim.errors import ConfigurationError
@@ -156,6 +160,45 @@ class TestJsonRoundTrip:
 
     def test_trailing_newline(self):
         assert reports_to_json([]).endswith("\n")
+
+
+# report values that stress the JSON writer: NaN and the infinities (JSON's
+# extension), signed zero, the smallest and a huge float, ints past 64 bits,
+# and ids with quotes, backslashes, control, non-ASCII and lone surrogate
+# characters
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 1e16]),
+)
+_INTS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63, 2**64 + 1, -(2**63) - 1, 10**40]),
+)
+_IDS = st.lists(
+    st.one_of(
+        st.text(max_size=8),
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\xe9", "中", "\ud800"]),
+    ),
+    max_size=6,
+).map("".join)
+_STATS = st.builds(MetricStat, mean=_FLOATS, stderr=_FLOATS, n_samples=_INTS)
+_REPORTS = st.builds(
+    MetricsReport,
+    **{
+        f.name: {"str": st.text(max_size=4), "int": _INTS, "float": _FLOATS}.get(f.type, _STATS)
+        for f in dataclasses.fields(MetricsReport)
+    }
+    | {"scenario_id": _IDS},
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(reports=st.lists(_REPORTS, max_size=3))
+@example(reports=[])
+def test_json_is_the_bytes_of_json_dumps(reports):
+    payload = {"reports": [dataclasses.asdict(r) for r in reports]}
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert reports_to_json(reports) == expected
 
 
 class TestEmit:

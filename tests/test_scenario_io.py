@@ -10,9 +10,9 @@ import yaml
 
 from nrbeamsim import scenario_io
 from nrbeamsim.codebook import Architecture, PowerModel
-from nrbeamsim.errors import ConfigurationError
+from nrbeamsim.errors import ConfigurationError, declared_domains
 from nrbeamsim.evaluation import estimate_metrics
-from nrbeamsim.frame import CsiRsConfig, SsBurstConfig
+from nrbeamsim.frame import NUMEROLOGIES, CsiRsConfig, SsBurstConfig
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import DeploymentMode, Scenario
 from nrbeamsim.scenario_io import (
@@ -378,52 +378,50 @@ class TestLoaders:
         assert repr(values) == repr(expected)
 
 
-# every scenario key, in a context where it matters, with a second valid
-# value: (the base keys, the value); each base runs a few hundred runs
-_CHANGES = {
-    "scenario_id": ({}, "named"),
-    "numerology.n": ({}, 2),
-    "ss.n_ss": ({}, 8),
-    "ss.t_ss_ms": ({}, 40.0),
-    "csi.t_csi_slots": ({}, 10),
-    "csi.n_symbols": ({}, 2),
-    "csi.bandwidth_rb": ({}, 60),
-    "csi.delta_t_symbols": ({}, 30),
-    "csi.delta_f_rb": ({}, 20),
-    "gnb.elements": ({}, 16),
-    "gnb.arch": ({}, "digital"),
-    "gnb.k_bf": ({"gnb.arch": "hybrid", "gnb.k_bf": 4}, 8),
-    "ue.elements": ({}, 2),
-    "ue.arch": ({}, "digital"),
-    "ue.k_bf": ({"ue.arch": "hybrid", "ue.k_bf": 1}, 2),
-    "channel.pl_intercept_db": ({}, 80.0),
-    "channel.pl_exponent": ({}, 3.5),
-    "channel.shadowing_sigma_db": ({}, 4.0),
-    "channel.tx_power_dbm": ({}, 20.0),
-    "channel.noise_figure_db": ({}, 9.0),
-    "channel.bandwidth_hz": ({}, 200e6),
-    "channel.detection_threshold_db": ({}, 0.0),
-    "channel.cell_radius_m": ({}, 300.0),
-    "channel.side_lobe_floor_db": ({}, -3.0),
-    "power.c_chain_w": ({"gnb.arch": "digital"}, 20.0),
-    "power.p0_w": ({}, 10.0),
-    "power.c_ps_w": ({}, 0.1),
+# the keys that change a result only beside other values: those values
+_CONTEXTS = {
+    "gnb.k_bf": {"gnb.arch": "hybrid", "gnb.k_bf": 4},
+    "ue.k_bf": {"ue.arch": "hybrid", "ue.k_bf": 1},
+    "power.c_chain_w": {"gnb.arch": "digital"},
     # SA ignores the LTE leg, so it is set in both runs
-    "deployment.mode": ({"deployment.lte_latency_ms": 10.0}, "NSA"),
-    "deployment.lte_latency_ms": (
-        {"deployment.mode": "NSA", "deployment.lte_latency_ms": 10.0},
-        40.0,
-    ),
-    "deployment.omega_br_window_ms": ({}, 100.0),
-    "campaign.n_runs": ({}, 200),
-    "campaign.seed": ({}, 7),
+    "deployment.mode": {"deployment.lte_latency_ms": 10.0},
+    "deployment.lte_latency_ms": {"deployment.mode": "NSA", "deployment.lte_latency_ms": 10.0},
 }
+# the keys that no config field declares, with the values they take
+_UNDECLARED = {"scenario_id": ["named"], "numerology.n": list(NUMEROLOGIES)}
+_DOMAINS = {
+    f"{section}.{name}": domain
+    for section, cls in scenario_io._BUILDERS.items()
+    for name, domain in declared_domains(cls)
+}
+# each base runs a few hundred runs
+_RUNS = {"campaign.n_runs": 300}
+
+
+def _candidates(key: str, current) -> list:
+    """Values of ``key`` other than ``current`` that its declared domain
+    takes: its members, or else numbers near and far from ``current`` and
+    the domain's bounds."""
+    if key in _UNDECLARED:
+        values = _UNDECLARED[key]
+    elif _DOMAINS[key].among:
+        values = list(_DOMAINS[key].among)
+    else:
+        domain = _DOMAINS[key]
+        near_and_far = [current + 1, current * 2, current + 100, current / 2]
+        values = []
+        for v in [*near_and_far, domain.lo, domain.hi]:
+            try:
+                values.append(domain.check(key, domain.kind(v)))
+            except (TypeError, ConfigurationError):
+                pass  # no bound, or outside the domain
+    return [v for v in dict.fromkeys(values) if v != current]
 
 
 def _result(flat: dict, key: str) -> str:
     """The report of the one scenario that the keys ``flat`` build; its id
     only where ``key`` is the id."""
-    sf = scenario_file_from_dict(scenario_io._nested({"campaign.n_runs": 300, **flat}))
+    sf = scenario_file_from_dict(scenario_io._nested({**_RUNS, **flat}))
     (sc,) = sf.scenarios
     if key == "scenario_id":
         return sc.scenario_id
@@ -432,11 +430,21 @@ def _result(flat: dict, key: str) -> str:
     return repr(dataclasses.replace(estimate_metrics(sc, sf.campaign), scenario_id=""))
 
 
-@pytest.mark.parametrize("key", sorted(set(scenario_io._DEFAULTS) | set(_CHANGES)))
+@pytest.mark.parametrize(
+    "key", sorted(set(scenario_io._DEFAULTS) | set(_CONTEXTS) | set(_UNDECLARED))
+)
 def test_every_scenario_key_changes_a_result(key):
-    # a key that changes no result is not accepted
+    # a key that changes no result is not accepted: some value of its
+    # domain, beside the values it needs, changes a report
     assert key in scenario_io._DEFAULTS, f"{key} is not a scenario key"
-    assert key in _CHANGES, f"{key} has no context and value that change a result"
-    base, value = _CHANGES[key]
-    assert value != base.get(key, scenario_io._DEFAULTS[key])
-    assert _result(base, key) != _result({**base, key: value}, key)
+    base = _CONTEXTS.get(key, {})
+    current = {**scenario_io._DEFAULTS, **_RUNS, **base}[key]
+    before = _result(base, key)
+    for value in _candidates(key, current):
+        try:
+            after = _result({**base, key: value}, key)
+        except ConfigurationError:
+            continue  # the value does not fit beside the others
+        if after != before:
+            return
+    pytest.fail(f"no value of {key} that its domain takes changes a result")
