@@ -14,19 +14,17 @@ before any results, and all file output is byte-stable for a fixed seed.
 A run does only the work its output needs: a known command is parsed by
 a parser built for it alone, and the top-level parser, which lists each
 command's help line, serves only ``-h``, ``--version`` and a missing or
-unknown command. The effective configuration writes numbers, bools and
-null as the safe representer gives them, and takes the text of its
-strings from one YAML dump per nesting depth.
+unknown command. The effective configuration is cut from one YAML dump
+that holds each distinct value and config section of the file once.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import yaml
 
@@ -149,124 +147,44 @@ def _load(args: argparse.Namespace) -> ScenarioFile:
     return sf
 
 
-# how the block nests a value of each depth, as the text before the value's
-# key: the top-level mapping, a scenario's own key, a section's key
-_LEADS = ("", "- ", "- x:\n    ")
-
-
-def _plain(v: Any) -> Optional[str]:
-    """The text that the safe representer gives a bool, None, int or float,
-    which the emitter writes as a plain scalar; None for any other value."""
-    kind = type(v)
-    if kind is int:
-        return int.__repr__(v)
-    if kind is float:
-        if v != v:
-            return ".nan"
-        if v in (math.inf, -math.inf):
-            return ".inf" if v > 0 else "-.inf"
-        text = float.__repr__(v).lower()
-        # 1e+17 is no YAML float; 1.0e+17 is
-        return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
-    if kind is bool:
-        return "true" if v else "false"
-    return "null" if v is None else None
-
-
-def _value_texts(depth: int, items: Sequence[tuple]) -> dict[tuple, str]:
-    """The text after ``key:`` of each ``(depth, key, type, value)`` item:
-    its plain scalar (`_plain`), or else its text from one dump of all such
-    items.
-
-    Each value is dumped under its own key at its own depth, where it
-    starts at the same column and indents its continuation lines as in
-    the whole document: the top-level items, whose keys differ and come in
-    sorted order, are one mapping, the others a list of one-key mappings.
-    A value's lines after its first are indented, so its text ends where
-    the next item's lead and key begin a line.
-    """
-    texts = {}
-    dumped_items = []
-    for item in items:
-        plain = _plain(item[3])
-        if plain is None:
-            dumped_items.append(item)
-        else:
-            texts[item] = f" {plain}\n"
-    if not dumped_items:
-        return texts
-    items = dumped_items
-    if depth == 0:
-        doc: Any = {key: v for _, key, _, v in items}
-    else:
-        doc = {"s": [{k: v} if depth == 1 else {"x": {k: v}} for _, k, _, v in items]}
-    dumped = yaml.dump(doc, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
-    heads = [f"{_LEADS[depth]}{key}:" for _, key, _, _ in items]
-    pos = 0 if depth == 0 else len("s:\n")
-    for i, item in enumerate(items):
-        start = pos + len(heads[i])
-        last = i + 1 == len(items)
-        pos = len(dumped) if last else dumped.index("\n" + heads[i + 1], start) + 1
-        texts[item] = dumped[start:pos]
-    return texts
-
-
 def _print_effective(sf: ScenarioFile) -> None:
     """Print the effective configuration as ``yaml.dump(doc, Dumper=_DUMPER,
     sort_keys=True, default_flow_style=False)`` would.
 
-    The document has a fixed shape: top-level scalars, and ``scenarios``, a
-    list of mappings whose values are scalars or one-level sections. So the
-    block is written line by line, and only the values' texts come from
-    the dumper: the distinct ``(depth, key, type, value)`` items are
-    collected first and each depth's are rendered by one dump
-    (`_value_texts`). Within one file the values of one key at one depth
-    differ under ``==`` (a sweep rejects repeated values), and the type
-    joins the item because ``1 == 1.0 == True``. Sections with equal
-    items of equal types have the same lines, which are written once.
+    One dump writes a document that lists each distinct piece once: the
+    top-level values, and under ``scenarios`` each scenario scalar and
+    config section as a one-key mapping, keyed by its name, items and item
+    types (``1 == 1.0 == True`` have different texts). A piece starts at
+    the same column and indents its later lines as in the whole document,
+    so its text runs from its head ``- name:`` to the next piece's head, and
+    the last one's to the first top-level key after ``scenarios``; no line
+    inside a value starts at column 0. Each scenario joins its pieces'
+    texts in key order, the first after ``- `` and the others after two
+    spaces.
     """
-    doc = {"source": sf.source, **vars(sf.campaign), "scenarios": sf.effective}
-    # the block's pieces, each value as its item and each section's lines
-    # as the key of their text; the items of each depth in first-seen order
-    out: list[Any] = ["# effective configuration\n"]
-    items: tuple[dict, ...] = ({}, {}, {})
-    # each distinct section's key, by its items and their types, and its
-    # lines by key
-    keys: dict[tuple, tuple] = {}
-    lines: dict[tuple, list] = {}
-
-    def value(depth: int, key: str, v: Any) -> tuple:
-        item = (depth, key, type(v), v)
-        items[depth][item] = None
-        return item
-
-    for key, v in sorted(doc.items()):
-        if key != "scenarios":
-            out += (key, ":", value(0, key, v))
-            continue
-        out.append("scenarios:\n")
-        for scenario in v:
-            lead = "- "
-            for name, section in sorted(scenario.items()):
-                if not isinstance(section, dict):
-                    out += (lead, name, ":", value(1, name, section))
-                else:
-                    shape = (*section.items(), *map(type, section.values()))
-                    ref = keys.get(shape)
-                    if ref is None:
-                        ref = keys[shape] = ("section", len(keys))
-                        lines[ref] = []
-                        for k, x in sorted(section.items()):
-                            lines[ref] += ("    ", k, ":", value(2, k, x))
-                    out += (lead, name, ":\n", ref)
-                lead = "  "
-    out.append("# results\n")
-    texts: dict[tuple, str] = {}
-    for depth, distinct in enumerate(items):
-        texts.update(_value_texts(depth, list(distinct)))
-    for ref, pieces in lines.items():
-        texts[ref] = "".join(texts[p] if isinstance(p, tuple) else p for p in pieces)
-    sys.stdout.write("".join(texts[p] if isinstance(p, tuple) else p for p in out))
+    top = {"source": sf.source, **vars(sf.campaign)}
+    pieces: dict[tuple, dict] = {}
+    rows = []
+    for scenario in sf.effective:
+        row = []
+        for name, v in sorted(scenario.items()):
+            items = tuple(v.items()) if isinstance(v, dict) else ((None, v),)
+            key = (name, *items, *(type(x) for _, x in items))
+            pieces.setdefault(key, {name: v})
+            row.append(key)
+        rows.append(row)
+    doc = {**top, "scenarios": list(pieces.values())}
+    dumped = yaml.dump(doc, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
+    cuts = [0]
+    for key in pieces:
+        cuts.append(dumped.index(f"\n- {key[0]}:", cuts[-1]) + 1)
+    after = min(k for k in top if k > "scenarios")
+    cuts.append(dumped.index(f"\n{after}:", cuts[-1]) + 1)
+    # each piece's text after its lead "- "
+    texts = {key: dumped[a + 2 : b] for key, a, b in zip(pieces, cuts[1:], cuts[2:])}
+    body = "".join("- " + "  ".join(texts[key] for key in row) for row in rows)
+    head, tail = dumped[: cuts[1]], dumped[cuts[-1] :]
+    sys.stdout.write(f"# effective configuration\n{head}{body}{tail}# results\n")
 
 
 def _metric_lines(r: MetricsReport) -> str:

@@ -39,8 +39,9 @@ for every architecture: the reporting tail weighs each gNB step by how
 often the sweep chooses it, which for a hybrid gNB with unequal beam
 groups depends on p. Tracking rides the CSI-RS grid: occasions cycle
 directions round-robin on the nominal grid, occasions colliding with SS
-blocks are dropped, and the delay is the wait for the next surviving
-occasion of the wanted direction. A collision depends only on the
+blocks are dropped (a scenario that drops every one is refused), and the
+delay is the wait for the next surviving occasion of the wanted
+direction. A collision depends only on the
 occasion's index modulo the q occasions that span whole burst periods,
 so the tracking plan tabulates, per residue, the rounds to the next
 surviving occasion: a run's wait is a ceiling division and one gather.
@@ -51,7 +52,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .codebook import (
     MAX_SWEEP_LENGTH,
@@ -103,6 +104,8 @@ class Scenario:
     lte_latency_ms: Optional[float] = declare(float, None, LTE_LATENCY_VALUES_MS)
     omega_br_window_ms: float = declare(float, 200.0, lo=0, lo_open=True)
     label: Optional[str] = None
+    # a sweep variant's values, which its id carries after "__"
+    id_suffix: str = ""
 
     def __post_init__(self) -> None:
         check_domains(self, "deployment.")
@@ -126,6 +129,35 @@ class Scenario:
                 f"{self.csi.delta_f_rb + self.csi.bandwidth_rb} but the carrier "
                 f"has only {rb} RB"
             )
+        if not any(self.csi_survives()):
+            raise ConfigurationError(
+                f"csi.t_csi_slots={self.csi.t_csi_slots}, csi.delta_t_symbols="
+                f"{self.csi.delta_t_symbols} and ss.t_ss_ms={self.ss.t_ss_ms:g} put "
+                f"every CSI-RS occasion on the SS blocks, so no direction is ever "
+                f"tracked; csi.delta_f_rb >= {SS_BLOCK_RB} moves CSI-RS off their "
+                f"resource blocks"
+            )
+
+    def csi_survives(self) -> Iterator[bool]:
+        """Whether each residue class of CSI-RS occasions survives the SS
+        blocks, in residue order: a collision depends only on the occasion's
+        index modulo the q = t_ss / gcd(period, t_ss) occasions that span
+        whole burst periods. An occasion of residue r starts (delta_t +
+        r*period) % t_ss into its burst; it is dropped when it shares
+        symbols and RBs with the sweep's SS blocks of its own burst or of
+        the next one."""
+        csi, t_ss = self.csi, self.t_ss_sym
+        period = csi.period_symbols
+        q = t_ss // math.gcd(period, t_ss)
+        off_band = csi.delta_f_rb >= SS_BLOCK_RB
+        blocks = min(sweep_length(self.gnb, self.ue), self.ss.n_ss)
+        blocks_end = blocks * SS_BLOCK_SYMBOLS
+        last_start = t_ss - csi.n_symbols
+        first = csi.delta_t_symbols
+        return (
+            off_band or blocks_end <= a % t_ss <= last_start
+            for a in range(first, first + q * period, period)
+        )
 
     @property
     def carrier_rb(self) -> int:
@@ -138,8 +170,9 @@ class Scenario:
 
     @property
     def scenario_id(self) -> str:
+        suffix = f"__{self.id_suffix}" if self.id_suffix else ""
         if self.label:
-            return self.label
+            return self.label + suffix
         parts = [
             self.mode.value.lower(),
             f"{self.gnb.arch.value[0]}{self.gnb.elements}x"
@@ -150,7 +183,7 @@ class Scenario:
         ]
         if self.mode is DeploymentMode.NSA:
             parts.append(f"lte{self.lte_latency_ms:g}")
-        return "_".join(parts)
+        return "_".join(parts) + suffix
 
 
 @dataclass(frozen=True)
@@ -506,20 +539,9 @@ def tracking_plan(sc: Scenario) -> TrackingPlan:
     """
     plan, csi = sweep_plan(sc), sc.csi
     period = csi.period_symbols
-    t_ss = plan.t_ss_sym
     s = plan.s
-    q = t_ss // math.gcd(period, t_ss)
-    # an occasion of residue r starts (delta_t + r*period) % t_ss into its
-    # burst; it is dropped when it shares symbols and RBs with the sweep's
-    # SS blocks of its own burst or of the next one
-    off_band = csi.delta_f_rb >= SS_BLOCK_RB
-    blocks_end = plan.blocks_per_burst * SS_BLOCK_SYMBOLS
-    last_start = t_ss - csi.n_symbols
-    first = csi.delta_t_symbols
-    survives = [
-        off_band or blocks_end <= a % t_ss <= last_start
-        for a in range(first, first + q * period, period)
-    ]
+    survives = list(sc.csi_survives())
+    q = len(survives)
     # a direction steps through the residues of its class mod gcd(q, s) in
     # strides of s; two backward laps of each class's cycle show every
     # residue its next survivor, past the wrap too
@@ -536,7 +558,7 @@ def tracking_plan(sc: Scenario) -> TrackingPlan:
     return TrackingPlan(
         s=s,
         period_sym=period,
-        delta_t_sym=first,
+        delta_t_sym=csi.delta_t_symbols,
         hyper_sym=math.lcm(q, s) * period,
         symbol_ms=plan.symbol_ms,
         dropped_count=math.lcm(q, s) // q * survives.count(False),
@@ -593,8 +615,6 @@ def expected_tracking_delay_ms(sc: Scenario) -> float:
             gap = 1 + tp.skip[(r + tp.s) % q]
             sq_gaps[r % g] += gap * gap
     served = [x for x in sq_gaps if x]
-    if not served:
-        raise NotApplicableError("every direction's occasions collide away")
     # the int sum is exact; a round is s*period symbols
     sq_sym = sum(served) * (tp.s * tp.period_sym) ** 2
     return sq_sym / (2 * tp.hyper_sym * len(served)) * tp.symbol_ms

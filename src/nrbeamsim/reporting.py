@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -86,22 +87,9 @@ def reports_to_csv(reports: Sequence[MetricsReport]) -> str:
     return _to_csv(CSV_COLUMNS, map(report_csv_row, reports))
 
 
-def _json_float(value: float) -> str:
-    if value - value == 0.0:  # finite
-        return float.__repr__(value)
-    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-
-
 # how json.dumps writes a value of each type: the escaped string,
-# int.__repr__, and float.__repr__ with NaN and the infinities in JSON's
-# extension
-_JSON_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float}
-
-
-def _json_scalar(value: Any) -> str:
-    """``value`` as ``json.dumps`` writes it, for a str, int or float by
-    ``_JSON_TEXT``."""
-    return _JSON_TEXT.get(type(value), json.dumps)(value)
+# int.__repr__ and float.__repr__
+_JSON_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
 
 
 def _fields_in_json_order(cls: type, indent: str) -> tuple[tuple[str, str], ...]:
@@ -116,14 +104,24 @@ _STAT_KEYS = _fields_in_json_order(MetricStat, " " * 8)
 
 
 def _report_json(r: MetricsReport) -> str:
+    def text(value: Any, field: str) -> str:
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigurationError(
+                f"scenario {r.scenario_id}: {field} is {value}, which JSON cannot "
+                f"hold; no report file is written"
+            )
+        return _JSON_TEXT.get(type(value), json.dumps)(value)
+
     lines = []
     for name, head in _REPORT_KEYS:
         value = getattr(r, name)
         if isinstance(value, MetricStat):
-            stat = ",\n".join(h + _json_scalar(getattr(value, n)) for n, h in _STAT_KEYS)
+            stat = ",\n".join(
+                h + text(getattr(value, n), f"{name}.{n}") for n, h in _STAT_KEYS
+            )
             lines.append(f"{head}{{\n{stat}\n      }}")
         else:
-            lines.append(head + _json_scalar(value))
+            lines.append(head + text(value, name))
     return "    {\n" + ",\n".join(lines) + "\n    }"
 
 
@@ -134,7 +132,8 @@ def reports_to_json(reports: Sequence[MetricsReport]) -> str:
 
     The payload has a fixed shape, so it is written line by line from the
     primitives that ``json.dumps`` writes its values with, not by the
-    pure-Python encoder that its ``indent`` takes.
+    pure-Python encoder that its ``indent`` takes. A NaN or infinite float
+    is refused, as ``allow_nan=False`` refuses it: RFC 8259 JSON has none.
     """
     if not reports:
         return '{\n  "reports": []\n}\n'
@@ -187,12 +186,14 @@ def reports_from_json(text: str) -> list[MetricsReport]:
 
 
 def emit(reports: Sequence[MetricsReport], out_dir: str | Path) -> list[Path]:
-    """Write ``reports.csv`` and ``reports.json``; returns their paths."""
+    """Write ``reports.csv`` and ``reports.json``; returns their paths.
+    Reports that JSON cannot hold write neither file."""
+    json_text = reports_to_json(reports)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path, json_path = out / "reports.csv", out / "reports.json"
     csv_path.write_text(reports_to_csv(reports), encoding="utf-8")
-    json_path.write_text(reports_to_json(reports), encoding="utf-8")
+    json_path.write_text(json_text, encoding="utf-8")
     return [csv_path, json_path]
 
 

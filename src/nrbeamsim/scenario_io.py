@@ -17,7 +17,6 @@ cannot be swept.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -270,11 +269,12 @@ _PARTS = {
 
 
 def _build_scenario(
-    cfg: Mapping[str, Any], label: Optional[str], source: str, parts: dict
+    cfg: Mapping[str, Any], label: Optional[str], suffix: str, source: str, parts: dict
 ) -> Scenario:
-    """The scenario of the sections ``cfg``. ``parts`` holds each section's
-    object by the section's name and values, so the scenarios of one file
-    build each distinct section once."""
+    """The scenario of the sections ``cfg``, whose id is ``label`` (or the
+    one its geometry gives) followed by ``suffix``. ``parts`` holds each
+    section's object by the section's name and values, so the scenarios of
+    one file build each distinct section once."""
 
     def part(name: str) -> Any:
         key = (name, *cfg[name].items())
@@ -293,6 +293,7 @@ def _build_scenario(
             **{name: part(name) for name in _PARTS},
             **cfg["deployment"],
             label=label,
+            id_suffix=suffix,
         )
     except (ConfigurationError, DomainError) as exc:
         raise ConfigurationError(f"{source}: {exc}") from None
@@ -359,16 +360,13 @@ def scenario_file_from_dict(
     effectives = []
     for combo in itertools.product(*axes):
         suffix = "__".join(f"{key}={v}" for key, v, _ in combo)
-        label = f"{given_id}__{suffix}" if suffix and given_id else given_id
         # each scenario's sections are dicts of its own: a YAML dump of
         # shared ones would write anchors and aliases
         cfg = {name: dict(v) if isinstance(v, dict) else v for name, v in unswept.items()}
         for key, _, t in combo:
             name, _, field = key.partition(".")
             cfg.setdefault(name, {})[field] = t
-        sc = _build_scenario(cfg, label, source, parts)
-        if suffix and not given_id:
-            sc = dataclasses.replace(sc, label=f"{sc.scenario_id}__{suffix}")
+        sc = _build_scenario(cfg, given_id, suffix, source, parts)
         scenarios.append(sc)
         cfg["scenario_id"] = sc.scenario_id
         effectives.append(cfg)

@@ -5,6 +5,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from nrbeamsim.codebook import Architecture, ArrayConfig
+from nrbeamsim.errors import ConfigurationError
 from nrbeamsim.frame import (
     CSI_PERIODS_SLOTS,
     CSI_SYMBOL_COUNTS,
@@ -18,6 +19,10 @@ from nrbeamsim.frame import (
 )
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import DeploymentMode, Scenario
+
+# the words of the refusal of a geometry whose every CSI-RS occasion meets
+# the SS blocks
+STARVED = "every CSI-RS occasion on the SS blocks"
 
 
 def make_scenario(
@@ -48,8 +53,9 @@ def make_scenario(
 
 
 @st.composite
-def scenarios(draw):
-    """Random valid SA scenarios with small arrays."""
+def scenario_kwargs(draw):
+    """``make_scenario`` arguments of random SA scenarios with small arrays,
+    each valid except that every CSI-RS occasion may meet the SS blocks."""
 
     def array(max_elements):
         arch = draw(st.sampled_from(["analog", "hybrid", "digital"]))
@@ -65,7 +71,7 @@ def scenarios(draw):
     bandwidth = draw(st.integers(50, 80))
     carrier_rb = carrier_resource_blocks(make_numerology(n), ChannelParams().bandwidth_hz)
     assume(delta_f + bandwidth <= carrier_rb)
-    return make_scenario(
+    return dict(
         m_gnb=m_g,
         arch_gnb=arch_g,
         k_bf_gnb=k_g,
@@ -83,6 +89,18 @@ def scenarios(draw):
             delta_f_rb=delta_f,
         ),
     )
+
+
+@st.composite
+def scenarios(draw):
+    """Random valid SA scenarios with small arrays: the scenarios of
+    `scenario_kwargs`, without the geometries whose every CSI-RS occasion
+    meets the SS blocks, which ``Scenario`` refuses."""
+    try:
+        return make_scenario(**draw(scenario_kwargs()))
+    except ConfigurationError as exc:
+        assume(STARVED not in str(exc))
+        raise
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -214,6 +215,29 @@ class TestExitCodes:
         assert captured.err.startswith(f"error: {p}: {message}")
         assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_a_geometry_that_tracks_no_direction_exits_one(
+        self, tmp_path, command, capsys
+    ):
+        # at n = 2 a 5 ms burst period is 280 symbols, and every 20-slot
+        # CSI-RS occasion starts a burst, on its first SS block
+        p = tmp_path / "starved.yaml"
+        p.write_text(
+            "numerology: {n: 2}\nss: {t_ss_ms: 5}\ncsi: {t_csi_slots: 20}\n",
+            encoding="utf-8",
+        )
+        assert main([command, str(p)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {p}: csi.t_csi_slots=20, csi.delta_t_symbols=0 and ss.t_ss_ms=5 "
+        )
+        assert captured.err.endswith(
+            "csi.delta_f_rb >= 20 moves CSI-RS off their resource blocks\n"
+        )
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        argv = [command, str(p), "--set", "csi.delta_f_rb=20", "--runs", "10"]
+        assert main(argv) == EXIT_OK
+
     @pytest.mark.parametrize(
         "file_text, overrides",
         [("campaign: {horizon_ms: 500}\n", []), ("", ["campaign.horizon_ms=50"])],
@@ -387,6 +411,24 @@ class TestCampaignCommands:
         assert ran == []
         assert target.read_text(encoding="utf-8") == "keep\n"
 
+    def test_out_refuses_a_nan_before_writing_either_file(self, tmp_path, capsys):
+        # 64 x 16 analog: the one tracking run at seed 1 draws a direction
+        # with no CSI-RS occasion, so t_tr has no wait to average
+        p = tmp_path / "nan.yaml"
+        p.write_text(
+            "gnb: {elements: 64}\nue: {elements: 16}\nss: {n_ss: 64}\n", encoding="utf-8"
+        )
+        out_dir = tmp_path / "out"
+        argv = ["sweep", str(p), "--runs", "1", "--seed", "1", "--out", str(out_dir)]
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "sa_a64xa16_n3_nss64_tss20: t_tr_ms = nan" in captured.out
+        assert captured.err == (
+            "error: scenario sa_a64xa16_n3_nss64_tss20: t_tr.mean is nan, which "
+            "JSON cannot hold; no report file is written\n"
+        )
+        assert list(out_dir.iterdir()) == []
+
     def test_reruns_byte_identical(self, sweep_yaml, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["sweep", str(sweep_yaml), "--out", str(a)]) == EXIT_OK
@@ -523,21 +565,16 @@ class TestReportCommand:
         kiviat = json.loads((out_dir / "kiviat.json").read_text())
         assert set(kiviat) == {"axes", "scenario_ids", "raw", "values"}
 
-    def test_kiviat_refusal_writes_nothing(self, tmp_path, capsys):
-        # a 160-slot CSI period puts every occasion on a 20 ms SS burst, so
-        # no tracking run finds one and t_tr is NaN, which kiviat refuses
-        p = tmp_path / "collide.yaml"
-        p.write_text(
-            "ss: {n_ss: 8}\n"
-            "gnb: {elements: 16}\n"
-            "ue: {elements: 1}\n"
-            "csi: {t_csi_slots: 160}\n"
-            "campaign: {n_runs: 50}\n",
-            encoding="utf-8",
-        )
+    def test_kiviat_refusal_writes_nothing(self, quick_yaml, tmp_path, capsys):
+        # a tracking mean over no wait is NaN, which kiviat refuses; sweep
+        # writes no such report, so its report is edited by hand
         camp = tmp_path / "camp"
-        assert main(["sweep", str(p), "--out", str(camp)]) == EXIT_OK
-        assert "t_tr_ms = nan" in capsys.readouterr().out
+        assert main(["sweep", str(quick_yaml), "--out", str(camp)]) == EXIT_OK
+        payload = json.loads((camp / "reports.json").read_text(encoding="utf-8"))
+        payload["reports"][0]["t_tr"]["mean"] = math.nan
+        (camp / "reports.json").write_text(json.dumps(payload), encoding="utf-8")
+        assert '"mean": NaN' in (camp / "reports.json").read_text(encoding="utf-8")
+        capsys.readouterr()
         out_dir = tmp_path / "tables"
         code = main(["report", str(camp / "reports.json"), "--out", str(out_dir)])
         assert code == EXIT_CONFIG

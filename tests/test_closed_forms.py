@@ -5,23 +5,26 @@ gNB direction) and the report-tail table, the next surviving CSI
 occasion the tracking plan's residue table gives for every nominal
 occasion, and both grid overheads must equal what the
 event-by-event timelines in ``reference.py`` give, exactly; the mean
-report and tracking delays, float averages, agree to 1e-12.
+report and tracking delays, float averages, agree to 1e-12. A scenario is
+refused exactly when its timeline keeps no CSI-RS occasion.
 """
 from __future__ import annotations
 
 import bisect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import make_scenario, scenarios
+from conftest import STARVED, make_scenario, scenario_kwargs, scenarios
+from nrbeamsim.errors import ConfigurationError
 from nrbeamsim.evaluation import omega_ia_for, omega_tr_for
-from nrbeamsim.errors import NotApplicableError
 from nrbeamsim.frame import SYMBOLS_PER_SLOT, CsiRsConfig
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import (
+    Scenario,
     expected_beam_report_delay_ms,
     expected_tracking_delay_ms,
     p_correct_beam,
@@ -100,13 +103,12 @@ TOUCHING_OCCASIONS = [
 ]
 # at n = 3 a 5 ms burst period is 560 symbols. A 20-slot CSI grid at
 # delta_t = 0 puts every other occasion, direction 0's, on the first SS
-# block, and a 40-slot grid puts every occasion there.
+# block, and a 40-slot grid puts every occasion there, a geometry that
+# is refused: ALL_COLLIDE holds its arguments.
 ONE_DIRECTION_COLLIDES = make_scenario(
     m_gnb=2, m_ue=1, n=3, t_ss_ms=5.0, csi=CsiRsConfig(t_csi_slots=20)
 )
-ALL_COLLIDE = make_scenario(
-    m_gnb=1, m_ue=1, n=3, t_ss_ms=5.0, csi=CsiRsConfig(t_csi_slots=40)
-)
+ALL_COLLIDE = dict(m_gnb=1, m_ue=1, n=3, t_ss_ms=5.0, csi=CsiRsConfig(t_csi_slots=40))
 
 
 # g = gcd(q, s) = 1: q = 32 occasions span whole burst periods and
@@ -131,7 +133,6 @@ def _next_occasion(tp, m):
 @example(TOUCHING_OCCASIONS[0])
 @example(TOUCHING_OCCASIONS[1])
 @example(ONE_DIRECTION_COLLIDES)
-@example(ALL_COLLIDE)
 @example(ONE_CLASS)
 @example(CLASS_PER_RESIDUE)
 def test_next_occasion_table_is_the_timeline_walk(sc):
@@ -163,15 +164,10 @@ def test_next_occasion_table_is_the_timeline_walk(sc):
 @given(scenarios())
 @example(TOUCHING_OCCASIONS[0])
 @example(ONE_DIRECTION_COLLIDES)
-@example(ALL_COLLIDE)
 @example(ONE_CLASS)
 @example(CLASS_PER_RESIDUE)
 def test_mean_tracking_delay_is_the_renewal_mean_of_the_walk(sc):
     hyper, _, occasions = surviving_csi_occasions(sc)
-    if not occasions:
-        with pytest.raises(NotApplicableError):
-            expected_tracking_delay_ms(sc)
-        return
     # an arrival uniform over the hyperperiod waits half of each gap,
     # weighted by that gap: sum of squared gaps over twice the hyperperiod
     per_direction = []
@@ -180,3 +176,20 @@ def test_mean_tracking_delay_is_the_renewal_mean_of_the_walk(sc):
         per_direction.append(float(np.sum(gaps * gaps)) / (2.0 * hyper))
     expected = np.mean(per_direction) * sc.numerology.symbol_ms
     assert expected_tracking_delay_ms(sc) == pytest.approx(expected, rel=1e-12)
+
+
+@PROPERTY
+@given(scenario_kwargs())
+@example(ALL_COLLIDE)
+@example(dict(ALL_COLLIDE, csi=CsiRsConfig(t_csi_slots=40, delta_f_rb=20)))
+def test_a_geometry_is_refused_when_the_timeline_keeps_no_csi_occasion(kw):
+    # the timeline of the scenario as built without its checks
+    with mock.patch.object(Scenario, "__post_init__", lambda sc: None):
+        unchecked = make_scenario(**kw)
+    if surviving_csi_occasions(unchecked)[2]:
+        make_scenario(**kw)
+        return
+    with pytest.raises(ConfigurationError, match=STARVED) as info:
+        make_scenario(**kw)
+    named = ("csi.t_csi_slots", "csi.delta_t_symbols", "ss.t_ss_ms", "delta_f_rb >= 20")
+    assert all(text in str(info.value) for text in named)

@@ -30,10 +30,13 @@ SECTIONS = {
 CONFIGS = sorted(set(SECTIONS.values()), key=lambda cls: cls.__name__)
 
 # the fields no domain describes: a scenario's nested configs, which check
-# themselves, its numerology, which make_numerology checks, and its label
+# themselves, its numerology, which make_numerology checks, and its id's
+# label and suffix
 UNDECLARED = {
     (Scenario, name)
-    for name in ("gnb", "ue", "ss", "csi", "channel", "power", "numerology", "label")
+    for name in (
+        "gnb", "ue", "ss", "csi", "channel", "power", "numerology", "label", "id_suffix"
+    )
 }
 
 # a valid value of each config that has a field without a default

@@ -1,11 +1,11 @@
 """The effective configuration every CLI run prints before its results.
 
-``cli._print_effective`` writes the block line by line and takes the
-distinct values' text from one dump per nesting depth, split per value,
-by ``cli._DUMPER`` (libyaml's C emitter when PyYAML has it). Under
-either dumper the block must equal
-what that dumper writes for the whole document, byte for byte, for any
-scenario id and source path. On the benchmark workloads the C emitter's
+``cli._print_effective`` cuts the block from one dump, by ``cli._DUMPER``
+(libyaml's C emitter when PyYAML has it), of a document that holds each
+distinct top-level value, scenario scalar and config section once. Under
+either dumper the block must equal what that dumper writes for the whole
+document, byte for byte, for any scenario id and source path, with one
+dump per block. On the benchmark workloads the C emitter's
 text must also equal the Python emitter's. For other ids the two
 emitters can differ: they wrap a long double-quoted scalar (an id or
 path holding non-ASCII or control characters) at different columns, so
@@ -34,12 +34,20 @@ TAIL = "\n# results\n"
 CAMPAIGN = {"campaign": {"seed": 7, "n_runs": 100}}
 
 
-@pytest.mark.parametrize("name", ["dense_grid", "wide_arrays"])
-def test_workload_validate_matches_the_python_emitter(
-    name, capsys, monkeypatch
-):
+# the benchmark workloads, and the sweeps of hybrid k_bf values and of
+# several distinct gnb and ue sections
+@pytest.mark.parametrize(
+    "path",
+    [
+        "nrbench/workloads/dense_grid.yaml",
+        "nrbench/workloads/wide_arrays.yaml",
+        "tests/scenarios/hybrid_k6.yaml",
+        "tests/scenarios/mixed_arch.yaml",
+    ],
+    ids=lambda path: Path(path).stem,
+)
+def test_workload_validate_matches_the_python_emitter(path, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
-    path = f"nrbench/workloads/{name}.yaml"
     assert main(["validate", path]) == EXIT_OK
     sf = parse_scenario(path)
     doc = {
@@ -81,15 +89,16 @@ def test_printed_block_loads_back_to_the_effective_documents(sid, source):
 
 # strings that stress the emitters: any code point, YAML indicators,
 # quotes, line breaks, long runs of words that a plain or quoted scalar
-# wraps at the line width, and the text that separates the values of one
-# dump (a list item's lead, a nested key's, a key)
+# wraps at the line width, and the text that separates the pieces of the
+# dump (a piece's head, a section's key, a top-level key, a blank line)
 _PIECES = st.one_of(
     st.text(max_size=6),
     st.sampled_from(
         [" ", "  ", "\n", "\r\n", "\t", "'", '"', "\\", ": ", " #", "- ",
          "\x00", "\x1b", "\x85", "\u2028", "\ufeff", "\xe9", "中",
          "\n- ", "- x:\n    ", "\n- x:\n    n_ss:", "- scenario_id:", "\nsource:",
-         "\nseed: 7\n", "s:\n"]
+         "\nseed: 7\n", "s:\n", "\n- ss:", "\n- gnb:\n    arch: x", "\n  csi:",
+         "\n- scenario_id: ", "\n\n"]
     ),
     st.text(alphabet="ab ", min_size=20, max_size=100),
 )
@@ -161,3 +170,14 @@ def test_printed_values_are_the_values_the_model_reads(tmp_path, capsys):
         "sa_a16xa4_n3_nss64_tss20__deployment.mode=SA__ss.t_ss_ms=20",
         "nsa_a16xa4_n3_nss64_tss20_lte10__deployment.mode=NSA__ss.t_ss_ms=20",
     ]
+
+
+def test_one_dump_per_printed_block(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    dumps = []
+    dump = yaml.dump
+    monkeypatch.setattr(yaml, "dump", lambda *a, **k: dumps.append(a) or dump(*a, **k))
+    for path in ["nrbench/workloads/dense_grid.yaml", "tests/scenarios/mixed_arch.yaml"]:
+        assert main(["validate", path]) == EXIT_OK
+    assert len(dumps) == 2
+    assert capsys.readouterr().out.count(HEAD) == 2

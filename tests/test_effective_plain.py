@@ -1,9 +1,10 @@
 """Numbers, bools and null in the effective configuration.
 
-``cli._value_texts`` writes these values' text itself, as the safe
-representer gives it and the emitter writes a plain scalar, and dumps only
-the others. At every depth of the block the text must be what either
-dumper writes for the whole document.
+``cli._print_effective`` dumps each distinct value once, keyed by its
+type as well, because ``1 == 1.0 == True`` are written differently. At
+every depth of the block, as a top-level value, a scenario scalar or a
+section's key, the text must be what either dumper writes for the whole
+document.
 """
 from __future__ import annotations
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import STARVED, make_scenario
 from nrbeamsim import evaluation
 from nrbeamsim.codebook import MAX_SWEEP_LENGTH, Architecture
 from nrbeamsim.errors import (
@@ -416,16 +416,15 @@ class TestTracking:
         assert abs(kept.mean() - expected_tracking_delay_ms(sc)) <= 3 * se
 
     def test_everything_collides_is_not_applicable(self):
-        # occasions every 160 slots land exactly on each burst start
-        sc = make_scenario(
-            m_gnb=4, m_ue=1, n_ss=64, csi=CsiRsConfig(t_csi_slots=160, delta_f_rb=0)
-        )
-        with pytest.raises(NotApplicableError):
-            expected_tracking_delay_ms(sc)
-        waits, censored = simulate_tracking_batch(
-            tracking_plan(sc), 50, np.random.default_rng(2)
-        )
-        assert censored.all()
+        # occasions every 160 slots land exactly on each burst start, so no
+        # direction would ever be tracked, and the geometry is refused; off
+        # the SS blocks' RBs they survive
+        csi = CsiRsConfig(t_csi_slots=160, delta_f_rb=0)
+        with pytest.raises(ConfigurationError, match=STARVED):
+            make_scenario(m_gnb=4, m_ue=1, n_ss=64, csi=csi)
+        csi = dataclasses.replace(csi, delta_f_rb=20)
+        tp = tracking_plan(make_scenario(m_gnb=4, m_ue=1, n_ss=64, csi=csi))
+        assert tp.dropped_count == 0
 
     @pytest.mark.parametrize("m_gnb", [MAX_SWEEP_LENGTH, MAX_SWEEP_LENGTH - 1])
     def test_the_longest_sweeps_plan_holds_one_entry_per_residue(self, m_gnb):

@@ -19,7 +19,6 @@ from nrbeamsim.evaluation import (
     MetricsReport,
     estimate_metrics,
 )
-from nrbeamsim.frame import CsiRsConfig
 from nrbeamsim.reporting import (
     CSV_COLUMNS,
     emit,
@@ -58,10 +57,10 @@ class TestCsv:
         assert cell == f"{rep.t_ia.mean:.6g}"
 
     def test_a_nan_delay_reads_nan(self):
-        # occasions every 160 slots land on each burst start, so no run
-        # has a tracking wait
-        csi = CsiRsConfig(t_csi_slots=160, delta_f_rb=0)
-        rep = tiny_report(m_gnb=4, m_ue=1, n_ss=64, csi=csi)
+        # 64 x 16 analog: some directions have no CSI-RS occasion, and the
+        # one tracking run at seed 1 draws one of them, so t_tr has no wait
+        sc = make_scenario(m_gnb=64, m_ue=16)
+        rep = estimate_metrics(sc, CampaignSettings(n_runs=1, seed=1))
         assert rep.censored_tracking == rep.n_runs
         (row,) = csv.DictReader(io.StringIO(reports_to_csv([rep])))
         assert row["t_tr_ms"] == "nan"
@@ -162,10 +161,10 @@ class TestJsonRoundTrip:
         assert reports_to_json([]).endswith("\n")
 
 
-# report values that stress the JSON writer: NaN and the infinities (JSON's
-# extension), signed zero, the smallest and a huge float, ints past 64 bits,
-# and ids with quotes, backslashes, control, non-ASCII and lone surrogate
-# characters
+# report values that stress the JSON writer: NaN and the infinities, which
+# it refuses as json.dumps(allow_nan=False) does, signed zero, the smallest
+# and a huge float, ints past 64 bits, and ids with quotes, backslashes,
+# control, non-ASCII and lone surrogate characters
 _FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 1e16]),
@@ -197,7 +196,12 @@ _REPORTS = st.builds(
 @example(reports=[])
 def test_json_is_the_bytes_of_json_dumps(reports):
     payload = {"reports": [dataclasses.asdict(r) for r in reports]}
-    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        with pytest.raises(ConfigurationError, match="which JSON cannot hold"):
+            reports_to_json(reports)
+        return
     assert reports_to_json(reports) == expected
 
 
@@ -208,6 +212,16 @@ class TestEmit:
         assert names == ["reports.csv", "reports.json"]
         for p in paths:
             assert p.read_text(encoding="utf-8")
+
+    def test_a_nan_writes_neither_file(self, tmp_path):
+        # the report of test_a_nan_delay_reads_nan
+        sc = make_scenario(m_gnb=64, m_ue=16)
+        rep = estimate_metrics(sc, CampaignSettings(n_runs=1, seed=1))
+        assert math.isnan(rep.t_tr.mean)
+        message = f"{rep.scenario_id}: t_tr.mean is nan"
+        with pytest.raises(ConfigurationError, match=message):
+            emit([tiny_report(), rep], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a = emit([tiny_report()], tmp_path / "a")

@@ -272,6 +272,21 @@ class TestSweepExpansion:
         ids = sorted(sc.scenario_id for sc in sf.scenarios)
         assert ids == ["base__ss.t_ss_ms=20", "base__ss.t_ss_ms=40"]
 
+    @pytest.mark.parametrize("given", [{}, {"scenario_id": "base"}])
+    def test_each_scenario_is_built_and_checked_once(self, given, monkeypatch):
+        # a variant's id suffix joins the id its geometry gives, too
+        checked = []
+        check = Scenario.__post_init__
+        monkeypatch.setattr(
+            Scenario, "__post_init__", lambda sc: checked.append(sc) or check(sc)
+        )
+        sf = scenario_file_from_dict({**given, "sweep": {"ss.n_ss": [8, 16, 64]}})
+        assert checked == list(sf.scenarios)
+        base = given.get("scenario_id", "sa_a64xa4_n3_nss{}_tss20")
+        assert [sc.scenario_id for sc in sf.scenarios] == [
+            f"{base.format(n)}__ss.n_ss={n}" for n in (8, 16, 64)
+        ]
+
     def test_sweep_needs_lists(self):
         with pytest.raises(ConfigurationError, match="non-empty list"):
             scenario_file_from_dict({"sweep": {"ss.n_ss": 8}})
