@@ -28,7 +28,6 @@ from .frame import (
     Numerology,
     SsBurstConfig,
     carrier_resource_blocks,
-    make_numerology,
 )
 from .link import (
     ChannelParams,
@@ -68,7 +67,6 @@ __all__ = [
     "carrier_resource_blocks",
     "estimate_metrics",
     "kiviat_normalize",
-    "make_numerology",
     "misdetection_probability",
     "noise_power_dbm",
     "oracle_expected_ia",

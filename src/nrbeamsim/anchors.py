@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .codebook import Architecture, ArrayConfig, PowerModel, power_consumption_w
 from .evaluation import omega_ia_for, omega_tr_for
-from .frame import CsiRsConfig, SsBurstConfig, make_numerology
+from .frame import CsiRsConfig, Numerology, SsBurstConfig
 from .link import ChannelParams, misdetection_probability
 from .procedures import (
     LTE_LATENCY_VALUES_MS,
@@ -66,7 +66,7 @@ def _scenario(
     return Scenario(
         gnb=ArrayConfig(elements=m_gnb, arch=arch_gnb),
         ue=ArrayConfig(elements=m_ue, arch=arch_ue),
-        numerology=make_numerology(n),
+        numerology=Numerology(n),
         ss=SsBurstConfig(n_ss=n_ss, t_ss_ms=t_ss_ms),
         csi=CsiRsConfig(t_csi_slots=t_csi_slots),
         mode=mode,

@@ -6,10 +6,11 @@ writes ``reports.csv`` and ``reports.json``; ``anchors`` checks the
 built-in closed-form anchors; ``report`` renders stored reports into
 tables.
 
-Exit codes: 0 success, 1 usage, configuration or validation error,
-2 anchor failure, 3 I/O error. ``validate`` and ``sweep`` print the
-effective configuration (after defaults, overrides and sweep expansion)
-before any results, and all file output is byte-stable for a fixed seed.
+Exit codes: 0 success, 1 usage, configuration or validation error or a
+result that is not finite, 2 anchor failure, 3 I/O error. ``validate``
+and ``sweep`` print the effective configuration (after defaults,
+overrides and sweep expansion) before any results, and all file output
+is byte-stable for a fixed seed.
 
 A run does only the work its output needs: a known command is parsed by
 a parser built for it alone, and the top-level parser, which lists each
@@ -34,6 +35,7 @@ from .errors import ConfigurationError, DomainError, NotApplicableError
 from .evaluation import MetricsReport, estimate_metrics, kiviat_normalize
 from .reporting import (
     METRIC_COLUMNS,
+    check_finite,
     emit,
     power_overhead_table,
     recovery_delay_table,
@@ -207,6 +209,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
         # an --out the reports cannot go to fails before the campaigns run
         args.out.mkdir(parents=True, exist_ok=True)
     reports = [estimate_metrics(sc, sf.campaign) for sc in sf.scenarios]
+    # a number no output can hold stops the sweep before any result is shown
+    check_finite(reports)
     # the results block in one write
     sys.stdout.write("".join(map(_metric_lines, reports)))
     if args.out is not None:

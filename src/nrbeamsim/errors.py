@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the one check of the
-config classes' fields: each field declares its domain once, with
-`declare`, which ``scenario_io`` also reads for its keys' kinds and
-defaults, and every refusal reads ``{key}={value!r}: must be {rule}``,
-where an int too long for the interpreter to print shows its size.
+"""Exception types shared across the package, and the one check of a
+config value: each config field declares its domain once, with
+`declare`, and `Domain.check` checks both the field and the scenario-file
+key that sets it. Every refusal reads ``{key}={value!r}: must be
+{rule}``, where an int too long for the interpreter to print shows its
+size.
 """
 from __future__ import annotations
 
@@ -38,19 +39,21 @@ _NUMBERS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real
 
 
 class Domain(NamedTuple):
-    """The kind, default and allowed values of one config field, as
-    `declare` describes them."""
+    """The kind, default and allowed values of one config value, as
+    `declare` describes them; a ``str`` kind takes a string."""
 
     kind: type
     default: Any
-    among: tuple
-    lo: Optional[float]
-    hi: Optional[float]
-    lo_open: bool
+    among: tuple = ()
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    lo_open: bool = False
 
     def rule(self) -> str:
         """What a value must be, in the words of a refusal."""
         lo, hi = self.lo, self.hi
+        if self.kind is str:
+            return "a string"
         if self.among:
             return f"one of {list(self.among)}"
         if hi is not None:
@@ -70,10 +73,13 @@ class Domain(NamedTuple):
             return None
         kind, t = self.kind, type(value)
         if kind not in _NUMBERS:
-            try:
-                return kind(value)
-            except ValueError:
-                raise _refusal(key, value, self.rule()) from None
+            # an enum takes a member or a member's value; str only a string
+            if kind is not str or isinstance(value, str):
+                try:
+                    return kind(value)
+                except ValueError:
+                    pass
+            raise _refusal(key, value, self.rule())
         number, noun = _NUMBERS[kind]
         # an exact int or float skips the slower check of the numbers ABC
         if t is not int and t is not kind and (t is bool or not isinstance(value, number)):

@@ -57,8 +57,8 @@ class CampaignSettings:
     """One campaign: ``n_runs`` runs per batch from root ``seed``. A
     tracking run is censored only when its direction has no surviving
     CSI-RS occasion. A scenario file's ``campaign`` block builds it, so
-    its defaults and checks are the campaign's only ones. Errors name the
-    bare key; a scenario file prefixes the file and ``campaign.``.
+    its defaults and domains are the campaign's only ones. Errors name the
+    bare key; a scenario file's name the file and ``campaign.``.
     """
 
     n_runs: int = declare(int, 10_000, lo=1, hi=MAX_RUNS)

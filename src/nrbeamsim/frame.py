@@ -2,7 +2,9 @@
 
 Numerologies (3GPP TS 38.211) and the SS burst and CSI-RS
 configurations, on a discrete grid whose unit is one OFDM symbol in time
-and one resource block (RB) in frequency.
+and one resource block (RB) in frequency. Each is a config class whose
+fields declare their domains (`errors.declare`), so a scenario file's
+``numerology``, ``ss`` and ``csi`` keys are checked like every other.
 
 Conventions
 -----------
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, _refusal, check_domains, declare
+from .errors import ConfigurationError, check_domains, declare
 
 SYMBOLS_PER_SLOT = 14
 SS_BLOCK_SYMBOLS = 4
@@ -45,19 +47,29 @@ CSI_MIN_RB = 50
 
 @dataclass(frozen=True)
 class Numerology:
-    """One NR numerology: subcarrier spacing and derived symbol timing.
+    """One NR numerology (3GPP TS 38.211 section 4.2): its index ``n``,
+    one of ``NUMEROLOGIES`` (of the indices 0..4, FR2 uses 2..4, 60 to
+    240 kHz), and the subcarrier spacing and symbol timing it gives."""
 
-    Attributes:
-        n: numerology index, one of ``NUMEROLOGIES``.
-        scs_khz: subcarrier spacing, 15 * 2**n kHz.
-        slot_ms: slot duration, 1 / 2**n ms.
-        symbol_us: OFDM symbol duration in microseconds (slot / 14).
-    """
+    n: int = declare(int, 3, NUMEROLOGIES)
 
-    n: int
-    scs_khz: int
-    slot_ms: float
-    symbol_us: float
+    def __post_init__(self) -> None:
+        check_domains(self, "numerology.")
+
+    @property
+    def scs_khz(self) -> int:
+        """Subcarrier spacing, 15 * 2**n kHz."""
+        return 15 * (1 << self.n)
+
+    @property
+    def slot_ms(self) -> float:
+        """Slot duration, 1 / 2**n ms."""
+        return 1.0 / (1 << self.n)
+
+    @property
+    def symbol_us(self) -> float:
+        """OFDM symbol duration in microseconds (slot / 14)."""
+        return self.slot_ms * 1000.0 / SYMBOLS_PER_SLOT
 
     @property
     def symbol_ms(self) -> float:
@@ -66,25 +78,6 @@ class Numerology:
     @property
     def symbols_per_ms(self) -> float:
         return (1 << self.n) * SYMBOLS_PER_SLOT
-
-
-def make_numerology(n: int) -> Numerology:
-    """Build the numerology for index ``n``.
-
-    Args:
-        n: numerology index; of the 0..4 that 3GPP TS 38.211 section
-            4.2 defines, FR2 uses 2..4 (60 kHz to 240 kHz).
-
-    Raises:
-        ConfigurationError: if ``n`` is not an integer in 2..4.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n not in NUMEROLOGIES:
-        rule = f"an integer in {NUMEROLOGIES[0]}..{NUMEROLOGIES[-1]}"
-        raise _refusal("numerology.n", n, rule)
-    scs_khz = 15 * (1 << n)
-    slot_ms = 1.0 / (1 << n)
-    symbol_us = slot_ms * 1000.0 / SYMBOLS_PER_SLOT
-    return Numerology(n=n, scs_khz=scs_khz, slot_ms=slot_ms, symbol_us=symbol_us)
 
 
 def carrier_resource_blocks(num: Numerology, bandwidth_hz: float) -> int:

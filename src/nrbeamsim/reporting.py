@@ -84,6 +84,7 @@ def _to_csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
 
 
 def reports_to_csv(reports: Sequence[MetricsReport]) -> str:
+    check_finite(reports)
     return _to_csv(CSV_COLUMNS, map(report_csv_row, reports))
 
 
@@ -103,25 +104,40 @@ _REPORT_KEYS = _fields_in_json_order(MetricsReport, " " * 6)
 _STAT_KEYS = _fields_in_json_order(MetricStat, " " * 8)
 
 
+# each float of a report by its dotted name, in JSON order ("." sorts
+# before any character of a name)
+_FLOAT_FIELDS = sorted(
+    f.name if f.type == "float" else f"{f.name}.{stat}"
+    for f in fields(MetricsReport)
+    for stat in {"float": ("",), "MetricStat": ("mean", "stderr")}.get(f.type, ())
+)
+_FLOAT_VALUES = attrgetter(*_FLOAT_FIELDS)
+
+
+def check_finite(reports: Iterable[MetricsReport]) -> None:
+    """Refuse the first NaN or infinite float of ``reports``, in JSON
+    order, naming its scenario and field: no output shows one."""
+    for r in reports:
+        for field, value in zip(_FLOAT_FIELDS, _FLOAT_VALUES(r)):
+            if type(value) is float and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"scenario {r.scenario_id}: {field} is {value}, which JSON "
+                    f"cannot hold; no report file is written"
+                )
+
+
 def _report_json(r: MetricsReport) -> str:
-    def text(value: Any, field: str) -> str:
-        if type(value) is float and not math.isfinite(value):
-            raise ConfigurationError(
-                f"scenario {r.scenario_id}: {field} is {value}, which JSON cannot "
-                f"hold; no report file is written"
-            )
+    def text(value: Any) -> str:
         return _JSON_TEXT.get(type(value), json.dumps)(value)
 
     lines = []
     for name, head in _REPORT_KEYS:
         value = getattr(r, name)
         if isinstance(value, MetricStat):
-            stat = ",\n".join(
-                h + text(getattr(value, n), f"{name}.{n}") for n, h in _STAT_KEYS
-            )
+            stat = ",\n".join(h + text(getattr(value, n)) for n, h in _STAT_KEYS)
             lines.append(f"{head}{{\n{stat}\n      }}")
         else:
-            lines.append(head + text(value, name))
+            lines.append(head + text(value))
     return "    {\n" + ",\n".join(lines) + "\n    }"
 
 
@@ -133,8 +149,9 @@ def reports_to_json(reports: Sequence[MetricsReport]) -> str:
     The payload has a fixed shape, so it is written line by line from the
     primitives that ``json.dumps`` writes its values with, not by the
     pure-Python encoder that its ``indent`` takes. A NaN or infinite float
-    is refused, as ``allow_nan=False`` refuses it: RFC 8259 JSON has none.
+    is refused by `check_finite`, as ``allow_nan=False`` refuses it.
     """
+    check_finite(reports)
     if not reports:
         return '{\n  "reports": []\n}\n'
     body = ",\n".join(map(_report_json, reports))

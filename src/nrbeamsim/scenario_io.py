@@ -2,13 +2,15 @@
 
 A scenario file is a nested mapping of the sections in ``_SCHEMA``,
 which holds every key's default (the README lists them); every key is
-optional. A section that a config dataclass builds has that dataclass's
-declared fields (`errors.declare`) as its keys, with their defaults and
-their kinds. File keys, ``--set section.key=value`` overrides and the keys
-of the ``sweep`` section all name one flat table of dotted keys and pass
-one check: an unknown key is rejected with its dotted path, and so is a
-value that is not of the key's kind, including ``null`` for a key whose
-default is not ``null``. The dataclasses then check each value's domain.
+optional. Each section but the file's ``scenario_id`` string and the
+``sweep`` section is built by a config dataclass, whose declared fields
+(`errors.declare`) are its keys, with their defaults and their domains.
+File keys, ``--set section.key=value`` overrides and the keys of the
+``sweep`` section all name one flat table of dotted keys: an unknown key
+is rejected with its dotted path, and each value is checked by its key's
+domain (`errors.Domain.check`) before any scenario is built, so every
+refused value reads ``{source}: {key}={value!r}: must be {rule}``. The
+dataclasses then check what ties values together.
 
 The ``sweep`` section maps dotted keys to value lists and expands to the
 Cartesian product of scenarios; each variant's id gets a deterministic
@@ -18,17 +20,17 @@ cannot be swept.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
 import yaml
 
 from .codebook import ArrayConfig, PowerModel
-from .errors import ConfigurationError, DomainError, declared_domains
+from .errors import ConfigurationError, Domain, DomainError, declared_domains
 from .evaluation import CampaignSettings
-from .frame import CsiRsConfig, SsBurstConfig, make_numerology
+from .frame import CsiRsConfig, Numerology, SsBurstConfig
 from .link import ChannelParams
 from .procedures import Scenario
 
@@ -118,6 +120,7 @@ def _defaults(cls: type) -> dict[str, Any]:
 
 # the config dataclass that builds each section
 _BUILDERS: dict[str, type] = {
+    "numerology": Numerology,
     "ss": SsBurstConfig,
     "csi": CsiRsConfig,
     "gnb": ArrayConfig,
@@ -131,7 +134,6 @@ _BUILDERS: dict[str, type] = {
 # the sections and their keys with their defaults
 _SCHEMA: dict[str, Optional[dict[str, Any]]] = {
     "scenario_id": None,
-    "numerology": {"n": 3},
     **{section: _defaults(cls) for section, cls in _BUILDERS.items()},
     "sweep": {},
 }
@@ -177,11 +179,11 @@ def _flatten(data: Mapping[Any, Any], source: str) -> dict[str, Any]:
     return flat
 
 
-# the flat key table: every dotted key with its default and its kind, the
-# declared one of the field that takes it
+# the flat key table: every dotted key with its default and the domain
+# that checks its value, the declared one of the field that takes it
 _DEFAULTS: dict[str, Any] = _flatten(_SCHEMA, "<schema>")
-_TYPES: dict[str, type] = {"scenario_id": str, "numerology.n": int} | {
-    f"{section}.{name}": domain.kind
+_DOMAINS: dict[str, Domain] = {"scenario_id": Domain(str, None)} | {
+    f"{section}.{name}": domain
     for section, cls in _BUILDERS.items()
     for name, domain in declared_domains(cls)
 }
@@ -196,37 +198,22 @@ def _check_path(source: str, path: str, shown: str) -> None:
 
 
 def _coerce(source: str, path: str, shown: str, value: Any) -> Any:
-    """``value`` as the kind of key ``path``, or an error naming ``shown``;
-    an enum key keeps the name as given."""
-    if value is None:
-        if _DEFAULTS[path] is not None:
-            raise _err(source, shown, "must not be null")
-        return None
-    kind = _TYPES[path]
-    if kind is int:
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not value.is_integer())
-        ):
-            raise _err(source, shown, f"expected an integer, got {value!r}")
-        return int(value)
-    if kind is float:
-        # YAML 1.1 reads 4.0e8 as a string; float() takes it
+    """``value`` as the scenario takes it, checked by the domain of key
+    ``path``, whose refusal names ``shown``. An int key takes a whole float,
+    and a float key a numeric string (YAML 1.1 reads 4.0e8 as one) and
+    stores a float; an enum key keeps the name as given."""
+    domain = _DOMAINS[path]
+    if domain.kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    elif domain.kind is float and isinstance(value, str):
         try:
-            number = None if isinstance(value, bool) else float(value)
-        except (TypeError, ValueError):
-            number = None
-        except OverflowError:
-            number = math.inf
-        if number is None:
-            raise _err(source, shown, f"expected a number, got {value!r}")
-        if not math.isfinite(number):
-            raise _err(source, shown, f"must be finite, got {value!r}")
-        return number
-    if not isinstance(value, str):
-        raise _err(source, shown, f"expected a string, got {value!r}")
-    return value
+            value = float(value)
+        except ValueError:
+            pass  # the domain refuses it
+    stored = domain.check(f"{source}: {shown}", value)
+    if isinstance(stored, Enum):
+        return value
+    return float(stored) if domain.kind is float and stored is not None else stored
 
 
 def _overrides(overrides: Sequence[str], source: str) -> dict[str, Any]:
@@ -262,10 +249,7 @@ def _nested(flat: Mapping[str, Any]) -> dict[str, Any]:
 
 # what builds each section that a scenario holds as an object, in the
 # order a scenario is checked
-_PARTS = {
-    "numerology": make_numerology,
-    **{name: _BUILDERS[name] for name in ("ss", "csi", "gnb", "ue", "channel", "power")},
-}
+_PARTS = {name: cls for name, cls in _BUILDERS.items() if name not in ("deployment", "campaign")}
 
 
 def _build_scenario(
@@ -345,12 +329,7 @@ def scenario_file_from_dict(
         axes.append(axis)
 
     typed = {p: _coerce(source, p, p, v) for p, v in raw.items() if p not in swept}
-    try:
-        campaign = CampaignSettings(
-            **{k: typed.pop(f"campaign.{k}") for k in _SCHEMA["campaign"]}
-        )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{source}: campaign.{exc}") from None
+    campaign = CampaignSettings(**{k: typed.pop(f"campaign.{k}") for k in _SCHEMA["campaign"]})
 
     given_id = typed["scenario_id"]
     unswept = _nested(typed)

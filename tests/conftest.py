@@ -13,9 +13,9 @@ from nrbeamsim.frame import (
     SS_PERIODS_MS,
     SYMBOLS_PER_SLOT,
     CsiRsConfig,
+    Numerology,
     SsBurstConfig,
     carrier_resource_blocks,
-    make_numerology,
 )
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import DeploymentMode, Scenario
@@ -43,7 +43,7 @@ def make_scenario(
     return Scenario(
         gnb=ArrayConfig(elements=m_gnb, arch=Architecture(arch_gnb), k_bf=k_bf_gnb),
         ue=ArrayConfig(elements=m_ue, arch=Architecture(arch_ue), k_bf=k_bf_ue),
-        numerology=make_numerology(n),
+        numerology=Numerology(n),
         ss=SsBurstConfig(n_ss=n_ss, t_ss_ms=t_ss_ms),
         csi=kwargs.pop("csi", CsiRsConfig()),
         mode=DeploymentMode(mode),
@@ -69,7 +69,7 @@ def scenario_kwargs(draw):
     t_csi = draw(st.sampled_from(CSI_PERIODS_SLOTS))
     delta_f = draw(st.sampled_from([0, 10, 19, 20, 60]))
     bandwidth = draw(st.integers(50, 80))
-    carrier_rb = carrier_resource_blocks(make_numerology(n), ChannelParams().bandwidth_hz)
+    carrier_rb = carrier_resource_blocks(Numerology(n), ChannelParams().bandwidth_hz)
     assume(delta_f + bandwidth <= carrier_rb)
     return dict(
         m_gnb=m_g,

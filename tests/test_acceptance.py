@@ -27,7 +27,7 @@ from nrbeamsim.evaluation import (
     omega_tr_for,
     stat_from_samples,
 )
-from nrbeamsim.frame import CsiRsConfig, SsBurstConfig, make_numerology
+from nrbeamsim.frame import CsiRsConfig, Numerology, SsBurstConfig
 from nrbeamsim.link import ChannelParams, misdetection_probability
 from nrbeamsim.procedures import (
     LTE_LATENCY_VALUES_MS,
@@ -245,7 +245,7 @@ class TestAcceptance:
             lambda: CsiRsConfig(t_csi_slots=7),
             lambda: CsiRsConfig(n_symbols=3),
             lambda: CsiRsConfig(bandwidth_rb=30),
-            lambda: make_numerology(5),
+            lambda: Numerology(5),
         ]
         lib_ok = True
         for build in constructors:

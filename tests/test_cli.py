@@ -198,8 +198,8 @@ class TestExitCodes:
         "file_text, overrides, message",
         [
             ("", ["deployment.carrier_ghz=28"], "deployment.carrier_ghz: unknown key"),
-            ("numerology: {n: 0}\n", [], "numerology.n=0: must be an integer in 2..4"),
-            ("", ["numerology.n=1"], "numerology.n=1: must be an integer in 2..4"),
+            ("numerology: {n: 0}\n", [], "numerology.n=0: must be one of [2, 3, 4]"),
+            ("", ["numerology.n=1"], "numerology.n=1: must be one of [2, 3, 4]"),
         ],
     )
     def test_sub6_inputs_print_one_error_line(
@@ -411,7 +411,8 @@ class TestCampaignCommands:
         assert ran == []
         assert target.read_text(encoding="utf-8") == "keep\n"
 
-    def test_out_refuses_a_nan_before_writing_either_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("out", [True, False], ids=["out", "no-out"])
+    def test_a_nan_is_refused_before_the_results_block(self, tmp_path, out, capsys):
         # 64 x 16 analog: the one tracking run at seed 1 draws a direction
         # with no CSI-RS occasion, so t_tr has no wait to average
         p = tmp_path / "nan.yaml"
@@ -419,15 +420,19 @@ class TestCampaignCommands:
             "gnb: {elements: 64}\nue: {elements: 16}\nss: {n_ss: 64}\n", encoding="utf-8"
         )
         out_dir = tmp_path / "out"
-        argv = ["sweep", str(p), "--runs", "1", "--seed", "1", "--out", str(out_dir)]
+        argv = ["sweep", str(p), "--runs", "1", "--seed", "1"]
+        if out:
+            argv += ["--out", str(out_dir)]
         assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert "sa_a64xa16_n3_nss64_tss20: t_tr_ms = nan" in captured.out
+        assert captured.out.endswith("# results\n")
+        assert " = " not in captured.out
         assert captured.err == (
             "error: scenario sa_a64xa16_n3_nss64_tss20: t_tr.mean is nan, which "
             "JSON cannot hold; no report file is written\n"
         )
-        assert list(out_dir.iterdir()) == []
+        # --out makes its directory before the campaigns run, and no file
+        assert sorted(tmp_path.rglob("*")) == ([p, out_dir] if out else [p])
 
     def test_reruns_byte_identical(self, sweep_yaml, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -526,7 +531,7 @@ class TestSeedPrecedence:
         # the flag's value is read as YAML and checked like the file's
         assert main(["sweep", str(quick_yaml), "--seed", value]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"campaign.seed: expected an integer, got {shown}" in err
+        assert f"{quick_yaml}: campaign.seed={shown}: must be an integer\n" in err
 
     def test_negative_file_seed_exits_one(self, tmp_path, capsys):
         p = tmp_path / "neg.yaml"
@@ -785,20 +790,44 @@ class TestAnchorsCommand:
             "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
             "sys.exit(code)\n"
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        pythonpath = os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p
-        )
         blobs = []
         for sub in ("a", "b"):
-            proc = subprocess.run(
-                [sys.executable, "-W", "error", "-c", script, str(tmp_path / sub)],
-                env=dict(os.environ, PYTHONPATH=pythonpath),
-                capture_output=True,
-                text=True,
-                timeout=300,
-            )
+            proc = _fresh_python(script, tmp_path / sub)
             assert proc.returncode == EXIT_OK, proc.stderr
             assert "20/20 anchors passed" in proc.stdout
             blobs.append((tmp_path / sub / "anchors.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_no_command_loads_scipy(self, sweep_yaml, tmp_path):
+        # scipy is no dependency, so no command may import it where it is
+        # installed
+        script = (
+            "import sys\n"
+            "from nrbeamsim.cli import main\n"
+            "scenario, out = sys.argv[1:]\n"
+            "codes = [\n"
+            "    main(['validate', scenario]),\n"
+            "    main(['sweep', scenario, '--runs', '20', '--out', out]),\n"
+            "    main(['anchors']),\n"
+            "    main(['report', out + '/reports.json']),\n"
+            "]\n"
+            "assert codes == [0, 0, 0, 0], codes\n"
+            "scipy = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            "assert not scipy, scipy\n"
+        )
+        proc = _fresh_python(script, sweep_yaml, tmp_path / "out")
+        assert proc.returncode == EXIT_OK, proc.stderr
+
+
+def _fresh_python(script: str, *args) -> subprocess.CompletedProcess:
+    """``script`` run with ``args`` by a fresh interpreter that imports
+    this checkout's package and turns warnings into errors."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    pythonpath = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", script, *map(str, args)],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )

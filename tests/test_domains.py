@@ -12,12 +12,14 @@ from nrbeamsim import scenario_io
 from nrbeamsim.codebook import ArrayConfig, PowerModel
 from nrbeamsim.errors import ConfigurationError, declared_domains
 from nrbeamsim.evaluation import CampaignSettings
-from nrbeamsim.frame import CsiRsConfig, SsBurstConfig
+from nrbeamsim.frame import CsiRsConfig, Numerology, SsBurstConfig
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import Scenario
+from nrbeamsim.scenario_io import scenario_file_from_dict
 
 # the config dataclass that builds each scenario-file section
 SECTIONS = {
+    "numerology": Numerology,
     "ss": SsBurstConfig,
     "csi": CsiRsConfig,
     "gnb": ArrayConfig,
@@ -30,8 +32,7 @@ SECTIONS = {
 CONFIGS = sorted(set(SECTIONS.values()), key=lambda cls: cls.__name__)
 
 # the fields no domain describes: a scenario's nested configs, which check
-# themselves, its numerology, which make_numerology checks, and its id's
-# label and suffix
+# themselves, and its id's label and suffix
 UNDECLARED = {
     (Scenario, name)
     for name in (
@@ -51,36 +52,42 @@ def test_every_config_field_declares_a_domain(cls):
 
 
 def test_every_scenario_key_takes_its_kind_from_its_field():
-    # so a new key cannot skip the check of its field's domain
-    kinds = {
-        f"{section}.{name}": domain.kind
+    # so a new key cannot skip the check of its field's domain: each key but
+    # the file's own id is checked by the domain of the field it sets
+    domains = {
+        f"{section}.{name}": domain
         for section, cls in SECTIONS.items()
         for name, domain in declared_domains(cls)
     }
-    keys = set(scenario_io._DEFAULTS) - {"scenario_id", "numerology.n"}
-    assert keys == set(kinds)
-    assert {key: scenario_io._TYPES[key] for key in keys} == kinds
+    keys = set(scenario_io._DEFAULTS) - {"scenario_id"}
+    assert keys == set(domains)
+    assert {key: scenario_io._DOMAINS[key] for key in keys} == domains
 
 
 @pytest.mark.parametrize(
-    "cls, name",
+    "section, name",
     [
-        (cls, name)
-        for cls in CONFIGS
+        (section, name)
+        for section, cls in SECTIONS.items()
         for name, domain in declared_domains(cls)
         if domain.kind is int
     ],
-    ids=lambda p: getattr(p, "__name__", p),
 )
 @pytest.mark.parametrize("integer", [np.int64, np.uint16])
-def test_an_integral_number_is_stored_as_an_int(cls, name, integer):
+def test_an_integral_number_is_stored_as_an_int(section, name, integer):
     # ArrayConfig, SsBurstConfig and CsiRsConfig once refused numpy
-    # integers that CampaignSettings took
+    # integers that CampaignSettings took, and a scenario file refused them
+    # for every key
+    cls = SECTIONS[section]
     plain = cls(**REQUIRED.get(cls, {}))
-    value = getattr(plain, name)
-    widened = cls(**{**REQUIRED.get(cls, {}), name: integer(value)})
+    given = {**REQUIRED.get(cls, {}), name: integer(getattr(plain, name))}
+    widened = cls(**given)
     assert widened == plain
     assert type(getattr(widened, name)) is int
+    sf = scenario_file_from_dict({section: given})
+    read = sf.campaign if section == "campaign" else getattr(sf.scenarios[0], section)
+    assert read == plain
+    assert type(getattr(read, name)) is int
 
 
 @pytest.mark.parametrize(
