@@ -8,15 +8,14 @@ tables.
 
 Exit codes: 0 success, 1 usage, configuration or validation error or a
 result that is not finite, 2 anchor failure, 3 I/O error. ``validate``
-and ``sweep`` print the effective configuration (after defaults,
-overrides and sweep expansion) before any results, and all file output
-is byte-stable for a fixed seed.
+and ``sweep`` print the effective configuration (the scenario file
+after defaults and overrides, which reproduces the run) before any
+results, and all file output is byte-stable for a fixed seed.
 
 A run does only the work its output needs: a known command is parsed by
 a parser built for it alone, and the top-level parser, which lists each
 command's help line, serves only ``-h``, ``--version`` and a missing or
-unknown command. The effective configuration is cut from one YAML dump
-that holds each distinct value and config section of the file once.
+unknown command.
 """
 from __future__ import annotations
 
@@ -24,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -150,43 +150,10 @@ def _load(args: argparse.Namespace) -> ScenarioFile:
 
 
 def _print_effective(sf: ScenarioFile) -> None:
-    """Print the effective configuration as ``yaml.dump(doc, Dumper=_DUMPER,
-    sort_keys=True, default_flow_style=False)`` would.
-
-    One dump writes a document that lists each distinct piece once: the
-    top-level values, and under ``scenarios`` each scenario scalar and
-    config section as a one-key mapping, keyed by its name, items and item
-    types (``1 == 1.0 == True`` have different texts). A piece starts at
-    the same column and indents its later lines as in the whole document,
-    so its text runs from its head ``- name:`` to the next piece's head, and
-    the last one's to the first top-level key after ``scenarios``; no line
-    inside a value starts at column 0. Each scenario joins its pieces'
-    texts in key order, the first after ``- `` and the others after two
-    spaces.
-    """
-    top = {"source": sf.source, **vars(sf.campaign)}
-    pieces: dict[tuple, dict] = {}
-    rows = []
-    for scenario in sf.effective:
-        row = []
-        for name, v in sorted(scenario.items()):
-            items = tuple(v.items()) if isinstance(v, dict) else ((None, v),)
-            key = (name, *items, *(type(x) for _, x in items))
-            pieces.setdefault(key, {name: v})
-            row.append(key)
-        rows.append(row)
-    doc = {**top, "scenarios": list(pieces.values())}
-    dumped = yaml.dump(doc, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
-    cuts = [0]
-    for key in pieces:
-        cuts.append(dumped.index(f"\n- {key[0]}:", cuts[-1]) + 1)
-    after = min(k for k in top if k > "scenarios")
-    cuts.append(dumped.index(f"\n{after}:", cuts[-1]) + 1)
-    # each piece's text after its lead "- "
-    texts = {key: dumped[a + 2 : b] for key, a, b in zip(pieces, cuts[1:], cuts[2:])}
-    body = "".join("- " + "  ".join(texts[key] for key in row) for row in rows)
-    head, tail = dumped[: cuts[1]], dumped[cuts[-1] :]
-    sys.stdout.write(f"# effective configuration\n{head}{body}{tail}# results\n")
+    """Print the effective configuration: the scenario file that, run
+    again, gives the same scenarios and campaign."""
+    text = yaml.dump(sf.effective, Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
+    sys.stdout.write(f"# effective configuration\n{text}# results\n")
 
 
 def _metric_lines(r: MetricsReport) -> str:
@@ -226,6 +193,9 @@ def _run_validate(args: argparse.Namespace) -> int:
 
 
 def _run_anchors(args: argparse.Namespace) -> int:
+    if args.out is not None:
+        # an --out the table cannot go to fails before any anchor is shown
+        args.out.mkdir(parents=True, exist_ok=True)
     results = run_anchors()
     failed = [r for r in results if r.gated and not r.passed]
     for r in results:
@@ -234,9 +204,7 @@ def _run_anchors(args: argparse.Namespace) -> int:
         print(f"{status}{tag} {r.name}: {r.detail}")
     print(f"{len(results) - len(failed)}/{len(results)} anchors passed")
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "anchors.csv"
+        path = args.out / "anchors.csv"
         path.write_text(anchors_csv(results), encoding="utf-8")
         print(f"wrote {path}")
     return EXIT_ANCHOR if failed else EXIT_OK
@@ -257,28 +225,22 @@ def _run_report(args: argparse.Namespace) -> int:
         "t_rlf_table.csv": recovery_delay_table(reports),
     }
     if args.out is not None:
-        # kiviat may refuse the reports: find out before writing any file
-        kiviat = kiviat_normalize(reports)
-        payload = {
-            "axes": list(kiviat.axes),
-            "scenario_ids": list(kiviat.scenario_ids),
-            "raw": [list(v) for v in kiviat.raw],
-            "values": [list(v) for v in kiviat.values],
-        }
+        # kiviat may refuse the reports: find out before making the
+        # directory, and make it before any table is shown
+        kiviat = asdict(kiviat_normalize(reports))
         files = {
             **tables,
-            "kiviat.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            "kiviat.json": json.dumps(kiviat, indent=2, sort_keys=True) + "\n",
             "reports.json": reports_to_json(reports),
         }
+        args.out.mkdir(parents=True, exist_ok=True)
     for name, text in tables.items():
         print(f"# {name}")
         print(text.rstrip())
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            (out / name).write_text(text, encoding="utf-8")
-            print(f"wrote {out / name}")
+            (args.out / name).write_text(text, encoding="utf-8")
+            print(f"wrote {args.out / name}")
     return EXIT_OK
 
 

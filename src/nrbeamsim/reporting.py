@@ -114,16 +114,17 @@ _FLOAT_FIELDS = sorted(
 _FLOAT_VALUES = attrgetter(*_FLOAT_FIELDS)
 
 
-def check_finite(reports: Iterable[MetricsReport]) -> None:
+def check_finite(
+    reports: Iterable[MetricsReport],
+    why: str = "which JSON cannot hold; no report file is written",
+) -> None:
     """Refuse the first NaN or infinite float of ``reports``, in JSON
-    order, naming its scenario and field: no output shows one."""
+    order, naming its scenario and field and ending in ``why``: no output
+    shows one."""
     for r in reports:
         for field, value in zip(_FLOAT_FIELDS, _FLOAT_VALUES(r)):
             if type(value) is float and not math.isfinite(value):
-                raise ConfigurationError(
-                    f"scenario {r.scenario_id}: {field} is {value}, which JSON "
-                    f"cannot hold; no report file is written"
-                )
+                raise ConfigurationError(f"scenario {r.scenario_id}: {field} is {value}, {why}")
 
 
 def _report_json(r: MetricsReport) -> str:
@@ -196,10 +197,13 @@ def reports_from_json(text: str) -> list[MetricsReport]:
         raise ConfigurationError("report JSON must be {'reports': [...]}")
     if not isinstance(payload["reports"], list):
         raise ConfigurationError("report JSON: 'reports' must be a list")
-    return [
+    reports = [
         _from_json_object(MetricsReport, item, f"reports[{i}]")
         for i, item in enumerate(payload["reports"])
     ]
+    # json reads NaN and Infinity, and 1e999 as inf, which RFC 8259 has not
+    check_finite(reports, "which report JSON cannot hold")
+    return reports
 
 
 def emit(reports: Sequence[MetricsReport], out_dir: str | Path) -> list[Path]:

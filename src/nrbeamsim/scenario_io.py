@@ -148,14 +148,19 @@ _UNSWEPT = ("scenario_id", "campaign")
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """One parsed scenario file: expanded scenarios plus campaign knobs."""
+    """One parsed scenario file: expanded scenarios plus campaign knobs.
+
+    ``effective`` is the file after defaults and overrides, itself a
+    scenario file that builds the same scenarios and campaign: each
+    unswept key in its section as the model reads it, ``campaign`` as
+    resolved, the ``scenario_id`` given (or ``None``) and, when the file
+    sweeps, a ``sweep`` section of each swept key's values as written,
+    which the scenario ids carry.
+    """
 
     scenarios: tuple[Scenario, ...]
     campaign: CampaignSettings
-    source: str
-    # per scenario, the sections it was built from and its id; the campaign
-    # applies to the whole file and is not repeated here
-    effective: tuple[dict[str, Any], ...]
+    effective: dict[str, Any]
 
 
 def _err(source: str, path: str, msg: str) -> ConfigurationError:
@@ -328,33 +333,23 @@ def scenario_file_from_dict(
             raise _err(source, shown, f"repeats a value in {values!r}")
         axes.append(axis)
 
-    typed = {p: _coerce(source, p, p, v) for p, v in raw.items() if p not in swept}
-    campaign = CampaignSettings(**{k: typed.pop(f"campaign.{k}") for k in _SCHEMA["campaign"]})
+    unswept = _nested({p: _coerce(source, p, p, v) for p, v in raw.items() if p not in swept})
+    campaign = CampaignSettings(**unswept["campaign"])
 
-    given_id = typed["scenario_id"]
-    unswept = _nested(typed)
     # each distinct section's object, built once for the whole file
     parts: dict[tuple, Any] = {}
     scenarios = []
-    effectives = []
     for combo in itertools.product(*axes):
         suffix = "__".join(f"{key}={v}" for key, v, _ in combo)
-        # each scenario's sections are dicts of its own: a YAML dump of
-        # shared ones would write anchors and aliases
-        cfg = {name: dict(v) if isinstance(v, dict) else v for name, v in unswept.items()}
+        cfg = dict(unswept)
         for key, _, t in combo:
             name, _, field = key.partition(".")
-            cfg.setdefault(name, {})[field] = t
-        sc = _build_scenario(cfg, given_id, suffix, source, parts)
-        scenarios.append(sc)
-        cfg["scenario_id"] = sc.scenario_id
-        effectives.append(cfg)
-    return ScenarioFile(
-        scenarios=tuple(scenarios),
-        campaign=campaign,
-        source=source,
-        effective=tuple(effectives),
-    )
+            cfg[name] = {**cfg.get(name, {}), field: t}
+        scenarios.append(_build_scenario(cfg, unswept["scenario_id"], suffix, source, parts))
+    effective = {**unswept, "campaign": dict(vars(campaign))}
+    if swept:
+        effective["sweep"] = {key: list(values) for key, values in swept.items()}
+    return ScenarioFile(scenarios=tuple(scenarios), campaign=campaign, effective=effective)
 
 
 def parse_scenario(

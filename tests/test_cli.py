@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import subprocess
 import sys
@@ -411,6 +410,27 @@ class TestCampaignCommands:
         assert ran == []
         assert target.read_text(encoding="utf-8") == "keep\n"
 
+    @pytest.mark.parametrize("command", ["sweep", "report", "anchors"])
+    def test_out_on_a_file_exits_three_before_any_result(
+        self, quick_yaml, tmp_path, command, capsys
+    ):
+        camp = tmp_path / "camp"
+        assert main(["sweep", str(quick_yaml), "--out", str(camp)]) == EXIT_OK
+        capsys.readouterr()
+        target = tmp_path / "taken"
+        target.write_text("keep\n", encoding="utf-8")
+        argv = {
+            "sweep": ["sweep", str(quick_yaml)],
+            "report": ["report", str(camp / "reports.json")],
+            "anchors": ["anchors"],
+        }[command]
+        assert main([*argv, "--out", str(target)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == f"io error: [Errno 17] File exists: '{target}'\n"
+        # sweep has printed its effective configuration, and nothing after it
+        assert captured.out.split("# results\n")[-1] == ""
+        assert target.read_text(encoding="utf-8") == "keep\n"
+
     @pytest.mark.parametrize("out", [True, False], ids=["out", "no-out"])
     def test_a_nan_is_refused_before_the_results_block(self, tmp_path, out, capsys):
         # 64 x 16 analog: the one tracking run at seed 1 draws a direction
@@ -571,14 +591,13 @@ class TestReportCommand:
         assert set(kiviat) == {"axes", "scenario_ids", "raw", "values"}
 
     def test_kiviat_refusal_writes_nothing(self, quick_yaml, tmp_path, capsys):
-        # a tracking mean over no wait is NaN, which kiviat refuses; sweep
+        # kiviat takes 1 / mean of a delay, which a mean of 0 has not; sweep
         # writes no such report, so its report is edited by hand
         camp = tmp_path / "camp"
         assert main(["sweep", str(quick_yaml), "--out", str(camp)]) == EXIT_OK
         payload = json.loads((camp / "reports.json").read_text(encoding="utf-8"))
-        payload["reports"][0]["t_tr"]["mean"] = math.nan
+        payload["reports"][0]["t_tr"]["mean"] = 0.0
         (camp / "reports.json").write_text(json.dumps(payload), encoding="utf-8")
-        assert '"mean": NaN' in (camp / "reports.json").read_text(encoding="utf-8")
         capsys.readouterr()
         out_dir = tmp_path / "tables"
         code = main(["report", str(camp / "reports.json"), "--out", str(out_dir)])
@@ -586,6 +605,33 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert "kiviat axis t_tr_ms" in captured.err
         assert "wrote" not in captured.out
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "token, shown",
+        [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e999", "inf")],
+    )
+    @pytest.mark.parametrize("out", [True, False], ids=["out", "no-out"])
+    def test_a_non_finite_number_is_refused(self, sweep_yaml, tmp_path, token, shown, out, capsys):
+        # Python's json reads NaN and Infinity, which RFC 8259 has not, and
+        # reads 1e999 as inf
+        camp = tmp_path / "camp"
+        assert main(["sweep", str(sweep_yaml), "--out", str(camp)]) == EXIT_OK
+        payload = json.loads((camp / "reports.json").read_text(encoding="utf-8"))
+        payload["reports"][1]["t_rlf"]["mean"] = "X"
+        p = tmp_path / "edited.json"
+        p.write_text(json.dumps(payload).replace('"X"', token), encoding="utf-8")
+        sid = payload["reports"][1]["scenario_id"]
+        capsys.readouterr()
+        out_dir = tmp_path / "tables"
+        argv = ["report", str(p)] + (["--out", str(out_dir)] if out else [])
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {p}: scenario {sid}: t_rlf.mean is {shown}, "
+            "which report JSON cannot hold\n"
+        )
         assert not out_dir.exists()
 
     def test_bad_report_json_exits_one(self, tmp_path, capsys):

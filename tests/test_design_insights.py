@@ -1,13 +1,15 @@
-"""The paper's design insights on the initial-access delay, checked as
-orderings of the closed form `oracle_expected_ia` over the whole paper
-grid: every pair of grid points one step apart on one axis."""
+"""The paper's design insights, checked as orderings of the closed forms
+over the whole paper grid: every pair of grid points one step apart on
+one axis."""
 from __future__ import annotations
 
+import functools
 import itertools
 
 from conftest import make_scenario
-from nrbeamsim.codebook import sweep_length
+from nrbeamsim.codebook import power_consumption_w, sweep_length
 from nrbeamsim.errors import ConfigurationError, declared_domains
+from nrbeamsim.evaluation import omega_ia_for
 from nrbeamsim.frame import Numerology, SsBurstConfig
 from nrbeamsim.procedures import oracle_expected_ia
 
@@ -35,13 +37,31 @@ def _steps(built: dict, axis: str):
                     yield point, other
 
 
-def test_t_ia_orderings_hold_over_the_paper_grid():
+@functools.cache
+def _grid() -> tuple[dict, int]:
+    """The scenario of each grid point that builds, and how many refuse."""
     built, refused = {}, 0
     for values in itertools.product(*GRID.values()):
         try:
             built[values] = make_scenario(**dict(zip(GRID, values)))
         except ConfigurationError:
             refused += 1
+    return built, refused
+
+
+def _failures(orderings: dict, value: dict) -> list:
+    """Each pair ``(lo, hi)`` of ``orderings`` whose ``value`` is not
+    ``value[lo] <= value[hi]``, with its ordering's name."""
+    return [
+        (name, lo, hi)
+        for name, pairs in orderings.items()
+        for lo, hi in pairs
+        if not value[lo] <= value[hi]
+    ]
+
+
+def test_t_ia_orderings_hold_over_the_paper_grid():
+    built, refused = _grid()
     # the geometries whose every CSI-RS occasion meets the SS blocks
     assert refused == 9 and len(built) == 2583
 
@@ -66,10 +86,28 @@ def test_t_ia_orderings_hold_over_the_paper_grid():
         "non-increasing in n_ss while S > n_ss": 621,
         "no larger with a digital end": 2577,
     }
-    failures = [
-        (name, lo, hi)
-        for name, pairs in orderings.items()
-        for lo, hi in pairs
-        if not t_ia[lo] <= t_ia[hi]
-    ]
-    assert failures == []
+    assert _failures(orderings, t_ia) == []
+
+
+def test_overhead_and_power_orderings_hold_over_the_paper_grid():
+    built, _ = _grid()
+    omega_ia = {point: omega_ia_for(sc) for point, sc in built.items()}
+    omega = {
+        # more blocks per burst take more of the grid
+        "non-decreasing in n_ss": list(_steps(built, "n_ss")),
+        # a longer burst period spreads the same blocks thinner
+        "non-increasing in T_SS": [(b, a) for a, b in _steps(built, "t_ss_ms")],
+    }
+    # a digital gNB runs one RF chain per element where an analog one runs
+    # a single chain with a phase shifter per element; the gNB axis has no
+    # M = 1, where digital (16.0896 W) would draw less than analog (16.1092 W)
+    p_c_w = {point: power_consumption_w(sc.gnb, sc.power) for point, sc in built.items()}
+    power = {"higher with a digital gNB": list(_steps(built, "arch_gnb"))}
+    counts = {name: len(pairs) for name, pairs in {**omega, **power}.items()}
+    assert counts == {
+        "non-decreasing in n_ss": 1935,
+        "non-increasing in T_SS": 2151,
+        "higher with a digital gNB": 1287,
+    }
+    assert _failures(omega, omega_ia) == []
+    assert [(a, b) for a, b in power["higher with a digital gNB"] if not p_c_w[a] < p_c_w[b]] == []

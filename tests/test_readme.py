@@ -24,6 +24,18 @@ def test_defaults_block_builds_what_an_empty_file_builds():
     assert listed.campaign == empty.campaign
 
 
+def test_effective_block_is_what_validate_prints_for_the_sweep_example(tmp_path, capsys):
+    # the YAML block after the sweep example is validate's output for that
+    # file, which the README says ends in the line below
+    example, block = _blocks("yaml")[1:3]
+    assert block.startswith("# effective configuration\n")
+    path = tmp_path / "sweep.yaml"
+    path.write_text(example, encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == block + "ok: 4 scenario(s) valid\n"
+    assert "then\n`ok: 4 scenario(s) valid`" in README.read_text(encoding="utf-8")
+
+
 def test_python_blocks_run_against_the_default_scenario(tmp_path, monkeypatch):
     # the README's first YAML block lists every default, so it is itself
     # a complete scenario file

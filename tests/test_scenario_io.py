@@ -79,10 +79,12 @@ class TestDefaults:
 
     def test_effective_dict_reflects_merged_config(self):
         sf = scenario_file_from_dict({"ss": {"n_ss": 8}})
-        eff = sf.effective[0]
-        assert eff["ss"]["n_ss"] == 8
-        assert eff["ss"]["t_ss_ms"] == 20.0
-        assert eff["scenario_id"] == sf.scenarios[0].scenario_id
+        eff = sf.effective
+        assert eff["ss"] == {"n_ss": 8, "t_ss_ms": 20.0}
+        assert eff["campaign"] == {"n_runs": 10_000, "seed": 42}
+        # the id as given, which the scenario derives from its geometry
+        assert eff["scenario_id"] is None and "sweep" not in eff
+        assert scenario_file_from_dict(eff).scenarios == sf.scenarios
 
 
 class TestValidationMessages:
@@ -206,8 +208,8 @@ class TestOverrides:
         )
         assert sf.scenarios[0].lte_latency_ms == 0.8
         assert sf.scenarios[0].gnb.k_bf is None
-        assert sf.effective[0]["deployment"]["lte_latency_ms"] == 0.8
-        assert sf.effective[0]["gnb"]["k_bf"] is None
+        assert sf.effective["deployment"]["lte_latency_ms"] == 0.8
+        assert sf.effective["gnb"]["k_bf"] is None
 
     def test_scenario_id_override(self):
         sf = scenario_file_from_dict({}, overrides=["scenario_id=mycase"])
@@ -239,10 +241,10 @@ class TestOverrides:
         with pytest.raises(ConfigurationError, match=r"sweep\.ss\.n_ss"):
             scenario_file_from_dict({}, overrides=["sweep.ss.n_ss=[8]", "ss.n_ss=32"])
         sf = scenario_file_from_dict(data, overrides=["ss.t_ss_ms=40"])
-        assert [eff["ss"] for eff in sf.effective] == [
-            {"n_ss": 8, "t_ss_ms": 40},
-            {"n_ss": 64, "t_ss_ms": 40},
-        ]
+        assert [(sc.ss.n_ss, sc.ss.t_ss_ms) for sc in sf.scenarios] == [(8, 40), (64, 40)]
+        # the file's n_ss gives way to the swept values
+        assert sf.effective["ss"] == {"t_ss_ms": 40}
+        assert sf.effective["sweep"] == {"ss.n_ss": [8, 64]}
 
     def test_deep_path_outside_sweep_rejected(self):
         with pytest.raises(ConfigurationError, match=r"ss\.n_ss\.extra: unknown key"):
@@ -378,7 +380,7 @@ class TestLoaders:
         paths += sorted(ROOT.glob("nrbench/workloads/*.yaml"))
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
-        assert len(paths) >= 4 and len(blocks) == 2
+        assert len(paths) >= 4 and len(blocks) == 3
         for i, block in enumerate(blocks):
             paths.append(tmp_path / f"readme_{i}.yaml")
             paths[-1].write_text(block, encoding="utf-8")
