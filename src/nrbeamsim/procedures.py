@@ -532,11 +532,7 @@ class TrackingPlan:
 
 def tracking_plan(sc: Scenario) -> TrackingPlan:
     """The scenario's tracking plan, built anew on each call; SA and NSA
-    twins, and arrays of one sweep length, get equal plans.
-
-    A surviving residue skips no round, so only the classes mod
-    gcd(q, s) that hold a dropped residue are walked.
-    """
+    twins, and arrays of one sweep length, get equal plans."""
     plan, csi = sweep_plan(sc), sc.csi
     period = csi.period_symbols
     s = plan.s
@@ -547,7 +543,7 @@ def tracking_plan(sc: Scenario) -> TrackingPlan:
     # residue its next survivor, past the wrap too
     g = math.gcd(q, s)
     skip = [0] * q
-    for c in {r % g for r in range(q) if not survives[r]}:
+    for c in range(g):
         cycle = [(c + k * s) % q for k in range(q // g)] * 2
         nxt = None
         for i in reversed(range(len(cycle))):

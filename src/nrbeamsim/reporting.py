@@ -12,7 +12,6 @@ import io
 import json
 import math
 from dataclasses import fields
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
@@ -88,22 +87,6 @@ def reports_to_csv(reports: Sequence[MetricsReport]) -> str:
     return _to_csv(CSV_COLUMNS, map(report_csv_row, reports))
 
 
-# how json.dumps writes a value of each type: the escaped string,
-# int.__repr__ and float.__repr__
-_JSON_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
-
-
-def _fields_in_json_order(cls: type, indent: str) -> tuple[tuple[str, str], ...]:
-    """Each field of dataclass ``cls`` in sorted order, with the text that
-    starts its line at ``indent``."""
-    names = sorted(f.name for f in fields(cls))
-    return tuple((n, f"{indent}{encode_basestring_ascii(n)}: ") for n in names)
-
-
-_REPORT_KEYS = _fields_in_json_order(MetricsReport, " " * 6)
-_STAT_KEYS = _fields_in_json_order(MetricStat, " " * 8)
-
-
 # each float of a report by its dotted name, in JSON order ("." sorts
 # before any character of a name)
 _FLOAT_FIELDS = sorted(
@@ -127,36 +110,11 @@ def check_finite(
                 raise ConfigurationError(f"scenario {r.scenario_id}: {field} is {value}, {why}")
 
 
-def _report_json(r: MetricsReport) -> str:
-    def text(value: Any) -> str:
-        return _JSON_TEXT.get(type(value), json.dumps)(value)
-
-    lines = []
-    for name, head in _REPORT_KEYS:
-        value = getattr(r, name)
-        if isinstance(value, MetricStat):
-            stat = ",\n".join(h + text(getattr(value, n)) for n, h in _STAT_KEYS)
-            lines.append(f"{head}{{\n{stat}\n      }}")
-        else:
-            lines.append(head + text(value))
-    return "    {\n" + ",\n".join(lines) + "\n    }"
-
-
 def reports_to_json(reports: Sequence[MetricsReport]) -> str:
-    """The bytes of ``json.dumps({"reports": [...]}, indent=2,
-    sort_keys=True) + "\n"``, with each report a dict of its fields and
-    each ``MetricStat`` a dict of its own.
-
-    The payload has a fixed shape, so it is written line by line from the
-    primitives that ``json.dumps`` writes its values with, not by the
-    pure-Python encoder that its ``indent`` takes. A NaN or infinite float
-    is refused by `check_finite`, as ``allow_nan=False`` refuses it.
-    """
     check_finite(reports)
-    if not reports:
-        return '{\n  "reports": []\n}\n'
-    body = ",\n".join(map(_report_json, reports))
-    return f'{{\n  "reports": [\n{body}\n  ]\n}}\n'
+    items = [{k: vars(v) if isinstance(v, MetricStat) else v for k, v in vars(r).items()}
+             for r in reports]
+    return json.dumps({"reports": items}, indent=2, sort_keys=True) + "\n"
 
 
 _JSON_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
@@ -178,6 +136,13 @@ def _from_json_object(cls: type, item: Any, path: str) -> Any:
             raise ConfigurationError(
                 f"report JSON: {path}.{f.name}: expected {f.type}, got {value!r}"
             )
+        elif f.type == "float":
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigurationError(
+                    f"report JSON: {path}.{f.name}: an int beyond float range"
+                ) from None
         kwargs[f.name] = value
     for key in item:
         if key not in kwargs:

@@ -206,7 +206,7 @@ def _coerce(source: str, path: str, shown: str, value: Any) -> Any:
     """``value`` as the scenario takes it, checked by the domain of key
     ``path``, whose refusal names ``shown``. An int key takes a whole float,
     and a float key a numeric string (YAML 1.1 reads 4.0e8 as one) and
-    stores a float; an enum key keeps the name as given."""
+    stores a float; an enum key stores its member's value."""
     domain = _DOMAINS[path]
     if domain.kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -217,7 +217,7 @@ def _coerce(source: str, path: str, shown: str, value: Any) -> Any:
             pass  # the domain refuses it
     stored = domain.check(f"{source}: {shown}", value)
     if isinstance(stored, Enum):
-        return value
+        return stored.value
     return float(stored) if domain.kind is float and stored is not None else stored
 
 

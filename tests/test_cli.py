@@ -677,6 +677,25 @@ class TestReportCommand:
         assert "extra.json" in captured.err
         assert captured.err.rstrip().endswith("reports[1] has unknown field 'extra'")
 
+    @pytest.mark.parametrize("out", [True, False], ids=["out", "no-out"])
+    def test_an_int_beyond_float_range_is_refused(self, sweep_yaml, tmp_path, out, capsys):
+        # json reads a 401-digit int exactly, which no float holds
+        camp = tmp_path / "camp"
+        assert main(["sweep", str(sweep_yaml), "--out", str(camp)]) == EXIT_OK
+        payload = json.loads((camp / "reports.json").read_text(encoding="utf-8"))
+        payload["reports"][0]["t_ia"]["mean"] = 10**400
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        out_dir = tmp_path / "tables"
+        argv = ["report", str(p)] + (["--out", str(out_dir)] if out else [])
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_dir.exists()
+        assert captured.err == (
+            f"error: {p}: report JSON: reports[0].t_ia.mean: an int beyond float range\n"
+        )
+
     def test_missing_report_exits_three(self, tmp_path):
         assert main(["report", str(tmp_path / "none.json")]) == EXIT_IO
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import yaml
@@ -49,8 +50,10 @@ def test_python_blocks_run_against_the_default_scenario(tmp_path, monkeypatch):
 
 def test_command_lines_run_against_the_default_scenario(tmp_path, monkeypatch, capsys):
     # each beamsim line, in order, in a directory that holds the defaults
-    # block as scenario.yaml; report reads what sweep wrote
+    # block as scenario.yaml and a copy of paper/; report reads what sweep
+    # wrote
     (tmp_path / "scenario.yaml").write_text(_blocks("yaml")[0], encoding="utf-8")
+    shutil.copytree(README.parent / "paper", tmp_path / "paper")
     monkeypatch.chdir(tmp_path)
     lines = [
         line

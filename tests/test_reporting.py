@@ -89,6 +89,15 @@ class TestJsonRoundTrip:
         (loaded,) = reports_from_json(reports_to_json([tiny_report()]))
         assert isinstance(loaded.t_rlf, MetricStat)
 
+    def test_an_int_in_a_float_field_loads_as_a_float(self):
+        payload = json.loads(reports_to_json([tiny_report()]))
+        payload["reports"][0]["t_ia"]["mean"] = 7
+        payload["reports"][0]["p_c_w"] = 2
+        (loaded,) = reports_from_json(json.dumps(payload))
+        assert type(loaded.t_ia.mean) is float and loaded.t_ia.mean == 7.0
+        assert type(loaded.p_c_w) is float and loaded.p_c_w == 2.0
+        assert type(loaded.t_ia.n_samples) is int
+
     def test_bad_json_rejected(self):
         with pytest.raises(ConfigurationError, match="JSON"):
             reports_from_json("{not json")

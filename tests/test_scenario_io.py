@@ -86,6 +86,21 @@ class TestDefaults:
         assert eff["scenario_id"] is None and "sweep" not in eff
         assert scenario_file_from_dict(eff).scenarios == sf.scenarios
 
+    def test_an_enum_member_is_stored_as_its_value(self):
+        # a library caller may pass members where a file holds names
+        given = {
+            "deployment": {"mode": DeploymentMode.NSA, "lte_latency_ms": 10},
+            "gnb": {"arch": Architecture.DIGITAL},
+        }
+        sf = scenario_file_from_dict(given)
+        eff = sf.effective
+        assert type(eff["deployment"]["mode"]) is str and eff["deployment"]["mode"] == "NSA"
+        assert type(eff["gnb"]["arch"]) is str and eff["gnb"]["arch"] == "digital"
+        assert yaml.safe_load(yaml.safe_dump(eff)) == eff
+        assert scenario_file_from_dict(eff).scenarios == sf.scenarios
+        assert sf.scenarios[0].mode is DeploymentMode.NSA
+        assert sf.scenarios[0].gnb.arch is Architecture.DIGITAL
+
 
 class TestValidationMessages:
     def test_unknown_section_lists_known_ones(self):
@@ -378,6 +393,7 @@ class TestLoaders:
     def test_committed_scenarios_parse_alike(self, loader, tmp_path):
         paths = sorted(ROOT.glob("tests/scenarios/*.yaml"))
         paths += sorted(ROOT.glob("nrbench/workloads/*.yaml"))
+        paths += sorted(ROOT.glob("paper/*.yaml"))
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
         assert len(paths) >= 4 and len(blocks) == 3
