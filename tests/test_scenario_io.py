@@ -102,10 +102,68 @@ class TestDefaults:
         assert sf.scenarios[0].gnb.arch is Architecture.DIGITAL
 
 
+SECTIONS_KNOWN = (
+    "['campaign', 'channel', 'csi', 'deployment', 'gnb', 'numerology', 'power', "
+    "'scenario_id', 'ss', 'sweep', 'ue']"
+)
+DOTTED_KNOWN = (
+    "['campaign.n_runs', 'campaign.seed', 'channel.bandwidth_hz', "
+    "'channel.cell_radius_m', 'channel.detection_threshold_db', "
+    "'channel.noise_figure_db', 'channel.pl_exponent', 'channel.pl_intercept_db', "
+    "'channel.shadowing_sigma_db', 'channel.side_lobe_floor_db', "
+    "'channel.tx_power_dbm', 'csi.bandwidth_rb', 'csi.delta_f_rb', "
+    "'csi.delta_t_symbols', 'csi.n_symbols', 'csi.t_csi_slots', "
+    "'deployment.lte_latency_ms', 'deployment.mode', 'deployment.omega_br_window_ms', "
+    "'gnb.arch', 'gnb.elements', 'gnb.k_bf', 'numerology.n', 'power.c_chain_w', "
+    "'power.c_ps_w', 'power.p0_w', 'scenario_id', 'ss.n_ss', 'ss.t_ss_ms', "
+    "'ue.arch', 'ue.elements', 'ue.k_bf']"
+)
+
+
 class TestValidationMessages:
     def test_unknown_section_lists_known_ones(self):
         with pytest.raises(ConfigurationError, match="unknown section"):
             scenario_file_from_dict({"radio": {}})
+
+    @pytest.mark.parametrize(
+        "data, overrides, message",
+        [
+            pytest.param(
+                {"radio": {}}, [], f"radio: unknown section (known: {SECTIONS_KNOWN})",
+                id="section",
+            ),
+            pytest.param(
+                {"ss": {"bogus": 1}}, [], "ss.bogus: unknown key (known: ['n_ss', 't_ss_ms'])",
+                id="file-key",
+            ),
+            pytest.param(
+                {}, ["ss.bogus=1"], "ss.bogus: unknown key (known: ['n_ss', 't_ss_ms'])",
+                id="set-key",
+            ),
+            pytest.param(
+                {}, ["ss=1"], "ss: unknown key (known: ['n_ss', 't_ss_ms'])", id="set-section"
+            ),
+            pytest.param(
+                {}, ["bogus=1"], f"bogus: unknown key (known: {DOTTED_KNOWN})", id="set-bare"
+            ),
+            pytest.param(
+                {"sweep": {"ss.bogus": [1]}},
+                [],
+                "sweep.ss.bogus: unknown key (known: ['n_ss', 't_ss_ms'])",
+                id="swept-key",
+            ),
+            pytest.param(
+                {"sweep": {"bogus": [1]}},
+                [],
+                f"sweep.bogus: unknown key (known: {DOTTED_KNOWN})",
+                id="swept-bare",
+            ),
+        ],
+    )
+    def test_unknown_names_list_the_known_ones(self, data, overrides, message):
+        with pytest.raises(ConfigurationError) as info:
+            scenario_file_from_dict(data, overrides=overrides)
+        assert str(info.value) == f"<dict>: {message}"
 
     def test_unknown_key_names_its_dotted_path(self):
         with pytest.raises(ConfigurationError, match=r"ss\.periodicity"):
