@@ -97,19 +97,6 @@ def _add_report_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=None)
 
 
-# every command: its help line and what adds its arguments
-_COMMANDS = {
-    "validate": ("parse and validate a scenario file", _add_file_args),
-    "sweep": (
-        "run every campaign of every scenario; print every metric, "
-        "--out writes reports.csv and reports.json",
-        _add_sweep_args,
-    ),
-    "anchors": ("check the built-in closed-form anchors", _add_anchor_args),
-    "report": ("render stored reports into tables", _add_report_args),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     """The top-level parser: every command with its help line and none of
     its arguments. It serves ``-h``, ``--version`` and a missing or
@@ -123,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _COMMANDS.items():
+    for name, (help_text, *_) in _COMMANDS.items():
         sub.add_parser(name, help=help_text)
     return parser
 
@@ -244,6 +231,20 @@ def _run_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# every command: its help line, what adds its arguments and what runs it
+_COMMANDS = {
+    "validate": ("parse and validate a scenario file", _add_file_args, _run_validate),
+    "sweep": (
+        "run every campaign of every scenario; print every metric, "
+        "--out writes reports.csv and reports.json",
+        _add_sweep_args,
+        _run_sweep,
+    ),
+    "anchors": ("check the built-in closed-form anchors", _add_anchor_args, _run_anchors),
+    "report": ("render stored reports into tables", _add_report_args, _run_report),
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv else None
@@ -262,15 +263,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # version (exit 0)
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
-        if command == "validate":
-            return _run_validate(args)
-        if command == "sweep":
-            return _run_sweep(args)
-        if command == "anchors":
-            return _run_anchors(args)
-        if command == "report":
-            return _run_report(args)
-        raise AssertionError(f"unhandled command {command!r}")
+        return _COMMANDS[command][2](args)
     except (ConfigurationError, DomainError, NotApplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

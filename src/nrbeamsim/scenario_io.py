@@ -1,16 +1,16 @@
 """Scenario files: YAML schema, defaults, overrides and sweep expansion.
 
-A scenario file is a nested mapping of the sections in ``_SCHEMA``,
-which holds every key's default (the README lists them); every key is
-optional. Each section but the file's ``scenario_id`` string and the
-``sweep`` section is built by a config dataclass, whose declared fields
-(`errors.declare`) are its keys, with their defaults and their domains.
-File keys, ``--set section.key=value`` overrides and the keys of the
-``sweep`` section all name one flat table of dotted keys: an unknown key
-is rejected with its dotted path, and each value is checked by its key's
-domain (`errors.Domain.check`) before any scenario is built, so every
-refused value reads ``{source}: {key}={value!r}: must be {rule}``. The
-dataclasses then check what ties values together.
+A scenario file is a nested mapping of sections whose keys are those of
+the key table ``_DOMAINS``, with their defaults in ``_DEFAULTS`` (the
+README lists them); every key is optional. Each section but the file's
+``scenario_id`` string and the ``sweep`` section is built by a config
+dataclass, whose declared fields (`errors.declare`) are its keys, with
+their defaults and their domains. File keys, ``--set section.key=value``
+overrides and the keys of the ``sweep`` section all name that table's
+dotted keys: an unknown key is rejected with its dotted path, and each
+value is checked by its key's domain (`errors.Domain.check`) before any
+scenario is built, so every refused value reads ``{source}: {key}={value!r}:
+must be {rule}``. The dataclasses then check what ties values together.
 
 The ``sweep`` section maps dotted keys to value lists and expands to the
 Cartesian product of scenarios; each variant's id gets a deterministic
@@ -112,12 +112,6 @@ def _yaml_error(path: Path, exc: yaml.YAMLError) -> ConfigurationError:
     )
 
 
-def _defaults(cls: type) -> dict[str, Any]:
-    """The declared fields of config dataclass ``cls`` with their defaults;
-    an enum's default as its value."""
-    return {name: getattr(d.default, "value", d.default) for name, d in declared_domains(cls)}
-
-
 # the config dataclass that builds each section
 _BUILDERS: dict[str, type] = {
     "numerology": Numerology,
@@ -131,15 +125,17 @@ _BUILDERS: dict[str, type] = {
     "campaign": CampaignSettings,
 }
 
-# the sections and their keys with their defaults
-_SCHEMA: dict[str, Optional[dict[str, Any]]] = {
-    "scenario_id": None,
-    **{section: _defaults(cls) for section, cls in _BUILDERS.items()},
-    "sweep": {},
+# the key table: every dotted key with the domain that checks its value,
+# the declared one of the field that takes it, and its default (an enum's
+# as its value); an array's size has no field default, and the ends differ
+_DOMAINS: dict[str, Domain] = {"scenario_id": Domain(str, None)} | {
+    f"{section}.{name}": domain
+    for section, cls in _BUILDERS.items()
+    for name, domain in declared_domains(cls)
 }
-# an array's size has no field default, and the two ends differ
-_SCHEMA["gnb"]["elements"] = 64
-_SCHEMA["ue"]["elements"] = 4
+_DEFAULTS: dict[str, Any] = {
+    key: getattr(d.default, "value", d.default) for key, d in _DOMAINS.items()
+} | {"gnb.elements": 64, "ue.elements": 4}
 
 # keys a sweep cannot vary: the id, and the campaign block, which applies
 # to the whole file
@@ -171,11 +167,12 @@ def _flatten(data: Mapping[Any, Any], source: str) -> dict[str, Any]:
     """Dotted ``section.key`` paths of a nested mapping; a ``null`` section
     adds none."""
     flat: dict[str, Any] = {}
+    sections = ("scenario_id", *_BUILDERS, "sweep")
     for name, value in data.items():
         name = str(name)
-        if name not in _SCHEMA:
-            raise _err(source, name, f"unknown section (known: {sorted(_SCHEMA)})")
-        if _SCHEMA[name] is None:
+        if name not in sections:
+            raise _err(source, name, f"unknown section (known: {sorted(sections)})")
+        if name == "scenario_id":
             flat[name] = value
         elif isinstance(value, Mapping):
             flat.update((f"{name}.{key}", v) for key, v in value.items())
@@ -184,22 +181,13 @@ def _flatten(data: Mapping[Any, Any], source: str) -> dict[str, Any]:
     return flat
 
 
-# the flat key table: every dotted key with its default and the domain
-# that checks its value, the declared one of the field that takes it
-_DEFAULTS: dict[str, Any] = _flatten(_SCHEMA, "<schema>")
-_DOMAINS: dict[str, Domain] = {"scenario_id": Domain(str, None)} | {
-    f"{section}.{name}": domain
-    for section, cls in _BUILDERS.items()
-    for name, domain in declared_domains(cls)
-}
-
-
 def _check_path(source: str, path: str, shown: str) -> None:
     """Reject a dotted path that is not in the key table; ``shown`` is the
     name the error gives it."""
     if path not in _DEFAULTS:
-        known = _SCHEMA.get(path.partition(".")[0]) or _DEFAULTS
-        raise _err(source, shown, f"unknown key (known: {sorted(known)})")
+        section = path.partition(".")[0] + "."
+        known = [k.removeprefix(section) for k in _DEFAULTS if k.startswith(section)]
+        raise _err(source, shown, f"unknown key (known: {sorted(known or _DEFAULTS)})")
 
 
 def _coerce(source: str, path: str, shown: str, value: Any) -> Any:

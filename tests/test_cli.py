@@ -338,7 +338,7 @@ class TestUsage:
         its subparsers by command."""
         tree = _build_parser()
         (sub,) = [a for a in tree._actions if isinstance(a, argparse._SubParsersAction)]
-        for name, (_, add_args) in _COMMANDS.items():
+        for name, (_, add_args, _) in _COMMANDS.items():
             add_args(sub.choices[name])
         return tree, sub.choices
 

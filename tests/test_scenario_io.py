@@ -10,27 +10,18 @@ import yaml
 
 from nrbeamsim import scenario_io
 from nrbeamsim.codebook import Architecture, PowerModel
-from nrbeamsim.errors import ConfigurationError, declared_domains
+from nrbeamsim.errors import ConfigurationError
 from nrbeamsim.evaluation import estimate_metrics
 from nrbeamsim.frame import CsiRsConfig, SsBurstConfig
 from nrbeamsim.link import ChannelParams
 from nrbeamsim.procedures import DeploymentMode, Scenario
-from nrbeamsim.scenario_io import (
-    _SCHEMA,
-    _overrides,
-    parse_scenario,
-    scenario_file_from_dict,
-)
+from nrbeamsim.scenario_io import _overrides, parse_scenario, scenario_file_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 
 FLOAT_KEYS = {
-    (section, key)
-    for section, defaults in _SCHEMA.items()
-    if defaults
-    for key, value in defaults.items()
-    if isinstance(value, float)
-} | {("deployment", "lte_latency_ms")}
+    tuple(key.split(".")) for key, d in scenario_io._DOMAINS.items() if d.kind is float
+}
 
 
 def refusal(key: str, value, rule: str) -> str:
@@ -243,11 +234,9 @@ class TestValidationMessages:
     @pytest.mark.parametrize(
         "section,key",
         [
-            (section, key)
-            for section, defaults in _SCHEMA.items()
-            if defaults
-            for key, value in defaults.items()
-            if value is not None
+            tuple(key.split("."))
+            for key, value in scenario_io._DEFAULTS.items()
+            if key != "scenario_id" and value is not None
         ],
     )
     def test_null_rejected_where_the_default_is_not_null(self, section, key):
@@ -489,11 +478,6 @@ _CONTEXTS = {
 }
 # the key that no config field declares, with the values it takes
 _UNDECLARED = {"scenario_id": ["named"]}
-_DOMAINS = {
-    f"{section}.{name}": domain
-    for section, cls in scenario_io._BUILDERS.items()
-    for name, domain in declared_domains(cls)
-}
 # each base runs a few hundred runs
 _RUNS = {"campaign.n_runs": 300}
 
@@ -504,10 +488,10 @@ def _candidates(key: str, current) -> list:
     the domain's bounds."""
     if key in _UNDECLARED:
         values = _UNDECLARED[key]
-    elif _DOMAINS[key].among:
-        values = list(_DOMAINS[key].among)
+    elif scenario_io._DOMAINS[key].among:
+        values = list(scenario_io._DOMAINS[key].among)
     else:
-        domain = _DOMAINS[key]
+        domain = scenario_io._DOMAINS[key]
         near_and_far = [current + 1, current * 2, current + 100, current / 2]
         values = []
         for v in [*near_and_far, domain.lo, domain.hi]:
