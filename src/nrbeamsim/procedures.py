@@ -533,9 +533,9 @@ class TrackingPlan:
 def tracking_plan(sc: Scenario) -> TrackingPlan:
     """The scenario's tracking plan, built anew on each call; SA and NSA
     twins, and arrays of one sweep length, get equal plans."""
-    plan, csi = sweep_plan(sc), sc.csi
+    csi = sc.csi
     period = csi.period_symbols
-    s = plan.s
+    s = sweep_length(sc.gnb, sc.ue)
     survives = list(sc.csi_survives())
     q = len(survives)
     # a direction steps through the residues of its class mod gcd(q, s) in
@@ -556,7 +556,7 @@ def tracking_plan(sc: Scenario) -> TrackingPlan:
         period_sym=period,
         delta_t_sym=csi.delta_t_symbols,
         hyper_sym=math.lcm(q, s) * period,
-        symbol_ms=plan.symbol_ms,
+        symbol_ms=sc.numerology.symbol_ms,
         dropped_count=math.lcm(q, s) // q * survives.count(False),
         skip=tuple(skip),
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
@@ -38,6 +39,7 @@ from .procedures import Scenario
 # PyYAML's Python one, to the same values; a PyYAML built without libyaml
 # has only the Python one.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_MERGE = "tag:yaml.org,2002:merge"
 
 # a scenario file nests collections three deep (the file, a section, a
 # key's list of values), and a --set value is one of those values
@@ -48,8 +50,34 @@ class _Unreadable(yaml.YAMLError):
     """YAML text with no value that a message can print."""
 
 
+@cache
+def _unique_keys(loader: type) -> type:
+    """``loader`` refusing a repeated scalar key in a mapping, which YAML
+    forbids and PyYAML would read as its last value; ``<<`` merge keys may
+    repeat. The refusal is a `ConstructorError` at the repeated key."""
+
+    class UniqueKeyLoader(loader):
+        def construct_mapping(self, node, deep=False):
+            keys = set()
+            for key_node, _ in node.value:
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE:
+                    key = self.construct_object(key_node)
+                    if key in keys:
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping",
+                            node.start_mark,
+                            f"found duplicate key {key!r}",
+                            key_node.start_mark,
+                        )
+                    keys.add(key)
+            return super().construct_mapping(node, deep)
+
+    return UniqueKeyLoader
+
+
 def _load_yaml(text: str) -> Any:
-    """The value of YAML ``text`` read by ``_LOADER``.
+    """The value of YAML ``text`` read by ``_LOADER``, which may not repeat
+    a key.
 
     Text that nests collections deeper than ``_MAX_DEPTH`` raises
     `_Unreadable`, a `yaml.YAMLError`. Its events are counted before any
@@ -68,7 +96,7 @@ def _load_yaml(text: str) -> Any:
         elif isinstance(event, yaml.CollectionEndEvent):
             depth -= 1
     try:
-        value = yaml.load(text, Loader=_LOADER)
+        value = yaml.load(text, Loader=_unique_keys(_LOADER))
         # the keys and values inside _MAX_DEPTH collections must be scalars,
         # and each int must print: a 0x literal loads past the digit limit,
         # where a decimal one, like a date that does not exist, fails to load
@@ -150,8 +178,8 @@ class ScenarioFile:
     scenario file that builds the same scenarios and campaign: each
     unswept key in its section as the model reads it, ``campaign`` as
     resolved, the ``scenario_id`` given (or ``None``) and, when the file
-    sweeps, a ``sweep`` section of each swept key's values as written,
-    which the scenario ids carry.
+    sweeps, a ``sweep`` section of each swept key's values as written
+    (one that is no YAML scalar as stored), which the scenario ids carry.
     """
 
     scenarios: tuple[Scenario, ...]
@@ -306,8 +334,9 @@ def scenario_file_from_dict(
                 f"replace it; use --set sweep.{path}=[...] instead",
             )
 
-    # each axis lists (key, value as given, value as its type)
-    axes = []
+    # each swept key's (value as shown, value as its type) pairs; a value is
+    # shown as given when it is a scalar that YAML gives, else as stored
+    axes: dict[str, list[tuple[Any, Any]]] = {}
     for key in sorted(swept):
         shown = f"sweep.{key}"
         if key.partition(".")[0] in _UNSWEPT:
@@ -316,10 +345,10 @@ def scenario_file_from_dict(
         values = swept[key]
         if not isinstance(values, (list, tuple)) or not values:
             raise _err(source, shown, "must map to a non-empty list")
-        axis = [(key, v, _coerce(source, key, shown, v)) for v in values]
-        if len({t for _, _, t in axis}) < len(axis):
+        stored = [_coerce(source, key, shown, v) for v in values]
+        if len(set(stored)) < len(stored):
             raise _err(source, shown, f"repeats a value in {values!r}")
-        axes.append(axis)
+        axes[key] = [(v if type(v) in (str, int, float) else t, t) for v, t in zip(values, stored)]
 
     unswept = _nested({p: _coerce(source, p, p, v) for p, v in raw.items() if p not in swept})
     campaign = CampaignSettings(**unswept["campaign"])
@@ -327,16 +356,16 @@ def scenario_file_from_dict(
     # each distinct section's object, built once for the whole file
     parts: dict[tuple, Any] = {}
     scenarios = []
-    for combo in itertools.product(*axes):
-        suffix = "__".join(f"{key}={v}" for key, v, _ in combo)
+    for combo in itertools.product(*axes.values()):
+        suffix = "__".join(f"{key}={v}" for key, (v, _) in zip(axes, combo))
         cfg = dict(unswept)
-        for key, _, t in combo:
+        for key, (_, t) in zip(axes, combo):
             name, _, field = key.partition(".")
             cfg[name] = {**cfg.get(name, {}), field: t}
         scenarios.append(_build_scenario(cfg, unswept["scenario_id"], suffix, source, parts))
     effective = {**unswept, "campaign": dict(vars(campaign))}
     if swept:
-        effective["sweep"] = {key: list(values) for key, values in swept.items()}
+        effective["sweep"] = {key: [v for v, _ in axis] for key, axis in axes.items()}
     return ScenarioFile(scenarios=tuple(scenarios), campaign=campaign, effective=effective)
 
 

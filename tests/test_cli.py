@@ -722,35 +722,63 @@ class TestMalformedInput:
             assert name in err
 
     @pytest.mark.parametrize(
-        "content",
+        "content, problem",
         [
-            pytest.param(b"\xff\xfess: {n_ss: 8}\n", id="utf16-bom"),
-            pytest.param(b"ss: {n_ss: \xe9}\n", id="latin1"),
-            pytest.param(f"ss: {{n_ss: {DEEP_YAML}}}\n".encode(), id="nested-5000"),
+            pytest.param(b"\xff\xfess: {n_ss: 8}\n", "can't decode", id="utf16-bom"),
+            pytest.param(b"ss: {n_ss: \xe9}\n", "can't decode", id="latin1"),
             pytest.param(
-                f"sweep: {{ss.n_ss: {DEEP_YAML}}}\n".encode(), id="sweep-nested-5000"
+                f"ss: {{n_ss: {DEEP_YAML}}}\n".encode(), "nested too deeply", id="nested-5000"
             ),
-            pytest.param(f"scenario_id: {DEEP_YAML}\n".encode(), id="id-nested-5000"),
+            pytest.param(
+                f"sweep: {{ss.n_ss: {DEEP_YAML}}}\n".encode(),
+                "nested too deeply",
+                id="sweep-nested-5000",
+            ),
+            pytest.param(
+                f"scenario_id: {DEEP_YAML}\n".encode(), "nested too deeply", id="id-nested-5000"
+            ),
             # shallow text, but each alias nests the value once more
             pytest.param(
                 (
-                    "ss: {n_ss: &a0 [8]}\nss:\n"
-                    + "".join(f"  n_ss: &a{i + 1} [*a{i}]\n" for i in range(5000))
+                    "ss:\n  k0: &a0 [8]\n"
+                    + "".join(f"  k{i + 1}: &a{i + 1} [*a{i}]\n" for i in range(5000))
                 ).encode(),
+                "nested too deeply",
                 id="aliases-nested-5000",
             ),
             # libyaml composes nodes by recursion on the C stack
             pytest.param(
                 b"ss: {n_ss: " + b"[" * 100_000 + b"]" * 100_000 + b"}\n",
+                "nested too deeply",
                 id="nested-100000",
             ),
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "sweep"])
-    def test_scenario_file(self, tmp_path, command, content, capsys):
+    def test_scenario_file(self, tmp_path, command, content, problem, capsys):
         p = tmp_path / "bad.yaml"
         p.write_bytes(content)
-        self._assert_one_error(main([command, str(p)]), capsys, str(p))
+        self._assert_one_error(main([command, str(p)]), capsys, str(p), problem)
+
+    @pytest.mark.parametrize(
+        "content, at, key",
+        [
+            pytest.param("ss: {n_ss: 8, n_ss: 64}\n", "line 1, column 15", "n_ss", id="key"),
+            pytest.param(
+                "ss: {n_ss: 8}\nss:\n  t_ss_ms: 20\n", "line 2, column 1", "ss", id="section"
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_repeated_key(self, tmp_path, command, content, at, key, capsys):
+        # YAML forbids it; PyYAML alone would keep the last value
+        p = tmp_path / "twice.yaml"
+        p.write_text(content, encoding="utf-8")
+        self._assert_one_error(
+            main([command, str(p)]),
+            capsys,
+            f"{p}, {at}: not valid YAML: found duplicate key {key!r} ",
+        )
 
     @pytest.mark.parametrize("command", ["validate", "sweep"])
     def test_invalid_yaml_names_the_file_line_and_column(

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 import yaml
 
@@ -287,6 +288,11 @@ class TestOverrides:
         with pytest.raises(ConfigurationError, match=r"ss\.n_ss: not a valid YAML value"):
             scenario_file_from_dict({}, overrides=["ss.n_ss=[8"])
 
+    def test_override_value_must_not_repeat_a_key(self):
+        message = r"^<dict>: ss\.n_ss: not a valid YAML value: '\{a: 1, a: 2\}'$"
+        with pytest.raises(ConfigurationError, match=message):
+            scenario_file_from_dict({}, overrides=["ss.n_ss={a: 1, a: 2}"])
+
     def test_override_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown key"):
             scenario_file_from_dict({}, overrides=["ss.burst=4"])
@@ -314,6 +320,27 @@ class TestOverrides:
 
 
 class TestSweepExpansion:
+    def test_swept_values_are_shown_as_a_file_gives_them(self):
+        # a library caller may sweep members and numpy scalars where a file
+        # holds names and numbers; the ids and the effective sweep are the
+        # file's
+        lte = {"deployment": {"lte_latency_ms": 10}}
+        given = scenario_file_from_dict(
+            {
+                "sweep": {
+                    "deployment.mode": [DeploymentMode.SA, DeploymentMode.NSA],
+                    "ss.n_ss": [np.int64(8), 64],
+                },
+                **lte,
+            }
+        )
+        as_file = scenario_file_from_dict(
+            {"sweep": {"deployment.mode": ["SA", "NSA"], "ss.n_ss": [8, 64]}, **lte}
+        )
+        assert given.scenarios == as_file.scenarios
+        assert repr(given.effective) == repr(as_file.effective)
+        assert yaml.safe_load(yaml.safe_dump(given.effective)) == as_file.effective
+
     def test_cartesian_product(self):
         sf = scenario_file_from_dict(
             {
@@ -402,6 +429,18 @@ class TestParseScenarioFile:
         p.write_text("ss: [unclosed\n", encoding="utf-8")
         with pytest.raises(ConfigurationError, match="YAML"):
             parse_scenario(p)
+
+    def test_merge_keys_may_repeat(self, tmp_path):
+        # a repeated key is refused, but not "<<", whose keys a mapping's own
+        # keys override
+        p = tmp_path / "merged.yaml"
+        p.write_text(
+            "gnb: &g {arch: digital, elements: 16}\n"
+            "ue: {<<: *g, <<: {k_bf: null}, elements: 4}\n",
+            encoding="utf-8",
+        )
+        sc = parse_scenario(p).scenarios[0]
+        assert (sc.ue.arch, sc.ue.elements) == (Architecture.DIGITAL, 4)
 
     def test_non_mapping_rejected(self, tmp_path):
         p = tmp_path / "list.yaml"
