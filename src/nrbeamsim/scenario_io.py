@@ -76,8 +76,8 @@ def _unique_keys(loader: type) -> type:
 
 
 def _load_yaml(text: str) -> Any:
-    """The value of YAML ``text`` read by ``_LOADER``, which may not repeat
-    a key.
+    """The value of YAML ``text`` read by ``_LOADER``, in which no mapping
+    repeats a key.
 
     Text that nests collections deeper than ``_MAX_DEPTH`` raises
     `_Unreadable`, a `yaml.YAMLError`. Its events are counted before any
