@@ -11,11 +11,6 @@ result that is not finite, 2 anchor failure, 3 I/O error. ``validate``
 and ``sweep`` print the effective configuration (the scenario file
 after defaults and overrides, which reproduces the run) before any
 results, and all file output is byte-stable for a fixed seed.
-
-A run does only the work its output needs: a known command is parsed by
-a parser built for it alone, and the top-level parser, which lists each
-command's help line, serves only ``-h``, ``--version`` and a missing or
-unknown command.
 """
 from __future__ import annotations
 
@@ -97,10 +92,9 @@ def _add_report_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=None)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The top-level parser: every command with its help line and none of
-    its arguments. It serves ``-h``, ``--version`` and a missing or
-    unknown command; a known command is parsed by `_command_parser`."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser tree: the top-level parser and, by command, its
+    subparsers, each with its command's arguments."""
     parser = argparse.ArgumentParser(
         prog="beamsim",
         description=(
@@ -110,17 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, *_) in _COMMANDS.items():
-        sub.add_parser(name, help=help_text)
-    return parser
-
-
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of command ``name`` alone: the parser that the top-level
-    parser's subcommand would be, with the same arguments and help."""
-    parser = argparse.ArgumentParser(prog=f"beamsim {name}")
-    _COMMANDS[name][1](parser)
-    return parser
+    for name, (help_text, add_args, _) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_text))
+    return parser, sub.choices
 
 
 def _load(args: argparse.Namespace) -> ScenarioFile:
@@ -248,11 +234,12 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv else None
+    parser, commands = _build_parser()
     try:
-        if command in _COMMANDS:
-            args = _command_parser(command).parse_args(argv[1:])
+        if command in commands:
+            # the command's own subparser, so that a usage error names it
+            args = commands[command].parse_args(argv[1:])
         else:
-            parser = _build_parser()
             parser.parse_args(argv)
             # a command that is not the first argument (some argparse
             # versions pass over a "--" before it) has not had its arguments

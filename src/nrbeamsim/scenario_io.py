@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Collection, Mapping, Optional, Sequence
 
 import yaml
 
@@ -57,20 +57,29 @@ def _unique_keys(loader: type) -> type:
     repeat. The refusal is a `ConstructorError` at the repeated key."""
 
     class UniqueKeyLoader(loader):
-        def construct_mapping(self, node, deep=False):
-            keys = set()
-            for key_node, _ in node.value:
-                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE:
-                    key = self.construct_object(key_node)
-                    if key in keys:
-                        raise yaml.constructor.ConstructorError(
-                            "while constructing a mapping",
-                            node.start_mark,
-                            f"found duplicate key {key!r}",
-                            key_node.start_mark,
-                        )
-                    keys.add(key)
-            return super().construct_mapping(node, deep)
+        def __init__(self, stream):
+            super().__init__(stream)
+            self._checked = set()
+
+        def flatten_mapping(self, node):
+            # flattening puts the pairs of each mapping merged into a node
+            # before its own, in the merged mapping too: a node's own keys
+            # are checked once, before it is first flattened
+            if node not in self._checked:
+                self._checked.add(node)
+                keys = set()
+                for key_node, _ in node.value:
+                    if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE:
+                        key = self.construct_object(key_node)
+                        if key in keys:
+                            raise yaml.constructor.ConstructorError(
+                                "while constructing a mapping",
+                                node.start_mark,
+                                f"found duplicate key {key!r}",
+                                key_node.start_mark,
+                            )
+                        keys.add(key)
+            super().flatten_mapping(node)
 
     return UniqueKeyLoader
 
@@ -124,10 +133,11 @@ def _at(mark: yaml.Mark) -> str:
     return f"line {mark.line + 1}, column {mark.column + 1}"
 
 
-def _yaml_error(path: Path, exc: yaml.YAMLError) -> ConfigurationError:
-    """One line naming the file, where the parser stopped and why. The
-    loader's own text spans several lines and names "<unicode string>",
-    because it reads the decoded text, not the file."""
+def _yaml_error(path: str | Path, exc: yaml.YAMLError) -> ConfigurationError:
+    """One line naming the file (or the file and ``--set`` key), where the
+    parser stopped and why. The loader's own text spans several lines and
+    names "<unicode string>", because it reads the decoded text, not the
+    file."""
     marked = isinstance(exc, yaml.MarkedYAMLError)
     if not marked or exc.problem is None or exc.problem_mark is None:
         return ConfigurationError(f"{path}: not valid YAML: {exc}")
@@ -166,8 +176,9 @@ _DEFAULTS: dict[str, Any] = {
 } | {"gnb.elements": 64, "ue.elements": 4}
 
 # keys a sweep cannot vary: the id, and the campaign block, which applies
-# to the whole file
+# to the whole file; a sweep may vary every other key
 _UNSWEPT = ("scenario_id", "campaign")
+_SWEPT_KEYS = {key for key in _DEFAULTS if key.partition(".")[0] not in _UNSWEPT}
 
 
 @dataclass(frozen=True)
@@ -209,13 +220,13 @@ def _flatten(data: Mapping[Any, Any], source: str) -> dict[str, Any]:
     return flat
 
 
-def _check_path(source: str, path: str, shown: str) -> None:
-    """Reject a dotted path that is not in the key table; ``shown`` is the
-    name the error gives it."""
-    if path not in _DEFAULTS:
+def _check_path(source: str, path: str, shown: str, keys: Collection[str] = _DEFAULTS) -> None:
+    """Reject a dotted path that is not one of ``keys``, by default the key
+    table; ``shown`` is the name the error gives it."""
+    if path not in keys:
         section = path.partition(".")[0] + "."
-        known = [k.removeprefix(section) for k in _DEFAULTS if k.startswith(section)]
-        raise _err(source, shown, f"unknown key (known: {sorted(known or _DEFAULTS)})")
+        known = [k.removeprefix(section) for k in keys if k.startswith(section)]
+        raise _err(source, shown, f"unknown key (known: {sorted(known or keys)})")
 
 
 def _coerce(source: str, path: str, shown: str, value: Any) -> Any:
@@ -248,9 +259,9 @@ def _overrides(overrides: Sequence[str], source: str) -> dict[str, Any]:
         path = path.strip()
         try:
             flat[path] = _load_yaml(raw.strip())
-        except _Unreadable as exc:
-            raise _err(source, path, f"not a valid YAML value: {exc}") from None
-        except (yaml.YAMLError, UnicodeEncodeError):
+        except yaml.YAMLError as exc:
+            raise _yaml_error(f"{source}: {path}", exc) from None
+        except UnicodeEncodeError:
             # libyaml takes UTF-8 only, and an argument that is not UTF-8
             # reaches Python as lone surrogates
             raise _err(source, path, f"not a valid YAML value: {raw.strip()!r}") from None
@@ -341,7 +352,7 @@ def scenario_file_from_dict(
         shown = f"sweep.{key}"
         if key.partition(".")[0] in _UNSWEPT:
             raise _err(source, shown, "cannot sweep this section")
-        _check_path(source, key, shown)
+        _check_path(source, key, shown, _SWEPT_KEYS)
         values = swept[key]
         if not isinstance(values, (list, tuple)) or not values:
             raise _err(source, shown, "must map to a non-empty list")

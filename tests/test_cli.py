@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -13,13 +12,10 @@ import yaml
 
 from nrbeamsim import cli, procedures
 from nrbeamsim.cli import (
-    _COMMANDS,
     EXIT_ANCHOR,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
-    _build_parser,
-    _command_parser,
     main,
 )
 from nrbeamsim.codebook import MAX_SWEEP_LENGTH
@@ -332,46 +328,18 @@ class TestUsage:
         assert main(["-h"]) == EXIT_OK
         assert "{validate,sweep,anchors,report}" in capsys.readouterr().out
 
-    @staticmethod
-    def _full_tree() -> tuple[argparse.ArgumentParser, dict]:
-        """The top-level parser with every command's arguments added, and
-        its subparsers by command."""
-        tree = _build_parser()
-        (sub,) = [a for a in tree._actions if isinstance(a, argparse._SubParsersAction)]
-        for name, (_, add_args, _) in _COMMANDS.items():
-            add_args(sub.choices[name])
-        return tree, sub.choices
-
-    @pytest.mark.parametrize("name", list(_COMMANDS))
-    def test_a_command_parser_is_its_subparser_in_the_full_tree(self, name):
-        def options(p: argparse.ArgumentParser) -> list[tuple]:
-            return [
-                (a.option_strings, a.dest, a.default, a.type, a.nargs, a.help)
-                for a in p._actions
-            ]
-
-        alone, full = _command_parser(name), self._full_tree()[1][name]
-        assert len(alone._actions) > 1  # more than -h
-        assert options(alone) == options(full)
-        assert alone.format_help() == full.format_help()
-
     @pytest.mark.parametrize(
-        "argv, code",
-        [
-            (["-h"], EXIT_OK),
-            (["--version"], EXIT_OK),
-            (["bogus"], EXIT_CONFIG),
-            ([], EXIT_CONFIG),
-        ],
+        "argv",
+        [["validate", "FILE"], ["sweep", "FILE"], ["anchors"], ["report", "FILE"]],
+        ids=lambda argv: argv[0],
     )
-    def test_the_top_level_parser_answers_as_the_full_tree(self, argv, code, capsys):
-        # help, version and a missing or unknown command print what the
-        # tree with every command's arguments prints
-        with pytest.raises(SystemExit):
-            self._full_tree()[0].parse_args(argv)
-        expected = capsys.readouterr()
-        assert main(argv) == code
-        assert capsys.readouterr() == expected
+    def test_an_unrecognized_option_names_its_command(self, argv, quick_yaml, capsys):
+        # the command's own parser reports the error, with the command's usage
+        argv = [str(quick_yaml) if a == "FILE" else a for a in argv]
+        assert main([*argv, "--bogus"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"usage: beamsim {argv[0]} " in err
+        assert f"beamsim {argv[0]}: error: unrecognized arguments: --bogus" in err
 
 
 class TestCampaignCommands:

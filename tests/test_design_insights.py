@@ -1,17 +1,29 @@
 """The paper's design insights, checked as orderings of the closed forms
 over the whole paper grid: every pair of grid points one step apart on
-one axis."""
+one axis, and every grid point against its NSA twin at each LTE
+latency."""
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 
+import numpy as np
+
 from conftest import make_scenario
-from nrbeamsim.codebook import power_consumption_w, sweep_length
+from nrbeamsim.codebook import power_consumption_w, sweep_factor, sweep_length
 from nrbeamsim.errors import ConfigurationError, declared_domains
 from nrbeamsim.evaluation import omega_ia_for
 from nrbeamsim.frame import Numerology, SsBurstConfig
-from nrbeamsim.procedures import oracle_expected_ia
+from nrbeamsim.procedures import (
+    LTE_LATENCY_VALUES_MS,
+    DeploymentMode,
+    IaBatch,
+    expected_beam_report_delay_ms,
+    omega_br,
+    oracle_expected_ia,
+    simulate_rlf_batch,
+)
 
 # the paper grid, each axis in ascending order; T_CSI is the default 5 slots
 GRID = {
@@ -47,6 +59,18 @@ def _grid() -> tuple[dict, int]:
         except ConfigurationError:
             refused += 1
     return built, refused
+
+
+@functools.cache
+def _nsa_twins() -> dict:
+    """The NSA twin of each built grid point at each LTE latency, by point
+    and latency."""
+    built, _ = _grid()
+    return {
+        (point, lte): dataclasses.replace(sc, mode=DeploymentMode.NSA, lte_latency_ms=lte)
+        for point, sc in built.items()
+        for lte in LTE_LATENCY_VALUES_MS
+    }
 
 
 def _failures(orderings: dict, value: dict) -> list:
@@ -111,3 +135,51 @@ def test_overhead_and_power_orderings_hold_over_the_paper_grid():
     }
     assert _failures(omega, omega_ia) == []
     assert [(a, b) for a, b in power["higher with a digital gNB"] if not p_c_w[a] < p_c_w[b]] == []
+
+
+def test_nsa_recovers_faster_while_the_lte_latency_is_below_half_t_ss():
+    # SA recovery is a fresh initial access, whose mean waits T_SS/2 for the
+    # next burst before it sweeps; NSA recovery rides the LTE leg and draws
+    # nothing, so one run of it is its delay
+    built, _ = _grid()
+    t_ss = list(GRID).index("t_ss_ms")
+    one_run = IaBatch(*[np.zeros(1)] * 3, np.zeros(1, dtype=np.int64))
+    pairs = [(point, lte) for point, lte in _nsa_twins() if lte < point[t_ss] / 2]
+    slower = [
+        (point, lte)
+        for point, lte in pairs
+        if not simulate_rlf_batch(_nsa_twins()[point, lte], one_run).t_total_ms[0]
+        < oracle_expected_ia(built[point])
+    ]
+    assert len(pairs) == 6471
+    assert slower == []
+
+
+def test_nsa_t_br_is_the_lte_latency_at_every_m_gnb_and_n_ss():
+    twins = _nsa_twins()
+    assert len(twins) == 4 * 2583
+    assert [key for key, sc in twins.items() if expected_beam_report_delay_ms(sc) != key[1]] == []
+
+
+def test_sa_t_br_is_non_decreasing_in_m_gnb():
+    # an SA report waits for the RACH opportunity of the chosen gNB step,
+    # and a larger gNB has more steps to cycle through
+    built, _ = _grid()
+    t_br = {point: expected_beam_report_delay_ms(sc) for point, sc in built.items()}
+    orderings = {"non-decreasing in M_gNB": list(_steps(built, "m_gnb"))}
+    assert len(orderings["non-decreasing in M_gNB"]) == 1720
+    assert _failures(orderings, t_br) == []
+
+
+def test_nsa_omega_br_is_at_most_sa_and_equal_only_for_a_one_step_gnb():
+    # an SA gNB reserves one RACH opportunity per steering step, NSA one
+    built, _ = _grid()
+    wrong, equal = [], 0
+    for (point, lte), nsa in _nsa_twins().items():
+        sa_omega, nsa_omega = omega_br(built[point]), omega_br(nsa)
+        one_step = sweep_factor(built[point].gnb) == 1
+        equal += one_step
+        if not (nsa_omega <= sa_omega and (nsa_omega == sa_omega) == one_step):
+            wrong.append((point, lte))
+    assert equal == 4 * 1296
+    assert wrong == []
