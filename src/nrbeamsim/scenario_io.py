@@ -259,12 +259,13 @@ def _overrides(overrides: Sequence[str], source: str) -> dict[str, Any]:
         path = path.strip()
         try:
             flat[path] = _load_yaml(raw.strip())
+        except (yaml.reader.ReaderError, UnicodeEncodeError):
+            # a character YAML does not take, which the reader's message
+            # names on a second line; libyaml takes UTF-8 only, and an
+            # argument that is not UTF-8 reaches Python as lone surrogates
+            raise _err(source, path, f"not a valid YAML value: {raw.strip()!r}") from None
         except yaml.YAMLError as exc:
             raise _yaml_error(f"{source}: {path}", exc) from None
-        except UnicodeEncodeError:
-            # libyaml takes UTF-8 only, and an argument that is not UTF-8
-            # reaches Python as lone surrogates
-            raise _err(source, path, f"not a valid YAML value: {raw.strip()!r}") from None
     return flat
 
 

@@ -290,13 +290,14 @@ class TestOverrides:
 
     def test_override_value_must_be_yaml(self):
         # the value is refused as a file's text is: where the parser stopped
-        # and why
+        # and why, which libyaml words and places at the end of the text
+        # otherwise than PyYAML's parser
         with pytest.raises(ConfigurationError) as info:
             scenario_file_from_dict({}, overrides=["ss.n_ss=[8"])
-        assert str(info.value) == (
-            "<dict>: ss.n_ss, line 2, column 1: not valid YAML: did not find expected "
-            "',' or ']' (while parsing a flow sequence at line 1, column 1)"
-        )
+        message = str(info.value)
+        assert message.startswith("<dict>: ss.n_ss, line ")
+        assert ": not valid YAML: " in message and "expected ',' or ']'" in message
+        assert message.endswith(" (while parsing a flow sequence at line 1, column 1)")
 
     def test_override_value_must_not_repeat_a_key(self):
         with pytest.raises(ConfigurationError) as info:
@@ -529,6 +530,15 @@ class TestLoaders:
         with mock.patch.object(scenario_io, "_LOADER", loader):
             value = scenario_io._load_yaml(text)
         assert value == {"ue": {"a": 1}, "gnb": {"elements": {"a": 2}}, "ss": {"a": 2}}
+
+    @pytest.mark.parametrize("raw", ["\x01", "\udcff"], ids=["control", "lone-surrogate"])
+    def test_a_set_character_yaml_refuses_is_named_on_one_line(self, loader, raw):
+        # PyYAML's reader refuses both, libyaml's the control character:
+        # their messages add a line naming "<unicode string>"
+        with mock.patch.object(scenario_io, "_LOADER", loader):
+            with pytest.raises(ConfigurationError) as info:
+                _overrides([f"ss.n_ss={raw}"], "<set>")
+        assert str(info.value) == f"<set>: ss.n_ss: not a valid YAML value: {raw!r}"
 
     def test_set_literals_read_alike(self, loader):
         literals = ["42", "4.0e8", "yes", "null", "0x10", "1_000", ".inf", "[8, 16]"]
