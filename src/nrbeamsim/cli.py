@@ -30,7 +30,6 @@ from .errors import ConfigurationError, DomainError, NotApplicableError
 from .evaluation import MetricsReport, estimate_metrics, kiviat_normalize
 from .reporting import (
     METRIC_COLUMNS,
-    check_finite,
     emit,
     power_overhead_table,
     recovery_delay_table,
@@ -148,9 +147,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
     if args.out is not None:
         # an --out the reports cannot go to fails before the campaigns run
         args.out.mkdir(parents=True, exist_ok=True)
+    # a report refuses a number no output can hold, before any result is shown
     reports = [estimate_metrics(sc, sf.campaign) for sc in sf.scenarios]
-    # a number no output can hold stops the sweep before any result is shown
-    check_finite(reports)
     # the results block in one write
     sys.stdout.write("".join(map(_metric_lines, reports)))
     if args.out is not None:

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the one check of a
-config value: each config field declares its domain once, with
+config or report value: each field declares its domain once, with
 `declare`, and `Domain.check` checks both the field and the scenario-file
 key that sets it. Every refusal reads ``{key}={value!r}: must be
 {rule}``, where an int too long for the interpreter to print shows its
@@ -39,8 +39,8 @@ _NUMBERS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real
 
 
 class Domain(NamedTuple):
-    """The kind, default and allowed values of one config value, as
-    `declare` describes them; a ``str`` kind takes a string."""
+    """The kind, default and allowed values of one config or report
+    value, as `declare` describes them; a ``str`` kind takes a string."""
 
     kind: type
     default: Any
@@ -84,16 +84,15 @@ class Domain(NamedTuple):
         # an exact int or float skips the slower check of the numbers ABC
         if t is not int and t is not kind and (t is bool or not isinstance(value, number)):
             raise _refusal(key, value, noun)
-        stored = value if kind is float else int(value)
+        try:
+            stored = kind(value)
+        except OverflowError:  # a real number beyond float range
+            raise _refusal(key, value, self.rule()) from None
         lo, hi = self.lo, self.hi
         if self.among:
             fits = stored in self.among
         else:
-            try:
-                finite = kind is int or math.isfinite(stored)
-            except OverflowError:  # a real number beyond float range
-                finite = False
-            fits = finite and (
+            fits = (kind is int or math.isfinite(stored)) and (
                 (lo is None or stored > lo or (stored == lo and not self.lo_open))
                 and (hi is None or stored <= hi)
             )
@@ -128,10 +127,11 @@ def declare(
     """A dataclass field with ``default`` that `check_domains` checks.
 
     ``kind`` is ``int`` (an integral number, stored as an ``int``),
-    ``float`` (a finite real number, stored as given) or an `Enum` (a
-    member or a member's value, stored as the member); a bool is no
-    number. A number is one of ``among``, or else within ``lo``..``hi``,
-    where ``lo_open`` excludes ``lo``. A ``None`` default admits ``None``.
+    ``float`` (a finite real number, stored as a ``float``), ``str`` (a
+    string) or an `Enum` (a member or a member's value, stored as the
+    member); a bool is no number. A number is one of ``among``, or else
+    within ``lo``..``hi``, where ``lo_open`` excludes ``lo``. A ``None``
+    default admits ``None``.
     """
     if issubclass(kind, Enum):
         among = [member.value for member in kind]

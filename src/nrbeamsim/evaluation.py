@@ -70,11 +70,12 @@ class CampaignSettings:
 
 @dataclass(frozen=True)
 class MetricStat:
-    """Sample mean with its standard error; stderr 0 when deterministic."""
+    """Sample mean with its standard error; stderr 0 when deterministic.
+    The report that holds a stat checks its fields."""
 
-    mean: float
-    stderr: float
-    n_samples: int
+    mean: float = declare(float)
+    stderr: float = declare(float)
+    n_samples: int = declare(int)
 
     def ci95(self) -> tuple[float, float]:
         return (self.mean - Z_95 * self.stderr, self.mean + Z_95 * self.stderr)
@@ -116,30 +117,40 @@ def stat_from_samples(x: np.ndarray) -> MetricStat:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Everything measured for one scenario, plus identifying config."""
+    """Everything measured for one scenario, plus identifying config. It
+    refuses a value outside its fields' or its stats' fields' domains, such
+    as the NaN ``t_tr`` of a campaign that censored every tracking run."""
 
-    scenario_id: str
-    mode: str
-    m_gnb: int
-    m_ue: int
-    arch_gnb: str
-    arch_ue: str
-    n: int
-    n_ss: int
-    t_ss_ms: float
-    t_csi_slots: int
+    scenario_id: str = declare(str)
+    mode: str = declare(str)
+    m_gnb: int = declare(int)
+    m_ue: int = declare(int)
+    arch_gnb: str = declare(str)
+    arch_ue: str = declare(str)
+    n: int = declare(int)
+    n_ss: int = declare(int)
+    t_ss_ms: float = declare(float)
+    t_csi_slots: int = declare(int)
     t_ia: MetricStat
     t_tr: MetricStat
     t_br: MetricStat
     t_rlf: MetricStat
-    omega_ia: float
-    omega_tr: float
-    omega_br: float
-    accuracy: float
-    p_c_w: float
-    seed: int
-    n_runs: int
-    censored_tracking: int
+    omega_ia: float = declare(float)
+    omega_tr: float = declare(float)
+    omega_br: float = declare(float)
+    accuracy: float = declare(float)
+    p_c_w: float = declare(float)
+    seed: int = declare(int)
+    n_runs: int = declare(int)
+    censored_tracking: int = declare(int)
+
+    def __post_init__(self) -> None:
+        try:
+            check_domains(self)
+            for name in ("t_ia", "t_tr", "t_br", "t_rlf"):
+                check_domains(getattr(self, name), f"{name}.")
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"scenario {self.scenario_id}: {exc}") from None
 
 
 def omega_ia_for(sc: Scenario) -> float:

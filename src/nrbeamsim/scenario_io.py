@@ -129,25 +129,32 @@ def _load_yaml(text: str) -> Any:
     return value
 
 
-def _at(mark: yaml.Mark) -> str:
-    return f"line {mark.line + 1}, column {mark.column + 1}"
+def _at(text: str, index: int) -> str:
+    """The line and column of character ``index`` of ``text``. YAML breaks
+    lines where `str.splitlines` does, in the characters YAML takes."""
+    lines = (text[:index] + "^").splitlines()
+    return f"line {len(lines)}, column {len(lines[-1])}"
 
 
-def _yaml_error(path: str | Path, exc: yaml.YAMLError) -> ConfigurationError:
-    """One line naming the file (or the file and ``--set`` key), where the
-    parser stopped and why. The loader's own text spans several lines and
-    names "<unicode string>", because it reads the decoded text, not the
-    file."""
-    marked = isinstance(exc, yaml.MarkedYAMLError)
-    if not marked or exc.problem is None or exc.problem_mark is None:
+def _yaml_error(path: str | Path, exc: yaml.YAMLError, text: str) -> ConfigurationError:
+    """One line naming the file (or the file and ``--set`` key) of YAML
+    ``text``, where in ``text`` the parser stopped and why. The loader's
+    own text spans several lines and names "<unicode string>", and libyaml
+    puts the end of a last line without a line break on the next line."""
+    if isinstance(exc, yaml.reader.ReaderError):
+        # PyYAML counts the characters before the refused one, libyaml their bytes
+        index = exc.position
+        if exc.encoding != "unicode":
+            index = len(text.encode("utf-8")[:index].decode("utf-8"))
+        problem = str(exc).partition("\n")[0]
+    elif isinstance(exc, yaml.MarkedYAMLError) and None not in (exc.problem, exc.problem_mark):
+        index, problem = exc.problem_mark.index, exc.problem
+        if exc.context is not None:
+            start = "" if exc.context_mark is None else f" at {_at(text, exc.context_mark.index)}"
+            problem += f" ({exc.context}{start})"
+    else:
         return ConfigurationError(f"{path}: not valid YAML: {exc}")
-    problem = exc.problem
-    if exc.context is not None:
-        start = "" if exc.context_mark is None else f" at {_at(exc.context_mark)}"
-        problem += f" ({exc.context}{start})"
-    return ConfigurationError(
-        f"{path}, {_at(exc.problem_mark)}: not valid YAML: {problem}"
-    )
+    return ConfigurationError(f"{path}, {_at(text, index)}: not valid YAML: {problem}")
 
 
 # the config dataclass that builds each section
@@ -243,9 +250,7 @@ def _coerce(source: str, path: str, shown: str, value: Any) -> Any:
         except ValueError:
             pass  # the domain refuses it
     stored = domain.check(f"{source}: {shown}", value)
-    if isinstance(stored, Enum):
-        return stored.value
-    return float(stored) if domain.kind is float and stored is not None else stored
+    return stored.value if isinstance(stored, Enum) else stored
 
 
 def _overrides(overrides: Sequence[str], source: str) -> dict[str, Any]:
@@ -256,16 +261,16 @@ def _overrides(overrides: Sequence[str], source: str) -> dict[str, Any]:
         path, eq, raw = item.partition("=")
         if not eq:
             raise _err(source, item, "override must look like section.key=value")
-        path = path.strip()
+        path, raw = path.strip(), raw.strip()
         try:
-            flat[path] = _load_yaml(raw.strip())
+            flat[path] = _load_yaml(raw)
         except (yaml.reader.ReaderError, UnicodeEncodeError):
-            # a character YAML does not take, which the reader's message
-            # names on a second line; libyaml takes UTF-8 only, and an
-            # argument that is not UTF-8 reaches Python as lone surrogates
-            raise _err(source, path, f"not a valid YAML value: {raw.strip()!r}") from None
+            # a character YAML does not take, shown in the value itself;
+            # libyaml takes UTF-8 only, and an argument that is not UTF-8
+            # reaches Python as lone surrogates
+            raise _err(source, path, f"not a valid YAML value: {raw!r}") from None
         except yaml.YAMLError as exc:
-            raise _yaml_error(f"{source}: {path}", exc) from None
+            raise _yaml_error(f"{source}: {path}", exc, raw) from None
     return flat
 
 
@@ -394,13 +399,13 @@ def parse_scenario(
     """
     p = Path(path)
     try:
-        data = _load_yaml(p.read_text(encoding="utf-8"))
+        # a BOM is dropped: libyaml counts no character for it, PyYAML one
+        text = p.read_text(encoding="utf-8-sig")
+        data = _load_yaml(text)
     except yaml.YAMLError as exc:
-        raise _yaml_error(p, exc) from None
+        raise _yaml_error(p, exc, text) from None
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{p}: {exc}") from None
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
+    if data is not None and not isinstance(data, dict):
         raise ConfigurationError(f"{p}: scenario file must be a mapping")
     return scenario_file_from_dict(data, source=str(p), overrides=overrides)

@@ -8,9 +8,11 @@ makes them deterministic.
 """
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +288,8 @@ class TestAcceptance:
             "sweep: {deployment.mode: [SA, NSA], deployment.lte_latency_ms: [10]}\n",
             encoding="utf-8",
         )
+        src = Path(__file__).resolve().parents[1] / "src"
+        pythonpath = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
         blobs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
@@ -299,6 +303,7 @@ class TestAcceptance:
                     "--out",
                     str(out),
                 ],
+                env=dict(os.environ, PYTHONPATH=pythonpath),
                 capture_output=True,
                 text=True,
             )

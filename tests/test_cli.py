@@ -415,9 +415,9 @@ class TestCampaignCommands:
         captured = capsys.readouterr()
         assert captured.out.endswith("# results\n")
         assert " = " not in captured.out
+        # the report refuses its NaN mean when it is built
         assert captured.err == (
-            "error: scenario sa_a64xa16_n3_nss64_tss20: t_tr.mean is nan, which "
-            "JSON cannot hold; no report file is written\n"
+            "error: scenario sa_a64xa16_n3_nss64_tss20: t_tr.mean=nan: must be finite\n"
         )
         # --out makes its directory before the campaigns run, and no file
         assert sorted(tmp_path.rglob("*")) == ([p, out_dir] if out else [p])
@@ -582,7 +582,7 @@ class TestReportCommand:
     @pytest.mark.parametrize("out", [True, False], ids=["out", "no-out"])
     def test_a_non_finite_number_is_refused(self, sweep_yaml, tmp_path, token, shown, out, capsys):
         # Python's json reads NaN and Infinity, which RFC 8259 has not, and
-        # reads 1e999 as inf
+        # reads 1e999 as inf: the report they would build refuses them
         camp = tmp_path / "camp"
         assert main(["sweep", str(sweep_yaml), "--out", str(camp)]) == EXIT_OK
         payload = json.loads((camp / "reports.json").read_text(encoding="utf-8"))
@@ -597,8 +597,8 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: {p}: scenario {sid}: t_rlf.mean is {shown}, "
-            "which report JSON cannot hold\n"
+            f"error: {p}: report JSON: reports[1]: scenario {sid}: "
+            f"t_rlf.mean={shown}: must be finite\n"
         )
         assert not out_dir.exists()
 
@@ -652,6 +652,7 @@ class TestReportCommand:
         assert main(["sweep", str(sweep_yaml), "--out", str(camp)]) == EXIT_OK
         payload = json.loads((camp / "reports.json").read_text(encoding="utf-8"))
         payload["reports"][0]["t_ia"]["mean"] = 10**400
+        sid = payload["reports"][0]["scenario_id"]
         p = tmp_path / "huge.json"
         p.write_text(json.dumps(payload), encoding="utf-8")
         capsys.readouterr()
@@ -661,8 +662,40 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and not out_dir.exists()
         assert captured.err == (
-            f"error: {p}: report JSON: reports[0].t_ia.mean: an int beyond float range\n"
+            f"error: {p}: report JSON: reports[0]: scenario {sid}: "
+            f"t_ia.mean=1{'0' * 400}: must be finite\n"
         )
+
+    @pytest.mark.parametrize(
+        "field, value, refusal",
+        [
+            ("m_gnb", None, "m_gnb=None: must be an integer"),
+            ("scenario_id", 7, "scenario_id=7: must be a string"),
+            ("accuracy", True, "accuracy=True: must be a real number"),
+            (
+                "t_ia",
+                {"mean": "abc", "stderr": 0.1, "n_samples": 5},
+                "t_ia.mean='abc': must be a real number",
+            ),
+        ],
+        ids=["null-int", "int-str", "bool-float", "str-stat-mean"],
+    )
+    def test_a_value_of_the_wrong_kind_is_refused(
+        self, sweep_yaml, tmp_path, field, value, refusal, capsys
+    ):
+        camp = tmp_path / "camp"
+        assert main(["sweep", str(sweep_yaml), "--out", str(camp)]) == EXIT_OK
+        payload = json.loads((camp / "reports.json").read_text(encoding="utf-8"))
+        payload["reports"][0][field] = value
+        sid = payload["reports"][0]["scenario_id"]
+        p = tmp_path / "kind.json"
+        p.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        out_dir = tmp_path / "tables"
+        assert main(["report", str(p), "--out", str(out_dir)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_dir.exists()
+        assert captured.err == f"error: {p}: report JSON: reports[0]: scenario {sid}: {refusal}\n"
 
     def test_missing_report_exits_three(self, tmp_path):
         assert main(["report", str(tmp_path / "none.json")]) == EXIT_IO

@@ -17,8 +17,10 @@ from nrbeamsim.evaluation import (
     CampaignSettings,
     MetricStat,
     MetricsReport,
+    _tracking_stats,
     estimate_metrics,
 )
+from nrbeamsim.procedures import tracking_plan
 from nrbeamsim.reporting import (
     CSV_COLUMNS,
     emit,
@@ -58,13 +60,15 @@ class TestCsv:
 
     def test_a_nan_delay_is_refused(self):
         # 64 x 16 analog: some directions have no CSI-RS occasion, and the
-        # one tracking run at seed 1 draws one of them, so t_tr has no wait
+        # one tracking run at seed 1 draws one of them, so t_tr has no wait;
+        # the report refuses the NaN stat when it is built, so no CSV shows it
         sc = make_scenario(m_gnb=64, m_ue=16)
-        rep = estimate_metrics(sc, CampaignSettings(n_runs=1, seed=1))
-        assert rep.censored_tracking == rep.n_runs
-        message = f"^scenario {rep.scenario_id}: t_tr.mean is nan, which JSON cannot hold"
+        campaign = CampaignSettings(n_runs=1, seed=1)
+        t_tr, censored = _tracking_stats(tracking_plan(sc), campaign)
+        assert math.isnan(t_tr.mean) and censored == campaign.n_runs
+        message = rf"^scenario {sc.scenario_id}: t_tr\.mean=nan: must be finite$"
         with pytest.raises(ConfigurationError, match=message):
-            reports_to_csv([tiny_report(), rep])
+            estimate_metrics(sc, campaign)
 
     def test_byte_stable(self):
         a = reports_to_csv([tiny_report()])
@@ -118,19 +122,22 @@ class TestJsonRoundTrip:
             reports_from_json(text)
 
     @pytest.mark.parametrize(
-        "field,value,path",
+        "field,value,refusal",
         [
-            ("m_gnb", None, r"reports\[0\]\.m_gnb: expected int"),
-            ("scenario_id", 7, r"reports\[0\]\.scenario_id: expected str"),
-            ("accuracy", True, r"reports\[0\]\.accuracy: expected float"),
+            ("m_gnb", None, "m_gnb=None: must be an integer"),
+            ("scenario_id", 7, "scenario_id=7: must be a string"),
+            ("accuracy", True, "accuracy=True: must be a real number"),
             ("t_ia", {"mean": "abc", "stderr": 0.1, "n_samples": 5},
-             r"reports\[0\]\.t_ia\.mean: expected float"),
+             "t_ia.mean='abc': must be a real number"),
         ],
     )
-    def test_field_types_are_checked(self, field, value, path):
+    def test_field_types_are_checked(self, field, value, refusal):
+        # by the report's own domains, as it is built
         payload = json.loads(reports_to_json([tiny_report()]))
         payload["reports"][0][field] = value
-        with pytest.raises(ConfigurationError, match=path):
+        sid = payload["reports"][0]["scenario_id"]
+        message = f"report JSON: reports[0]: scenario {sid}: {refusal}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             reports_from_json(json.dumps(payload))
 
     def test_a_report_without_its_censored_count_is_refused(self):
@@ -172,9 +179,9 @@ class TestJsonRoundTrip:
 
 
 # report values that stress the JSON writer: NaN and the infinities, which
-# it refuses as json.dumps(allow_nan=False) does, signed zero, the smallest
-# and a huge float, ints past 64 bits, and ids with quotes, backslashes,
-# control, non-ASCII and lone surrogate characters
+# a report refuses as json.dumps(allow_nan=False) does, signed zero, the
+# smallest and a huge float, ints past 64 bits, and ids with quotes,
+# backslashes, control, non-ASCII and lone surrogate characters
 _FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 1e16]),
@@ -190,29 +197,37 @@ _IDS = st.lists(
     ),
     max_size=6,
 ).map("".join)
-_STATS = st.builds(MetricStat, mean=_FLOATS, stderr=_FLOATS, n_samples=_INTS)
-_REPORTS = st.builds(
-    MetricsReport,
-    **{
-        f.name: {"str": st.text(max_size=4), "int": _INTS, "float": _FLOATS}.get(f.type, _STATS)
+# a report's fields as JSON holds them, each stat as an object
+_STAT_ITEMS = st.fixed_dictionaries(dict(mean=_FLOATS, stderr=_FLOATS, n_samples=_INTS))
+_REPORT_ITEMS = st.fixed_dictionaries(
+    {
+        f.name: {"str": st.text(max_size=4), "int": _INTS, "float": _FLOATS}.get(
+            f.type, _STAT_ITEMS
+        )
         for f in dataclasses.fields(MetricsReport)
     }
-    | {"scenario_id": _IDS},
+    | {"scenario_id": _IDS}
 )
 
 
+def _report(item: dict) -> MetricsReport:
+    return MetricsReport(
+        **{k: MetricStat(**v) if isinstance(v, dict) else v for k, v in item.items()}
+    )
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(reports=st.lists(_REPORTS, max_size=3))
-@example(reports=[])
-def test_json_is_the_bytes_of_json_dumps(reports):
-    payload = {"reports": [dataclasses.asdict(r) for r in reports]}
+@given(items=st.lists(_REPORT_ITEMS, max_size=3))
+@example(items=[])
+def test_json_is_the_bytes_of_json_dumps(items):
     try:
-        expected = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        expected = json.dumps({"reports": items}, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
-        with pytest.raises(ConfigurationError, match="which JSON cannot hold"):
-            reports_to_json(reports)
+        # a non-finite value: no report holds it
+        with pytest.raises(ConfigurationError, match=": must be finite$"):
+            list(map(_report, items))
         return
-    assert reports_to_json(reports) == expected
+    assert reports_to_json(list(map(_report, items))) == expected + "\n"
 
 
 class TestEmit:
@@ -224,13 +239,13 @@ class TestEmit:
             assert p.read_text(encoding="utf-8")
 
     def test_a_nan_writes_neither_file(self, tmp_path):
-        # the report of test_a_nan_delay_is_refused
-        sc = make_scenario(m_gnb=64, m_ue=16)
-        rep = estimate_metrics(sc, CampaignSettings(n_runs=1, seed=1))
-        assert math.isnan(rep.t_tr.mean)
-        message = f"{rep.scenario_id}: t_tr.mean is nan"
+        # the stat of test_a_nan_delay_is_refused: the report that would
+        # hold it is refused before emit is called
+        good = tiny_report()
+        nan = MetricStat(mean=math.nan, stderr=math.nan, n_samples=0)
+        message = rf"^scenario {good.scenario_id}: t_tr\.mean=nan: must be finite$"
         with pytest.raises(ConfigurationError, match=message):
-            emit([tiny_report(), rep], tmp_path / "out")
+            emit([good, dataclasses.replace(good, t_tr=nan)], tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):

@@ -540,6 +540,40 @@ class TestLoaders:
                 _overrides([f"ss.n_ss={raw}"], "<set>")
         assert str(info.value) == f"<set>: ss.n_ss: not a valid YAML value: {raw!r}"
 
+    @pytest.mark.parametrize(
+        "text, at",
+        [
+            ("ss: {n_ss: 8}\x01", "line 1, column 14"),
+            # libyaml counts the two UTF-8 bytes of é, PyYAML one character
+            ("ss: {n_ss: 8}\nscenario_id: é\x01\n", "line 2, column 15"),
+            # libyaml counts no character for a BOM, PyYAML one
+            ("\ufeffss: {n_ss: 8}\x01", "line 1, column 14"),
+        ],
+        ids=["first-line", "after-non-ascii", "after-bom"],
+    )
+    def test_a_file_character_yaml_refuses_is_placed_on_one_line(
+        self, loader, tmp_path, text, at
+    ):
+        # the reader's own message names "<unicode string>" on a second line
+        p = tmp_path / "ctl.yaml"
+        p.write_text(text, encoding="utf-8")
+        with mock.patch.object(scenario_io, "_LOADER", loader):
+            with pytest.raises(ConfigurationError) as info:
+                parse_scenario(p)
+        head = f"{p}, {at}: not valid YAML: unacceptable character #x0001: "
+        assert re.fullmatch(rf"{re.escape(head)}\w+ characters are not allowed", str(info.value))
+
+    @pytest.mark.parametrize("raw", ["[8", "{a: 1", '"abc'])
+    def test_a_one_line_set_value_is_placed_at_its_end(self, loader, raw):
+        # libyaml puts the end of a value without a line break on a line
+        # after it, which the value does not have
+        with mock.patch.object(scenario_io, "_LOADER", loader):
+            with pytest.raises(ConfigurationError) as info:
+                _overrides([f"ss.n_ss={raw}"], "<set>")
+        head = f"<set>: ss.n_ss, line 1, column {len(raw) + 1}: not valid YAML: "
+        assert str(info.value).startswith(head)
+        assert "\n" not in str(info.value)
+
     def test_set_literals_read_alike(self, loader):
         literals = ["42", "4.0e8", "yes", "null", "0x10", "1_000", ".inf", "[8, 16]"]
         items = [f"k{i}={raw}" for i, raw in enumerate(literals)]
