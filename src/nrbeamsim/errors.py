@@ -40,7 +40,8 @@ _NUMBERS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real
 
 class Domain(NamedTuple):
     """The kind, default and allowed values of one config or report
-    value, as `declare` describes them; a ``str`` kind takes a string."""
+    value, as `declare` describes them; a ``str`` kind takes a string
+    on one line."""
 
     kind: type
     default: Any
@@ -73,8 +74,11 @@ class Domain(NamedTuple):
             return None
         kind, t = self.kind, type(value)
         if kind not in _NUMBERS:
-            # an enum takes a member or a member's value; str only a string
+            # an enum takes a member or a member's value; str only a string,
+            # and one that holds no character str.splitlines breaks at
             if kind is not str or isinstance(value, str):
+                if kind is str and "".join(value.splitlines()) != value:
+                    raise _refusal(key, value, "a string on one line")
                 try:
                     return kind(value)
                 except ValueError:
@@ -128,8 +132,8 @@ def declare(
 
     ``kind`` is ``int`` (an integral number, stored as an ``int``),
     ``float`` (a finite real number, stored as a ``float``), ``str`` (a
-    string) or an `Enum` (a member or a member's value, stored as the
-    member); a bool is no number. A number is one of ``among``, or else
+    string on one line) or an `Enum` (a member or a member's value,
+    stored as the member); a bool is no number. A number is one of ``among``, or else
     within ``lo``..``hi``, where ``lo_open`` excludes ``lo``. A ``None``
     default admits ``None``.
     """

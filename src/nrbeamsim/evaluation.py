@@ -150,7 +150,11 @@ class MetricsReport:
             for name in ("t_ia", "t_tr", "t_br", "t_rlf"):
                 check_domains(getattr(self, name), f"{name}.")
         except ConfigurationError as exc:
-            raise ConfigurationError(f"scenario {self.scenario_id}: {exc}") from None
+            # an id that does not print as it is, such as one holding a line
+            # break, is shown by its repr, as the refusal shows a value
+            sid = self.scenario_id
+            shown = sid if isinstance(sid, str) and sid.isprintable() else repr(sid)
+            raise ConfigurationError(f"scenario {shown}: {exc}") from None
 
 
 def omega_ia_for(sc: Scenario) -> float:

@@ -65,25 +65,28 @@ def mean_snr_db(cp: ChannelParams, gain_db: float, d_m: float) -> float:
     return cp.tx_power_dbm + gain_db - noise_power_dbm(cp) - path_loss_db(d_m, cp)
 
 
-# from here on `_log_erfcx` sums an asymptotic series, whose first omitted
-# term is below 2e-15
-ERFCX_SERIES_FROM = 26.0
+def _log_erfcx(x: float) -> float:
+    """log(exp(x^2) erfc(x)) for x >= 0, also where erfc(x) underflows.
 
-
-def erfcx_series(x):
-    """exp(x^2) erfc(x) sqrt(pi) x for x >= ``ERFCX_SERIES_FROM``, by the
-    asymptotic series; the same arithmetic on a float or an array."""
+    From x = 26 on it sums the asymptotic series of exp(x^2) erfc(x)
+    sqrt(pi) x, whose first omitted term is below 2e-15.
+    """
+    if x < 26.0:
+        return x * x + math.log(math.erfc(x))
     t = 0.5 / (x * x)
-    return 1.0 - t * (
+    series = 1.0 - t * (
         1.0 - 3.0 * t * (1.0 - 5.0 * t * (1.0 - 7.0 * t * (1.0 - 9.0 * t)))
     )
+    return math.log(series) - math.log(x * math.sqrt(math.pi))
 
 
-def _log_erfcx(x: float) -> float:
-    """log(exp(x^2) erfc(x)) for x >= 0, also where erfc(x) underflows."""
-    if x < ERFCX_SERIES_FROM:
-        return x * x + math.log(math.erfc(x))
-    return math.log(erfcx_series(x)) - math.log(x * math.sqrt(math.pi))
+def log_normal_cdf(x: float) -> float:
+    """log Phi(x) of the standard normal, accurate in both tails: below 0,
+    log erfcx(y) - y^2 - log 2 with y = -x / sqrt 2."""
+    if x >= 0.0:
+        return math.log1p(-0.5 * math.erfc(x / _SQRT2))
+    y = -x / _SQRT2
+    return _log_erfcx(y) - y * y - math.log(2.0)
 
 
 def edge_margin_db(gnb: ArrayConfig, ue: ArrayConfig, cp: ChannelParams) -> float:

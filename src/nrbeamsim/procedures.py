@@ -27,10 +27,7 @@ have to wait for the burst that revisits the chosen step. A digital gNB
 is the one-step case: it sweeps every direction in its one step, so the
 opportunity right after each burst's blocks serves every report. The
 wait depends only on how many steps past the last burst's first one
-the chosen step lies. The sweep plan
-tabulates that offset's complement per start burst, and the tail in ms
-per offset over two cycles of f_g steps, so a batch reads each run's
-tail by two gathers with no per-run modulo.
+the chosen step lies, and the sweep plan tabulates the tail per offset.
 In NSA the report (and the whole link recovery) instead rides the LTE
 control plane at a fixed latency.
 
@@ -74,7 +71,7 @@ from .frame import (
     SsBurstConfig,
     carrier_resource_blocks,
 )
-from .link import ERFCX_SERIES_FROM, ChannelParams, edge_margin_db, erfcx_series
+from .link import ChannelParams, edge_margin_db, log_normal_cdf
 
 # numpy is imported by each function that computes with arrays, so the
 # commands that never do (validate, report, help) start without it
@@ -193,9 +190,10 @@ class SweepPlan:
     Sweep slot ``k`` steers the gNB to step ``k % f_g`` and the UE to step
     ``k // f_g``. Direction ``d`` of an end is swept in step ``d // width``
     of that end. The gNB steps the bursts sweep repeat every
-    ``rach_cycle`` bursts. A run that starts at cycle burst ``b`` and
-    chooses gNB step ``g`` waits ``tail_ms_twice[g + tail_shift[b]]``
-    from determination to the end of its report.
+    ``rach_cycle`` bursts. A run whose sweep's last burst first sweeps
+    gNB step ``l`` and that chooses step ``g`` waits
+    ``report_tail_sym[(g - l) % f_g]`` from determination to the end of
+    its report.
     """
 
     s: int
@@ -236,26 +234,6 @@ class SweepPlan:
             - self.det_offset_sym
         )
 
-    @property
-    def tail_shift(self) -> np.ndarray:
-        """Per start burst ``b`` of the cycle, f_g minus the first step the
-        sweep's last burst sweeps (mod f_g), in [1, f_g]: the chosen step
-        plus this is its offset into ``tail_ms_twice``."""
-        import numpy as np
-
-        b = np.arange(self.cycle_bursts, dtype=np.int64)
-        last_first = (b + self.bursts_per_sweep - 1) * self.blocks_per_burst
-        return self.f_g - last_first % self.f_g
-
-    @property
-    def tail_ms_twice(self) -> np.ndarray:
-        """``report_tail_sym`` in ms, repeated once, so an offset in
-        [0, 2 f_g) reads the tail of that offset mod f_g."""
-        import numpy as np
-
-        tail_ms = self.report_tail_sym * self.symbol_ms
-        return np.concatenate((tail_ms, tail_ms))
-
 
 def sweep_plan(sc: Scenario) -> SweepPlan:
     """The scenario's sweep plan, built anew on each call."""
@@ -295,42 +273,17 @@ class IaBatch:
 @lru_cache(maxsize=16)
 def _normal_grid(shift: float) -> tuple[np.ndarray, np.ndarray]:
     """Log trapezoid weights of phi(z) dz at nodes z on [-40, 40], and
-    log Phi(z + shift) there. Built on first use, not at import; the
-    nodes depend on (sigma, floor) only through the shift, so sweeps of
-    several lengths share them.
-
-    log Phi(x) is log1p(-erfc(x / sqrt 2) / 2) from 0 up and, below, the
-    log of erfcx(y) (the forms of `link._log_erfcx`) minus y^2 and log 2,
-    with y = -x / sqrt 2, accurate in both tails. Its arithmetic runs on
-    arrays and its ``math`` calls map over the nodes, as numpy's ``log``
-    and ``log1p`` can differ from them in the last bit, so each node is
-    bit for bit what one scalar evaluation gives (``log_normal_cdf`` in
-    ``tests/reference.py``).
+    log Phi(z + shift) there, by `link.log_normal_cdf` at each node.
+    Built on first use, not at import; the nodes depend on (sigma, floor)
+    only through the shift, so sweeps of several lengths share them.
     """
     import numpy as np
-
-    def each(f, a: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(f, a.tolist()), np.float64, a.size)
 
     z = np.linspace(-40.0, 40.0, 4001)
     log_w = -0.5 * z * z - 0.5 * math.log(2.0 * math.pi) + math.log(z[1] - z[0])
     log_w[[0, -1]] += math.log(0.5)
-    x = z + shift
-    log_cdf = np.empty_like(x)
-    upper = x >= 0.0
-    sqrt2 = math.sqrt(2.0)
-    log_cdf[upper] = each(math.log1p, -0.5 * each(math.erfc, x[upper] / sqrt2))
-    # below 0, log Phi(x) = log erfcx(y) - y^2 - log 2 with y = -x / sqrt 2
-    y = -x[~upper] / sqrt2
-    near = y < ERFCX_SERIES_FROM
-    yn, yf = y[near], y[~near]
-    log_erfcx = np.empty_like(y)
-    log_erfcx[near] = yn * yn + each(math.log, each(math.erfc, yn))
-    log_erfcx[~near] = each(math.log, erfcx_series(yf)) - each(
-        math.log, yf * math.sqrt(math.pi)
-    )
-    log_cdf[~upper] = log_erfcx - y * y - math.log(2.0)
-    return log_w, log_cdf
+    x = (z + shift).tolist()
+    return log_w, np.fromiter(map(log_normal_cdf, x), np.float64, z.size)
 
 
 @lru_cache(maxsize=128)
@@ -420,9 +373,13 @@ def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> Ia
     k_star *= plan.f_g
     k_star += g_star // plan.g_width
     chosen_g = draw_sweep_winner(plan, sc.channel, k_star, rng) % plan.f_g
-    offset = plan.tail_shift[rng.integers(0, plan.cycle_bursts, size=n_runs)]
+    # the chosen step's offset past the first step the last burst swept
+    offset = rng.integers(0, plan.cycle_bursts, size=n_runs)
+    offset += plan.bursts_per_sweep - 1
+    offset *= -plan.blocks_per_burst
     offset += chosen_g
-    t_br = plan.tail_ms_twice[offset]
+    offset %= plan.f_g
+    t_br = (plan.report_tail_sym * plan.symbol_ms)[offset]
     return IaBatch(t_sweep, t_br, t_sweep + t_br, chosen_g)
 
 

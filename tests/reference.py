@@ -13,8 +13,7 @@ that each line can be checked against the model by eye.
   misdetection probability the package gives in closed form.
 * The formula batches are the IA and recovery batches as first written,
   one plain expression per quantity, which the package's in-place
-  rewrites must reproduce bit for bit; so must the package's grid of
-  ``log_normal_cdf`` values, one scalar call per node.
+  rewrites must reproduce bit for bit.
 """
 from __future__ import annotations
 
@@ -43,21 +42,19 @@ from nrbeamsim.frame import (
     SsBurstConfig,
     carrier_resource_blocks,
 )
-from nrbeamsim.link import ChannelParams, _log_erfcx
-from nrbeamsim.procedures import (
-    DeploymentMode,
-    IaBatch,
-    p_correct_beam,
-    sweep_plan,
-)
+from nrbeamsim.link import ChannelParams
+from nrbeamsim.procedures import DeploymentMode, p_correct_beam, sweep_plan
 
 
-def log_normal_cdf(x: float) -> float:
-    """log Phi(x) of the standard normal, accurate in both tails."""
-    if x >= 0.0:
-        return math.log1p(-0.5 * math.erfc(x / math.sqrt(2.0)))
-    y = -x / math.sqrt(2.0)
-    return _log_erfcx(y) - y * y - math.log(2.0)
+@dataclass
+class Batch:
+    """One IA or recovery campaign, run by run, in the fields of the
+    package's batches; ``chosen_g`` is -1 where the report rides LTE."""
+
+    t_sweep_ms: np.ndarray
+    t_br_ms: np.ndarray
+    t_total_ms: np.ndarray
+    chosen_g: np.ndarray
 
 
 def symbols_in_ms(num: Numerology, duration_ms: float) -> int:
@@ -439,7 +436,7 @@ def matrix_sweep_winner(plan, cp, base_db, k_star, rng):
     return perm[np.argmax(snr[:, perm], axis=1)]
 
 
-def ia_batch_matrix(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
+def ia_batch_matrix(sc, n_runs: int, rng: np.random.Generator) -> Batch:
     """Initial-access campaign with the winner from :func:`matrix_sweep_winner`
     and the report tail from :func:`rach_tails_walked`.
 
@@ -470,7 +467,7 @@ def ia_batch_matrix(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
     start_burst = rng.integers(0, plan.cycle_bursts, size=n_runs)
     chosen_g = best % plan.f_g
     t_br = rach_tails_walked(sc)[start_burst, chosen_g] * plan.symbol_ms
-    return IaBatch(
+    return Batch(
         t_sweep_ms=t_sweep,
         t_br_ms=t_br,
         t_total_ms=t_sweep + t_br,
@@ -493,7 +490,7 @@ def sweep_winner_formula(plan, cp, k_star, rng):
     return np.where(aligned, k_star, j + (j >= k_star))
 
 
-def ia_batch_formula(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
+def ia_batch_formula(sc, n_runs: int, rng: np.random.Generator) -> Batch:
     """``simulate_ia_batch`` as first written: each quantity one expression,
     the report tail read at ``(g - first step of the last burst) mod f_g``
     and scaled to ms per run. The arrival phase is the first draw, and NSA
@@ -516,7 +513,7 @@ def ia_batch_formula(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
     chosen_g = best % plan.f_g
     last_first = (start_burst + plan.bursts_per_sweep - 1) * plan.blocks_per_burst
     t_br = plan.report_tail_sym[(chosen_g - last_first) % plan.f_g] * plan.symbol_ms
-    return IaBatch(
+    return Batch(
         t_sweep_ms=t_sweep,
         t_br_ms=t_br,
         t_total_ms=t_sweep + t_br,
@@ -524,11 +521,11 @@ def ia_batch_formula(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
     )
 
 
-def lte_batch_formula(sc, t_sweep: np.ndarray) -> IaBatch:
+def lte_batch_formula(sc, t_sweep: np.ndarray) -> Batch:
     """A batch of sweep times ``t_sweep`` whose report rides the LTE leg:
     the LTE latency exactly, and no gNB step chosen (-1)."""
     t_br = np.full(t_sweep.size, float(sc.lte_latency_ms))
-    return IaBatch(
+    return Batch(
         t_sweep_ms=t_sweep,
         t_br_ms=t_br,
         t_total_ms=t_sweep + t_br,
@@ -536,7 +533,7 @@ def lte_batch_formula(sc, t_sweep: np.ndarray) -> IaBatch:
     )
 
 
-def rlf_batch_formula(sc, n_runs: int, rng: np.random.Generator) -> IaBatch:
+def rlf_batch_formula(sc, n_runs: int, rng: np.random.Generator) -> Batch:
     """``simulate_rlf_batch`` of the IA campaign ``ia_batch_formula(sc,
     n_runs, rng)``, as first written: NSA recovers in the LTE latency
     exactly, SA is a fresh initial access, that campaign itself."""

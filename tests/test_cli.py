@@ -151,6 +151,32 @@ class TestExitCodes:
         assert "Warning" not in err
         assert [str(w.message) for w in caught] == []
 
+    # YAML's escapes of characters str.splitlines breaks a line at
+    @pytest.mark.parametrize(
+        "escaped, value",
+        [("\\n", "a\nb"), ("\\r\\n", "a\r\nb"), ("\\N", "a\x85b"), ("\\L", "a\u2028b")],
+        ids=["lf", "crlf", "nel", "line-separator"],
+    )
+    @pytest.mark.parametrize("form", ["set", "file"])
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_an_id_with_a_line_break_is_refused_on_one_line(
+        self, quick_yaml, escaped, value, form, command, capsys
+    ):
+        # the id once printed raw, so sweep's results lines spread over two
+        item = f'scenario_id="a{escaped}b"'
+        argv = [command, str(quick_yaml)]
+        if form == "set":
+            argv += ["--set", item]
+        else:
+            text = quick_yaml.read_text(encoding="utf-8")
+            quick_yaml.write_text(text + item.replace("=", ": ", 1) + "\n", encoding="utf-8")
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {quick_yaml}: scenario_id={value!r}: must be a string on one line\n"
+        )
+
     @pytest.mark.parametrize(
         "overrides, key",
         [
@@ -696,6 +722,24 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and not out_dir.exists()
         assert captured.err == f"error: {p}: report JSON: reports[0]: scenario {sid}: {refusal}\n"
+
+    def test_an_id_with_a_line_break_is_refused_on_one_line(
+        self, sweep_yaml, tmp_path, capsys
+    ):
+        camp = tmp_path / "camp"
+        assert main(["sweep", str(sweep_yaml), "--out", str(camp)]) == EXIT_OK
+        payload = json.loads((camp / "reports.json").read_text(encoding="utf-8"))
+        payload["reports"][0]["scenario_id"] = "a\nb"
+        p = tmp_path / "nl.json"
+        p.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", str(p)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {p}: report JSON: reports[0]: scenario 'a\\nb': "
+            "scenario_id='a\\nb': must be a string on one line\n"
+        )
 
     def test_missing_report_exits_three(self, tmp_path):
         assert main(["report", str(tmp_path / "none.json")]) == EXIT_IO

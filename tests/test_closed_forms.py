@@ -1,10 +1,10 @@
 """The package's closed forms against the reference timelines.
 
 Over random valid scenarios: the report wait of every (burst position,
-gNB direction) and the report-tail table, the next surviving CSI
-occasion the tracking plan's residue table gives for every nominal
-occasion, and both grid overheads must equal what the
-event-by-event timelines in ``reference.py`` give, exactly; the mean
+gNB direction), the next surviving CSI occasion the tracking plan's
+residue table gives for every nominal occasion, and both grid overheads
+must equal what the event-by-event timelines in ``reference.py`` give,
+exactly; the mean
 report and tracking delays, float averages, agree to 1e-12. A scenario is
 refused exactly when its timeline keeps no CSI-RS occasion.
 """
@@ -64,10 +64,6 @@ def test_rach_wait_equals_the_timeline_walk(sc):
         for d in range(sc.gnb.elements):
             closed = plan.report_tail_sym[(d // plan.g_width - last_first) % plan.f_g]
             assert walked[c, covering_step(sc.gnb, d)] == closed, (c, d)
-        # the batch's lookup: two gathers, in ms
-        for g in range(plan.f_g):
-            tail_ms = plan.tail_ms_twice[g + plan.tail_shift[c]]
-            assert tail_ms == walked[c, g] * plan.symbol_ms, (c, g)
     cp = sc.channel
     if cp.shadowing_sigma_db == 0.0 and cp.side_lobe_floor_db == 0.0:
         # every block ties and the lowest gNB step wins

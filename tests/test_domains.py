@@ -197,3 +197,15 @@ def test_a_string_field_takes_only_a_string(cls, name):
     with pytest.raises(ConfigurationError) as refused:
         _with(cls, name, 7)
     assert str(refused.value).endswith(f"{name}=7: must be a string")
+
+
+@pytest.mark.parametrize(
+    "cls, name", _fields_of((str,)), ids=lambda p: getattr(p, "__name__", p)
+)
+@pytest.mark.parametrize("value", ["a\nb", "a\r", "\x0bb", "a\x1cb", "a\x85", "\u2029"])
+def test_a_string_field_takes_one_line(cls, name, value):
+    # each a character str.splitlines breaks a line at
+    with pytest.raises(ConfigurationError) as refused:
+        _with(cls, name, value)
+    assert str(refused.value).endswith(f"{name}={value!r}: must be a string on one line")
+    assert "".join(str(refused.value).splitlines()) == str(refused.value)

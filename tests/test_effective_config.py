@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from nrbeamsim import cli
 from nrbeamsim.cli import EXIT_OK, _print_effective, main
+from nrbeamsim.errors import ConfigurationError
 from nrbeamsim.scenario_io import _load_yaml, parse_scenario, scenario_file_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -126,9 +127,9 @@ def test_sweep_of_the_printed_block_writes_the_same_reports(tmp_path, capsys):
 
 
 # strings that stress the emitters: any code point, YAML indicators,
-# quotes, line breaks, long runs of words that a plain or quoted scalar
-# wraps at the line width, and text that looks like a key, a list item or
-# a comment of the block
+# quotes, line breaks (which refuse the id), long runs of words that a
+# plain or quoted scalar wraps at the line width, and text that looks
+# like a key, a list item or a comment of the block
 _PIECES = st.one_of(
     st.text(max_size=6),
     st.sampled_from(
@@ -182,8 +183,14 @@ def _sweeps(draw) -> dict:
 @example(sid="\xe9" * 30, sweep={}, overrides=["sweep.ss.n_ss=[8, 64]"])
 @example(sid="word " * 30, sweep={"deployment.mode": ["SA", "NSA"]}, overrides=[])
 @example(sid="a\n# results\nb " * 3, sweep={}, overrides=[])
+@example(sid="# results", sweep={}, overrides=[])
 def test_printed_block_round_trips(dumper, sid, sweep, overrides):
     data = {"scenario_id": sid, "deployment": {"lte_latency_ms": 10}, "sweep": sweep, **CAMPAIGN}
+    if sid is not None and "".join(sid.splitlines()) != sid:
+        # an id that holds a line break is refused, so no block holds one
+        with pytest.raises(ConfigurationError, match=r": must be a string on one line$"):
+            scenario_file_from_dict(data, overrides=overrides)
+        return
     sf = scenario_file_from_dict(data, overrides=overrides)
     with mock.patch.object(cli, "_DUMPER", dumper):
         _assert_round_trip(sf)

@@ -179,9 +179,10 @@ class TestJsonRoundTrip:
 
 
 # report values that stress the JSON writer: NaN and the infinities, which
-# a report refuses as json.dumps(allow_nan=False) does, signed zero, the
-# smallest and a huge float, ints past 64 bits, and ids with quotes,
-# backslashes, control, non-ASCII and lone surrogate characters
+# a report refuses as json.dumps(allow_nan=False) does, and a string
+# that holds a line break; signed zero, the smallest and a huge float,
+# ints past 64 bits, and ids with quotes, backslashes, control, non-ASCII
+# and lone surrogate characters
 _FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 1e16]),
@@ -220,13 +221,21 @@ def _report(item: dict) -> MetricsReport:
 @given(items=st.lists(_REPORT_ITEMS, max_size=3))
 @example(items=[])
 def test_json_is_the_bytes_of_json_dumps(items):
-    try:
-        expected = json.dumps({"reports": items}, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        # a non-finite value: no report holds it
-        with pytest.raises(ConfigurationError, match=": must be finite$"):
-            list(map(_report, items))
+    for item in items:
+        # a report checks its string fields before any number
+        if any(isinstance(v, str) and "".join(v.splitlines()) != v for v in item.values()):
+            refusal = ": must be a string on one line$"
+        else:
+            try:
+                json.dumps(item, allow_nan=False)
+                continue
+            except ValueError:
+                # a non-finite value: no report holds it
+                refusal = ": must be finite$"
+        with pytest.raises(ConfigurationError, match=refusal):
+            _report(item)
         return
+    expected = json.dumps({"reports": items}, indent=2, sort_keys=True, allow_nan=False)
     assert reports_to_json(list(map(_report, items))) == expected + "\n"
 
 

@@ -15,7 +15,12 @@ from nrbeamsim.errors import ConfigurationError
 from nrbeamsim.evaluation import estimate_metrics
 from nrbeamsim.frame import CsiRsConfig, SsBurstConfig
 from nrbeamsim.link import ChannelParams
-from nrbeamsim.procedures import DeploymentMode, Scenario
+from nrbeamsim.procedures import (
+    DeploymentMode,
+    Scenario,
+    expected_beam_report_delay_ms,
+    expected_tracking_delay_ms,
+)
 from nrbeamsim.scenario_io import _overrides, parse_scenario, scenario_file_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -592,6 +597,21 @@ _CONTEXTS = {
     # SA ignores the LTE leg, so it is set in both runs
     "deployment.mode": {"deployment.lte_latency_ms": 10.0},
     "deployment.lte_latency_ms": {"deployment.mode": "NSA", "deployment.lte_latency_ms": 10.0},
+    # 63 directions visit all 32 residues of the CSI-RS grid: the SS blocks
+    # drop some occasions but starve no direction, so both offsets move
+    # the tracking delay. No offset near 0 moves which occasions are
+    # dropped, so delta_t starts at 46, where 0 drops one residue more.
+    "csi.delta_t_symbols": {"gnb.elements": 63, "ue.elements": 1, "csi.delta_t_symbols": 46},
+    "csi.delta_f_rb": {"gnb.elements": 63, "ue.elements": 1},
+    # unequal beam groups, which the sweep's choice weighs by p
+    "channel.side_lobe_floor_db": {"gnb.arch": "hybrid", "gnb.k_bf": 6},
+}
+# the keys that move a report at the defaults only by its campaign's
+# sampling noise: the closed form that each moves in its context
+_FORMS = {
+    "csi.delta_t_symbols": expected_tracking_delay_ms,
+    "csi.delta_f_rb": expected_tracking_delay_ms,
+    "channel.side_lobe_floor_db": expected_beam_report_delay_ms,
 }
 # the key that no config field declares, with the values it takes
 _UNDECLARED = {"scenario_id": ["named"]}
@@ -621,11 +641,14 @@ def _candidates(key: str, current) -> list:
 
 def _result(flat: dict, key: str) -> str:
     """The report of the one scenario that the keys ``flat`` build; its id
-    only where ``key`` is the id."""
+    only where ``key`` is the id, and only its closed form of ``_FORMS``
+    where ``key`` has one."""
     sf = scenario_file_from_dict(scenario_io._nested({**_RUNS, **flat}))
     (sc,) = sf.scenarios
     if key == "scenario_id":
         return sc.scenario_id
+    if key in _FORMS:
+        return repr(_FORMS[key](sc))
     # the id names most keys' values, so it is left out; and repr, so that
     # a NaN field compares equal to itself
     return repr(dataclasses.replace(estimate_metrics(sc, sf.campaign), scenario_id=""))
