@@ -60,7 +60,7 @@ from .codebook import (
     sweep_factor,
     sweep_length,
 )
-from .errors import ConfigurationError, DomainError, NotApplicableError
+from .errors import ConfigurationError, Domain, DomainError, NotApplicableError
 from .errors import check_domains, declare
 from .frame import (
     CsiRsConfig,
@@ -79,6 +79,10 @@ if TYPE_CHECKING:
     import numpy as np
 
 LTE_LATENCY_VALUES_MS = (0.8, 4.0, 10.0, 40.0)
+
+# the domain of a scenario's label, which a scenario file sets as its
+# scenario_id: no config field declares it
+SCENARIO_ID = Domain(str, None)
 
 
 class DeploymentMode(str, Enum):
@@ -106,6 +110,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         check_domains(self, "deployment.")
+        SCENARIO_ID.check("scenario_id", self.label)
         if self.mode is DeploymentMode.NSA and self.lte_latency_ms is None:
             raise ConfigurationError(
                 "deployment.mode=NSA requires deployment.lte_latency_ms"

@@ -13,16 +13,22 @@ scenario is built, so every refused value reads ``{source}: {key}={value!r}:
 must be {rule}``. The dataclasses then check what ties values together.
 
 The ``sweep`` section maps dotted keys to value lists and expands to the
-Cartesian product of scenarios; each variant's id gets a deterministic
-suffix. The campaign block applies to the whole file, so its keys
-cannot be swept.
+Cartesian product of scenarios, at most ``_MAX_SCENARIOS`` of them;
+each variant's id gets a deterministic suffix. The campaign block
+applies to the whole file, so its keys cannot be swept.
+
+A file's text and each ``--set`` value are read as YAML (`_load_yaml`)
+after one pass over their parser events has checked both the nesting
+depth and that no mapping repeats a key. The pass runs before any node
+is built: libyaml builds nodes by recursion on the C stack, and the
+loader would keep a repeated key's last value without a word.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
 from pathlib import Path
 from typing import Any, Collection, Mapping, Optional, Sequence
 
@@ -33,13 +39,16 @@ from .errors import ConfigurationError, Domain, DomainError, declared_domains
 from .evaluation import CampaignSettings
 from .frame import CsiRsConfig, Numerology, SsBurstConfig
 from .link import ChannelParams
-from .procedures import Scenario
+from .procedures import SCENARIO_ID, Scenario
 
 # libyaml's C parser reads a scenario file several times faster than
 # PyYAML's Python one, to the same values; a PyYAML built without libyaml
 # has only the Python one.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_MERGE = "tag:yaml.org,2002:merge"
+
+# the most scenarios a sweep may expand to: the product of its lists'
+# lengths, checked before any is built; the paper's grid is 10,368
+_MAX_SCENARIOS = 16_384
 
 # a scenario file nests collections three deep (the file, a section, a
 # key's list of values), and a --set value is one of those values
@@ -50,62 +59,62 @@ class _Unreadable(yaml.YAMLError):
     """YAML text with no value that a message can print."""
 
 
-@cache
-def _unique_keys(loader: type) -> type:
-    """``loader`` refusing a repeated scalar key in a mapping, which YAML
-    forbids and PyYAML would read as its last value; ``<<`` merge keys may
-    repeat. The refusal is a `ConstructorError` at the repeated key."""
-
-    class UniqueKeyLoader(loader):
-        def __init__(self, stream):
-            super().__init__(stream)
-            self._checked = set()
-
-        def flatten_mapping(self, node):
-            # flattening puts the pairs of each mapping merged into a node
-            # before its own, in the merged mapping too: a node's own keys
-            # are checked once, before it is first flattened
-            if node not in self._checked:
-                self._checked.add(node)
-                keys = set()
-                for key_node, _ in node.value:
-                    if isinstance(key_node, yaml.ScalarNode) and key_node.tag != _MERGE:
-                        key = self.construct_object(key_node)
-                        if key in keys:
-                            raise yaml.constructor.ConstructorError(
-                                "while constructing a mapping",
-                                node.start_mark,
-                                f"found duplicate key {key!r}",
-                                key_node.start_mark,
-                            )
-                        keys.add(key)
-            super().flatten_mapping(node)
-
-    return UniqueKeyLoader
-
-
 def _load_yaml(text: str) -> Any:
     """The value of YAML ``text`` read by ``_LOADER``, in which no mapping
     repeats a key.
 
-    Text that nests collections deeper than ``_MAX_DEPTH`` raises
-    `_Unreadable`, a `yaml.YAMLError`. Its events are counted before any
-    node is built, because libyaml composes nodes by recursion on the C
-    stack (an 8 MB stack overflows near 30,000 levels). The loaded value
-    is checked too, because an alias nests a value deeper than the text
-    that names it. So the checks after loading, whose messages show the
-    value, never recurse far, nor meet an int too long to print.
+    One pass over the text's events, before any node is built, raises
+    `_Unreadable` where collections nest deeper than ``_MAX_DEPTH`` and
+    a `ConstructorError` at the second of two equal scalar keys of one
+    mapping, both `yaml.YAMLError`. Nodes are built only after it because
+    libyaml composes them by recursion on the C stack (an 8 MB stack
+    overflows near 30,000 levels), and the constructor keeps a repeated
+    key's last value. Keys compare by their text, an alias key by that of
+    the scalar it names; a ``<<`` merge key may repeat, and the keys that
+    a merge brings in are no events of the mapping. The loaded value is
+    checked too, because an alias nests a value deeper than the text that
+    names it. So the checks after loading, whose messages show the value,
+    never recurse far, nor meet an int too long to print.
     """
-    depth = 0
+    # each anchor's key: its scalar's text, or None for << and a collection
+    anchors: dict[str, Optional[str]] = {}
+    # each open collection: for a mapping its start mark, its keys so far
+    # and whether a key comes next, for a sequence None
+    open_: list[Optional[list]] = []
     for event in yaml.parse(text, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionEndEvent):
+            open_.pop()
+        if not isinstance(event, yaml.NodeEvent):
+            continue
+        if isinstance(event, yaml.AliasEvent):
+            key = anchors.get(event.anchor)
+        else:
+            key = event.value if isinstance(event, yaml.ScalarEvent) else None
+            # a key merges where its tag is merge, given or resolved from <<
+            if (key == "<<" and event.implicit[0]) or event.tag == "tag:yaml.org,2002:merge":
+                key = None
+            if event.anchor is not None:
+                anchors[event.anchor] = key
+        mapping = open_[-1] if open_ else None
+        if mapping is not None:
+            mark, keys, at_key = mapping
+            mapping[2] = not at_key
+            if at_key and key is not None:
+                if key in keys:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping",
+                        mark,
+                        f"found duplicate key {key!r}",
+                        event.start_mark,
+                    )
+                keys.add(key)
         if isinstance(event, yaml.CollectionStartEvent):
-            depth += 1
-            if depth > _MAX_DEPTH:
+            if len(open_) == _MAX_DEPTH:
                 raise _Unreadable("nested too deeply")
-        elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
+            is_mapping = isinstance(event, yaml.MappingStartEvent)
+            open_.append([event.start_mark, set(), True] if is_mapping else None)
     try:
-        value = yaml.load(text, Loader=_unique_keys(_LOADER))
+        value = yaml.load(text, Loader=_LOADER)
         # the keys and values inside _MAX_DEPTH collections must be scalars,
         # and each int must print: a 0x literal loads past the digit limit,
         # where a decimal one, like a date that does not exist, fails to load
@@ -173,7 +182,7 @@ _BUILDERS: dict[str, type] = {
 # the key table: every dotted key with the domain that checks its value,
 # the declared one of the field that takes it, and its default (an enum's
 # as its value); an array's size has no field default, and the ends differ
-_DOMAINS: dict[str, Domain] = {"scenario_id": Domain(str, None)} | {
+_DOMAINS: dict[str, Domain] = {"scenario_id": SCENARIO_ID} | {
     f"{section}.{name}": domain
     for section, cls in _BUILDERS.items()
     for name, domain in declared_domains(cls)
@@ -366,6 +375,11 @@ def scenario_file_from_dict(
         if len(set(stored)) < len(stored):
             raise _err(source, shown, f"repeats a value in {values!r}")
         axes[key] = [(v if type(v) in (str, int, float) else t, t) for v, t in zip(values, stored)]
+    count = math.prod(map(len, axes.values()))
+    if count > _MAX_SCENARIOS:
+        raise _err(
+            source, "sweep", f"expands to {count} scenarios; at most {_MAX_SCENARIOS} are supported"
+        )
 
     unswept = _nested({p: _coerce(source, p, p, v) for p, v in raw.items() if p not in swept})
     campaign = CampaignSettings(**unswept["campaign"])

@@ -339,6 +339,12 @@ def first_rach_end(
     raise AssertionError("no opportunity found within the horizon")
 
 
+def cycle_bursts(plan) -> int:
+    """Bursts until a sweep starts at the same slot again: each burst
+    sweeps the next ``B`` of the ``s`` slots, so every ``s // gcd(B, s)``."""
+    return plan.s // math.gcd(plan.blocks_per_burst, plan.s)
+
+
 def rach_tails_walked(sc) -> np.ndarray:
     """Report tails read off literal SS and RACH timelines.
 
@@ -348,14 +354,15 @@ def rach_tails_walked(sc) -> np.ndarray:
     gNB). Determination is at the end of the sweep's last block.
     """
     plan = sweep_plan(sc)
+    cycle = cycle_bursts(plan)
     directional = sc.gnb.arch is not Architecture.DIGITAL
-    bursts = plan.cycle_bursts + plan.bursts_per_sweep + plan.rach_cycle + 1
+    bursts = cycle + plan.bursts_per_sweep + plan.rach_cycle + 1
     ss = build_ss_timeline(sc.ss, sc.numerology, bursts * sc.ss.t_ss_ms, sweep_labels(sc))
     rach = build_rach_timeline(ss, directional, sc.numerology, n_directions=plan.f_g)
     starts = [e.start_symbol for e in rach.events]
     labels = list(range(plan.f_g)) if directional else [None]
-    tails = np.empty((plan.cycle_bursts, len(labels)), dtype=np.int64)
-    for c in range(plan.cycle_bursts):
+    tails = np.empty((cycle, len(labels)), dtype=np.int64)
+    for c in range(cycle):
         det_sym = (c + plan.bursts_per_sweep - 1) * plan.t_ss_sym + plan.det_offset_sym
         skip = bisect.bisect_left(starts, det_sym)
         for i, g in enumerate(labels):
@@ -464,7 +471,7 @@ def ia_batch_matrix(sc, n_runs: int, rng: np.random.Generator) -> Batch:
     base_db = rng.uniform(-40.0, 40.0, size=n_runs)
     best = matrix_sweep_winner(plan, sc.channel, base_db, k_star, rng)
 
-    start_burst = rng.integers(0, plan.cycle_bursts, size=n_runs)
+    start_burst = rng.integers(0, cycle_bursts(plan), size=n_runs)
     chosen_g = best % plan.f_g
     t_br = rach_tails_walked(sc)[start_burst, chosen_g] * plan.symbol_ms
     return Batch(
@@ -509,7 +516,7 @@ def ia_batch_formula(sc, n_runs: int, rng: np.random.Generator) -> Batch:
     k_star = u_star // plan.u_width * plan.f_g + g_star // plan.g_width
     best = sweep_winner_formula(plan, sc.channel, k_star, rng)
 
-    start_burst = rng.integers(0, plan.cycle_bursts, size=n_runs)
+    start_burst = rng.integers(0, cycle_bursts(plan), size=n_runs)
     chosen_g = best % plan.f_g
     last_first = (start_burst + plan.bursts_per_sweep - 1) * plan.blocks_per_burst
     t_br = plan.report_tail_sym[(chosen_g - last_first) % plan.f_g] * plan.symbol_ms

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from nrbeamsim import cli, procedures
+from nrbeamsim import cli, procedures, scenario_io
 from nrbeamsim.cli import (
     EXIT_ANCHOR,
     EXIT_CONFIG,
@@ -824,6 +824,22 @@ class TestMalformedInput:
             capsys,
             f"{p}, {at}: not valid YAML: found duplicate key {key!r} ",
         )
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_sweep_past_the_scenario_cap(self, tmp_path, command, capsys, monkeypatch):
+        # refused before any scenario is built: each costs time and memory
+        cap = scenario_io._MAX_SCENARIOS
+        p = tmp_path / "huge.yaml"
+        values = ", ".join(str(float(v)) for v in range(cap + 1))
+        p.write_text(f"sweep:\n  power.c_chain_w: [{values}]\n", encoding="utf-8")
+        built = []
+        monkeypatch.setattr(scenario_io, "_build_scenario", lambda *args: built.append(args))
+        self._assert_one_error(
+            main([command, str(p)]),
+            capsys,
+            f"error: {p}: sweep: expands to {cap + 1} scenarios; at most {cap} are supported\n",
+        )
+        assert built == []
 
     @pytest.mark.parametrize("command", ["validate", "sweep"])
     def test_invalid_yaml_names_the_file_line_and_column(

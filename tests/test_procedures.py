@@ -33,7 +33,7 @@ from nrbeamsim.procedures import (
     sweep_plan,
     tracking_plan,
 )
-from nrbeamsim.scenario_io import parse_scenario
+from nrbeamsim.scenario_io import parse_scenario, scenario_file_from_dict
 from reference import (
     build_rach_timeline,
     build_ss_timeline,
@@ -522,6 +522,16 @@ class TestScenarioValidation:
 
     def test_label_overrides_id(self):
         assert make_scenario(label="case7").scenario_id == "case7"
+
+    @pytest.mark.parametrize("label", ["a\nb", 7])
+    def test_label_is_refused_as_a_files_scenario_id(self, label):
+        # at build, before a campaign could run on it
+        with pytest.raises(ConfigurationError) as api:
+            dataclasses.replace(make_scenario(), label=label)
+        with pytest.raises(ConfigurationError) as file:
+            scenario_file_from_dict({"scenario_id": label})
+        assert f"<dict>: {api.value}" == str(file.value)
+        assert str(api.value).startswith(f"scenario_id={label!r}: must be a string")
 
 
 class TestPlanCaches:

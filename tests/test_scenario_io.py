@@ -321,6 +321,14 @@ class TestOverrides:
         assert len(sf.scenarios) == 2
         assert {sc.ss.n_ss for sc in sf.scenarios} == {8, 64}
 
+    def test_a_sweep_may_expand_to_the_scenario_cap(self, monkeypatch):
+        # the paper's grid has 10,368 points
+        cap = scenario_io._MAX_SCENARIOS
+        assert cap >= 10_368
+        monkeypatch.setattr(scenario_io, "_build_scenario", lambda *args: None)
+        data = {"sweep": {"power.c_chain_w": [float(v) for v in range(cap)]}}
+        assert len(scenario_file_from_dict(data).scenarios) == cap
+
     def test_override_of_a_swept_key_rejected(self):
         data = {"ss": {"n_ss": 16}, "sweep": {"ss.n_ss": [8, 64]}}
         with pytest.raises(ConfigurationError, match=r"ss\.n_ss: .*sweep\.ss\.n_ss"):
@@ -578,6 +586,46 @@ class TestLoaders:
         head = f"<set>: ss.n_ss, line 1, column {len(raw) + 1}: not valid YAML: "
         assert str(info.value).startswith(head)
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text, at, key, mapping_at",
+        [
+            # an alias key counts as the scalar it names, and is placed
+            # where the alias repeats it, not at the anchor
+            ("ss: {&k n_ss: 8, *k: 64}\n", "line 1, column 18", "n_ss", "line 1, column 5"),
+            # a quoted << is a key like any other, not the merge key
+            ('ss: {"<<": 1, "<<": 2}\n', "line 1, column 15", "<<", "line 1, column 5"),
+            # a mapping that is only merged is refused where it is written
+            (
+                "ue: {<<: &g {k_bf: 1, k_bf: 2}}\ngnb: {<<: *g}\n",
+                "line 1, column 23",
+                "k_bf",
+                "line 1, column 10",
+            ),
+        ],
+        ids=["alias-key", "quoted-merge-key", "merged-only"],
+    )
+    def test_a_repeated_key_is_placed_at_the_repeat(
+        self, loader, tmp_path, text, at, key, mapping_at
+    ):
+        p = tmp_path / "twice.yaml"
+        p.write_text(text, encoding="utf-8")
+        with mock.patch.object(scenario_io, "_LOADER", loader):
+            with pytest.raises(ConfigurationError) as info:
+                parse_scenario(p)
+        assert str(info.value) == (
+            f"{p}, {at}: not valid YAML: found duplicate key {key!r} "
+            f"(while constructing a mapping at {mapping_at})"
+        )
+
+    def test_a_set_alias_key_repeat_is_placed_at_the_repeat(self, loader):
+        with mock.patch.object(scenario_io, "_LOADER", loader):
+            with pytest.raises(ConfigurationError) as info:
+                _overrides(["ss.n_ss={&k a: 1, *k: 2}"], "<set>")
+        assert str(info.value) == (
+            "<set>: ss.n_ss, line 1, column 11: not valid YAML: found duplicate key 'a' "
+            "(while constructing a mapping at line 1, column 1)"
+        )
 
     def test_set_literals_read_alike(self, loader):
         literals = ["42", "4.0e8", "yes", "null", "0x10", "1_000", ".inf", "[8, 16]"]
