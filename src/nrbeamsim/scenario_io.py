@@ -80,10 +80,10 @@ def _load_yaml(text: str) -> Any:
     anchors: dict[str, Optional[str]] = {}
     # each open collection: for a mapping its start mark, its keys so far
     # and whether a key comes next, for a sequence None
-    open_: list[Optional[list]] = []
+    stack: list[Optional[list]] = []
     for event in yaml.parse(text, Loader=_LOADER):
         if isinstance(event, yaml.CollectionEndEvent):
-            open_.pop()
+            stack.pop()
         if not isinstance(event, yaml.NodeEvent):
             continue
         if isinstance(event, yaml.AliasEvent):
@@ -95,7 +95,7 @@ def _load_yaml(text: str) -> Any:
                 key = None
             if event.anchor is not None:
                 anchors[event.anchor] = key
-        mapping = open_[-1] if open_ else None
+        mapping = stack[-1] if stack else None
         if mapping is not None:
             mark, keys, at_key = mapping
             mapping[2] = not at_key
@@ -109,10 +109,10 @@ def _load_yaml(text: str) -> Any:
                     )
                 keys.add(key)
         if isinstance(event, yaml.CollectionStartEvent):
-            if len(open_) == _MAX_DEPTH:
+            if len(stack) == _MAX_DEPTH:
                 raise _Unreadable("nested too deeply")
             is_mapping = isinstance(event, yaml.MappingStartEvent)
-            open_.append([event.start_mark, set(), True] if is_mapping else None)
+            stack.append([event.start_mark, set(), True] if is_mapping else None)
     try:
         value = yaml.load(text, Loader=_LOADER)
         # the keys and values inside _MAX_DEPTH collections must be scalars,
