@@ -14,7 +14,7 @@ from .codebook import (
     power_consumption_w,
     sweep_length,
 )
-from .errors import ConfigurationError, DomainError, NotApplicableError
+from .errors import ConfigurationError, NotApplicableError
 from .evaluation import (
     CampaignSettings,
     KiviatSet,
@@ -53,7 +53,6 @@ __all__ = [
     "ConfigurationError",
     "CsiRsConfig",
     "DeploymentMode",
-    "DomainError",
     "KiviatSet",
     "MetricStat",
     "MetricsReport",

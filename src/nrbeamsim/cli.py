@@ -26,7 +26,7 @@ import yaml
 
 from . import __version__
 from .anchors import anchors_csv, run_anchors
-from .errors import ConfigurationError, DomainError, NotApplicableError
+from .errors import ConfigurationError
 from .evaluation import MetricsReport, estimate_metrics, kiviat_normalize
 from .reporting import (
     METRIC_COLUMNS,
@@ -249,7 +249,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return _COMMANDS[command][2](args)
-    except (ConfigurationError, DomainError, NotApplicableError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -1,9 +1,9 @@
-"""Exception types shared across the package, and the one check of a
-config or report value: each field declares its domain once, with
-`declare`, and `Domain.check` checks both the field and the scenario-file
-key that sets it. Every refusal reads ``{key}={value!r}: must be
-{rule}``, where an int too long for the interpreter to print shows its
-size.
+"""The package's one exception for a refused value, `ConfigurationError`,
+and the one check of a config or report value: each field declares its
+domain once, with `declare`, and `Domain.check` checks both the field
+and the scenario-file key that sets it. Every such refusal reads
+``{key}={value!r}: must be {rule}``, where an int too long for the
+interpreter to print shows its size.
 """
 from __future__ import annotations
 
@@ -17,20 +17,18 @@ from typing import Any, NamedTuple, Optional
 
 
 class ConfigurationError(ValueError):
-    """A configuration value is out of range, inconsistent, or unsupported.
+    """A value the package refuses: every refusal raises this.
 
-    Raised during scenario parsing and by the config classes, wherever a
-    value has the wrong type or a 3GPP or model constraint (periodicity
+    Raised during scenario parsing, by the config and report classes and
+    by the functions that take a value outside their domain, wherever a
+    value has the wrong type, a 3GPP or model constraint (periodicity
     sets, FR2 numerologies, array and sweep sizes, the CSI-RS band on the
-    carrier) is violated. The CLI maps this to exit code 1.
+    carrier) is violated, or a result would not be finite. The CLI maps
+    this to exit code 1.
     """
 
 
-class DomainError(ValueError):
-    """A runtime argument is outside the function's mathematical domain."""
-
-
-class NotApplicableError(RuntimeError):
+class NotApplicableError(ConfigurationError):
     """An operation was requested for a mode it is not defined in."""
 
 

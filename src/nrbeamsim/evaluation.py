@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .codebook import power_consumption_w
-from .errors import ConfigurationError, DomainError, check_domains, declare
+from .errors import ConfigurationError, check_domains, declare
 from .frame import SS_BLOCK_RB, SS_BLOCK_SYMBOLS
 from .link import misdetection_probability
 from .procedures import (
@@ -286,7 +286,7 @@ def kiviat_normalize(reports: Sequence[MetricsReport]) -> KiviatSet:
     CSI-RS overheads."""
     reports = list(reports)
     if not reports:
-        raise DomainError("kiviat_normalize needs at least one report")
+        raise ConfigurationError("kiviat_normalize needs at least one report")
     raw_cols = [
         _reactiveness(reports, "t_ia"),
         _reactiveness(reports, "t_tr"),

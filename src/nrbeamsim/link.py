@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from .codebook import ArrayConfig, beamforming_gain_db
-from .errors import DomainError, check_domains, declare
+from .errors import ConfigurationError, check_domains, declare
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 _SQRT2 = math.sqrt(2.0)
@@ -56,7 +56,7 @@ def noise_power_dbm(cp: ChannelParams) -> float:
 def path_loss_db(d_m: float, cp: ChannelParams) -> float:
     """Floating-intercept path loss at distance ``d_m`` in metres."""
     if not 0.0 < d_m < math.inf:
-        raise DomainError(f"d_m={d_m!r}: path loss needs a positive, finite distance")
+        raise ConfigurationError(f"d_m={d_m!r}: path loss needs a positive, finite distance")
     return cp.pl_intercept_db + 10.0 * cp.pl_exponent * math.log10(d_m)
 
 
@@ -119,7 +119,7 @@ def edge_margin_db(gnb: ArrayConfig, ue: ArrayConfig, cp: ChannelParams) -> floa
         if not abs(value) < limit
         for key in names
     ]
-    raise DomainError(f"{', '.join(keys)}: the mean SNR at the cell edge overflows")
+    raise ConfigurationError(f"{', '.join(keys)}: the mean SNR at the cell edge overflows")
 
 
 def misdetection_probability(

@@ -60,7 +60,7 @@ from .codebook import (
     sweep_factor,
     sweep_length,
 )
-from .errors import ConfigurationError, Domain, DomainError, NotApplicableError
+from .errors import ConfigurationError, Domain, NotApplicableError
 from .errors import check_domains, declare
 from .frame import (
     CsiRsConfig,
@@ -361,7 +361,7 @@ def simulate_ia_batch(sc: Scenario, n_runs: int, rng: np.random.Generator) -> Ia
     import numpy as np
 
     if n_runs < 1:
-        raise DomainError(f"n_runs={n_runs}: need at least one run")
+        raise ConfigurationError(f"n_runs={n_runs}: need at least one run")
     plan = sweep_plan(sc)
     # (T_SS - phase) + (C - 1) T_SS + the blocks into the last burst
     t_sweep = rng.uniform(0.0, plan.t_ss_ms, size=n_runs)
@@ -536,7 +536,7 @@ def simulate_tracking_batch(
     import numpy as np
 
     if n_runs < 1:
-        raise DomainError(f"n_runs={n_runs}: need at least one run")
+        raise ConfigurationError(f"n_runs={n_runs}: need at least one run")
     dirs = rng.integers(0, tp.s, size=n_runs)
     t0 = rng.uniform(0.0, tp.hyper_sym, size=n_runs)
     # occasions are integer symbols, so "at or after t0" is ">= ceil(t0)",

@@ -10,7 +10,9 @@ overrides and the keys of the ``sweep`` section all name that table's
 dotted keys: an unknown key is rejected with its dotted path, and each
 value is checked by its key's domain (`errors.Domain.check`) before any
 scenario is built, so every refused value reads ``{source}: {key}={value!r}:
-must be {rule}``. The dataclasses then check what ties values together.
+must be {rule}``. The dataclasses built from the checked values then check
+each declared field again, as they do for a Python caller, and what ties
+values together.
 
 The ``sweep`` section maps dotted keys to value lists and expands to the
 Cartesian product of scenarios, at most ``_MAX_SCENARIOS`` of them;
@@ -35,7 +37,7 @@ from typing import Any, Collection, Mapping, Optional, Sequence
 import yaml
 
 from .codebook import ArrayConfig, PowerModel
-from .errors import ConfigurationError, Domain, DomainError, declared_domains
+from .errors import ConfigurationError, Domain, declared_domains
 from .evaluation import CampaignSettings
 from .frame import CsiRsConfig, Numerology, SsBurstConfig
 from .link import ChannelParams
@@ -55,26 +57,22 @@ _MAX_SCENARIOS = 16_384
 _MAX_DEPTH = 3
 
 
-class _Unreadable(yaml.YAMLError):
-    """YAML text with no value that a message can print."""
-
-
 def _load_yaml(text: str) -> Any:
     """The value of YAML ``text`` read by ``_LOADER``, in which no mapping
     repeats a key.
 
     One pass over the text's events, before any node is built, raises
-    `_Unreadable` where collections nest deeper than ``_MAX_DEPTH`` and
-    a `ConstructorError` at the second of two equal scalar keys of one
-    mapping, both `yaml.YAMLError`. Nodes are built only after it because
-    libyaml composes them by recursion on the C stack (an 8 MB stack
-    overflows near 30,000 levels), and the constructor keeps a repeated
-    key's last value. Keys compare by their text, an alias key by that of
-    the scalar it names; a ``<<`` merge key may repeat, and the keys that
-    a merge brings in are no events of the mapping. The loaded value is
-    checked too, because an alias nests a value deeper than the text that
-    names it. So the checks after loading, whose messages show the value,
-    never recurse far, nor meet an int too long to print.
+    `yaml.YAMLError` where collections nest deeper than ``_MAX_DEPTH`` and
+    its subclass `ConstructorError` at the second of two equal scalar keys
+    of one mapping. Nodes are built only after it because libyaml composes them
+    by recursion on the C stack (an 8 MB stack overflows near 30,000
+    levels), and the constructor keeps a repeated key's last value. Keys
+    compare by their text, an alias key by that of the scalar it names; a
+    ``<<`` merge key may repeat, and the keys that a merge brings in are
+    no events of the mapping. The loaded value is checked too, because an
+    alias nests a value deeper than the text that names it. So the checks
+    after loading, whose messages show the value, never recurse far, nor
+    meet an int too long to print.
     """
     # each anchor's key: its scalar's text, or None for << and a collection
     anchors: dict[str, Optional[str]] = {}
@@ -110,7 +108,7 @@ def _load_yaml(text: str) -> Any:
                 keys.add(key)
         if isinstance(event, yaml.CollectionStartEvent):
             if len(stack) == _MAX_DEPTH:
-                raise _Unreadable("nested too deeply")
+                raise yaml.YAMLError("nested too deeply")
             is_mapping = isinstance(event, yaml.MappingStartEvent)
             stack.append([event.start_mark, set(), True] if is_mapping else None)
     try:
@@ -132,9 +130,9 @@ def _load_yaml(text: str) -> Any:
                 repr(v)
     except ValueError as exc:
         # a file cannot take the advice to raise the digit limit
-        raise _Unreadable(str(exc).partition("; use")[0]) from None
+        raise yaml.YAMLError(str(exc).partition("; use")[0]) from None
     if any(isinstance(v, (dict, list)) for v in level):
-        raise _Unreadable("nested too deeply")
+        raise yaml.YAMLError("nested too deeply")
     return value
 
 
@@ -326,7 +324,7 @@ def _build_scenario(
             label=label,
             id_suffix=suffix,
         )
-    except (ConfigurationError, DomainError) as exc:
+    except ConfigurationError as exc:
         raise ConfigurationError(f"{source}: {exc}") from None
 
 

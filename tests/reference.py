@@ -31,7 +31,7 @@ from nrbeamsim.codebook import (
     beamforming_gain_db,
     sweep_factor,
 )
-from nrbeamsim.errors import ConfigurationError, DomainError
+from nrbeamsim.errors import ConfigurationError
 from nrbeamsim.frame import (
     RACH_SYMBOLS,
     SS_BLOCK_RB,
@@ -312,7 +312,7 @@ def covering_step(array: ArrayConfig, direction: int) -> int:
     for i, group in enumerate(step_groups(array)):
         if direction in group:
             return i
-    raise DomainError(f"direction {direction} not covered by any steering step")
+    raise ConfigurationError(f"direction {direction} not covered by any steering step")
 
 
 def sweep_labels(sc) -> list[tuple[Optional[int], Optional[int]]]:
@@ -453,7 +453,7 @@ def ia_batch_matrix(sc, n_runs: int, rng: np.random.Generator) -> Batch:
     the winner's law.
     """
     if n_runs < 1:
-        raise DomainError(f"n_runs={n_runs}: need at least one run")
+        raise ConfigurationError(f"n_runs={n_runs}: need at least one run")
     plan = sweep_plan(sc)
     phase = rng.uniform(0.0, plan.t_ss_ms, size=n_runs)
     t_sweep = (
@@ -559,7 +559,7 @@ def tracking_batch_loop(
     ``simulate_tracking_batch``, so the two agree bit for bit.
     """
     if n_runs < 1:
-        raise DomainError(f"n_runs={n_runs}: need at least one run")
+        raise ConfigurationError(f"n_runs={n_runs}: need at least one run")
     s = sweep_plan(sc).s
     hyper, _, occasions = surviving_csi_occasions(sc)
     dirs = rng.integers(0, s, size=n_runs)

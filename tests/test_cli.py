@@ -584,22 +584,43 @@ class TestReportCommand:
         kiviat = json.loads((out_dir / "kiviat.json").read_text())
         assert set(kiviat) == {"axes", "scenario_ids", "raw", "values"}
 
-    def test_kiviat_refusal_writes_nothing(self, quick_yaml, tmp_path, capsys):
-        # kiviat takes 1 / mean of a delay, which a mean of 0 has not; sweep
-        # writes no such report, so its report is edited by hand
+    @pytest.mark.parametrize(
+        "field, refusal",
+        [
+            ("t_tr", "kiviat axis t_tr_ms: scenario {} has non-positive mean delay 0.0"),
+            ("omega_tr", "kiviat axis omega_tr: all values are zero"),
+        ],
+    )
+    def test_kiviat_refusal_writes_nothing(self, quick_yaml, tmp_path, field, refusal, capsys):
+        # kiviat takes 1 / mean of a delay, which a mean of 0 has not, and
+        # scales an axis by its largest value; sweep writes no such report,
+        # so its report is edited by hand
         camp = tmp_path / "camp"
         assert main(["sweep", str(quick_yaml), "--out", str(camp)]) == EXIT_OK
         payload = json.loads((camp / "reports.json").read_text(encoding="utf-8"))
-        payload["reports"][0]["t_tr"]["mean"] = 0.0
+        for report in payload["reports"]:
+            if field == "t_tr":
+                report["t_tr"]["mean"] = 0.0
+            else:
+                report[field] = 0.0
         (camp / "reports.json").write_text(json.dumps(payload), encoding="utf-8")
         capsys.readouterr()
         out_dir = tmp_path / "tables"
         code = main(["report", str(camp / "reports.json"), "--out", str(out_dir)])
         assert code == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert "kiviat axis t_tr_ms" in captured.err
-        assert "wrote" not in captured.out
+        sid = payload["reports"][0]["scenario_id"]
+        assert captured.err == f"error: {refusal.format(sid)}\n"
+        assert captured.out == ""
         assert not out_dir.exists()
+
+    def test_no_reports_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "empty.json"
+        p.write_text('{"reports": []}', encoding="utf-8")
+        assert main(["report", str(p)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "error: no reports found in the given files\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "token, shown",

@@ -3,17 +3,20 @@ reads them all."""
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
+import pkgutil
 import sys
 from functools import cache
 
 import numpy as np
 import pytest
 
+import nrbeamsim
 from conftest import make_scenario
 from nrbeamsim import scenario_io
 from nrbeamsim.codebook import ArrayConfig, PowerModel
-from nrbeamsim.errors import ConfigurationError, declared_domains
+from nrbeamsim.errors import ConfigurationError, NotApplicableError, declared_domains
 from nrbeamsim.evaluation import CampaignSettings, MetricStat, MetricsReport, estimate_metrics
 from nrbeamsim.frame import CsiRsConfig, Numerology, SsBurstConfig
 from nrbeamsim.link import ChannelParams
@@ -209,3 +212,24 @@ def test_a_string_field_takes_one_line(cls, name, value):
         _with(cls, name, value)
     assert str(refused.value).endswith(f"{name}={value!r}: must be a string on one line")
     assert "".join(str(refused.value).splitlines()) == str(refused.value)
+
+
+def test_every_refusal_is_a_configuration_error():
+    # the package defines one exception for a refused value, and
+    # NotApplicableError is one; __main__ runs the CLI when imported
+    defined = set()
+    for info in pkgutil.iter_modules(nrbeamsim.__path__, "nrbeamsim."):
+        if info.name == "nrbeamsim.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        defined |= {
+            (obj, obj.__bases__)
+            for obj in vars(module).values()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == info.name
+        }
+    assert defined == {
+        (ConfigurationError, (ValueError,)),
+        (NotApplicableError, (ConfigurationError,)),
+    }

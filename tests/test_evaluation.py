@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import make_scenario, scenarios
 from nrbeamsim.cli import EXIT_CONFIG, EXIT_OK, main
-from nrbeamsim.errors import ConfigurationError, DomainError
+from nrbeamsim.errors import ConfigurationError
 from nrbeamsim.evaluation import (
     KIVIAT_SCALE,
     MAX_RUNS,
@@ -379,7 +379,7 @@ class TestKiviat:
         assert a[1] == b[0]
 
     def test_empty_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             kiviat_normalize([])
 
 

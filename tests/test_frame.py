@@ -59,6 +59,11 @@ class TestNumerology:
         assert carrier_resource_blocks(Numerology(3), 400e6) == 277
         assert carrier_resource_blocks(Numerology(2), 400e6) == 555
 
+    @pytest.mark.parametrize("bandwidth_hz", [0.0, -1.0])
+    def test_carrier_rb_rejects_nonpositive_bandwidth(self, bandwidth_hz):
+        with pytest.raises(ConfigurationError, match="^bandwidth_hz=.*: must be positive$"):
+            carrier_resource_blocks(Numerology(3), bandwidth_hz)
+
     def test_symbols_in_ms_exact(self):
         num = Numerology(3)
         assert symbols_in_ms(num, 20.0) == 2240

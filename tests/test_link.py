@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_scenario
 from nrbeamsim.codebook import Architecture, ArrayConfig, beamforming_gain_db
-from nrbeamsim.errors import ConfigurationError, DomainError
+from nrbeamsim.errors import ConfigurationError
 from nrbeamsim.link import (
     ChannelParams,
     log_normal_cdf,
@@ -43,7 +44,7 @@ class TestPathLoss:
 
     def test_rejects_nonpositive_distance(self):
         for d_m in (0.0, -3.0, math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError, match="positive, finite distance"):
+            with pytest.raises(ConfigurationError, match="positive, finite distance"):
                 path_loss_db(d_m, ChannelParams())
 
 
@@ -133,9 +134,15 @@ class TestMisdetection:
             assert got == misdetection_probability(arr(16), arr(4), unshadowed)
         assert 0.0 <= got <= 1.0
 
-    def test_overflowing_path_loss_is_a_domain_error(self):
-        with np.errstate(over="ignore"), pytest.raises(DomainError, match="pl_exponent"):
+    def test_overflowing_path_loss_is_a_configuration_error(self):
+        with np.errstate(over="ignore"), pytest.raises(ConfigurationError, match="pl_exponent"):
             misdetection_probability(arr(4), arr(4), ChannelParams(pl_exponent=1e308))
+
+    def test_a_scenario_with_an_overflowing_edge_snr_is_a_configuration_error(self):
+        # the refusal every other Scenario value gets, naming the key
+        refusal = r"^channel\.pl_exponent=1e\+308, channel\.cell_radius_m=150: the mean SNR"
+        with pytest.raises(ConfigurationError, match=refusal):
+            make_scenario(channel=ChannelParams(pl_exponent=1e308))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

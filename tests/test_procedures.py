@@ -11,11 +11,7 @@ import pytest
 from conftest import STARVED, make_scenario
 from nrbeamsim import evaluation
 from nrbeamsim.codebook import MAX_SWEEP_LENGTH, Architecture
-from nrbeamsim.errors import (
-    ConfigurationError,
-    DomainError,
-    NotApplicableError,
-)
+from nrbeamsim.errors import ConfigurationError, NotApplicableError
 from nrbeamsim.evaluation import CampaignSettings, estimate_metrics
 from nrbeamsim.frame import SS_BLOCK_SYMBOLS, CsiRsConfig
 from nrbeamsim.link import ChannelParams
@@ -257,7 +253,7 @@ class TestSimulationAgainstOracle:
         assert set(np.unique(batch.chosen_g)) <= set(range(8))
 
     def test_batch_rejects_empty(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             simulate_ia_batch(make_scenario(), 0, np.random.default_rng(0))
 
     def test_same_seed_same_batch(self):
@@ -414,6 +410,11 @@ class TestTracking:
         assert (kept > 500.0).mean() > 0.1
         se = kept.std(ddof=1) / math.sqrt(kept.size)
         assert abs(kept.mean() - expected_tracking_delay_ms(sc)) <= 3 * se
+
+    def test_batch_rejects_empty(self):
+        tp = tracking_plan(make_scenario())
+        with pytest.raises(ConfigurationError, match="n_runs=0"):
+            simulate_tracking_batch(tp, 0, np.random.default_rng(0))
 
     def test_everything_collides_is_not_applicable(self):
         # occasions every 160 slots land exactly on each burst start, so no
